@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -109,6 +111,97 @@ class RoadGraph:
 
     vertices: tuple[GeoPoint, ...]
     edges: tuple[tuple[int, int, float], ...]
+
+    def arrays(self) -> RoadArrays:
+        """The graph as frozen arrays, built on first use and then shared."""
+        # Built lazily; the graph is frozen so the cache cannot go stale.
+        cache = getattr(self, "_arrays", None)
+        if cache is None:
+            cache = RoadArrays.build(self)
+            object.__setattr__(self, "_arrays", cache)
+        return cache
+
+    def nearest_vertex(self, p: GeoPoint) -> tuple[int, float]:
+        """Nearest vertex to p and its `haversine_km` distance; ties go to
+        the lowest id.
+
+        One vectorised pass short-lists the vertices within a 1e-9 relative
+        margin of the minimum (numpy's sin and asin may differ from math's
+        in the last bits, far inside that margin). `haversine_km` then
+        scans the short-list in id order with the same strict `<` as a full
+        scan, so the result is bit-for-bit that of a full scan.
+        """
+        arrays = self.arrays()
+        dphi = np.radians(arrays.lat - p.lat)
+        dlam = np.radians(arrays.lon - p.lon)
+        cos_lat = math.cos(math.radians(p.lat))
+        h = np.sin(dphi / 2.0) ** 2 + cos_lat * arrays.cos_lat * np.sin(dlam / 2.0) ** 2
+        d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+        limit = float(d.min()) * (1.0 + 1e-9)
+        best_v, best_d = -1, math.inf
+        for vid in np.flatnonzero(d <= limit).tolist():
+            dist = haversine_km(p, self.vertices[vid])
+            if dist < best_d:
+                best_v, best_d = vid, dist
+        return best_v, best_d
+
+
+@dataclass(frozen=True)
+class RoadArrays:
+    """Array form of a RoadGraph: symmetric CSR adjacency plus coordinates.
+
+    Row u of the CSR lists u's neighbours in ascending id order; parallel
+    edges keep their smallest weight. Coordinates stay in degrees, so a
+    coordinate difference rounds exactly as it does in `haversine_km`.
+    """
+
+    indptr: np.ndarray  # int64, n + 1
+    indices: np.ndarray  # int64, 2 x edge count
+    weights: np.ndarray  # float64, 2 x edge count
+    lat: np.ndarray  # float64 degrees, n
+    lon: np.ndarray  # float64 degrees, n
+    cos_lat: np.ndarray  # cos of the latitude, n
+
+    @classmethod
+    def build(cls, roads: RoadGraph) -> RoadArrays:
+        n = len(roads.vertices)
+        raw = np.array(roads.edges, dtype=np.float64).reshape(-1, 3)
+        a, b, w = raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64), raw[:, 2]
+        if np.any(a == b):
+            raise ValueError(f"self-loop at road vertex {int(a[a == b][0])}")
+        if raw.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+            raise ValueError(f"road edge out of range for {n} vertices")
+        if np.any(~(w > 0.0)):
+            raise ValueError("road edge weights must be positive")
+        rows = np.concatenate([a, b])
+        cols = np.concatenate([b, a])
+        weights = np.concatenate([w, w])
+        order = np.lexsort((weights, cols, rows))
+        rows, cols, weights = rows[order], cols[order], weights[order]
+        first = np.ones(len(rows), dtype=bool)  # lightest of each parallel group
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        rows, cols, weights = rows[first], cols[first], weights[first]
+        lat = np.array([p.lat for p in roads.vertices], dtype=np.float64)
+        lon = np.array([p.lon for p in roads.vertices], dtype=np.float64)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        arrays = (indptr, cols, weights, lat, lon, np.cos(np.radians(lat)))
+        for array in arrays:
+            array.flags.writeable = False  # shared by every design of the run
+        return cls(*arrays)
+
+    def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, w) of every edge with u < v, in ascending (u, v) order."""
+        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper], self.weights[upper]
+
+    def weight(self, u: int, v: int) -> float:
+        """Weight of road edge (u, v); KeyError when there is none."""
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        i = lo + int(np.searchsorted(self.indices[lo:hi], v))
+        if i == hi or self.indices[i] != v:
+            raise KeyError((u, v))
+        return float(self.weights[i])
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -8,8 +8,7 @@ trench length needed to reach it, and may leave low-value terminals out.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from ..geodata import RoadGraph, Settlement
@@ -17,7 +16,7 @@ from .graphs import (
     EmptyNodeSet,
     NetworkDesign,
     PrizedGraph,
-    RoadAttachment,
+    RoadOverlay,
     VertexPayload,
     WeightedGraph,
     attach_terminals_to_roads,
@@ -37,7 +36,7 @@ class DesignResult:
 
     level: str
     design: NetworkDesign
-    graph: WeightedGraph
+    graph: WeightedGraph | RoadOverlay
     terminal_vertex: dict[str, int]  # settlement id -> vertex id
     root_id: str
     warnings: tuple[str, ...] = ()
@@ -135,7 +134,7 @@ def _design_mst(
     terminal_vertex = {s.id: i for i, s in enumerate(ordered)}
     design = prim_mst(graph, root=terminal_vertex[root_id])
     if not count_root:
-        design = _with_terminal_count(design, design.terminal_node_count - 1)
+        design = replace(design, terminal_node_count=design.terminal_node_count - 1)
     return DesignResult(
         level=level,
         design=design,
@@ -176,7 +175,7 @@ def _design_pcst(
     prized = PrizedGraph(graph=graph, prizes=prizes, root=root_vertex, terminals=terminals)
     design = pcst_gw(prized)
     if not count_root_as_terminal and root_vertex in design.connected_vertices:
-        design = _with_terminal_count(design, design.terminal_node_count - 1)
+        design = replace(design, terminal_node_count=design.terminal_node_count - 1)
     warnings = tuple(
         f"settlement {sid} attached {dist:.2f} km beyond the {snap_radius_km:.2f} km snap radius"
         for sid, dist in attachment.beyond_snap
@@ -190,14 +189,3 @@ def _design_pcst(
         warnings=warnings,
     )
 
-
-def _with_terminal_count(design: NetworkDesign, count: int) -> NetworkDesign:
-    return NetworkDesign(
-        algorithm=design.algorithm,
-        edges=design.edges,
-        connected_vertices=design.connected_vertices,
-        excluded_terminals=design.excluded_terminals,
-        total_length_km=design.total_length_km,
-        total_penalty=design.total_penalty,
-        terminal_node_count=count,
-    )

@@ -8,8 +8,11 @@ back into geographic outputs.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import SolverError
 from ..geodata import GeoPoint, RoadGraph, Settlement, haversine_km
@@ -92,6 +95,98 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self._adj) // 2
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, w) arrays of `edges()`, in the same ascending (u, v) order."""
+        return _edge_arrays(list(self.edges()))
+
+
+def _edge_arrays(
+    edges: list[tuple[int, int, float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    w = np.array([e[2] for e in edges], dtype=np.float64)
+    return u, v, w
+
+
+class RoadOverlay:
+    """A shared road graph plus one design's settlement terminals.
+
+    Reads like a WeightedGraph (`n`, `payloads`, `weight`, `edges`,
+    `edge_count`, `edge_arrays`) but stores only what the design adds:
+    vertices 0..R-1 are the road vertices, read from the road graph's frozen
+    arrays; spur vertices follow in attachment order, each joined by one
+    edge to one road vertex. A settlement merged onto a road vertex only
+    names that vertex.
+    """
+
+    def __init__(self, roads: RoadGraph):
+        self.roads = roads
+        self._road_n = len(roads.vertices)
+        self._named: dict[int, str] = {}  # road vertex -> merged settlement id
+        # (point, settlement id, road vertex, spur length), one per spur vertex
+        self._spurs: list[tuple[GeoPoint, str, int, float]] = []
+        self.payloads: Sequence[VertexPayload] = _OverlayPayloads(self)
+
+    @property
+    def n(self) -> int:
+        return self._road_n + len(self._spurs)
+
+    def name_road_vertex(self, v: int, settlement_id: str) -> None:
+        self._named[v] = settlement_id
+
+    def add_spur(self, point: GeoPoint, settlement_id: str, road_vertex: int, length: float) -> int:
+        self._spurs.append((point, settlement_id, road_vertex, length))
+        return self.n - 1
+
+    def _payload(self, v: int) -> VertexPayload:
+        if 0 <= v < self._road_n:
+            return VertexPayload(self.roads.vertices[v], self._named.get(v))
+        if self._road_n <= v < self.n:
+            point, sid, _, _ = self._spurs[v - self._road_n]
+            return VertexPayload(point, sid)
+        raise IndexError(f"vertex {v} out of range for {self.n} vertices")
+
+    def weight(self, u: int, v: int) -> float:
+        a, b = min(u, v), max(u, v)
+        if b < self._road_n:
+            return self.roads.arrays().weight(a, b)
+        if a < self._road_n <= b < self.n:
+            _, _, road_vertex, length = self._spurs[b - self._road_n]
+            if road_vertex == a:
+                return length
+        raise KeyError((u, v))
+
+    def edges(self) -> Iterator[tuple[int, int, float]]:
+        """Edges normalized u < v, in ascending (u, v) order."""
+        u, v, w = self.edge_arrays()
+        return zip(u.tolist(), v.tolist(), w.tolist())
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.roads.arrays().indices) // 2 + len(self._spurs)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
+        ru, rv, rw = self.roads.arrays().upper_edges()
+        su, sv, sw = _edge_arrays(
+            [(road_v, self._road_n + i, w) for i, (_, _, road_v, w) in enumerate(self._spurs)]
+        )
+        u, v, w = np.concatenate([ru, su]), np.concatenate([rv, sv]), np.concatenate([rw, sw])
+        order = np.lexsort((v, u))
+        return u[order], v[order], w[order]
+
+
+class _OverlayPayloads(SequenceABC):
+    def __init__(self, overlay: RoadOverlay):
+        self._overlay = overlay
+
+    def __len__(self) -> int:
+        return self._overlay.n
+
+    def __getitem__(self, v: int) -> VertexPayload:
+        return self._overlay._payload(v)
+
 
 @dataclass(frozen=True)
 class PrizedGraph:
@@ -141,6 +236,10 @@ class NetworkDesign:
     total_length_km: float
     total_penalty: float
     terminal_node_count: int
+    # Goemans-Williamson dual value, a lower bound on the optimal objective
+    # (PCST_GW only). Observability, not part of the design: excluded from
+    # equality and never written to any report.
+    dual_bound: float | None = field(default=None, compare=False)
 
     @property
     def objective(self) -> float:
@@ -175,7 +274,7 @@ class RoadAttachment:
     the nearest vertex) but are listed in `beyond_snap` for reporting.
     """
 
-    graph: WeightedGraph
+    graph: RoadOverlay
     terminal_vertex: dict[str, int]
     beyond_snap: tuple[tuple[str, float], ...]
 
@@ -187,32 +286,29 @@ def attach_terminals_to_roads(
 
     A settlement coincident with a road vertex merges onto it; otherwise it
     becomes a new vertex with a spur edge to the nearest road vertex
-    (nearest by distance, ties to the lowest vertex id).
+    (nearest by distance, ties to the lowest vertex id). The road graph is
+    shared, not copied: the result is an overlay holding only the spurs and
+    settlement ids.
     """
     if not nodes:
         raise EmptyNodeSet("no settlements to attach")
     if snap_radius_km < 0:
         raise ValueError(f"snap_radius_km must be >= 0, got {snap_radius_km}")
-    g = WeightedGraph(len(roads.vertices), [VertexPayload(p) for p in roads.vertices])
-    for u, v, w in roads.edges:
-        g.add_edge(u, v, w)
+    if not roads.vertices:
+        raise EmptyNodeSet("road graph has no vertices to attach to")
+    g = RoadOverlay(roads)
     terminal_vertex: dict[str, int] = {}
     beyond: list[tuple[str, float]] = []
     for s in nodes:
         if s.id in terminal_vertex:
             raise ValueError(f"duplicate settlement id {s.id!r}")
-        best_v, best_d = -1, float("inf")
-        for vid, p in enumerate(roads.vertices):
-            d = haversine_km(s.location, p)
-            if d < best_d:
-                best_v, best_d = vid, d
+        best_v, best_d = roads.nearest_vertex(s.location)
         if best_d == 0.0:
             # Coincident with a road vertex: merge, keeping the settlement id.
-            g.payloads[best_v] = VertexPayload(roads.vertices[best_v], s.id)
+            g.name_road_vertex(best_v, s.id)
             terminal_vertex[s.id] = best_v
             continue
-        vid = g.add_vertex(VertexPayload(s.location, s.id))
-        g.add_edge(vid, best_v, best_d)
+        vid = g.add_spur(s.location, s.id, best_v, best_d)
         terminal_vertex[s.id] = vid
         if best_d > snap_radius_km:
             beyond.append((s.id, best_d))

@@ -8,11 +8,13 @@ given graph always yields bit-identical designs.
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 import math
 from collections import deque
 
+import numpy as np
+
+from ..errors import SolverError
 from .graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
@@ -87,16 +89,6 @@ def prim_mst(graph: WeightedGraph, root: int = 0) -> NetworkDesign:
 # --- Goemans-Williamson PCST ------------------------------------------------
 
 
-class _Cluster:
-    __slots__ = ("members", "prize_sum", "dual", "active")
-
-    def __init__(self, members: list[int], prize_sum: float, dual: float, active: bool):
-        self.members = members
-        self.prize_sum = prize_sum
-        self.dual = dual
-        self.active = active
-
-
 def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
     """Rooted prize-collecting Steiner tree via moat growing, then pruning.
 
@@ -110,82 +102,18 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
 
     Simultaneous events resolve merges before deactivations, each in
     lexicographic vertex order.
+
+    The result's `dual_bound` is the sum over events of dt times the number
+    of active clusters: the value of the GW dual, a lower bound on the
+    optimal objective.
     """
     g = prized.graph
     n = g.n
     root = prized.root
     if n == 0:
         raise EmptyNodeSet("cannot design over an empty graph")
-    edges = list(g.edges())
-
-    find_cache = list(range(n))  # vertex -> cluster id (path-compressed lazily)
-    clusters: dict[int, _Cluster] = {}
-    for v in range(n):
-        p = prized.prize(v)
-        clusters[v] = _Cluster([v], p, 0.0, v != root and p > 0.0)
-    next_cid = n
-    owner = list(range(n))  # vertex -> current cluster id
-
-    depth = [0.0] * n  # accumulated moat depth over each vertex
-    forest: list[tuple[int, int, float]] = []
-
-    def cluster_of(v: int) -> int:
-        return owner[v]
-
-    while True:
-        active_ids = sorted(cid for cid, c in clusters.items() if c.active)
-        if not active_ids:
-            break
-        best_key: tuple | None = None
-        best_event: tuple | None = None
-        for u, v, w in edges:
-            cu, cv = cluster_of(u), cluster_of(v)
-            if cu == cv:
-                continue
-            rate = (1 if clusters[cu].active else 0) + (1 if clusters[cv].active else 0)
-            if rate == 0:
-                continue
-            slack = w - depth[u] - depth[v]
-            dt = max(0.0, slack / rate)
-            key = (dt, 0, min(u, v), max(u, v))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_event = ("merge", u, v, w)
-        for cid in active_ids:
-            c = clusters[cid]
-            dt = max(0.0, c.prize_sum - c.dual)
-            key = (dt, 1, min(c.members), -1)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_event = ("die", cid)
-        assert best_event is not None
-        dt = best_key[0]
-        for cid in active_ids:
-            c = clusters[cid]
-            c.dual += dt
-            for m in c.members:
-                depth[m] += dt
-        if best_event[0] == "merge":
-            _, u, v, w = best_event
-            cu, cv = cluster_of(u), cluster_of(v)
-            a, b = clusters[cu], clusters[cv]
-            merged = _Cluster(
-                members=a.members + b.members,
-                prize_sum=a.prize_sum + b.prize_sum,
-                dual=a.dual + b.dual,
-                active=False,
-            )
-            has_root = cluster_of(root) in (cu, cv)
-            merged.active = (not has_root) and merged.dual < merged.prize_sum
-            clusters.pop(cu)
-            clusters.pop(cv)
-            clusters[next_cid] = merged
-            for m in merged.members:
-                owner[m] = next_cid
-            next_cid += 1
-            forest.append((u, v, w))
-        else:
-            clusters[best_event[1]].active = False
+    edges = g.edge_arrays()
+    forest, dual_terms = _grow_moats(prized, edges)
 
     # Root component of the moat forest.
     adj: dict[int, list[tuple[int, float]]] = {}
@@ -202,12 +130,99 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
                 queue.append(v)
 
     kept_vertices, kept_edges = _strong_prune(prized, adj, component)
-    kept_edges = _reconnect_minimally(g, kept_vertices, kept_edges, root)
-    return _prized_design("PCST_GW", prized, kept_vertices, kept_edges)
+    kept_edges = _reconnect_minimally(edges, n, kept_vertices, kept_edges, root)
+    design = _prized_design(
+        "PCST_GW", prized, kept_vertices, kept_edges, dual_bound=math.fsum(dual_terms)
+    )
+    log.debug(
+        "pcst_gw: %d vertices, %d edges, %d events, objective %.6g, dual bound %.6g",
+        n,
+        len(edges[0]),
+        len(dual_terms),
+        design.objective,
+        design.dual_bound,
+    )
+    return design
+
+
+def _grow_moats(
+    prized: PrizedGraph, edges: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[list[tuple[int, int, float]], list[float]]:
+    """The moat-growing phase of `pcst_gw` over the graph's (u, v, w) arrays.
+
+    Each event is a few array operations over all edges that evaluate the
+    scalar rules exactly: an edge joining distinct clusters, `rate` of them
+    active (rate > 0), meets after `max(0, (w - depth[u] - depth[v]) / rate)`;
+    an active cluster dies after `max(0, prize_sum - dual)`; the event's dt
+    is then added to the depth of every member of every active cluster.
+    Events are chosen by the key (dt, kind, min vertex, max vertex), with
+    merges (kind 0) before deaths (kind 1).
+
+    Returns the forest edges in the order they merged, and each event's
+    dual increment dt x (number of active clusters).
+    """
+    n = prized.graph.n
+    root = prized.root
+    # Ascending (u, v) order: argmin's first-index rule breaks dt ties by (u, v).
+    eu, ev, ew = edges
+
+    # Clusters 0..n-1 are the singletons; each of at most n - 1 merges adds one.
+    owner = np.arange(n)  # vertex -> current cluster id
+    prize_sum = np.zeros(2 * n)
+    prize_sum[:n] = [prized.prize(v) for v in range(n)]
+    dual = np.zeros(2 * n)
+    active = np.zeros(2 * n, dtype=bool)
+    active[:n] = prize_sum[:n] > 0.0
+    active[root] = False
+    min_member = np.arange(2 * n)
+    next_cid = n
+
+    depth = np.zeros(n)  # accumulated moat depth over each vertex
+    forest: list[tuple[int, int, float]] = []
+    dual_terms: list[float] = []
+
+    while True:
+        active_ids = np.flatnonzero(active)
+        if not active_ids.size:
+            break
+        cu, cv = owner[eu], owner[ev]
+        rate = active[cu].astype(np.int64) + active[cv]
+        live = np.flatnonzero((cu != cv) & (rate > 0))
+        slack = ew[live] - depth[eu[live]] - depth[ev[live]]
+        edge_dt = slack / rate[live]
+        edge_dt = np.where(edge_dt > 0.0, edge_dt, 0.0)
+        gap = prize_sum[active_ids] - dual[active_ids]
+        death_dt = np.where(gap > 0.0, gap, 0.0)
+        dt = float(death_dt.min())
+        merge_edge = -1
+        if live.size:
+            i = int(np.argmin(edge_dt))
+            if edge_dt[i] <= dt:
+                merge_edge, dt = int(live[i]), float(edge_dt[i])
+        dual_terms.append(dt * active_ids.size)
+        dual[active_ids] += dt
+        depth[active[owner]] += dt
+        if merge_edge >= 0:
+            u, v, w = int(eu[merge_edge]), int(ev[merge_edge]), float(ew[merge_edge])
+            a, b = owner[u], owner[v]
+            prize_sum[next_cid] = prize_sum[a] + prize_sum[b]
+            dual[next_cid] = dual[a] + dual[b]
+            has_root = owner[root] in (a, b)
+            active[next_cid] = (not has_root) and dual[next_cid] < prize_sum[next_cid]
+            active[a] = active[b] = False
+            min_member[next_cid] = min(min_member[a], min_member[b])
+            owner[(owner == a) | (owner == b)] = next_cid
+            next_cid += 1
+            forest.append((u, v, w))
+        else:
+            dying = active_ids[death_dt == dt]
+            active[dying[np.argmin(min_member[dying])]] = False
+    return forest, dual_terms
 
 
 def _reconnect_minimally(
-    g: WeightedGraph,
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n: int,
     kept: set[int],
     kept_edges: list[tuple[int, int, float]],
     root: int,
@@ -216,16 +231,20 @@ def _reconnect_minimally(
 
     The induced subgraph contains the kept tree's edges, so it is connected
     and the swap can only shorten the design; site selection is unchanged.
+    `edges` are the (u, v, w) arrays of the whole n-vertex graph.
     """
     if len(kept) <= 2:
         return kept_edges
     sub_vertices = sorted(kept)
-    index = {v: i for i, v in enumerate(sub_vertices)}
+    index = np.full(n, -1)
+    index[sub_vertices] = np.arange(len(sub_vertices))
+    eu, ev, ew = edges
+    iu, iv = index[eu], index[ev]
+    inside = (iu >= 0) & (iv >= 0)
     sub = WeightedGraph(len(sub_vertices))
-    for u, v, w in g.edges():
-        if u in index and v in index:
-            sub.add_edge(index[u], index[v], w)
-    mst = prim_mst(sub, root=index[root])
+    for a, b, w in zip(iu[inside].tolist(), iv[inside].tolist(), ew[inside].tolist()):
+        sub.add_edge(a, b, w)
+    mst = prim_mst(sub, root=int(index[root]))
     return [(sub_vertices[a], sub_vertices[b], w) for a, b, w in mst.edges]
 
 
@@ -266,6 +285,7 @@ def _prized_design(
     prized: PrizedGraph,
     vertices: set[int],
     edges: list[tuple[int, int, float]],
+    dual_bound: float | None = None,
 ) -> NetworkDesign:
     excluded = frozenset(t for t in prized.terminals if t not in vertices)
     return NetworkDesign(
@@ -276,6 +296,7 @@ def _prized_design(
         total_length_km=math.fsum(w for _, _, w in edges),
         total_penalty=math.fsum(prized.prize(t) for t in sorted(excluded)),
         terminal_node_count=sum(1 for t in prized.terminals if t in vertices),
+        dual_bound=dual_bound,
     )
 
 
@@ -349,5 +370,7 @@ def pcst_exact(prized: PrizedGraph) -> NetworkDesign:
         if best is None or key < best:
             best = key
             best_edges = tree
-    assert best is not None and best_edges is not None  # root-only subset always qualifies
+    if best is None or best_edges is None:
+        # Unreachable: the root-only subset always qualifies.
+        raise SolverError("exact PCST found no feasible subset")
     return _prized_design("PCST_EXACT", prized, set(best[1]), best_edges)

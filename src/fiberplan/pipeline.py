@@ -52,8 +52,6 @@ from .report import (
 
 log = logging.getLogger(__name__)
 
-LEVELS = ("regional", "access")
-
 
 @dataclass(frozen=True)
 class LoadedInputs:
@@ -229,30 +227,32 @@ def build_designs(
     members = _region_members(settlements)
     warnings: list[str] = []
 
+    rnod_ids = sorted(classification.regional_nodes.values())
+    if rnod_ids:
+        root_id, root_billable, root_warnings = _pick_backbone_root(classification, settlements)
+        backbone_nodes = [settlements.by_id(sid) for sid in sorted(set(rnod_ids) | {root_id})]
+        region_users = _region_users(members, stage.users_by_subregion)
+        backbone_prizes = {
+            sid: region_users[settlements.by_id(sid).region_id] for sid in rnod_ids
+        }
+    access_ids_by_region: dict[str, list[str]] = {region: [] for region in members}
+    for sid in sorted(classification.access_nodes.values()):
+        access_ids_by_region[settlements.by_id(sid).region_id].append(sid)
+
     designs: dict[tuple[str, str], list[DesignResult]] = {}
     for selection in cfg.algorithms:
         designs[(selection, "regional")] = []
         designs[(selection, "access")] = []
 
-        rnod_ids = sorted(classification.regional_nodes.values())
         if rnod_ids:
-            root_id, root_billable, root_warnings = _pick_backbone_root(
-                classification, settlements
-            )
             warnings.extend(root_warnings)
-            node_ids = sorted(set(rnod_ids) | {root_id})
-            nodes = [settlements.by_id(sid) for sid in node_ids]
-            region_users = _region_users(members, stage.users_by_subregion)
-            prize_by_node = {
-                sid: region_users[settlements.by_id(sid).region_id] for sid in rnod_ids
-            }
             result = design_network(
                 "regional",
                 selection,
-                nodes,
+                backbone_nodes,
                 root_id,
                 roads=inputs.roads if selection == "pcst" else None,
-                node_users=prize_by_node if selection == "pcst" else None,
+                node_users=backbone_prizes if selection == "pcst" else None,
                 snap_radius_km=cfg.snap_radius_km,
                 prize_scale=cfg.prize_scale,
                 count_root_as_terminal=root_billable,
@@ -265,11 +265,7 @@ def build_designs(
 
         for region in sorted(members):
             anchor_id = classification.region_anchor[region]
-            access_ids = sorted(
-                sid
-                for sid in classification.access_nodes.values()
-                if settlements.by_id(sid).region_id == region
-            )
+            access_ids = access_ids_by_region[region]
             node_ids = sorted(set(access_ids) | {anchor_id})
             nodes = [settlements.by_id(sid) for sid in node_ids]
             prize_by_node = {

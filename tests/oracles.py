@@ -2,14 +2,18 @@
 
 The Kruskal MST here is written against raw edge lists (no shared code with
 the package solvers) so the two routes to a spanning tree stay independent.
+`pcst_gw_reference` is the scalar moat-growing loop that the vectorised
+`pcst_gw` replaced, kept as the reference it must match design for design.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
-from fiberplan.netdesign import NetworkDesign, PrizedGraph, WeightedGraph
+from fiberplan.netdesign import EmptyNodeSet, NetworkDesign, PrizedGraph, WeightedGraph, prim_mst
+from fiberplan.netdesign.solvers import _prized_design, _strong_prune
 
 
 def kruskal_mst(n: int, edges: list[tuple[int, int, float]]) -> tuple[float, list]:
@@ -78,6 +82,30 @@ def random_prized_instance(rng: random.Random, n: int) -> PrizedGraph:
     return PrizedGraph(graph=g, prizes=prizes, root=0)
 
 
+GRID_WEIGHTS = (0.1 + 0.2, 0.3, 0.5, 1.0, 2.0)  # 0.1 + 0.2 != 0.3: near-ties
+GRID_PRIZES = (0.0, 0.7, 1.0, 2.0, 3.0)
+
+
+def random_grid_instance(rng: random.Random) -> PrizedGraph:
+    """Tie-heavy prized grid of 2-7 x 2-7 vertices with a random root.
+
+    Weights and prizes come from a few values, so equal event times are
+    common; one instance in four drops 40% of its edges, which usually
+    disconnects the grid."""
+    rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+    drop = 0.4 if rng.random() < 0.25 else 0.0
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            for u in ((v + 1) if c + 1 < cols else None, (v + cols) if r + 1 < rows else None):
+                if u is not None and rng.random() >= drop:
+                    edges.append((v, u, rng.choice(GRID_WEIGHTS)))
+    n = rows * cols
+    prizes = {v: rng.choice(GRID_PRIZES) for v in range(n)}
+    return PrizedGraph(graph=graph_from_edges(n, edges), prizes=prizes, root=rng.randrange(n))
+
+
 def assert_design_is_tree(design: NetworkDesign, root: int) -> None:
     """The design's edges must form a tree spanning connected_vertices."""
     vertices = design.connected_vertices
@@ -99,3 +127,157 @@ def assert_design_is_tree(design: NetworkDesign, root: int) -> None:
                 seen.add(v)
                 stack.append(v)
     assert seen == set(vertices)
+
+
+# --- reference Goemans-Williamson PCST -------------------------------------
+
+
+class _Cluster:
+    __slots__ = ("members", "prize_sum", "dual", "active")
+
+    def __init__(self, members: list[int], prize_sum: float, dual: float, active: bool):
+        self.members = members
+        self.prize_sum = prize_sum
+        self.dual = dual
+        self.active = active
+
+
+def grow_moats_reference(prized: PrizedGraph) -> list[tuple[int, int, float]]:
+    """The scalar moat-growing loop: one Python rescan of every edge per
+    event. Returns the forest edges in the order they merged."""
+    g = prized.graph
+    n = g.n
+    root = prized.root
+    edges = list(g.edges())
+
+    find_cache = list(range(n))  # vertex -> cluster id (path-compressed lazily)
+    clusters: dict[int, _Cluster] = {}
+    for v in range(n):
+        p = prized.prize(v)
+        clusters[v] = _Cluster([v], p, 0.0, v != root and p > 0.0)
+    next_cid = n
+    owner = list(range(n))  # vertex -> current cluster id
+
+    depth = [0.0] * n  # accumulated moat depth over each vertex
+    forest: list[tuple[int, int, float]] = []
+
+    def cluster_of(v: int) -> int:
+        return owner[v]
+
+    while True:
+        active_ids = sorted(cid for cid, c in clusters.items() if c.active)
+        if not active_ids:
+            break
+        best_key: tuple | None = None
+        best_event: tuple | None = None
+        for u, v, w in edges:
+            cu, cv = cluster_of(u), cluster_of(v)
+            if cu == cv:
+                continue
+            rate = (1 if clusters[cu].active else 0) + (1 if clusters[cv].active else 0)
+            if rate == 0:
+                continue
+            slack = w - depth[u] - depth[v]
+            dt = max(0.0, slack / rate)
+            key = (dt, 0, min(u, v), max(u, v))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_event = ("merge", u, v, w)
+        for cid in active_ids:
+            c = clusters[cid]
+            dt = max(0.0, c.prize_sum - c.dual)
+            key = (dt, 1, min(c.members), -1)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_event = ("die", cid)
+        assert best_event is not None
+        dt = best_key[0]
+        for cid in active_ids:
+            c = clusters[cid]
+            c.dual += dt
+            for m in c.members:
+                depth[m] += dt
+        if best_event[0] == "merge":
+            _, u, v, w = best_event
+            cu, cv = cluster_of(u), cluster_of(v)
+            a, b = clusters[cu], clusters[cv]
+            merged = _Cluster(
+                members=a.members + b.members,
+                prize_sum=a.prize_sum + b.prize_sum,
+                dual=a.dual + b.dual,
+                active=False,
+            )
+            has_root = cluster_of(root) in (cu, cv)
+            merged.active = (not has_root) and merged.dual < merged.prize_sum
+            clusters.pop(cu)
+            clusters.pop(cv)
+            clusters[next_cid] = merged
+            for m in merged.members:
+                owner[m] = next_cid
+            next_cid += 1
+            forest.append((u, v, w))
+        else:
+            clusters[best_event[1]].active = False
+    return forest
+
+
+def pcst_gw_reference(prized: PrizedGraph) -> NetworkDesign:
+    """Rooted prize-collecting Steiner tree via moat growing, then pruning.
+
+    Grows uniform-rate duals around active clusters; an edge joins two
+    clusters when the moats meet across it, and a cluster deactivates when
+    its dual budget exhausts its prize mass. The forest component containing
+    the root is then reduced by strong pruning (exact best-subtree DP) and
+    reconnected by the induced minimum spanning tree over the kept vertices.
+    Both post-steps only improve on the classical pruning, so the returned
+    objective stays within a factor 2 of the optimum.
+
+    Simultaneous events resolve merges before deactivations, each in
+    lexicographic vertex order.
+    """
+    g = prized.graph
+    root = prized.root
+    if g.n == 0:
+        raise EmptyNodeSet("cannot design over an empty graph")
+    forest = grow_moats_reference(prized)
+
+    # Root component of the moat forest.
+    adj: dict[int, list[tuple[int, float]]] = {}
+    for u, v, w in forest:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    component: set[int] = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v, _ in adj.get(u, []):
+            if v not in component:
+                component.add(v)
+                queue.append(v)
+
+    kept_vertices, kept_edges = _strong_prune(prized, adj, component)
+    kept_edges = _reconnect_minimally_reference(g, kept_vertices, kept_edges, root)
+    return _prized_design("PCST_GW", prized, kept_vertices, kept_edges)
+
+
+def _reconnect_minimally_reference(
+    g: WeightedGraph,
+    kept: set[int],
+    kept_edges: list[tuple[int, int, float]],
+    root: int,
+) -> list[tuple[int, int, float]]:
+    """Replace the kept tree by the MST of the induced subgraph on `kept`.
+
+    The induced subgraph contains the kept tree's edges, so it is connected
+    and the swap can only shorten the design; site selection is unchanged.
+    """
+    if len(kept) <= 2:
+        return kept_edges
+    sub_vertices = sorted(kept)
+    index = {v: i for i, v in enumerate(sub_vertices)}
+    sub = WeightedGraph(len(sub_vertices))
+    for u, v, w in g.edges():
+        if u in index and v in index:
+            sub.add_edge(index[u], index[v], w)
+    mst = prim_mst(sub, root=index[root])
+    return [(sub_vertices[a], sub_vertices[b], w) for a, b, w in mst.edges]

@@ -8,6 +8,8 @@ constructing points at known offsets) and frozen as literals.
 from __future__ import annotations
 
 import math
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -301,3 +303,59 @@ def test_load_road_graph_empty(tmp_path):
 
     with pytest.raises(EmptyCollection):
         load_road_graph(_write(tmp_path, "r.geojson", json.dumps(_line_doc())))
+
+
+# --- road graph arrays ---------------------------------------------------------
+
+GOLDEN_ROADS = os.path.join(os.path.dirname(__file__), "data", "golden", "roads.geojson")
+
+
+def test_road_arrays_csr_keeps_lightest_parallel_edge():
+    roads = RoadGraph(
+        vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0), GeoPoint(1.0, 0.0)),
+        edges=((0, 1, 5.0), (1, 0, 3.0), (0, 2, 2.0)),
+    )
+    arrays = roads.arrays()
+    assert arrays is roads.arrays()  # built once, then shared
+    assert arrays.indptr.tolist() == [0, 2, 3, 4]
+    assert arrays.indices.tolist() == [1, 2, 0, 0]
+    assert arrays.weights.tolist() == [3.0, 2.0, 3.0, 2.0]
+    assert [a.tolist() for a in arrays.upper_edges()] == [[0, 0], [1, 2], [3.0, 2.0]]
+    assert arrays.weight(1, 0) == 3.0
+    with pytest.raises(KeyError):
+        arrays.weight(1, 2)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [((0, 0, 1.0),), ((0, 2, 1.0),), ((0, 1, 0.0),), ((0, 1, float("nan")),)],
+    ids=["self-loop", "out-of-range", "zero-weight", "nan-weight"],
+)
+def test_road_arrays_reject_bad_edges(edges):
+    roads = RoadGraph(vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)), edges=edges)
+    with pytest.raises(ValueError):
+        roads.arrays()
+
+
+def test_nearest_vertex_equals_a_full_haversine_scan():
+    roads = load_road_graph(GOLDEN_ROADS)
+    lats = [p.lat for p in roads.vertices]
+    lons = [p.lon for p in roads.vertices]
+    rng = random.Random(5)
+    points = [GeoPoint(rng.uniform(min(lats), max(lats)), rng.uniform(min(lons), max(lons)))
+              for _ in range(200)]
+    points += list(roads.vertices[:20])  # coincident: distance exactly 0
+    for p in points:
+        want = min((haversine_km(p, q), v) for v, q in enumerate(roads.vertices))
+        assert roads.nearest_vertex(p) == (want[1], want[0])
+
+
+def test_nearest_vertex_ties_go_to_the_lowest_id():
+    # (0, 0.25) is exactly as far from vertex 2 at (0, 0.5) as from vertex 1 at (0, 0).
+    roads = RoadGraph(
+        vertices=(GeoPoint(1.0, 0.0), GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.5)),
+        edges=((0, 1, 111.0), (1, 2, 55.6)),
+    )
+    p = GeoPoint(0.0, 0.25)
+    assert haversine_km(p, roads.vertices[1]) == haversine_km(p, roads.vertices[2])
+    assert roads.nearest_vertex(p) == (1, haversine_km(p, roads.vertices[1]))

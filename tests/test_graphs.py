@@ -156,3 +156,37 @@ class TestPrizedGraph:
             PrizedGraph(graph=self._graph(), prizes={1: -1.0}, root=0)
         with pytest.raises(ValueError):
             PrizedGraph(graph=self._graph(), prizes={7: 1.0}, root=0)
+
+
+class TestRoadOverlay:
+    def test_reads_like_a_copied_graph_without_copying(self):
+        roads = TestAttachTerminals()._roads()
+        near = _settlement("near", 0.00899320363724538, 0.5)  # spur to vertex 1
+        on_road = _settlement("on", 0.0, 1.0)  # merges onto vertex 2
+        att = attach_terminals_to_roads([near, on_road], roads, snap_radius_km=5.0)
+        g = att.graph
+        assert g.roads is roads
+        copy = WeightedGraph(len(roads.vertices))
+        for u, v, w in roads.edges:
+            copy.add_edge(u, v, w)
+        spur = copy.add_vertex()
+        copy.add_edge(1, spur, g.weight(spur, 1))
+        assert g.n == copy.n == 4
+        assert list(g.edges()) == list(copy.edges())
+        assert g.edge_count == copy.edge_count == 3
+        assert [a.tolist() for a in g.edge_arrays()] == [a.tolist() for a in copy.edge_arrays()]
+        assert g.weight(2, 1) == roads.edges[1][2]
+        with pytest.raises(KeyError):
+            g.weight(0, 2)
+        with pytest.raises(KeyError):
+            g.weight(0, 3)
+        assert [p.settlement_id for p in g.payloads] == [None, None, "on", "near"]
+        assert g.payloads[3].point == near.location
+        with pytest.raises(IndexError):
+            g.payloads[4]
+
+    def test_road_graph_without_vertices_rejected(self):
+        with pytest.raises(EmptyNodeSet):
+            attach_terminals_to_roads(
+                [_settlement("a", 0.0, 0.0)], RoadGraph(vertices=(), edges=()), 5.0
+            )

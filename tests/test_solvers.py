@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+from dataclasses import replace
 
 import pytest
 
+from fiberplan.geodata import load_road_graph, load_settlements
 from fiberplan.netdesign import (
     DisconnectedGraph,
     EmptyNodeSet,
@@ -14,18 +17,25 @@ from fiberplan.netdesign import (
     PrizedGraph,
     RootMissing,
     WeightedGraph,
+    attach_terminals_to_roads,
     pcst_exact,
     pcst_gw,
     prim_mst,
 )
+from fiberplan.netdesign.solvers import _grow_moats
 
 from .oracles import (
     assert_design_is_tree,
     graph_from_edges,
+    grow_moats_reference,
     kruskal_mst,
+    pcst_gw_reference,
     random_connected_edges,
+    random_grid_instance,
     random_prized_instance,
 )
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 
 class TestPrimMst:
@@ -220,3 +230,61 @@ class TestGwAgainstExact:
             exact = pcst_exact(pg)
             assert gw.connected_vertices == frozenset(range(n))
             assert gw.total_length_km == pytest.approx(exact.total_length_km, rel=1e-12)
+
+
+class TestGwAgainstReference:
+    """The vectorised loop must give the scalar reference's design exactly:
+    same edges, same float weights and totals, not merely close ones. The
+    moat forests must match too, merge for merge, because pruning often
+    hides a wrong event order from the final design."""
+
+    def test_identical_designs_on_tie_heavy_grids(self):
+        rng = random.Random(20_2411)
+        disconnected = 0
+        for _ in range(600):
+            pg = random_grid_instance(rng)
+            forest, _ = _grow_moats(pg, pg.graph.edge_arrays())
+            assert forest == grow_moats_reference(pg)
+            assert pcst_gw(pg) == pcst_gw_reference(pg)
+            try:
+                prim_mst(pg.graph)
+            except DisconnectedGraph:
+                disconnected += 1
+        assert disconnected >= 50
+
+    def test_identical_designs_on_the_golden_road_graph(self):
+        roads = load_road_graph(os.path.join(GOLDEN, "roads.geojson"))
+        settlements = list(load_settlements(os.path.join(GOLDEN, "settlements.csv")))
+        attachment = attach_terminals_to_roads(settlements, roads, snap_radius_km=5.0)
+        terminals = sorted(attachment.terminal_vertex.values())
+        rng = random.Random(31)
+        for _ in range(12):
+            root = rng.choice(terminals)
+            prizes = {v: rng.choice((0.0, 1.0, 5.0, 20.0, 80.0)) for v in terminals if v != root}
+            pg = PrizedGraph(graph=attachment.graph, prizes=prizes, root=root)
+            forest, _ = _grow_moats(pg, pg.graph.edge_arrays())
+            assert forest == grow_moats_reference(pg)
+            assert pcst_gw(pg) == pcst_gw_reference(pg)
+
+
+class TestGwDualBound:
+    def test_bound_never_exceeds_the_exact_optimum(self):
+        rng = random.Random(4_2)
+        for i in range(300):
+            if i % 2:
+                pg = random_prized_instance(rng, rng.randint(2, 12))
+            else:
+                pg = random_grid_instance(rng)
+                if pg.graph.n > 12:
+                    continue
+            gw = pcst_gw(pg)
+            exact = pcst_exact(pg)
+            slack = 1e-9 * max(1.0, exact.objective)
+            assert 0.0 <= gw.dual_bound <= exact.objective + slack
+            assert gw.objective <= 2.0 * gw.dual_bound + slack  # certified gap <= 2
+
+    def test_bound_is_not_part_of_the_design(self):
+        design = pcst_gw(_two_vertex_instance(prize=10.0, cost=5.0))
+        assert design.dual_bound == 5.0  # vertex 1's moat grows 5 km, then meets the root
+        assert replace(design, dual_bound=0.0) == design
+        assert pcst_exact(_two_vertex_instance(prize=10.0, cost=5.0)).dual_bound is None
