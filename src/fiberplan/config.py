@@ -14,9 +14,15 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .costmodel import CostBook
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_number
 from .lca import EmissionFactorBook
-from .report import Distribution, McConfig, resolve_parameter_key
+from .report import (
+    Distribution,
+    InvalidDistributionBounds,
+    McConfig,
+    check_distributions,
+    resolve_parameter_key,
+)
 
 _ALGORITHM_CHOICES = ("mst", "pcst")
 _SETTLEMENT_FORMATS = ("csv", "geojson")
@@ -143,6 +149,8 @@ def load_scenario(
     cost_book = _build_book(CostBook, raw.get("cost", {}), "cost")
     factor_book = _build_book(EmissionFactorBook, raw.get("emissions", {}), "emissions")
     mc = _parse_mc(raw.get("monte_carlo"), seed=seed, draws=draws)
+    if mc is not None:
+        check_distributions(mc, cost_book, factor_book)
 
     output_dir = out_dir if out_dir is not None else raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
@@ -245,20 +253,25 @@ def _parse_distribution(key: str, entry: Any) -> Distribution:
     unknown = set(entry) - known
     if unknown:
         raise ConfigError(f"unknown distribution keys for {key!r}: {', '.join(sorted(unknown))}")
+
+    def bound(name: str) -> float:
+        value = entry[name]
+        # Distribution rejects anything that is not a finite number.
+        return float(value) if is_finite_number(value) else value
+
     try:
         if kind == "fixed":
             return Distribution(kind="fixed", value=entry.get("value"))
         if kind == "uniform":
-            return Distribution(kind="uniform", lo=float(entry["lo"]), hi=float(entry["hi"]))
+            return Distribution(kind="uniform", lo=bound("lo"), hi=bound("hi"))
         if kind == "triangular":
             return Distribution(
-                kind="triangular",
-                lo=float(entry["lo"]),
-                mode=float(entry["mode"]),
-                hi=float(entry["hi"]),
+                kind="triangular", lo=bound("lo"), mode=bound("mode"), hi=bound("hi")
             )
     except KeyError as exc:
         raise ConfigError(f"distribution for {key!r} is missing {exc}") from exc
+    except InvalidDistributionBounds as exc:
+        raise InvalidDistributionBounds(f"distribution for {key!r}: {exc}") from exc
     raise ConfigError(f"distribution for {key!r} has unknown kind {kind!r}")
 
 

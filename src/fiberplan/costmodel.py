@@ -13,6 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .errors import is_finite_number
 from .netdesign import NetworkDesign
 
 
@@ -43,43 +44,75 @@ class CostBook:
     carbon_price_usd_per_tonne: float = 75.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "c_olt",
-            "c_civil",
-            "c_rpu",
-            "c_odf",
-            "c_splt",
-            "c_trans",
-            "c_inst",
-            "o_rent",
-            "o_staff",
-            "o_pwr",
-            "o_reg",
-            "o_acq",
-            "o_other",
-            "carbon_price_usd_per_tonne",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.discount_rate < 1.0:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not is_finite_number(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value}")
+        if not self.discount_rate < 1.0:
             raise ValueError(f"discount_rate must be in [0, 1), got {self.discount_rate}")
-        if self.assessment_years < 1:
-            raise ValueError(f"assessment_years must be >= 1, got {self.assessment_years}")
+        if not isinstance(self.assessment_years, int) or self.assessment_years < 1:
+            raise ValueError(
+                f"assessment_years must be an integer >= 1, got {self.assessment_years!r}"
+            )
 
     @property
     def per_node_cost(self) -> float:
-        return self.c_olt + self.c_civil + self.c_rpu + self.c_odf + self.c_splt
+        return _per_node_cost(self)
 
     @property
     def per_km_cost(self) -> float:
-        return self.c_trans + self.c_inst
+        return _per_km_cost(self)
 
     @property
     def annual_opex(self) -> float:
-        return self.o_rent + self.o_staff + self.o_pwr + self.o_reg + self.o_acq + self.o_other
+        return _annual_opex(self)
 
     def replace(self, **overrides: float) -> "CostBook":
         return dataclasses.replace(self, **overrides)
+
+
+# The pricing arithmetic. `b` is a CostBook or any object with its field
+# names whose values are floats or numpy arrays (the report's Monte Carlo
+# kernel passes one column per varied field); the expressions run in the
+# same order either way, so both give bit-identical prices.
+
+
+def _per_node_cost(b):
+    return b.c_olt + b.c_civil + b.c_rpu + b.c_odf + b.c_splt
+
+
+def _per_km_cost(b):
+    return b.c_trans + b.c_inst
+
+
+def _annual_opex(b):
+    return b.o_rent + b.o_staff + b.o_pwr + b.o_reg + b.o_acq + b.o_other
+
+
+def _capex(node_count, length_km, b):
+    return node_count * _per_node_cost(b) + length_km * _per_km_cost(b)
+
+
+def _opex_npv(annual: float, rate: float, years: int) -> float:
+    """Scalar only: `**` here is Python's float power, which numpy's may
+    not match bit for bit."""
+    return math.fsum(annual / (1.0 + rate) ** y for y in range(years + 1))
+
+
+def _tco_parts(node_count, length_km, opex_share, b, npv):
+    """(capex, opex share of the present value npv, their sum)."""
+    cap = _capex(node_count, length_km, b)
+    opex = npv * opex_share
+    return cap, opex, cap + opex
+
+
+def _per_user_tco(total, users, years):
+    """(per user, annualized per user, monthly per user) views of a TCO."""
+    per_user = total / users
+    annualized = per_user / years
+    return per_user, annualized, annualized / 12.0
 
 
 @dataclass(frozen=True)
@@ -95,13 +128,17 @@ class CostBreakdown:
     monthly_per_user_usd: float | None
 
 
-def capex_quantities(node_count: int, length_km: float, book: CostBook) -> float:
-    """Capex for raw quantities: node_count terminals and length_km fiber."""
+def _check_quantities(node_count: int, length_km: float) -> None:
     if node_count < 0:
         raise ValueError(f"node_count must be >= 0, got {node_count}")
     if length_km < 0:
         raise ValueError(f"length_km must be >= 0, got {length_km}")
-    return node_count * book.per_node_cost + length_km * book.per_km_cost
+
+
+def capex_quantities(node_count: int, length_km: float, book: CostBook) -> float:
+    """Capex for raw quantities: node_count terminals and length_km fiber."""
+    _check_quantities(node_count, length_km)
+    return _capex(node_count, length_km, book)
 
 
 def capex(design: NetworkDesign, book: CostBook) -> float:
@@ -111,9 +148,7 @@ def capex(design: NetworkDesign, book: CostBook) -> float:
 
 def opex_npv(book: CostBook) -> float:
     """Present value of the annual opex stream over years 0..n inclusive."""
-    r = book.discount_rate
-    annual = book.annual_opex
-    return math.fsum(annual / (1.0 + r) ** y for y in range(book.assessment_years + 1))
+    return _opex_npv(book.annual_opex, book.discount_rate, book.assessment_years)
 
 
 def tco(design: NetworkDesign, book: CostBook, users: float) -> CostBreakdown:
@@ -132,15 +167,12 @@ def tco_quantities(
         raise ValueError(f"users must be >= 0, got {users}")
     if not 0.0 <= opex_share <= 1.0:
         raise ValueError(f"opex_share must be in [0, 1], got {opex_share}")
-    cap = capex_quantities(node_count, length_km, book)
-    opex = opex_npv(book) * opex_share
-    total = cap + opex
+    _check_quantities(node_count, length_km)
+    cap, opex, total = _tco_parts(node_count, length_km, opex_share, book, opex_npv(book))
     if users == 0:
         per_user = annualized = monthly = None
     else:
-        per_user = total / users
-        annualized = per_user / book.assessment_years
-        monthly = annualized / 12.0
+        per_user, annualized, monthly = _per_user_tco(total, users, book.assessment_years)
     return CostBreakdown(
         capex_usd=cap,
         opex_npv_usd=opex,

@@ -2,10 +2,14 @@
 
 Four tiers map onto CLI exit codes: configuration problems (2), input data
 problems (3), solver failures (4), output/I-O failures (5). Concrete errors
-subclass the tier that owns their exit semantics.
+subclass the tier that owns their exit semantics. `is_finite_number` is
+the one numeric check that the parameter books and Monte Carlo
+distributions share.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class FiberPlanError(Exception):
@@ -36,3 +40,14 @@ class OutputError(FiberPlanError):
     """An output artifact could not be written."""
 
     exit_code = 5
+
+
+def is_finite_number(value: object) -> bool:
+    """Whether value is a real, finite int or float (bools are not numbers
+    here). The books and Monte Carlo distributions accept only these."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False

@@ -12,10 +12,9 @@ All results are kg CO2-equivalent.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, is_finite_number
 from .netdesign import NetworkDesign
 
 HOURS_PER_YEAR = 8_760.0
@@ -63,17 +62,22 @@ class EmissionFactorBook:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if not is_finite_number(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value}")
         if self.trench_fraction > 1.0:
             raise ValueError(f"trench_fraction must be in [0, 1], got {self.trench_fraction}")
-        if self.lifetime_years < 1:
-            raise ValueError(f"lifetime_years must be >= 1, got {self.lifetime_years}")
+        if not isinstance(self.lifetime_years, int) or self.lifetime_years < 1:
+            raise ValueError(
+                f"lifetime_years must be an integer >= 1, got {self.lifetime_years!r}"
+            )
 
     @property
     def node_mass_kg(self) -> float:
         """Non-fiber material mass per terminal node."""
-        return self.mass_pcb_kg + self.mass_plastics_kg + self.mass_steel_kg
+        return _node_mass(self)
 
     def replace(self, **overrides: float) -> "EmissionFactorBook":
         return dataclasses.replace(self, **overrides)
@@ -93,23 +97,89 @@ class EmissionsBreakdown:
     annualized_per_user_kg: float | None
 
 
+# The phase arithmetic. `b` is an EmissionFactorBook or any object with its
+# field names whose values are floats or numpy arrays (the report's Monte
+# Carlo kernel passes one column per varied field); the expressions run in
+# the same order either way, so both give bit-identical figures.
+
+
+def _node_mass(b):
+    return b.mass_pcb_kg + b.mass_plastics_kg + b.mass_steel_kg
+
+
+def _fiber_mfg(d_km, b):
+    return d_km * b.cable_kg_per_km * b.cf_glass_per_kg
+
+
+def _nonfiber_mfg(node_count, b):
+    per_node = (
+        b.mass_pcb_kg * b.cf_pcb
+        + b.mass_plastics_kg * b.cf_plastics
+        + b.mass_steel_kg * b.cf_steel
+    )
+    return node_count * per_node
+
+
+def _transport(d_km, shipping_mass_kg, b):
+    int_ghg = shipping_mass_kg * b.cf_shipping_per_kg
+    nonfb_trans = _node_mass(b) * d_km * b.cf_vehicle_per_kg_km
+    return int_ghg + nonfb_trans
+
+
+def _construction(d_km, b):
+    d_trench = d_km * b.trench_fraction
+    hours = b.trench_hours_per_km * d_trench
+    fuel_liters = hours * b.fuel_liters_per_hour
+    return b.cf_diesel_per_liter * fuel_liters
+
+
+def _per_user_power(n_rn_users, n_tu_users, b):
+    return b.p_node_kw + b.p_rn_kw / n_rn_users + b.alpha * (b.p_tu_kw / n_tu_users)
+
+
+def _operations(n_rn_users, n_tu_users, b):
+    rate_kg_per_hour = _per_user_power(n_rn_users, n_tu_users, b) * b.cf_electricity_per_kwh
+    return rate_kg_per_hour * b.operating_hours_per_year * b.lifetime_years
+
+
+def _eolt(d_km, node_count, b):
+    fib_eolt = d_km * b.cable_kg_per_km * b.cf_recycle_cable_per_kg
+    nonfib_eolt = node_count * (
+        b.mass_steel_kg * b.cf_recycle_steel
+        + b.mass_pcb_kg * b.cf_recycle_pcb
+        + b.mass_plastics_kg * b.cf_recycle_plastics
+    )
+    return fib_eolt + nonfib_eolt
+
+
+def _phases(length_km, node_count, ops, b):
+    """(mfg, trans, constr, eolt, total) given the operations figure ops."""
+    mfg = _fiber_mfg(length_km, b) + _nonfiber_mfg(node_count, b)
+    shipping_mass = length_km * b.cable_kg_per_km + node_count * _node_mass(b)
+    trans = _transport(length_km, shipping_mass, b)
+    constr = _construction(length_km, b)
+    eolt = _eolt(length_km, node_count, b)
+    return mfg, trans, constr, eolt, mfg + trans + constr + ops + eolt
+
+
+def _per_user_views(total, users, years):
+    """(per user, annualized per user) views of a total over `years`."""
+    per_user = total / users
+    return per_user, per_user / years
+
+
 def fiber_mfg_emissions(d_km: float, book: EmissionFactorBook) -> float:
     """Emissions from manufacturing d_km of cable."""
     if d_km < 0:
         raise ValueError(f"d_km must be >= 0, got {d_km}")
-    return d_km * book.cable_kg_per_km * book.cf_glass_per_kg
+    return _fiber_mfg(d_km, book)
 
 
 def nonfiber_mfg_emissions(node_count: int, book: EmissionFactorBook) -> float:
     """Emissions from manufacturing the node materials (PCB, plastics, steel)."""
     if node_count < 0:
         raise ValueError(f"node_count must be >= 0, got {node_count}")
-    per_node = (
-        book.mass_pcb_kg * book.cf_pcb
-        + book.mass_plastics_kg * book.cf_plastics
-        + book.mass_steel_kg * book.cf_steel
-    )
-    return node_count * per_node
+    return _nonfiber_mfg(node_count, book)
 
 
 def transport_emissions(
@@ -123,32 +193,27 @@ def transport_emissions(
     """
     if min(d_km, node_count, shipping_mass_kg) < 0:
         raise ValueError("transport inputs must be >= 0")
-    int_ghg = shipping_mass_kg * book.cf_shipping_per_kg
-    nonfb_trans = book.node_mass_kg * d_km * book.cf_vehicle_per_kg_km
-    return int_ghg + nonfb_trans
+    return _transport(d_km, shipping_mass_kg, book)
 
 
 def construction_emissions(d_km: float, book: EmissionFactorBook) -> float:
     """Diesel burned trenching the buried fraction of the route."""
     if d_km < 0:
         raise ValueError(f"d_km must be >= 0, got {d_km}")
-    d_trench = d_km * book.trench_fraction
-    hours = book.trench_hours_per_km * d_trench
-    fuel_liters = hours * book.fuel_liters_per_hour
-    return book.cf_diesel_per_liter * fuel_liters
+    return _construction(d_km, book)
 
 
-def per_user_power_kw(n_rn_users: float, n_tu_users: float, book: EmissionFactorBook) -> float:
-    """Grid power attributed to one user (node share plus overheads)."""
+def _check_user_counts(n_rn_users: float, n_tu_users: float) -> None:
     if n_rn_users <= 0 or n_tu_users <= 0:
         raise ZeroUsers(
             f"operations power needs positive user counts, got n_rn={n_rn_users}, n_tu={n_tu_users}"
         )
-    return (
-        book.p_node_kw
-        + book.p_rn_kw / n_rn_users
-        + book.alpha * (book.p_tu_kw / n_tu_users)
-    )
+
+
+def per_user_power_kw(n_rn_users: float, n_tu_users: float, book: EmissionFactorBook) -> float:
+    """Grid power attributed to one user (node share plus overheads)."""
+    _check_user_counts(n_rn_users, n_tu_users)
+    return _per_user_power(n_rn_users, n_tu_users, book)
 
 
 def operations_emissions(
@@ -160,21 +225,15 @@ def operations_emissions(
     the lifetime figure integrates it over the operating hours of the
     assessment period.
     """
-    rate_kg_per_hour = per_user_power_kw(n_rn_users, n_tu_users, book) * book.cf_electricity_per_kwh
-    return rate_kg_per_hour * book.operating_hours_per_year * book.lifetime_years
+    _check_user_counts(n_rn_users, n_tu_users)
+    return _operations(n_rn_users, n_tu_users, book)
 
 
 def eolt_emissions(d_km: float, node_count: int, book: EmissionFactorBook) -> float:
     """End-of-life treatment of cable and node materials."""
     if d_km < 0 or node_count < 0:
         raise ValueError("eolt inputs must be >= 0")
-    fib_eolt = d_km * book.cable_kg_per_km * book.cf_recycle_cable_per_kg
-    nonfib_eolt = node_count * (
-        book.mass_steel_kg * book.cf_recycle_steel
-        + book.mass_pcb_kg * book.cf_recycle_pcb
-        + book.mass_plastics_kg * book.cf_recycle_plastics
-    )
-    return fib_eolt + nonfib_eolt
+    return _eolt(d_km, node_count, book)
 
 
 def total_emissions(
@@ -197,21 +256,19 @@ def emissions_quantities(
     """
     if users < 0:
         raise ValueError(f"users must be >= 0, got {users}")
-    mfg = fiber_mfg_emissions(length_km, book) + nonfiber_mfg_emissions(node_count, book)
-    shipping_mass = length_km * book.cable_kg_per_km + node_count * book.node_mass_kg
-    trans = transport_emissions(length_km, node_count, shipping_mass, book)
-    constr = construction_emissions(length_km, book)
+    if length_km < 0 or node_count < 0:
+        raise ValueError(
+            f"length_km and node_count must be >= 0, got {length_km}, {node_count}"
+        )
     if users > 0 and node_count > 0:
         ops = users * operations_emissions(users, users / node_count, book)
     else:
         ops = 0.0
-    eolt = eolt_emissions(length_km, node_count, book)
-    total = mfg + trans + constr + ops + eolt
+    mfg, trans, constr, eolt, total = _phases(length_km, node_count, ops, book)
     if users == 0:
         per_user = annualized = None
     else:
-        per_user = total / users
-        annualized = per_user / book.lifetime_years
+        per_user, annualized = _per_user_views(total, users, book.lifetime_years)
     return EmissionsBreakdown(
         mfg_kg=mfg,
         trans_kg=trans,

@@ -4,7 +4,9 @@ A reporting unit is one region's share of one network level under one
 algorithm. Units are priced with the cost and emission-factor books, summed
 per (decile, level, algorithm), and written as CSV. Monte Carlo re-prices
 the same units under parameter draws from a counter-based generator, so
-results are independent of execution order.
+results are independent of execution order. Both go through one pricing
+kernel over arrays of units and blocks of draws; the report is its
+one-draw case.
 """
 
 from __future__ import annotations
@@ -18,13 +20,24 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .costmodel import CostBook, tco_quantities
-from .errors import ConfigError, DataError, OutputError
-from .lca import EmissionFactorBook, emissions_quantities
+# tco_quantities and emissions_quantities are looked up here by name by the
+# benchmark's traced run (perfbench/spans.py), which counts pricing calls.
+from .costmodel import (  # noqa: F401
+    CostBook,
+    _annual_opex,
+    _opex_npv,
+    _per_user_tco,
+    _tco_parts,
+    tco_quantities,
+)
+from .errors import ConfigError, DataError, OutputError, is_finite_number
+from .lca import EmissionFactorBook, _operations, _per_user_views, _phases
+from .lca import emissions_quantities  # noqa: F401
 from .netdesign.design import DesignResult
 
 log = logging.getLogger(__name__)
@@ -88,6 +101,8 @@ class ReportUnit:
             raise ValueError(f"decile must be 1..10, got {self.decile}")
         if self.users < 0 or self.node_count < 0 or self.length_km < 0:
             raise ValueError(f"unit quantities must be >= 0 ({self})")
+        if not 0.0 <= self.opex_share <= 1.0:
+            raise ValueError(f"opex_share must be in [0, 1] ({self})")
 
 
 @dataclass(frozen=True)
@@ -108,11 +123,15 @@ class DecileReportRow:
     annualized_scc_per_user_usd: float | None
 
 
+def _scc(total_kg_co2e, carbon_price_usd_per_tonne):
+    return (total_kg_co2e / 1000.0) * carbon_price_usd_per_tonne
+
+
 def scc(total_kg_co2e: float, carbon_price_usd_per_tonne: float) -> float:
     """Social carbon cost of emissions at a per-tonne price."""
     if total_kg_co2e < 0 or carbon_price_usd_per_tonne < 0:
         raise ValueError("scc inputs must be >= 0")
-    return (total_kg_co2e / 1000.0) * carbon_price_usd_per_tonne
+    return _scc(total_kg_co2e, carbon_price_usd_per_tonne)
 
 
 def build_report(
@@ -124,55 +143,123 @@ def build_report(
 
     Totals are sums over member units; per-user metrics divide the summed
     totals by the summed users and are None when those users are zero.
+    This is the pricing kernel's one-draw case, so it matches every Monte
+    Carlo draw priced at the same book values bit for bit.
     """
-    groups: dict[tuple[int, str, str], list[ReportUnit]] = {}
-    for unit in units:
-        groups.setdefault((unit.decile, unit.level, unit.algorithm), []).append(unit)
+    priced = _PricedUnits(units)
+    book = SimpleNamespace(**_book_values(cost_book, factor_book))
+    values = priced.price(book, 1)[0].tolist()
+    return [
+        DecileReportRow(
+            decile=decile,
+            level=level,
+            algorithm=algorithm,
+            **{m: v if ok else None for m, v, ok in zip(MC_METRICS, row_values, defined)},
+        )
+        for (decile, level, algorithm), row_values, defined in zip(
+            priced.rows, values, priced.defined
+        )
+    ]
 
-    rows: list[DecileReportRow] = []
-    for decile, level, algorithm in sorted(groups):
-        members = groups[(decile, level, algorithm)]
-        users = math.fsum(m.users for m in members)
-        length = math.fsum(m.length_km for m in members)
-        tco_total = math.fsum(
-            tco_quantities(
-                m.node_count, m.length_km, cost_book, m.users, opex_share=m.opex_share
-            ).tco_usd
-            for m in members
+
+# --- pricing kernel ---------------------------------------------------------
+
+# Draws priced together: bounds the kernel's (draws, units) temporaries.
+_BLOCK_DRAWS = 32
+
+# MC_METRICS that divide by the row's users, undefined when those are zero.
+_PER_USER_METRICS = frozenset(m for m in MC_METRICS if "per_user" in m)
+
+
+def _book_values(cost_book: CostBook, factor_book: EmissionFactorBook) -> dict:
+    """Every field of both books by name (their names do not overlap)."""
+    return {
+        f.name: getattr(book, f.name)
+        for book in (cost_book, factor_book)
+        for f in dataclasses.fields(book)
+    }
+
+
+class _PricedUnits:
+    """Report units as arrays over units, grouped into report rows.
+
+    `price` maps book parameters (a namespace of every book field: floats,
+    or (draws, 1) columns for varied fields) to every report metric of every
+    row, shape (draws, rows, len(MC_METRICS)). Units
+    are priced with the arithmetic of `costmodel` and `lca`, in the order
+    `tco_quantities` and `emissions_quantities` evaluate it, and each row
+    total is a `math.fsum` over its members, so every draw's figures equal
+    those of pricing the units one by one at that draw's book values.
+    """
+
+    def __init__(self, units: Sequence[ReportUnit]) -> None:
+        groups: dict[tuple[int, str, str], list[int]] = {}
+        for i, unit in enumerate(units):
+            groups.setdefault((unit.decile, unit.level, unit.algorithm), []).append(i)
+        self.rows = sorted(groups)
+        self.members = [np.array(groups[key]) for key in self.rows]
+        users = np.array([u.users for u in units], dtype=float)
+        self.node_count = np.array([u.node_count for u in units], dtype=float)
+        self.length_km = np.array([u.length_km for u in units], dtype=float)
+        self.opex_share = np.array([u.opex_share for u in units], dtype=float)
+        # Operations load only where a unit has users and terminals; other
+        # units get placeholder counts of 1 and a masked-out figure.
+        self.has_ops = (users > 0) & (self.node_count > 0)
+        self.ops_users = np.where(self.has_ops, users, 1.0)
+        self.ops_per_terminal = self.ops_users / np.where(self.has_ops, self.node_count, 1.0)
+        self.row_users = np.array([math.fsum(users[m].tolist()) for m in self.members])
+        self.row_length = np.array(
+            [math.fsum(self.length_km[m].tolist()) for m in self.members]
         )
-        kg_total = math.fsum(
-            emissions_quantities(m.length_km, m.node_count, m.users, factor_book).total_kg
-            for m in members
+        has_users = self.row_users > 0
+        self.defined = [
+            [bool(ok) or metric not in _PER_USER_METRICS for metric in MC_METRICS]
+            for ok in has_users
+        ]
+
+    def price(self, b: SimpleNamespace, draws: int) -> np.ndarray:
+        annual = np.broadcast_to(_annual_opex(b), (draws, 1))[:, 0].tolist()
+        rate = np.broadcast_to(b.discount_rate, (draws, 1))[:, 0].tolist()
+        npv = np.array([_opex_npv(a, r, b.assessment_years) for a, r in zip(annual, rate)])
+        _, _, tco = _tco_parts(
+            self.node_count, self.length_km, self.opex_share, b, npv[:, None]
         )
-        scc_total = scc(kg_total, cost_book.carbon_price_usd_per_tonne)
-        if users > 0:
-            ann_tco = tco_total / users / cost_book.assessment_years
-            monthly = ann_tco / 12.0
-            per_user_kg = kg_total / users
-            ann_kg = per_user_kg / factor_book.lifetime_years
-            scc_per_user = scc_total / users
-            ann_scc = scc_per_user / factor_book.lifetime_years
-        else:
-            ann_tco = monthly = per_user_kg = ann_kg = scc_per_user = ann_scc = None
-        rows.append(
-            DecileReportRow(
-                decile=decile,
-                level=level,
-                algorithm=algorithm,
-                users=users,
-                total_length_km=length,
-                tco_usd=tco_total,
-                annualized_tco_per_user_usd=ann_tco,
-                monthly_tco_per_user_usd=monthly,
-                total_kg_co2e=kg_total,
-                per_user_kg_co2e=per_user_kg,
-                annualized_per_user_kg_co2e=ann_kg,
-                scc_usd=scc_total,
-                scc_per_user_usd=scc_per_user,
-                annualized_scc_per_user_usd=ann_scc,
-            )
+        ops = np.where(
+            self.has_ops,
+            self.ops_users * _operations(self.ops_users, self.ops_per_terminal, b),
+            0.0,
         )
-    return rows
+        kg = _phases(self.length_km, self.node_count, ops, b)[-1]
+        tco_rows = self._row_sums(tco, draws)
+        kg_rows = self._row_sums(kg, draws)
+        scc_rows = _scc(kg_rows, b.carbon_price_usd_per_tonne)
+        users = np.where(self.row_users > 0, self.row_users, 1.0)
+        _, ann_tco, monthly = _per_user_tco(tco_rows, users, b.assessment_years)
+        per_user_kg, ann_kg = _per_user_views(kg_rows, users, b.lifetime_years)
+        scc_per_user, ann_scc = _per_user_views(scc_rows, users, b.lifetime_years)
+        shape = tco_rows.shape
+        columns = {
+            "users": np.broadcast_to(self.row_users, shape),
+            "total_length_km": np.broadcast_to(self.row_length, shape),
+            "tco_usd": tco_rows,
+            "annualized_tco_per_user_usd": ann_tco,
+            "monthly_tco_per_user_usd": monthly,
+            "total_kg_co2e": kg_rows,
+            "per_user_kg_co2e": per_user_kg,
+            "annualized_per_user_kg_co2e": ann_kg,
+            "scc_usd": scc_rows,
+            "scc_per_user_usd": scc_per_user,
+            "annualized_scc_per_user_usd": ann_scc,
+        }
+        return np.stack([np.broadcast_to(columns[m], shape) for m in MC_METRICS], axis=-1)
+
+    def _row_sums(self, values: np.ndarray, draws: int) -> np.ndarray:
+        """Exact per-row sums, shape (draws, rows), of a per-unit figure."""
+        values = np.broadcast_to(values, (draws, values.shape[-1]))
+        out = np.empty((draws, len(self.rows)))
+        for j, members in enumerate(self.members):
+            out[:, j] = list(map(math.fsum, values[:, members].tolist()))
+        return out
 
 
 # --- Monte Carlo ------------------------------------------------------------
@@ -182,7 +269,9 @@ _DIST_KINDS = ("fixed", "uniform", "triangular")
 
 @dataclass(frozen=True)
 class Distribution:
-    """One parameter's sampling rule."""
+    """One parameter's sampling rule. Bounds and the fixed value must be
+    finite numbers; whether they are valid for the parameter is checked
+    against its book by `check_distributions`."""
 
     kind: str
     lo: float = 0.0
@@ -195,11 +284,19 @@ class Distribution:
             raise InvalidDistributionBounds(
                 f"distribution kind must be one of {_DIST_KINDS}, got {self.kind!r}"
             )
+        numbers = (self.lo, self.mode, self.hi) + (() if self.value is None else (self.value,))
+        for value in numbers:
+            if not is_finite_number(value):
+                raise InvalidDistributionBounds(
+                    f"distribution bounds and value must be finite numbers, got {value!r}"
+                )
         if self.kind == "uniform" and not self.lo <= self.hi:
             raise InvalidDistributionBounds(f"uniform needs lo <= hi, got [{self.lo}, {self.hi}]")
-        if self.kind == "triangular" and not self.lo <= self.mode <= self.hi:
+        triangle_ok = self.lo <= self.mode <= self.hi and self.lo < self.hi
+        if self.kind == "triangular" and not triangle_ok:
             raise InvalidDistributionBounds(
-                f"triangular needs lo <= mode <= hi, got ({self.lo}, {self.mode}, {self.hi})"
+                "triangular needs lo <= mode <= hi and lo < hi, "
+                f"got ({self.lo}, {self.mode}, {self.hi})"
             )
 
 
@@ -235,6 +332,38 @@ def resolve_parameter_key(key: str) -> str:
     raise UnknownParameterKey(
         f"{key!r} is not a tunable cost or emission-factor parameter"
     )
+
+
+def _check_values(
+    key: str, values: Sequence[float], cost_book: CostBook, factor_book: EmissionFactorBook
+) -> None:
+    """Raise unless the book that owns key accepts each of values for it.
+
+    Every book rule bounds one field to an interval, so checking the ends
+    of a range of values checks the whole range.
+    """
+    book = cost_book if resolve_parameter_key(key) == "cost" else factor_book
+    for value in values:
+        try:
+            book.replace(**{key: value})
+        except ValueError as exc:
+            raise InvalidDistributionBounds(
+                f"distribution for {key!r} can draw an invalid value: {exc}"
+            ) from exc
+
+
+def check_distributions(
+    mc: McConfig, cost_book: CostBook, factor_book: EmissionFactorBook
+) -> None:
+    """Raise a ConfigError unless every distribution names a tunable
+    parameter and can draw only values its book accepts."""
+    for key in sorted(mc.distributions):
+        dist = mc.distributions[key]
+        if dist.kind != "fixed":
+            ends = (dist.lo, dist.hi)
+        else:  # a fixed rule without a value keeps the book's own
+            ends = () if dist.value is None else (dist.value,)
+        _check_values(key, ends, cost_book, factor_book)
 
 
 def draw_parameters(
@@ -275,17 +404,6 @@ class McSummaryRow:
     p95: float | None
 
 
-def _apply_overrides(
-    overrides: Mapping[str, float], cost_book: CostBook, factor_book: EmissionFactorBook
-) -> tuple[CostBook, EmissionFactorBook]:
-    cost_kw = {k: v for k, v in overrides.items() if resolve_parameter_key(k) == "cost"}
-    lca_kw = {k: v for k, v in overrides.items() if resolve_parameter_key(k) == "lca"}
-    return (
-        cost_book.replace(**cost_kw) if cost_kw else cost_book,
-        factor_book.replace(**lca_kw) if lca_kw else factor_book,
-    )
-
-
 def monte_carlo(
     units: Sequence[ReportUnit],
     cost_book: CostBook,
@@ -296,32 +414,32 @@ def monte_carlo(
 
     Designs are fixed; only book parameters vary. Draw d is generated
     independently with key (seed, d), so results do not depend on the order
-    draws are evaluated in.
+    draws are evaluated in. Draws are priced in blocks by the kernel that
+    `build_report` uses, so each draw's figures are those `build_report`
+    gives at that draw's book values.
     """
-    for key in mc.distributions:
-        resolve_parameter_key(key)
-    base_rows = build_report(units, cost_book, factor_book)
-    if not base_rows:
+    check_distributions(mc, cost_book, factor_book)
+    priced = _PricedUnits(units)
+    if not priced.rows:
         return []
-    row_keys = [(r.decile, r.level, r.algorithm) for r in base_rows]
-    samples = np.empty((mc.draws, len(base_rows), len(MC_METRICS)))
-    defined = [
-        [getattr(r, metric) is not None for metric in MC_METRICS] for r in base_rows
-    ]
-    for d in range(mc.draws):
-        overrides = draw_parameters(mc, d, cost_book, factor_book)
-        cb, fb = _apply_overrides(overrides, cost_book, factor_book)
-        rows = build_report(units, cb, fb)
-        for i, row in enumerate(rows):
-            for j, metric in enumerate(MC_METRICS):
-                value = getattr(row, metric)
-                samples[d, i, j] = np.nan if value is None else value
-    log.info("monte carlo: %d draws over %d rows", mc.draws, len(base_rows))
+    base = _book_values(cost_book, factor_book)
+    samples = np.empty((mc.draws, len(priced.rows), len(MC_METRICS)))
+    for first in range(0, mc.draws, _BLOCK_DRAWS):
+        block = range(first, min(first + _BLOCK_DRAWS, mc.draws))
+        drawn = [draw_parameters(mc, d, cost_book, factor_book) for d in block]
+        columns = {}
+        for key in mc.distributions:
+            column = np.array([values[key] for values in drawn], dtype=float)
+            _check_values(key, (float(column.min()), float(column.max())), cost_book, factor_book)
+            columns[key] = column[:, None]
+        book = SimpleNamespace(**{**base, **columns})
+        samples[block.start : block.stop] = priced.price(book, len(block))
+    log.info("monte carlo: %d draws over %d rows", mc.draws, len(priced.rows))
 
     summaries: list[McSummaryRow] = []
     for j, metric in enumerate(MC_METRICS):
-        for i, (decile, level, algorithm) in enumerate(row_keys):
-            if defined[i][j]:
+        for i, (decile, level, algorithm) in enumerate(priced.rows):
+            if priced.defined[i][j]:
                 values = samples[:, i, j]
                 mean = float(np.mean(values))
                 p5, p50, p95 = (float(p) for p in np.percentile(values, [5.0, 50.0, 95.0]))

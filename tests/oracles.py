@@ -4,6 +4,9 @@ The Kruskal MST here is written against raw edge lists (no shared code with
 the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw_reference` is the scalar moat-growing loop that the vectorised
 `pcst_gw` replaced, kept as the reference it must match design for design.
+`build_report_reference` and `monte_carlo_reference` are the unit-by-unit,
+draw-by-draw pricing that the report's vectorized kernel replaced; the
+kernel must match them field for field.
 """
 
 from __future__ import annotations
@@ -11,9 +14,24 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from typing import Mapping, Sequence
 
+import numpy as np
+
+from fiberplan.costmodel import CostBook, tco_quantities
+from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign import EmptyNodeSet, NetworkDesign, PrizedGraph, WeightedGraph, prim_mst
 from fiberplan.netdesign.solvers import _prized_design, _strong_prune
+from fiberplan.report import (
+    MC_METRICS,
+    DecileReportRow,
+    McConfig,
+    McSummaryRow,
+    ReportUnit,
+    draw_parameters,
+    resolve_parameter_key,
+    scc,
+)
 
 
 def kruskal_mst(n: int, edges: list[tuple[int, int, float]]) -> tuple[float, list]:
@@ -281,3 +299,132 @@ def _reconnect_minimally_reference(
             sub.add_edge(index[u], index[v], w)
     mst = prim_mst(sub, root=index[root])
     return [(sub_vertices[a], sub_vertices[b], w) for a, b, w in mst.edges]
+
+
+# --- pricing: one unit and one draw at a time ---------------------------------
+
+
+def build_report_reference(
+    units: Sequence[ReportUnit],
+    cost_book: CostBook,
+    factor_book: EmissionFactorBook,
+) -> list[DecileReportRow]:
+    """Price every unit and aggregate per (decile, level, algorithm).
+
+    Totals are sums over member units; per-user metrics divide the summed
+    totals by the summed users and are None when those users are zero.
+    """
+    groups: dict[tuple[int, str, str], list[ReportUnit]] = {}
+    for unit in units:
+        groups.setdefault((unit.decile, unit.level, unit.algorithm), []).append(unit)
+
+    rows: list[DecileReportRow] = []
+    for decile, level, algorithm in sorted(groups):
+        members = groups[(decile, level, algorithm)]
+        users = math.fsum(m.users for m in members)
+        length = math.fsum(m.length_km for m in members)
+        tco_total = math.fsum(
+            tco_quantities(
+                m.node_count, m.length_km, cost_book, m.users, opex_share=m.opex_share
+            ).tco_usd
+            for m in members
+        )
+        kg_total = math.fsum(
+            emissions_quantities(m.length_km, m.node_count, m.users, factor_book).total_kg
+            for m in members
+        )
+        scc_total = scc(kg_total, cost_book.carbon_price_usd_per_tonne)
+        if users > 0:
+            ann_tco = tco_total / users / cost_book.assessment_years
+            monthly = ann_tco / 12.0
+            per_user_kg = kg_total / users
+            ann_kg = per_user_kg / factor_book.lifetime_years
+            scc_per_user = scc_total / users
+            ann_scc = scc_per_user / factor_book.lifetime_years
+        else:
+            ann_tco = monthly = per_user_kg = ann_kg = scc_per_user = ann_scc = None
+        rows.append(
+            DecileReportRow(
+                decile=decile,
+                level=level,
+                algorithm=algorithm,
+                users=users,
+                total_length_km=length,
+                tco_usd=tco_total,
+                annualized_tco_per_user_usd=ann_tco,
+                monthly_tco_per_user_usd=monthly,
+                total_kg_co2e=kg_total,
+                per_user_kg_co2e=per_user_kg,
+                annualized_per_user_kg_co2e=ann_kg,
+                scc_usd=scc_total,
+                scc_per_user_usd=scc_per_user,
+                annualized_scc_per_user_usd=ann_scc,
+            )
+        )
+    return rows
+
+
+def _apply_overrides(
+    overrides: Mapping[str, float], cost_book: CostBook, factor_book: EmissionFactorBook
+) -> tuple[CostBook, EmissionFactorBook]:
+    cost_kw = {k: v for k, v in overrides.items() if resolve_parameter_key(k) == "cost"}
+    lca_kw = {k: v for k, v in overrides.items() if resolve_parameter_key(k) == "lca"}
+    return (
+        cost_book.replace(**cost_kw) if cost_kw else cost_book,
+        factor_book.replace(**lca_kw) if lca_kw else factor_book,
+    )
+
+
+def monte_carlo_reference(
+    units: Sequence[ReportUnit],
+    cost_book: CostBook,
+    factor_book: EmissionFactorBook,
+    mc: McConfig,
+) -> list[McSummaryRow]:
+    """Distribution summaries of every report metric under parameter draws.
+
+    Designs are fixed; only book parameters vary. Draw d is generated
+    independently with key (seed, d), so results do not depend on the order
+    draws are evaluated in.
+    """
+    for key in mc.distributions:
+        resolve_parameter_key(key)
+    base_rows = build_report_reference(units, cost_book, factor_book)
+    if not base_rows:
+        return []
+    row_keys = [(r.decile, r.level, r.algorithm) for r in base_rows]
+    samples = np.empty((mc.draws, len(base_rows), len(MC_METRICS)))
+    defined = [
+        [getattr(r, metric) is not None for metric in MC_METRICS] for r in base_rows
+    ]
+    for d in range(mc.draws):
+        overrides = draw_parameters(mc, d, cost_book, factor_book)
+        cb, fb = _apply_overrides(overrides, cost_book, factor_book)
+        rows = build_report_reference(units, cb, fb)
+        for i, row in enumerate(rows):
+            for j, metric in enumerate(MC_METRICS):
+                value = getattr(row, metric)
+                samples[d, i, j] = np.nan if value is None else value
+
+    summaries: list[McSummaryRow] = []
+    for j, metric in enumerate(MC_METRICS):
+        for i, (decile, level, algorithm) in enumerate(row_keys):
+            if defined[i][j]:
+                values = samples[:, i, j]
+                mean = float(np.mean(values))
+                p5, p50, p95 = (float(p) for p in np.percentile(values, [5.0, 50.0, 95.0]))
+            else:
+                mean = p5 = p50 = p95 = None
+            summaries.append(
+                McSummaryRow(
+                    metric=metric,
+                    decile=decile,
+                    level=level,
+                    algorithm=algorithm,
+                    mean=mean,
+                    p5=p5,
+                    p50=p50,
+                    p95=p95,
+                )
+            )
+    return summaries

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,3 +183,66 @@ def test_module_entry_point_matches(tmp_path):
     )
     assert proc.returncode == 0
     assert "total users: 160" in proc.stdout
+
+
+def _golden_variant(tmp_path, *, cost=None, emissions=None, distributions=None) -> str:
+    """The golden scenario with absolute input paths and the given changes."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    base = os.path.dirname(GOLDEN)
+    doc["inputs"] = {k: os.path.join(base, v) for k, v in doc["inputs"].items()}
+    if cost is not None:
+        doc["cost"] = cost
+    if emissions is not None:
+        doc["emissions"] = emissions
+    if distributions is not None:
+        doc["monte_carlo"]["distributions"] = distributions
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity as JSON5-style literals
+    return str(path)
+
+
+def _assert_config_error(capsys, out) -> None:
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["exit_code"] == 2
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "distributions",
+    [
+        {"discount_rate": {"dist": "uniform", "lo": 0.5, "hi": 1.5}},
+        {"c_olt": {"dist": "uniform", "lo": -10, "hi": 5}},
+        {"trench_fraction": {"dist": "fixed", "value": 2.0}},
+        {"c_olt": {"dist": "fixed", "value": "abc"}},
+        {"c_olt": {"dist": "uniform", "lo": 1e308, "hi": math.inf}},
+        {"c_olt": {"dist": "fixed", "value": math.nan}},
+        {"c_olt": {"dist": "uniform", "lo": "abc", "hi": 5}},
+        {"c_olt": {"dist": "triangular", "lo": 5, "mode": 5, "hi": 5}},
+    ],
+    ids=["rate", "negative", "trench", "text", "overflow", "nan", "text-bound", "triangle"],
+)
+def test_mc_distribution_outside_the_book_exits_2_before_running(tmp_path, capsys, distributions):
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, distributions=distributions)
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"cost": {"c_olt": math.inf}},
+        {"emissions": {"alpha": math.nan}},
+        {"cost": {"assessment_years": 2.5}},
+    ],
+    ids=["cost-inf", "alpha-nan", "years"],
+)
+def test_non_finite_book_value_exits_2(tmp_path, capsys, change):
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, **change)
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)
