@@ -184,8 +184,8 @@ def _number(raw: Mapping[str, Any], key: str, *, default: float | None = None, r
         if required:
             raise ConfigError(f"{key} is required")
         return float(default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not is_finite_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_finite_number
 
 log = logging.getLogger(__name__)
 
@@ -246,14 +246,67 @@ def polyline_length_km(points: Sequence[GeoPoint]) -> float:
 
 
 def within_buffer(point: GeoPoint, lines: FiberLineSet, radius_km: float) -> bool:
-    """True when the point lies within radius_km of any polyline."""
-    if radius_km < 0:
-        raise ValueError(f"radius_km must be >= 0, got {radius_km}")
+    """True when the point lies within radius_km of any polyline (the
+    one-point case of `within_buffer_mask`)."""
+    return bool(within_buffer_mask((point,), lines, radius_km)[0])
+
+
+def within_buffer_mask(
+    points: Sequence[GeoPoint], lines: FiberLineSet, radius_km: float
+) -> np.ndarray:
+    """Whether each point lies within radius_km of any polyline, as a bool
+    array: point i is inside when `point_segment_km(points[i], a, b) <=
+    radius_km` for some segment a-b.
+
+    Each segment is measured against all points at once, with the float
+    expressions of `_local_xy` and `point_segment_km` in the same order
+    (a zero-length segment divides by 1 instead, which leaves t = 0 and the
+    distance hypot(ax, ay) of the scalar branch); no points x segments
+    array is built. numpy's cos and hypot may differ from math's in the
+    last bits, so with the numpy distance d and the margin
+    m = 1e-9 * (|ax| + |ay| + |bx| + |by| + radius_km), a pair with
+    d <= radius_km - m is inside, one with |d - radius_km| <= m is
+    confirmed with `point_segment_km`, and any other is outside. The margin
+    is safe: numpy's ax, ay, bx, by are within a few ulps (about 1e-16
+    relative) of the scalar ones, a distance to a segment moves no more
+    than its endpoints do, and the projection's own rounding is a few ulps
+    of the same magnitudes, so d is within about 1e-15 * (|ax| + |ay| +
+    |bx| + |by|) of the scalar distance, a millionth of m. The mask is
+    therefore exactly the per-segment scalar test.
+    """
+    if not (math.isfinite(radius_km) and radius_km >= 0):
+        raise ValueError(f"radius_km must be a finite number >= 0, got {radius_km}")
+    lat = np.array([p.lat for p in points], dtype=np.float64)
+    lon = np.array([p.lon for p in points], dtype=np.float64)
+    cos_lat = np.cos(np.radians(lat))
+    inside = np.zeros(len(lat), dtype=bool)
     for line in lines.lines:
+        bx, by = _local_xy_arrays(lat, lon, cos_lat, line[0])
         for a, b in zip(line, line[1:]):
-            if point_segment_km(point, a, b) <= radius_km:
-                return True
-    return False
+            ax, ay = bx, by
+            bx, by = _local_xy_arrays(lat, lon, cos_lat, b)
+            dx, dy = bx - ax, by - ay
+            seg_sq = dx * dx + dy * dy
+            t = -(ax * dx + ay * dy) / np.where(seg_sq == 0.0, 1.0, seg_sq)
+            t = np.maximum(0.0, np.minimum(1.0, t))
+            d = np.hypot(ax + t * dx, ay + t * dy)
+            margin = 1e-9 * (np.abs(ax) + np.abs(ay) + np.abs(bx) + np.abs(by) + radius_km)
+            inside |= d <= radius_km - margin
+            for i in np.flatnonzero((np.abs(d - radius_km) <= margin) & ~inside).tolist():
+                inside[i] = point_segment_km(points[i], a, b) <= radius_km
+    return inside
+
+
+def _local_xy_arrays(
+    lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray, p: GeoPoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_local_xy(origin, p)` for every origin (lat[i], lon[i]) at once;
+    cos_lat is the cosine of the origins' latitudes."""
+    dlon = p.lon - lon
+    dlon = np.where(dlon > 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
+    x = np.radians(dlon) * cos_lat * EARTH_RADIUS_KM
+    y = np.radians(p.lat - lat) * EARTH_RADIUS_KM
+    return x, y
 
 
 def _check_coords(lat: float, lon: float, where: str) -> None:
@@ -329,23 +382,55 @@ def _load_settlements_csv(path: str) -> list[Settlement]:
 
 
 def _load_settlements_geojson(path: str) -> list[Settlement]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     out: list[Settlement] = []
     seen: dict[str, str] = {}
-    for i, feature in enumerate(doc.get("features", [])):
-        where = f"{path}:feature[{i}]"
-        geom = feature.get("geometry") or {}
+    for where, geom, props in _read_features(path):
         if geom.get("type") != "Point":
             raise ParseError(f"{where}: expected Point geometry, got {geom.get('type')!r}")
-        lon, lat = geom["coordinates"][:2]
-        props = feature.get("properties") or {}
+        lon, lat = _position(where, geom.get("coordinates"))
         missing = [k for k in ("id", "population", "region_id", "subregion_id") if k not in props]
         if missing:
             raise MissingColumn(f"{where}: missing properties {', '.join(missing)}")
         raw = {"lat": lat, "lon": lon, **{k: props[k] for k in ("id", "population", "region_id", "subregion_id")}}
         out.append(_build_settlement(raw, where, seen))
     return out
+
+
+def _read_features(path: str) -> Iterator[tuple[str, dict, dict]]:
+    """Yield (where, geometry, properties) for each feature of a GeoJSON
+    FeatureCollection; ParseError when the file is not one."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"{path}: not a JSON document: {exc}") from exc
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if not isinstance(features, list):
+        raise ParseError(f"{path}: expected a FeatureCollection object with a features list")
+    for i, feature in enumerate(features):
+        where = f"{path}:feature[{i}]"
+        if not isinstance(feature, dict):
+            raise ParseError(f"{where}: expected a Feature object, got {feature!r:.80}")
+        geom = feature.get("geometry") or {}
+        props = feature.get("properties") or {}
+        if not isinstance(geom, dict) or not isinstance(props, dict):
+            raise ParseError(f"{where}: geometry and properties must be objects")
+        yield where, geom, props
+
+
+def _position(where: str, coords: object) -> tuple[float, float]:
+    """(lon, lat) of a GeoJSON position: a list whose first two entries are
+    finite numbers (bools are not numbers here)."""
+    if not (
+        isinstance(coords, list)
+        and len(coords) >= 2
+        and is_finite_number(coords[0])
+        and is_finite_number(coords[1])
+    ):
+        raise ParseError(
+            f"{where}: a position must be [lon, lat] finite numbers, got {coords!r:.80}"
+        )
+    return float(coords[0]), float(coords[1])
 
 
 def write_settlements_csv(settlements: SettlementSet, path: str) -> None:
@@ -359,29 +444,34 @@ def write_settlements_csv(settlements: SettlementSet, path: str) -> None:
             )
 
 
-def _iter_polylines(doc: dict, path: str) -> Iterator[tuple[str, list[list[float]]]]:
-    """Yield (where, coordinate list) for each LineString, flattening MultiLineStrings."""
-    for i, feature in enumerate(doc.get("features", [])):
-        where = f"{path}:feature[{i}]"
-        geom = feature.get("geometry") or {}
+def _iter_polylines(path: str) -> Iterator[tuple[str, object]]:
+    """Yield (where, coordinates) for each LineString, flattening MultiLineStrings."""
+    for where, geom, _ in _read_features(path):
         gtype = geom.get("type")
+        coords = geom.get("coordinates")
         if gtype == "LineString":
-            yield where, geom["coordinates"]
+            yield where, coords
         elif gtype == "MultiLineString":
-            for j, part in enumerate(geom["coordinates"]):
+            if not isinstance(coords, list):
+                raise ParseError(
+                    f"{where}: MultiLineString coordinates must be a list, got {coords!r:.80}"
+                )
+            for j, part in enumerate(coords):
                 yield f"{where}[{j}]", part
         else:
             raise ParseError(f"{where}: expected LineString/MultiLineString, got {gtype!r}")
 
 
-def _parse_polyline(where: str, coords: list[list[float]]) -> tuple[GeoPoint, ...]:
+def _parse_polyline(where: str, coords: object) -> tuple[GeoPoint, ...]:
+    if not isinstance(coords, list):
+        raise ParseError(f"{where}: coordinates must be a list of positions, got {coords!r:.80}")
     if len(coords) < 2:
         raise DegenerateGeometry(f"{where}: polyline needs at least 2 vertices, got {len(coords)}")
     points = []
     for c in coords:
-        lon, lat = c[:2]
+        lon, lat = _position(where, c)
         _check_coords(lat, lon, where)
-        points.append(GeoPoint(float(lat), float(lon)))
+        points.append(GeoPoint(lat, lon))
     line = tuple(points)
     if polyline_length_km(line) == 0.0:
         raise DegenerateGeometry(f"{where}: polyline has zero length")
@@ -390,9 +480,7 @@ def _parse_polyline(where: str, coords: list[list[float]]) -> tuple[GeoPoint, ..
 
 def load_fiber_lines(path: str) -> FiberLineSet:
     """Load existing fiber routes from a GeoJSON line collection."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    lines = [_parse_polyline(where, coords) for where, coords in _iter_polylines(doc, path)]
+    lines = [_parse_polyline(where, coords) for where, coords in _iter_polylines(path)]
     if not lines:
         raise EmptyCollection(f"{path}: no line features")
     log.info("loaded %d fiber polylines from %s", len(lines), path)
@@ -406,13 +494,11 @@ def load_road_graph(path: str) -> RoadGraph:
     length. Coincident endpoints across features share a vertex, which is how
     separate road features connect into one network.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     vertex_ids: dict[GeoPoint, int] = {}
     vertices: list[GeoPoint] = []
     edge_weights: dict[tuple[int, int], float] = {}
     n_lines = 0
-    for where, coords in _iter_polylines(doc, path):
+    for where, coords in _iter_polylines(path):
         line = _parse_polyline(where, coords)
         n_lines += 1
         for a, b in zip(line, line[1:]):

@@ -79,6 +79,10 @@ class InvalidDistributionBounds(ConfigError):
     """A Monte Carlo distribution's bounds are inconsistent."""
 
 
+class PriceOverflow(ConfigError):
+    """Book values price a report figure beyond the largest float."""
+
+
 class IoError(OutputError):
     """An output file could not be written."""
 
@@ -218,6 +222,26 @@ class _PricedUnits:
         ]
 
     def price(self, b: SimpleNamespace, draws: int) -> np.ndarray:
+        """Every metric of every row under book parameters b; raises
+        PriceOverflow when a figure is not a finite float."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = self._figures(b, draws)
+        except OverflowError as exc:  # math.fsum or Python's float ** past the largest float
+            raise PriceOverflow(
+                f"the book values overflow a row total or the opex present value: {exc}"
+            ) from exc
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            draw, row, metric = bad[0].tolist()
+            decile, level, algorithm = self.rows[row]
+            raise PriceOverflow(
+                f"the book values price {MC_METRICS[metric]} of decile {decile} {level} "
+                f"{algorithm} at {values[draw, row, metric]}, not a finite number"
+            )
+        return values
+
+    def _figures(self, b: SimpleNamespace, draws: int) -> np.ndarray:
         annual = np.broadcast_to(_annual_opex(b), (draws, 1))[:, 0].tolist()
         rate = np.broadcast_to(b.discount_rate, (draws, 1))[:, 0].tolist()
         npv = np.array([_opex_npv(a, r, b.assessment_years) for a, r in zip(annual, rate)])

@@ -6,7 +6,9 @@ the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw` replaced, kept as the reference it must match design for design.
 `build_report_reference` and `monte_carlo_reference` are the unit-by-unit,
 draw-by-draw pricing that the report's vectorized kernel replaced; the
-kernel must match them field for field.
+kernel must match them field for field. `within_buffer_reference` is the
+per-segment scalar buffer test that `within_buffer_mask` replaced; the mask
+must match it point for point.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from fiberplan.costmodel import CostBook, tco_quantities
+from fiberplan.geodata import FiberLineSet, GeoPoint, point_segment_km
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign import EmptyNodeSet, NetworkDesign, PrizedGraph, WeightedGraph, prim_mst
 from fiberplan.netdesign.solvers import _prized_design, _strong_prune
@@ -428,3 +431,14 @@ def monte_carlo_reference(
                 )
             )
     return summaries
+
+
+def within_buffer_reference(point: GeoPoint, lines: FiberLineSet, radius_km: float) -> bool:
+    """True when the point lies within radius_km of any polyline."""
+    if radius_km < 0:
+        raise ValueError(f"radius_km must be >= 0, got {radius_km}")
+    for line in lines.lines:
+        for a, b in zip(line, line[1:]):
+            if point_segment_km(point, a, b) <= radius_km:
+                return True
+    return False

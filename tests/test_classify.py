@@ -121,3 +121,12 @@ def test_validation():
         _classify(ss, buffer_km=-1.0)
     with pytest.raises(ValueError):
         _classify(ss, threshold=-5)
+
+
+@pytest.mark.parametrize("buffer_km", [float("nan"), float("inf")])
+def test_buffer_that_is_not_finite_is_rejected(buffer_km):
+    ss = _set(_s("a", 0.0, 0.5, 100, "R1", "R1-01"))
+    with pytest.raises(ValueError):
+        _classify(ss, buffer_km=buffer_km)
+    with pytest.raises(ValueError):
+        _classify(ss, fiber=None, buffer_km=buffer_km)

@@ -185,12 +185,17 @@ def test_module_entry_point_matches(tmp_path):
     assert "total users: 160" in proc.stdout
 
 
-def _golden_variant(tmp_path, *, cost=None, emissions=None, distributions=None) -> str:
-    """The golden scenario with absolute input paths and the given changes."""
+def _golden_variant(
+    tmp_path, *, cost=None, emissions=None, distributions=None, inputs=None, **fields
+) -> str:
+    """The golden scenario with absolute input paths and the given changes:
+    `inputs` replaces input files, `fields` sets top-level keys."""
     with open(GOLDEN, encoding="utf-8") as fh:
         doc = json.load(fh)
     base = os.path.dirname(GOLDEN)
     doc["inputs"] = {k: os.path.join(base, v) for k, v in doc["inputs"].items()}
+    doc["inputs"].update(inputs or {})
+    doc.update(fields)
     if cost is not None:
         doc["cost"] = cost
     if emissions is not None:
@@ -238,11 +243,95 @@ def test_mc_distribution_outside_the_book_exits_2_before_running(tmp_path, capsy
         {"cost": {"c_olt": math.inf}},
         {"emissions": {"alpha": math.nan}},
         {"cost": {"assessment_years": 2.5}},
+        {"buffer_km": math.nan},
+        {"buffer_km": math.inf},
+        {"prize_scale": math.nan},
+        {"snap_radius_km": math.nan},
+        {"min_density_per_km2": math.nan},
     ],
-    ids=["cost-inf", "alpha-nan", "years"],
+    ids=["cost-inf", "alpha-nan", "years", "buffer-nan", "buffer-inf", "prize-nan", "snap-nan",
+         "density-nan"],
 )
 def test_non_finite_book_value_exits_2(tmp_path, capsys, change):
     out = tmp_path / "out"
     cfg = _golden_variant(tmp_path, **change)
     assert main(["report", "--config", cfg, "--out", str(out)]) == 2
     _assert_config_error(capsys, out)
+
+
+def _assert_error_after_run(capsys, out, exit_code, error) -> dict:
+    """The run ended with one JSON error line (after any progress logging),
+    no traceback, and no output directory."""
+    err = capsys.readouterr().err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["exit_code"] == exit_code and payload["error"] == error, payload
+    assert "Traceback" not in err
+    assert not out.exists()
+    return payload
+
+
+def _feature_collection(coordinates) -> dict:
+    geometry = {"type": "LineString", "coordinates": coordinates}
+    return {"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": geometry}]}
+
+
+NO_COORDINATES = {"type": "FeatureCollection", "features": [{"geometry": {"type": "LineString"}}]}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("fiber", json.dumps(NO_COORDINATES)),
+        ("roads", json.dumps(NO_COORDINATES)),
+        ("fiber", json.dumps(_feature_collection([[30.0], [30.1, 0.1]]))),
+        ("fiber", json.dumps(_feature_collection([["30", "1"], ["30.1", "1"]]))),
+        ("fiber", json.dumps(_feature_collection([[True, 0.1], [30.1, 0.1]]))),
+        ("fiber", json.dumps(_feature_collection([[30.0, math.nan], [30.1, 0.1]]))),
+        ("fiber", "[]"),
+        ("fiber", json.dumps({"type": "FeatureCollection", "features": [5]})),
+        ("fiber", "not json {"),
+    ],
+    ids=[
+        "no-coordinates",
+        "roads-no-coordinates",
+        "one-element",
+        "strings",
+        "bool",
+        "nan",
+        "top-level-list",
+        "feature-not-object",
+        "not-json",
+    ],
+)
+def test_malformed_line_geojson_exits_3(tmp_path, capsys, name, text):
+    path = tmp_path / f"{name}.geojson"
+    path.write_text(text)
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, inputs={name: str(path)})
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
+    _assert_error_after_run(capsys, out, 3, "ParseError")
+
+
+@pytest.mark.parametrize(
+    "cost, named",
+    [
+        ({"c_olt": 1e308, "c_civil": 1e308}, "tco_usd"),  # a unit's capex is inf
+        ({"o_rent": 1e308}, "opex present value"),  # math.fsum overflows
+    ],
+    ids=["capex-inf", "opex-fsum"],
+)
+def test_book_values_that_overflow_a_report_figure_exit_2(tmp_path, capsys, cost, named):
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, cost=cost)
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    error = _assert_error_after_run(capsys, out, 2, "PriceOverflow")
+    assert named in error["message"]
+
+
+def test_mc_draws_that_overflow_a_report_figure_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    huge = {"dist": "fixed", "value": 1e308}
+    cfg = _golden_variant(tmp_path, distributions={"c_olt": huge, "c_civil": huge})
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    error = _assert_error_after_run(capsys, out, 2, "PriceOverflow")
+    assert "tco_usd" in error["message"]

@@ -34,8 +34,11 @@ from fiberplan.geodata import (
     point_segment_km,
     polyline_length_km,
     within_buffer,
+    within_buffer_mask,
     write_settlements_csv,
 )
+
+from .oracles import within_buffer_reference
 
 # --- haversine -------------------------------------------------------------
 
@@ -122,6 +125,94 @@ def test_within_buffer_negative_radius_rejected():
     lines = FiberLineSet(lines=(EQUATOR_SEG,))
     with pytest.raises(ValueError):
         within_buffer(GeoPoint(0, 0), lines, -1.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_within_buffer_mask_rejects_a_radius_that_is_not_finite(radius):
+    lines = FiberLineSet(lines=(EQUATOR_SEG,))
+    with pytest.raises(ValueError):
+        within_buffer_mask([GeoPoint(0, 0)], lines, radius)
+
+
+def test_within_buffer_mask_of_no_points_is_empty():
+    mask = within_buffer_mask([], FiberLineSet(lines=(EQUATOR_SEG,)), 1.0)
+    assert mask.dtype == bool and mask.shape == (0,)
+
+
+def _wrap_lon(lon: float) -> float:
+    return lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
+
+
+def _buffer_instance(rng: random.Random, kind: str) -> tuple[FiberLineSet, list[GeoPoint]]:
+    """Random fiber polylines around one centre and points scattered near
+    them; `kind` adds the feature under test."""
+    if kind == "polar":
+        lat0 = rng.choice((-1, 1)) * rng.uniform(80.0, 89.5)
+    else:
+        lat0 = rng.uniform(-70.0, 70.0)
+    if kind == "antimeridian":
+        lon0 = rng.choice((-1, 1)) * rng.uniform(179.8, 180.0)
+    else:
+        lon0 = rng.uniform(-179.0, 179.0)
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        lat, lon = lat0 + rng.uniform(-0.1, 0.1), _wrap_lon(lon0 + rng.uniform(-0.1, 0.1))
+        line = [GeoPoint(lat, lon)]
+        for _ in range(rng.randint(1, 5)):
+            lat = max(-90.0, min(90.0, lat + rng.uniform(-0.1, 0.1)))
+            lon = _wrap_lon(lon + rng.uniform(-0.15, 0.15))
+            line.append(GeoPoint(lat, lon))
+            if kind == "repeated" and rng.random() < 0.5:
+                line.append(line[-1])  # zero-length segment, as the loader allows
+        lines.append(tuple(line))
+    vertices = [p for line in lines for p in line]
+    points = []
+    for _ in range(24):
+        v = rng.choice(vertices)
+        lat = max(-90.0, min(90.0, v.lat + rng.uniform(-0.05, 0.05)))
+        points.append(GeoPoint(lat, _wrap_lon(v.lon + rng.uniform(-0.05, 0.05))))
+    if kind == "zero-radius":
+        points += rng.sample(vertices, min(4, len(vertices)))
+    return FiberLineSet(lines=tuple(lines)), points
+
+
+def _assert_mask_is_reference(points, lines, radius) -> list[bool]:
+    want = [within_buffer_reference(p, lines, radius) for p in points]
+    assert within_buffer_mask(points, lines, radius).tolist() == want
+    return want
+
+
+BUFFER_KINDS = ("plain", "antimeridian", "repeated", "zero-radius", "polar", "boundary")
+
+
+def test_within_buffer_mask_equals_the_per_segment_scalar_test():
+    """The mask is the scalar test point for point, including where a
+    numpy distance and `point_segment_km` may differ in the last bits:
+    radii set to a point's exact scalar distance and one ulp either side."""
+    rng = random.Random(20241128)
+    seen = dict.fromkeys(
+        ("antimeridian", "repeated", "zero-radius-hit", "polar", "boundary-in", "boundary-out"), 0
+    )
+    for i in range(360):
+        kind = BUFFER_KINDS[i % len(BUFFER_KINDS)]
+        lines, points = _buffer_instance(rng, kind)
+        segments = [(a, b) for line in lines.lines for a, b in zip(line, line[1:])]
+        seen["antimeridian"] += any(abs(a.lon - b.lon) > 180.0 for a, b in segments)
+        seen["repeated"] += any(a == b for a, b in segments)
+        seen["polar"] += any(abs(p.lat) > 80.0 for p in points)
+        radius = 0.0 if kind == "zero-radius" else rng.uniform(0.0, 4.0)
+        inside = _assert_mask_is_reference(points, lines, radius)
+        if kind == "zero-radius":
+            seen["zero-radius-hit"] += any(inside)
+        if kind != "boundary":
+            continue
+        for p in points:
+            edge = min(point_segment_km(p, a, b) for a, b in segments)
+            for r in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)):
+                if r >= 0.0:
+                    (hit,) = _assert_mask_is_reference([p], lines, r)
+                    seen["boundary-in" if r >= edge else "boundary-out"] += hit == (r >= edge)
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 # --- settlements CSV -------------------------------------------------------
