@@ -9,7 +9,7 @@ reproducible Monte Carlo.
 
 __version__ = "0.1.0"
 
-from .costmodel import CostBook, CostBreakdown, capex, opex_npv, tco, tco_quantities
+from .costmodel import CostBook, CostBreakdown, opex_npv, tco_quantities
 from .demand import (
     AdoptionScenario,
     SubregionDemand,
@@ -29,12 +29,7 @@ from .geodata import (
     load_road_graph,
     load_settlements,
 )
-from .lca import (
-    EmissionFactorBook,
-    EmissionsBreakdown,
-    emissions_quantities,
-    total_emissions,
-)
+from .lca import EmissionFactorBook, EmissionsBreakdown, emissions_quantities
 from .netdesign import (
     ClassificationResult,
     DesignResult,
@@ -89,7 +84,6 @@ __all__ = [
     "assign_deciles",
     "band_demand",
     "build_report",
-    "capex",
     "classify_nodes",
     "design_network",
     "emissions_quantities",
@@ -104,7 +98,5 @@ __all__ = [
     "potential_users",
     "prim_mst",
     "scc",
-    "tco",
     "tco_quantities",
-    "total_emissions",
 ]

@@ -108,6 +108,8 @@ def load_scenario(
         resolved = value if os.path.isabs(value) else os.path.join(base_dir, value)
         if not os.path.exists(resolved):
             raise ConfigError(f"inputs.{key} does not exist: {resolved}")
+        if not os.path.isfile(resolved):
+            raise ConfigError(f"inputs.{key} is not a regular file: {resolved}")
         return resolved
 
     settlements_path = input_path("settlements", required=True)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import is_finite_number
-from .netdesign import NetworkDesign
 
 
 @dataclass(frozen=True)
@@ -141,21 +140,9 @@ def capex_quantities(node_count: int, length_km: float, book: CostBook) -> float
     return _capex(node_count, length_km, book)
 
 
-def capex(design: NetworkDesign, book: CostBook) -> float:
-    """Capital expenditure of a design: per-node plus per-km costs."""
-    return capex_quantities(design.terminal_node_count, design.total_length_km, book)
-
-
 def opex_npv(book: CostBook) -> float:
     """Present value of the annual opex stream over years 0..n inclusive."""
     return _opex_npv(book.annual_opex, book.discount_rate, book.assessment_years)
-
-
-def tco(design: NetworkDesign, book: CostBook, users: float) -> CostBreakdown:
-    """Total cost of ownership with per-user annualized and monthly views."""
-    return tco_quantities(
-        design.terminal_node_count, design.total_length_km, book, users
-    )
 
 
 def tco_quantities(

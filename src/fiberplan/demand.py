@@ -12,11 +12,11 @@ import csv
 import io
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DataError, OutputError
+from .errors import DataError
+from .report import _atomic_write_text
 
 log = logging.getLogger(__name__)
 
@@ -226,14 +226,4 @@ def write_demand_csv(demands: Sequence[SubregionDemand], path: str) -> None:
                 format(d.users_per_km2, ".6g"),
             ]
         )
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise OutputError(f"cannot write demand table {path}: {exc}") from exc
+    _atomic_write_text(path, buf.getvalue())

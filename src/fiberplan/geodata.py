@@ -12,7 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -367,10 +367,18 @@ def load_settlements(path: str, fmt: str = "csv") -> SettlementSet:
     return SettlementSet(settlements=tuple(settlements))
 
 
+def _open_input(path: str, **kwargs) -> TextIO:
+    """`open(path)` for reading UTF-8 text; DataError when it cannot be opened."""
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_settlements_csv(path: str) -> list[Settlement]:
     out: list[Settlement] = []
     seen: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in SETTLEMENT_COLUMNS if c not in header]
@@ -399,7 +407,7 @@ def _load_settlements_geojson(path: str) -> list[Settlement]:
 def _read_features(path: str) -> Iterator[tuple[str, dict, dict]]:
     """Yield (where, geometry, properties) for each feature of a GeoJSON
     FeatureCollection; ParseError when the file is not one."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -512,6 +520,8 @@ def load_road_graph(path: str) -> RoadGraph:
             if u > v:
                 u, v = v, u
             w = haversine_km(a, b)
+            if w == 0.0:
+                raise DegenerateGeometry(f"{where}: segment from {a} to {b} has zero length")
             prev = edge_weights.get((u, v))
             if prev is None or w < prev:
                 edge_weights[(u, v)] = w

@@ -15,7 +15,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import DataError, is_finite_number
-from .netdesign import NetworkDesign
 
 HOURS_PER_YEAR = 8_760.0
 
@@ -234,15 +233,6 @@ def eolt_emissions(d_km: float, node_count: int, book: EmissionFactorBook) -> fl
     if d_km < 0 or node_count < 0:
         raise ValueError("eolt inputs must be >= 0")
     return _eolt(d_km, node_count, book)
-
-
-def total_emissions(
-    design: NetworkDesign, users: float, book: EmissionFactorBook
-) -> EmissionsBreakdown:
-    """Compose the five phases for a design serving `users` people."""
-    return emissions_quantities(
-        design.total_length_km, design.terminal_node_count, users, book
-    )
 
 
 def emissions_quantities(

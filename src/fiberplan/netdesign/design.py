@@ -13,12 +13,13 @@ from typing import Mapping, Sequence
 
 from ..geodata import RoadGraph, Settlement
 from .graphs import (
+    DuplicateCoordinate,
     EmptyNodeSet,
+    GreatCircleGraph,
     NetworkDesign,
     PrizedGraph,
     RoadOverlay,
     VertexPayload,
-    WeightedGraph,
     attach_terminals_to_roads,
     build_euclidean_graph,
 )
@@ -36,7 +37,7 @@ class DesignResult:
 
     level: str
     design: NetworkDesign
-    graph: WeightedGraph | RoadOverlay
+    graph: GreatCircleGraph | RoadOverlay
     terminal_vertex: dict[str, int]  # settlement id -> vertex id
     root_id: str
     warnings: tuple[str, ...] = ()
@@ -112,7 +113,7 @@ def design_network(
 def _single_node_result(
     level: str, algorithm: str, node: Settlement, count_root: bool
 ) -> DesignResult:
-    graph = WeightedGraph(1, [VertexPayload(node.location, node.id)])
+    graph = GreatCircleGraph([VertexPayload(node.location, node.id)])
     design = NetworkDesign(
         algorithm="MST" if algorithm == "mst" else "PCST_GW",
         edges=(),
@@ -133,6 +134,11 @@ def _design_mst(
     graph = build_euclidean_graph(ordered)
     terminal_vertex = {s.id: i for i, s in enumerate(ordered)}
     design = prim_mst(graph, root=terminal_vertex[root_id])
+    for u, v, w in design.edges:  # settlements 0 km apart always give a 0 km tree edge
+        if w == 0.0:
+            raise DuplicateCoordinate(
+                f"settlements {ordered[u].id!r} and {ordered[v].id!r} are 0 km apart"
+            )
     if not count_root:
         design = replace(design, terminal_node_count=design.terminal_node_count - 1)
     return DesignResult(

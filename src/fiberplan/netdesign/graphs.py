@@ -8,9 +8,10 @@ back into geographic outputs.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,17 +52,13 @@ class VertexPayload:
 class WeightedGraph:
     """Undirected graph with positive edge weights and dense vertex ids."""
 
-    def __init__(self, n: int, payloads: Sequence[VertexPayload | None] | None = None):
+    def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        if payloads is not None and len(payloads) != n:
-            raise ValueError("payloads length must match vertex count")
         self.n = n
-        self.payloads: list[VertexPayload | None] = list(payloads) if payloads else [None] * n
         self._adj: list[dict[int, float]] = [dict() for _ in range(n)]
 
-    def add_vertex(self, payload: VertexPayload | None = None) -> int:
-        self.payloads.append(payload)
+    def add_vertex(self) -> int:
         self._adj.append(dict())
         self.n += 1
         return self.n - 1
@@ -78,8 +75,10 @@ class WeightedGraph:
             self._adj[u][v] = weight
             self._adj[v][u] = weight
 
-    def neighbors(self, u: int) -> list[tuple[int, float]]:
-        return sorted(self._adj[u].items())
+    def weights_from(self, u: int, targets: Iterable[int]) -> list[float]:
+        """Weight of the edge from u to each target, inf where there is none."""
+        adj = self._adj[u]
+        return [adj.get(v, math.inf) for v in targets]
 
     def weight(self, u: int, v: int) -> float:
         return self._adj[u][v]
@@ -100,6 +99,30 @@ class WeightedGraph:
         return _edge_arrays(list(self.edges()))
 
 
+class GreatCircleGraph:
+    """Complete graph over located vertices that stores only their payloads:
+    weight(u, v) is computed on demand as haversine_km(p[min], p[max])."""
+
+    def __init__(self, payloads: Sequence[VertexPayload]):
+        self.payloads = tuple(payloads)
+        self.n = len(self.payloads)
+        self._points = [p.point for p in self.payloads]
+
+    @property
+    def edge_count(self) -> int:
+        return self.n * (self.n - 1) // 2
+
+    def weight(self, u: int, v: int) -> float:
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise KeyError((u, v))
+        return haversine_km(self._points[min(u, v)], self._points[max(u, v)])
+
+    def weights_from(self, u: int, targets: Iterable[int]) -> list[float]:
+        """Weight of the edge from u to each target (every target != u)."""
+        p, pu = self._points, self._points[u]
+        return [haversine_km(pu, p[v]) if u < v else haversine_km(p[v], pu) for v in targets]
+
+
 def _edge_arrays(
     edges: list[tuple[int, int, float]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,8 +135,8 @@ def _edge_arrays(
 class RoadOverlay:
     """A shared road graph plus one design's settlement terminals.
 
-    Reads like a WeightedGraph (`n`, `payloads`, `weight`, `edges`,
-    `edge_count`, `edge_arrays`) but stores only what the design adds:
+    Reads like a WeightedGraph (`n`, `weight`, `edges`, `edge_count`,
+    `edge_arrays`), plus `payloads`, but stores only what the design adds:
     vertices 0..R-1 are the road vertices, read from the road graph's frozen
     arrays; spur vertices follow in attachment order, each joined by one
     edge to one road vertex. A settlement merged onto a road vertex only
@@ -247,7 +270,7 @@ class NetworkDesign:
         return self.total_length_km + self.total_penalty
 
 
-def build_euclidean_graph(nodes: Sequence[Settlement]) -> WeightedGraph:
+def build_euclidean_graph(nodes: Sequence[Settlement]) -> GreatCircleGraph:
     """Complete graph over settlements, weighted by great-circle distance."""
     if len(nodes) < 2:
         raise EmptyNodeSet(f"need at least 2 nodes for a graph, got {len(nodes)}")
@@ -258,11 +281,7 @@ def build_euclidean_graph(nodes: Sequence[Settlement]) -> WeightedGraph:
                 f"settlements {seen[s.location]!r} and {s.id!r} share coordinate {s.location}"
             )
         seen[s.location] = s.id
-    g = WeightedGraph(len(nodes), [VertexPayload(s.location, s.id) for s in nodes])
-    for i, a in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            g.add_edge(i, j, haversine_km(a.location, nodes[j].location))
-    return g
+    return GreatCircleGraph([VertexPayload(s.location, s.id) for s in nodes])
 
 
 @dataclass(frozen=True)

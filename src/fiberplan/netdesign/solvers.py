@@ -7,7 +7,6 @@ given graph always yields bit-identical designs.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from collections import deque
@@ -18,6 +17,7 @@ from ..errors import SolverError
 from .graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
+    GreatCircleGraph,
     InstanceTooLarge,
     NetworkDesign,
     PrizedGraph,
@@ -35,11 +35,14 @@ def _sorted_edges(edges: list[tuple[int, int, float]]) -> tuple[tuple[int, int, 
     return tuple(sorted(normalized))
 
 
-def prim_mst(graph: WeightedGraph, root: int = 0) -> NetworkDesign:
-    """Minimum spanning tree grown from `root`.
+def prim_mst(graph: WeightedGraph | GreatCircleGraph, root: int = 0) -> NetworkDesign:
+    """Minimum spanning tree grown from `root`, by Prim's dense O(n²) scan.
 
-    Ties between equal-weight candidate edges are broken by the smaller
-    (min endpoint, max endpoint) pair, so the selected tree is unique.
+    `graph` has `n` vertices and `weights_from(u, targets)`, inf where there
+    is no edge: a `WeightedGraph` or a `GreatCircleGraph`. Each step keeps
+    every outside vertex's best (weight, min endpoint, max endpoint) key and
+    takes the smallest, so ties go to the smaller (min, max) pair and the
+    tree is unique. Memory is O(n).
 
     Raises:
         EmptyNodeSet: the graph has no vertices.
@@ -51,30 +54,25 @@ def prim_mst(graph: WeightedGraph, root: int = 0) -> NetworkDesign:
         raise EmptyNodeSet("cannot span an empty graph")
     if not (0 <= root < n):
         raise RootMissing(f"root {root} not in graph of {n} vertices")
-    in_tree = [False] * n
-    in_tree[root] = True
+    key = [(math.inf, n, n)] * n
+    outside = [v for v in range(n) if v != root]  # ascending
     chosen: list[tuple[int, int, float]] = []
-    heap: list[tuple[float, int, int, int]] = []
-
-    def push_frontier(u: int) -> None:
-        for v, w in graph.neighbors(u):
-            if not in_tree[v]:
-                heapq.heappush(heap, (w, min(u, v), max(u, v), v))
-
-    push_frontier(root)
-    while heap and len(chosen) < n - 1:
-        w, a, b, v = heapq.heappop(heap)
-        if in_tree[v]:
-            continue
-        in_tree[v] = True
+    u = root
+    while outside:
+        for v, w in zip(outside, graph.weights_from(u, outside)):
+            if w <= key[v][0]:
+                edge = (w, u, v) if u < v else (w, v, u)
+                if edge < key[v]:
+                    key[v] = edge
+        u = min(outside, key=key.__getitem__)
+        w, a, b = key[u]
+        if w == math.inf:
+            raise DisconnectedGraph(
+                f"{len(outside)} of {n} vertices unreachable from root {root} "
+                f"(first few: {outside[:5]})"
+            )
+        outside.remove(u)
         chosen.append((a, b, w))
-        push_frontier(v)
-    if len(chosen) < n - 1:
-        missing = [v for v in range(n) if not in_tree[v]]
-        raise DisconnectedGraph(
-            f"{len(missing)} of {n} vertices unreachable from root {root} "
-            f"(first few: {missing[:5]})"
-        )
     return NetworkDesign(
         algorithm="MST",
         edges=_sorted_edges(chosen),
@@ -130,7 +128,7 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
                 queue.append(v)
 
     kept_vertices, kept_edges = _strong_prune(prized, adj, component)
-    kept_edges = _reconnect_minimally(edges, n, kept_vertices, kept_edges, root)
+    kept_edges = _reconnect_minimally(edges, n, kept_vertices, kept_edges)
     design = _prized_design(
         "PCST_GW", prized, kept_vertices, kept_edges, dual_bound=math.fsum(dual_terms)
     )
@@ -225,7 +223,6 @@ def _reconnect_minimally(
     n: int,
     kept: set[int],
     kept_edges: list[tuple[int, int, float]],
-    root: int,
 ) -> list[tuple[int, int, float]]:
     """Replace the kept tree by the MST of the induced subgraph on `kept`.
 
@@ -235,17 +232,15 @@ def _reconnect_minimally(
     """
     if len(kept) <= 2:
         return kept_edges
-    sub_vertices = sorted(kept)
-    index = np.full(n, -1)
-    index[sub_vertices] = np.arange(len(sub_vertices))
+    inside = np.zeros(n, dtype=bool)
+    inside[list(kept)] = True
     eu, ev, ew = edges
-    iu, iv = index[eu], index[ev]
-    inside = (iu >= 0) & (iv >= 0)
-    sub = WeightedGraph(len(sub_vertices))
-    for a, b, w in zip(iu[inside].tolist(), iv[inside].tolist(), ew[inside].tolist()):
-        sub.add_edge(a, b, w)
-    mst = prim_mst(sub, root=int(index[root]))
-    return [(sub_vertices[a], sub_vertices[b], w) for a, b, w in mst.edges]
+    induced = inside[eu] & inside[ev]
+    tree, _ = _kruskal_tree(
+        sorted(kept),
+        sorted(zip(ew[induced].tolist(), eu[induced].tolist(), ev[induced].tolist())),
+    )
+    return tree
 
 
 def _strong_prune(
@@ -304,16 +299,11 @@ def _prized_design(
 
 
 def _kruskal_tree(
-    vertices: list[int], g: WeightedGraph
+    vertices: list[int], edges: list[tuple[float, int, int]]
 ) -> tuple[list[tuple[int, int, float]], bool]:
-    """MST of the induced subgraph; (edges, spanning?) — Kruskal, local ids."""
-    index = {v: i for i, v in enumerate(vertices)}
-    cand = sorted(
-        (w, u, v)
-        for u, v, w in g.edges()
-        if u in index and v in index
-    )
-    parent = list(range(len(vertices)))
+    """Kruskal MST of the subgraph induced on `vertices`: (edges, spanning?).
+    `edges` are all (w, u, v), u < v, ascending: ties go to the smaller (u, v)."""
+    parent = {v: v for v in vertices}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -322,13 +312,14 @@ def _kruskal_tree(
         return x
 
     chosen: list[tuple[int, int, float]] = []
-    for w, u, v in cand:
-        ru, rv = find(index[u]), find(index[v])
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append((u, v, w))
-            if len(chosen) == len(vertices) - 1:
-                break
+    for w, u, v in edges:
+        if len(chosen) == len(vertices) - 1:
+            break
+        if u in parent and v in parent:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append((u, v, w))
     return chosen, len(chosen) == len(vertices) - 1
 
 
@@ -352,6 +343,7 @@ def pcst_exact(prized: PrizedGraph) -> NetworkDesign:
             f"exact solver enumerates at most {EXACT_PCST_MAX_VERTICES} vertices, got {n}"
         )
     root = prized.root
+    edges = sorted((w, u, v) for u, v, w in g.edges())
     others = [v for v in range(n) if v != root]
     total_prize = math.fsum(prized.prize(v) for v in range(n))
 
@@ -360,7 +352,7 @@ def pcst_exact(prized: PrizedGraph) -> NetworkDesign:
     for mask in range(1 << len(others)):
         subset = [root] + [others[i] for i in range(len(others)) if mask >> i & 1]
         subset.sort()
-        tree, spanning = _kruskal_tree(subset, g)
+        tree, spanning = _kruskal_tree(subset, edges)
         if not spanning:
             continue
         weight = math.fsum(w for _, _, w in tree)

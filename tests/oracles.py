@@ -4,6 +4,9 @@ The Kruskal MST here is written against raw edge lists (no shared code with
 the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw_reference` is the scalar moat-growing loop that the vectorised
 `pcst_gw` replaced, kept as the reference it must match design for design.
+`prim_mst_reference` is the heap Prim that the dense `prim_mst` replaced,
+and `euclidean_graph_reference` the complete graph it ran on, with every
+edge stored; MST designs must match them edge for edge.
 `build_report_reference` and `monte_carlo_reference` are the unit-by-unit,
 draw-by-draw pricing that the report's vectorized kernel replaced; the
 kernel must match them field for field. `within_buffer_reference` is the
@@ -13,6 +16,7 @@ must match it point for point.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -21,10 +25,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from fiberplan.costmodel import CostBook, tco_quantities
-from fiberplan.geodata import FiberLineSet, GeoPoint, point_segment_km
+from fiberplan.geodata import FiberLineSet, GeoPoint, Settlement, haversine_km, point_segment_km
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
-from fiberplan.netdesign import EmptyNodeSet, NetworkDesign, PrizedGraph, WeightedGraph, prim_mst
-from fiberplan.netdesign.solvers import _prized_design, _strong_prune
+from fiberplan.netdesign import (
+    DisconnectedGraph,
+    EmptyNodeSet,
+    NetworkDesign,
+    PrizedGraph,
+    RootMissing,
+    WeightedGraph,
+)
+from fiberplan.netdesign.solvers import _prized_design, _sorted_edges, _strong_prune
 from fiberplan.report import (
     MC_METRICS,
     DecileReportRow,
@@ -300,8 +311,76 @@ def _reconnect_minimally_reference(
     for u, v, w in g.edges():
         if u in index and v in index:
             sub.add_edge(index[u], index[v], w)
-    mst = prim_mst(sub, root=index[root])
+    mst = prim_mst_reference(sub, root=index[root])
     return [(sub_vertices[a], sub_vertices[b], w) for a, b, w in mst.edges]
+
+
+# --- MST: the heap Prim over a stored complete graph --------------------------
+
+
+def euclidean_graph_reference(nodes: Sequence[Settlement]) -> WeightedGraph:
+    """Complete graph over settlements, weighted by great-circle distance,
+    with every edge stored."""
+    g = WeightedGraph(len(nodes))
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            g.add_edge(i, j, haversine_km(a.location, nodes[j].location))
+    return g
+
+
+def prim_mst_reference(graph: WeightedGraph, root: int = 0) -> NetworkDesign:
+    """Minimum spanning tree grown from `root`.
+
+    Ties between equal-weight candidate edges are broken by the smaller
+    (min endpoint, max endpoint) pair, so the selected tree is unique.
+
+    Raises:
+        EmptyNodeSet: the graph has no vertices.
+        RootMissing: root is not a vertex.
+        DisconnectedGraph: some vertex is unreachable from root.
+    """
+    n = graph.n
+    if n == 0:
+        raise EmptyNodeSet("cannot span an empty graph")
+    if not (0 <= root < n):
+        raise RootMissing(f"root {root} not in graph of {n} vertices")
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in graph.edges():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    in_tree = [False] * n
+    in_tree[root] = True
+    chosen: list[tuple[int, int, float]] = []
+    heap: list[tuple[float, int, int, int]] = []
+
+    def push_frontier(u: int) -> None:
+        for v, w in adj[u]:
+            if not in_tree[v]:
+                heapq.heappush(heap, (w, min(u, v), max(u, v), v))
+
+    push_frontier(root)
+    while heap and len(chosen) < n - 1:
+        w, a, b, v = heapq.heappop(heap)
+        if in_tree[v]:
+            continue
+        in_tree[v] = True
+        chosen.append((a, b, w))
+        push_frontier(v)
+    if len(chosen) < n - 1:
+        missing = [v for v in range(n) if not in_tree[v]]
+        raise DisconnectedGraph(
+            f"{len(missing)} of {n} vertices unreachable from root {root} "
+            f"(first few: {missing[:5]})"
+        )
+    return NetworkDesign(
+        algorithm="MST",
+        edges=_sorted_edges(chosen),
+        connected_vertices=frozenset(range(n)),
+        excluded_terminals=frozenset(),
+        total_length_km=math.fsum(w for _, _, w in chosen),
+        total_penalty=0.0,
+        terminal_node_count=n,
+    )
 
 
 # --- pricing: one unit and one draw at a time ---------------------------------

@@ -335,3 +335,49 @@ def test_mc_draws_that_overflow_a_report_figure_exit_2(tmp_path, capsys):
     assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
     error = _assert_error_after_run(capsys, out, 2, "PriceOverflow")
     assert "tco_usd" in error["message"]
+
+
+def _golden_csv_plus(tmp_path, name: str, rows: str) -> str:
+    """A copy of the golden `name`.csv with `rows` appended."""
+    with open(os.path.join(DATA, "golden", f"{name}.csv"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text + rows)
+    return str(path)
+
+
+def test_settlements_zero_km_apart_exit_4(tmp_path, capsys):
+    # (0, 0) and (0, 1e-200) are distinct coordinates 0 km apart.
+    settlements = _golden_csv_plus(
+        tmp_path,
+        "settlements",
+        "r9a,0.0,0.0,5000,R9,R9S1\nr9b,0.0,1e-200,4000,R9,R9S2\nr9c,0.01,0.01,3000,R9,R9S3\n",
+    )
+    areas = _golden_csv_plus(tmp_path, "areas", "R9S1,10.0\nR9S2,10.0\nR9S3,10.0\n")
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, inputs={"settlements": settlements, "areas": areas})
+    assert main(["design", "--config", cfg, "--algorithm", "mst", "--out", str(out)]) == 4
+    error = _assert_error_after_run(capsys, out, 4, "DuplicateCoordinate")
+    assert "'r9a' and 'r9b' are 0 km apart" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["design", "--algorithm", "pcst"]],
+    ids=["validate", "design"],
+)
+def test_road_segment_of_zero_km_exits_3(tmp_path, capsys, command):
+    roads = tmp_path / "roads.geojson"
+    roads.write_text(json.dumps(_feature_collection([[0, 0], [1e-200, 0], [0.1, 0]])))
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, inputs={"roads": str(roads)})
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 3
+    error = _assert_error_after_run(capsys, out, 3, "DegenerateGeometry")
+    assert "feature[0]" in error["message"]
+
+
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, inputs={"fiber": str(tmp_path)})
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)

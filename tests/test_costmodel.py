@@ -6,27 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fiberplan.costmodel import (
-    CostBook,
-    capex,
-    capex_quantities,
-    opex_npv,
-    tco,
-    tco_quantities,
-)
-from fiberplan.netdesign import NetworkDesign
-
-
-def _design(nodes: int, km: float) -> NetworkDesign:
-    return NetworkDesign(
-        algorithm="MST",
-        edges=(),
-        connected_vertices=frozenset(range(max(nodes, 1))),
-        excluded_terminals=frozenset(),
-        total_length_km=km,
-        total_penalty=0.0,
-        terminal_node_count=nodes,
-    )
+from fiberplan.costmodel import CostBook, capex_quantities, opex_npv, tco_quantities
 
 
 class TestCostBook:
@@ -57,16 +37,16 @@ class TestCostBook:
 
 class TestCapex:
     def test_empty_design_is_free(self):
-        assert capex(_design(0, 0.0), CostBook()) == 0.0
+        assert capex_quantities(0, 0.0, CostBook()) == 0.0
 
     def test_reference_fixture(self):
         # 1 node + 10 km at default rates: 177,000 + 66,000.
-        assert capex(_design(1, 10.0), CostBook()) == 243_000.0
+        assert capex_quantities(1, 10.0, CostBook()) == 243_000.0
 
     def test_length_linearity(self):
         book = CostBook()
-        base = capex(_design(3, 50.0), book)
-        assert capex(_design(3, 100.0), book) == base + 50.0 * 6_600.0
+        base = capex_quantities(3, 50.0, book)
+        assert capex_quantities(3, 100.0, book) == base + 50.0 * 6_600.0
 
     def test_quantities_validation(self):
         with pytest.raises(ValueError):
@@ -111,27 +91,27 @@ class TestTco:
             o_acq=0.0,
             o_other=0.0,
         )
-        result = tco(_design(1, 0.0), book, users=1.0)
+        result = tco_quantities(1, 0.0, book, 1.0)
         assert result.tco_usd == 360.0
         assert result.annualized_per_user_usd == pytest.approx(12.0)
         assert result.monthly_per_user_usd == pytest.approx(1.0)
 
     def test_capex_only_annualized(self):
         book = CostBook(o_rent=0.0, o_staff=0.0, o_pwr=0.0, o_reg=0.0, o_acq=0.0, o_other=0.0)
-        result = tco(_design(1, 10.0), book, users=1_000.0)
+        result = tco_quantities(1, 10.0, book, 1_000.0)
         assert result.capex_usd == 243_000.0
         assert result.opex_npv_usd == 0.0
         assert result.annualized_per_user_usd == pytest.approx(8.10, rel=1e-12)
 
     def test_zero_users_marked_undefined(self):
-        result = tco(_design(1, 10.0), CostBook(), users=0.0)
+        result = tco_quantities(1, 10.0, CostBook(), 0.0)
         assert result.tco_usd > 0
         assert result.tco_per_user_usd is None
         assert result.annualized_per_user_usd is None
         assert result.monthly_per_user_usd is None
 
     def test_breakdown_identities(self):
-        result = tco(_design(2, 25.0), CostBook(), users=500.0)
+        result = tco_quantities(2, 25.0, CostBook(), 500.0)
         assert result.tco_usd == pytest.approx(
             result.capex_usd + result.opex_npv_usd, rel=1e-12
         )
@@ -141,9 +121,9 @@ class TestTco:
 
     def test_additive_across_disjoint_designs(self):
         book = CostBook()
-        a = tco(_design(2, 30.0), book, users=100.0)
-        b = tco(_design(5, 70.0), book, users=200.0)
-        union = tco(_design(7, 100.0), book, users=300.0)
+        a = tco_quantities(2, 30.0, book, 100.0)
+        b = tco_quantities(5, 70.0, book, 200.0)
+        union = tco_quantities(7, 100.0, book, 300.0)
         assert union.capex_usd == pytest.approx(a.capex_usd + b.capex_usd, rel=1e-12)
 
     def test_opex_share(self):
@@ -162,5 +142,5 @@ class TestTco:
             return
         lo, hi = sorted((u1, u2))
         book = CostBook()
-        design = _design(3, 40.0)
-        assert tco(design, book, hi).tco_per_user_usd < tco(design, book, lo).tco_per_user_usd
+        per_user_hi = tco_quantities(3, 40.0, book, hi).tco_per_user_usd
+        assert per_user_hi < tco_quantities(3, 40.0, book, lo).tco_per_user_usd

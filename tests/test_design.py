@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+
 import pytest
 
 from fiberplan.geodata import GeoPoint, RoadGraph, Settlement, haversine_km
-from fiberplan.netdesign import EmptyNodeSet, design_network
+from fiberplan.netdesign import EmptyNodeSet, build_euclidean_graph, design_network, prim_mst
+
+from .oracles import euclidean_graph_reference, prim_mst_reference
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
 
 
 def _s(sid, lat, lon, pop=1000, region="R1", sub="R1-01"):
@@ -57,6 +69,86 @@ class TestMstDesign:
             design_network("access", "spanner", [_s("a", 0, 0), _s("b", 1, 1)], "a")
         with pytest.raises(ValueError, match="duplicate"):
             design_network("access", "mst", [_s("a", 0, 0), _s("a", 1, 1)], "a")
+
+
+def _point_set(rng: random.Random, kind: str) -> list[Settlement]:
+    """2-60 distinct settlements: spread out, on a 0.25-degree grid (many
+    equal distances), on both sides of the antimeridian, or above 80 degrees."""
+    n = rng.randint(2, 60)
+    points: set[tuple[float, float]] = set()
+    while len(points) < n:
+        if kind == "grid":
+            lat0, lon0 = rng.choice([(0.0, 30.0), (-41.5, 172.25), (60.0, -20.0)])
+            point = (lat0 + 0.25 * rng.randrange(8), lon0 + 0.25 * rng.randrange(8))
+        elif kind == "antimeridian":
+            point = (rng.uniform(-30.0, 30.0), rng.choice((1, -1)) * rng.uniform(179.0, 180.0))
+        elif kind == "polar":
+            point = (rng.choice((1, -1)) * rng.uniform(80.0, 90.0), rng.uniform(-180.0, 180.0))
+        else:
+            point = (rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+        points.add(point)
+    return [_s(f"s{i:02d}", lat, lon) for i, (lat, lon) in enumerate(sorted(points))]
+
+
+def test_mst_designs_equal_the_heap_prim_over_a_stored_complete_graph():
+    rng = random.Random(6_2026)
+    seen = {"ties": 0, "antimeridian": 0, "polar": 0, "root": 0}
+    for i in range(320):
+        kind = ("spread", "grid", "antimeridian", "polar")[i % 4]
+        nodes = _point_set(rng, kind)
+        root = rng.randrange(len(nodes))
+        graph = build_euclidean_graph(nodes)
+        reference = euclidean_graph_reference(nodes)
+        design = prim_mst(graph, root=root)
+        assert design == prim_mst_reference(reference, root=root)
+        for u, v, w in design.edges:
+            assert graph.weight(u, v) == graph.weight(v, u) == reference.weight(u, v) == w
+        weights = [w for _, _, w in reference.edges()]
+        seen["ties"] += len(set(weights)) < len(weights)
+        seen["antimeridian"] += any(
+            nodes[u].location.lon * nodes[v].location.lon < 0 and w < 250.0
+            for u, v, w in design.edges
+        )
+        seen["polar"] += all(abs(s.location.lat) > 80.0 for s in nodes)
+        seen["root"] += root not in (0, len(nodes) - 1)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_a_1000_node_mst_design_stores_no_complete_graph():
+    rng = random.Random(1000)
+    nodes = [_s(f"s{i:04d}", rng.uniform(-5.0, 5.0), rng.uniform(30.0, 40.0)) for i in range(1000)]
+    tracemalloc.start()
+    try:
+        result = design_network("access", "mst", nodes, "s0000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.design.edges) == 999
+    assert result.graph.edge_count == 999 * 1000 // 2
+    assert peak < 5 * 2**20
+
+
+def test_traced_benchmark_child_counts_the_golden_run_as_before(tmp_path):
+    # The traced benchmark wraps build_euclidean_graph and prim_mst at
+    # netdesign.design and reads edge_count, n and weight from each graph.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(ROOT, "perfbench", "child.py"),
+            "--scenario", os.path.join(GOLDEN, "scenario.json"),
+            "--out", str(tmp_path / "out"),
+            "--expected", os.path.join(GOLDEN, "expected"),
+            "--trace", str(tmp_path / "trace.jsonl"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["errors"] == []
+    assert record["layers"]["netdesign.graphs.euclid_edges"] == 36
+    assert record["layers"]["netdesign.solvers.prim_mst_calls"] == 4
 
 
 class TestPcstDesign:

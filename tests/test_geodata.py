@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberplan.errors import DataError
 from fiberplan.geodata import (
     CoordinateOutOfRange,
     DegenerateGeometry,
@@ -387,6 +388,25 @@ def test_load_road_graph_skips_zero_length_segments(tmp_path):
     rg = load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
     assert len(rg.edges) == 1
     assert all(w > 0 for _, _, w in rg.edges)
+
+
+def test_load_road_graph_rejects_a_segment_of_zero_km_between_distinct_positions(tmp_path):
+    import json
+
+    doc = _line_doc([[0.0, 0.0], [1e-200, 0.0], [0.1, 0.0]])
+    with pytest.raises(DegenerateGeometry, match=r"feature\[0\].*zero length"):
+        load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "load",
+    [load_settlements, lambda path: load_settlements(path, "geojson"), load_fiber_lines,
+     load_road_graph],
+    ids=["settlements-csv", "settlements-geojson", "fiber", "roads"],
+)
+def test_loaders_turn_an_unreadable_path_into_a_data_error(tmp_path, load):
+    with pytest.raises(DataError, match="cannot read"):
+        load(str(tmp_path))  # a directory
 
 
 def test_load_road_graph_empty(tmp_path):

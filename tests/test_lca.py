@@ -16,24 +16,10 @@ from fiberplan.lca import (
     nonfiber_mfg_emissions,
     operations_emissions,
     per_user_power_kw,
-    total_emissions,
     transport_emissions,
 )
-from fiberplan.netdesign import NetworkDesign
 
 BOOK = EmissionFactorBook()
-
-
-def _design(nodes: int, km: float) -> NetworkDesign:
-    return NetworkDesign(
-        algorithm="MST",
-        edges=(),
-        connected_vertices=frozenset(range(max(nodes, 1))),
-        excluded_terminals=frozenset(),
-        total_length_km=km,
-        total_penalty=0.0,
-        terminal_node_count=nodes,
-    )
 
 
 class TestManufacturing:
@@ -120,7 +106,7 @@ class TestEolt:
 
 class TestTotal:
     def test_empty_design_all_zero(self):
-        b = total_emissions(_design(0, 0.0), 0.0, BOOK)
+        b = emissions_quantities(0.0, 0, 0.0, BOOK)
         assert (b.mfg_kg, b.trans_kg, b.constr_kg, b.ops_kg, b.eolt_kg, b.total_kg) == (
             0.0,
         ) * 6
