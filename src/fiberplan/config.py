@@ -78,7 +78,7 @@ def load_scenario(
 ) -> ScenarioConfig:
     """Load and validate a scenario; CLI overrides win over config keys."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 from .errors import is_finite_number
 
+# The opex present value sums years + 1 discount factors for every book and
+# Monte Carlo draw; this bound keeps 1,000 draws to about a million of them.
+MAX_ASSESSMENT_YEARS = 1000
+
 
 @dataclass(frozen=True)
 class CostBook:
@@ -51,9 +55,11 @@ class CostBook:
                 raise ValueError(f"{f.name} must be >= 0, got {value}")
         if not self.discount_rate < 1.0:
             raise ValueError(f"discount_rate must be in [0, 1), got {self.discount_rate}")
-        if not isinstance(self.assessment_years, int) or self.assessment_years < 1:
+        years = self.assessment_years
+        if not isinstance(years, int) or not 1 <= years <= MAX_ASSESSMENT_YEARS:
             raise ValueError(
-                f"assessment_years must be an integer >= 1, got {self.assessment_years!r}"
+                f"assessment_years must be an integer in [1, {MAX_ASSESSMENT_YEARS}], "
+                f"got {years!r}"
             )
 
     @property

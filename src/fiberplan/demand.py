@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .geodata import _open_input
 from .report import _atomic_write_text
 
 log = logging.getLogger(__name__)
@@ -181,11 +182,7 @@ def users_for_node(demand: SubregionDemand) -> float:
 
 def load_area_table(path: str) -> dict[str, float]:
     """Load subregion areas from a CSV with columns subregion_id,area_km2."""
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read area table {path}: {exc}") from exc
-    with fh:
+    with _open_input(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(AREA_COLUMNS) - set(reader.fieldnames or ())
         if missing:

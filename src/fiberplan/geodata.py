@@ -12,7 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -101,71 +101,23 @@ class FiberLineSet:
     lines: tuple[tuple[GeoPoint, ...], ...]
 
 
-@dataclass(frozen=True)
 class RoadGraph:
-    """Road network as vertices plus undirected weighted edges.
+    """Road network: vertices plus undirected weighted edges, held once as a
+    symmetric CSR adjacency.
 
-    Vertices are deduplicated by exact coordinate equality; edge weights are
-    great-circle segment lengths in km. Edges are stored with u < v.
+    Edge weights are great-circle segment lengths in km. Edges may be given
+    in either order and more than once: the graph keeps the lightest of any
+    parallel edges, and rejects self-loops, out-of-range ids and weights
+    that are not positive. Row u of the CSR lists u's neighbours in
+    ascending id order. Coordinates stay in degrees, so a coordinate
+    difference rounds exactly as it does in `haversine_km`. Every array is
+    read-only: one road graph is shared by every design of a run.
     """
 
-    vertices: tuple[GeoPoint, ...]
-    edges: tuple[tuple[int, int, float], ...]
-
-    def arrays(self) -> RoadArrays:
-        """The graph as frozen arrays, built on first use and then shared."""
-        # Built lazily; the graph is frozen so the cache cannot go stale.
-        cache = getattr(self, "_arrays", None)
-        if cache is None:
-            cache = RoadArrays.build(self)
-            object.__setattr__(self, "_arrays", cache)
-        return cache
-
-    def nearest_vertex(self, p: GeoPoint) -> tuple[int, float]:
-        """Nearest vertex to p and its `haversine_km` distance; ties go to
-        the lowest id.
-
-        One vectorised pass short-lists the vertices within a 1e-9 relative
-        margin of the minimum (numpy's sin and asin may differ from math's
-        in the last bits, far inside that margin). `haversine_km` then
-        scans the short-list in id order with the same strict `<` as a full
-        scan, so the result is bit-for-bit that of a full scan.
-        """
-        arrays = self.arrays()
-        dphi = np.radians(arrays.lat - p.lat)
-        dlam = np.radians(arrays.lon - p.lon)
-        cos_lat = math.cos(math.radians(p.lat))
-        h = np.sin(dphi / 2.0) ** 2 + cos_lat * arrays.cos_lat * np.sin(dlam / 2.0) ** 2
-        d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
-        limit = float(d.min()) * (1.0 + 1e-9)
-        best_v, best_d = -1, math.inf
-        for vid in np.flatnonzero(d <= limit).tolist():
-            dist = haversine_km(p, self.vertices[vid])
-            if dist < best_d:
-                best_v, best_d = vid, dist
-        return best_v, best_d
-
-
-@dataclass(frozen=True)
-class RoadArrays:
-    """Array form of a RoadGraph: symmetric CSR adjacency plus coordinates.
-
-    Row u of the CSR lists u's neighbours in ascending id order; parallel
-    edges keep their smallest weight. Coordinates stay in degrees, so a
-    coordinate difference rounds exactly as it does in `haversine_km`.
-    """
-
-    indptr: np.ndarray  # int64, n + 1
-    indices: np.ndarray  # int64, 2 x edge count
-    weights: np.ndarray  # float64, 2 x edge count
-    lat: np.ndarray  # float64 degrees, n
-    lon: np.ndarray  # float64 degrees, n
-    cos_lat: np.ndarray  # cos of the latitude, n
-
-    @classmethod
-    def build(cls, roads: RoadGraph) -> RoadArrays:
-        n = len(roads.vertices)
-        raw = np.array(roads.edges, dtype=np.float64).reshape(-1, 3)
+    def __init__(self, vertices: Sequence[GeoPoint], edges: Sequence[tuple[int, int, float]]):
+        self.vertices = tuple(vertices)
+        n = len(self.vertices)
+        raw = np.array(edges, dtype=np.float64).reshape(-1, 3)
         a, b, w = raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64), raw[:, 2]
         if np.any(a == b):
             raise ValueError(f"self-loop at road vertex {int(a[a == b][0])}")
@@ -180,18 +132,27 @@ class RoadArrays:
         rows, cols, weights = rows[order], cols[order], weights[order]
         first = np.ones(len(rows), dtype=bool)  # lightest of each parallel group
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        rows, cols, weights = rows[first], cols[first], weights[first]
-        lat = np.array([p.lat for p in roads.vertices], dtype=np.float64)
-        lon = np.array([p.lon for p in roads.vertices], dtype=np.float64)
-        indptr = np.searchsorted(rows, np.arange(n + 1))
-        arrays = (indptr, cols, weights, lat, lon, np.cos(np.radians(lat)))
-        for array in arrays:
-            array.flags.writeable = False  # shared by every design of the run
-        return cls(*arrays)
+        self.indices = cols[first]  # int64, 2 x edge count
+        self.weights = weights[first]  # float64, 2 x edge count
+        self.indptr = np.searchsorted(rows[first], np.arange(n + 1))  # int64, n + 1
+        self.lat = np.array([p.lat for p in self.vertices], dtype=np.float64)
+        self.lon = np.array([p.lon for p in self.vertices], dtype=np.float64)
+        self.cos_lat = np.cos(np.radians(self.lat))
+        for array in (self.indptr, self.indices, self.weights, self.lat, self.lon, self.cos_lat):
+            array.flags.writeable = False
 
-    def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) of every edge with u < v, in ascending (u, v) order."""
-        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Every edge as (u, v, w) with u < v, in ascending (u, v) order."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays())))
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.indices) // 2
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
+        rows = np.repeat(np.arange(len(self.vertices)), np.diff(self.indptr))
         upper = self.indices > rows
         return rows[upper], self.indices[upper], self.weights[upper]
 
@@ -202,6 +163,29 @@ class RoadArrays:
         if i == hi or self.indices[i] != v:
             raise KeyError((u, v))
         return float(self.weights[i])
+
+    def nearest_vertex(self, p: GeoPoint) -> tuple[int, float]:
+        """Nearest vertex to p and its `haversine_km` distance; ties go to
+        the lowest id.
+
+        One vectorised pass short-lists the vertices within a 1e-9 relative
+        margin of the minimum (numpy's sin and asin may differ from math's
+        in the last bits, far inside that margin). `haversine_km` then
+        scans the short-list in id order with the same strict `<` as a full
+        scan, so the result is bit-for-bit that of a full scan.
+        """
+        dphi = np.radians(self.lat - p.lat)
+        dlam = np.radians(self.lon - p.lon)
+        cos_lat = math.cos(math.radians(p.lat))
+        h = np.sin(dphi / 2.0) ** 2 + cos_lat * self.cos_lat * np.sin(dlam / 2.0) ** 2
+        d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+        limit = float(d.min()) * (1.0 + 1e-9)
+        best_v, best_d = -1, math.inf
+        for vid in np.flatnonzero(d <= limit).tolist():
+            dist = haversine_km(p, self.vertices[vid])
+            if dist < best_d:
+                best_v, best_d = vid, dist
+        return best_v, best_d
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -368,9 +352,10 @@ def load_settlements(path: str, fmt: str = "csv") -> SettlementSet:
 
 
 def _open_input(path: str, **kwargs) -> TextIO:
-    """`open(path)` for reading UTF-8 text; DataError when it cannot be opened."""
+    """`open(path)` for reading UTF-8 text, with or without a byte-order
+    mark; DataError when it cannot be opened."""
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        return open(path, encoding="utf-8-sig", **kwargs)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -504,7 +489,7 @@ def load_road_graph(path: str) -> RoadGraph:
     """
     vertex_ids: dict[GeoPoint, int] = {}
     vertices: list[GeoPoint] = []
-    edge_weights: dict[tuple[int, int], float] = {}
+    segments: list[tuple[int, int, float]] = []
     n_lines = 0
     for where, coords in _iter_polylines(path):
         line = _parse_polyline(where, coords)
@@ -516,19 +501,14 @@ def load_road_graph(path: str) -> RoadGraph:
                 if p not in vertex_ids:
                     vertex_ids[p] = len(vertices)
                     vertices.append(p)
-            u, v = vertex_ids[a], vertex_ids[b]
-            if u > v:
-                u, v = v, u
             w = haversine_km(a, b)
             if w == 0.0:
                 raise DegenerateGeometry(f"{where}: segment from {a} to {b} has zero length")
-            prev = edge_weights.get((u, v))
-            if prev is None or w < prev:
-                edge_weights[(u, v)] = w
+            segments.append((vertex_ids[a], vertex_ids[b], w))
     if n_lines == 0:
         raise EmptyCollection(f"{path}: no line features")
-    edges = tuple((u, v, w) for (u, v), w in sorted(edge_weights.items()))
+    roads = RoadGraph(vertices, segments)
     log.info(
-        "loaded road graph from %s: %d vertices, %d edges", path, len(vertices), len(edges)
+        "loaded road graph from %s: %d vertices, %d edges", path, len(vertices), roads.edge_count
     )
-    return RoadGraph(vertices=tuple(vertices), edges=edges)
+    return roads

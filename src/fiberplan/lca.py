@@ -181,16 +181,12 @@ def nonfiber_mfg_emissions(node_count: int, book: EmissionFactorBook) -> float:
     return _nonfiber_mfg(node_count, book)
 
 
-def transport_emissions(
-    d_km: float, node_count: int, shipping_mass_kg: float, book: EmissionFactorBook
-) -> float:
+def transport_emissions(d_km: float, shipping_mass_kg: float, book: EmissionFactorBook) -> float:
     """Shipping of the equipment mass plus vehicle movement along the route.
 
-    The vehicle term moves one node-material load over the route length;
-    node_count is accepted for signature symmetry with the other phases but
-    the load is a single materials consignment.
+    The vehicle term moves one materials consignment over the route length.
     """
-    if min(d_km, node_count, shipping_mass_kg) < 0:
+    if min(d_km, shipping_mass_kg) < 0:
         raise ValueError("transport inputs must be >= 0")
     return _transport(d_km, shipping_mass_kg, book)
 

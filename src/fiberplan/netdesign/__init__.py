@@ -11,7 +11,6 @@ from .graphs import (
     PrizedGraph,
     RoadAttachment,
     RootMissing,
-    VertexPayload,
     WeightedGraph,
     attach_terminals_to_roads,
     build_euclidean_graph,
@@ -30,7 +29,6 @@ __all__ = [
     "PrizedGraph",
     "RoadAttachment",
     "RootMissing",
-    "VertexPayload",
     "WeightedGraph",
     "attach_terminals_to_roads",
     "build_euclidean_graph",

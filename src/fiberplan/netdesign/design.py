@@ -19,7 +19,6 @@ from .graphs import (
     NetworkDesign,
     PrizedGraph,
     RoadOverlay,
-    VertexPayload,
     attach_terminals_to_roads,
     build_euclidean_graph,
 )
@@ -38,7 +37,7 @@ class DesignResult:
     level: str
     design: NetworkDesign
     graph: GreatCircleGraph | RoadOverlay
-    terminal_vertex: dict[str, int]  # settlement id -> vertex id
+    terminal_vertex: dict[str, int]  # settlement id -> vertex id, one to one
     root_id: str
     warnings: tuple[str, ...] = ()
 
@@ -113,7 +112,7 @@ def design_network(
 def _single_node_result(
     level: str, algorithm: str, node: Settlement, count_root: bool
 ) -> DesignResult:
-    graph = GreatCircleGraph([VertexPayload(node.location, node.id)])
+    graph = GreatCircleGraph([node.location])
     design = NetworkDesign(
         algorithm="MST" if algorithm == "mst" else "PCST_GW",
         edges=(),

@@ -1,15 +1,15 @@
 """Graph types for network design and their construction from geodata.
 
-Vertices are dense integer ids. Construction helpers carry per-vertex
-payloads (coordinate, optional settlement id) so designs can be rendered
-back into geographic outputs.
+Vertices are dense integer ids. The graphs a design is built on know each
+vertex's coordinate (`point(v)`), so designs can be rendered back into
+geographic outputs; which settlement a vertex stands for is the design's
+`terminal_vertex` map.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -39,14 +39,6 @@ class RootMissing(SolverError):
 
 class InstanceTooLarge(SolverError):
     """The exact solver was asked for more vertices than it enumerates."""
-
-
-@dataclass(frozen=True)
-class VertexPayload:
-    """Geographic identity of a graph vertex."""
-
-    point: GeoPoint
-    settlement_id: str | None = None
 
 
 class WeightedGraph:
@@ -100,13 +92,15 @@ class WeightedGraph:
 
 
 class GreatCircleGraph:
-    """Complete graph over located vertices that stores only their payloads:
+    """Complete graph over located vertices that stores only their points:
     weight(u, v) is computed on demand as haversine_km(p[min], p[max])."""
 
-    def __init__(self, payloads: Sequence[VertexPayload]):
-        self.payloads = tuple(payloads)
-        self.n = len(self.payloads)
-        self._points = [p.point for p in self.payloads]
+    def __init__(self, points: Sequence[GeoPoint]):
+        self._points = tuple(points)
+        self.n = len(self._points)
+
+    def point(self, v: int) -> GeoPoint:
+        return self._points[v]
 
     @property
     def edge_count(self) -> int:
@@ -133,49 +127,42 @@ def _edge_arrays(
 
 
 class RoadOverlay:
-    """A shared road graph plus one design's settlement terminals.
+    """A shared road graph plus one design's spurs.
 
     Reads like a WeightedGraph (`n`, `weight`, `edges`, `edge_count`,
-    `edge_arrays`), plus `payloads`, but stores only what the design adds:
-    vertices 0..R-1 are the road vertices, read from the road graph's frozen
-    arrays; spur vertices follow in attachment order, each joined by one
-    edge to one road vertex. A settlement merged onto a road vertex only
-    names that vertex.
+    `edge_arrays`), plus `point(v)`, but stores only what the design adds:
+    vertices 0..R-1 are the road vertices, read from the road graph's CSR;
+    spur vertices follow in attachment order, each joined by one edge to
+    one road vertex.
     """
 
     def __init__(self, roads: RoadGraph):
         self.roads = roads
         self._road_n = len(roads.vertices)
-        self._named: dict[int, str] = {}  # road vertex -> merged settlement id
-        # (point, settlement id, road vertex, spur length), one per spur vertex
-        self._spurs: list[tuple[GeoPoint, str, int, float]] = []
-        self.payloads: Sequence[VertexPayload] = _OverlayPayloads(self)
+        # (point, road vertex, spur length), one per spur vertex
+        self._spurs: list[tuple[GeoPoint, int, float]] = []
 
     @property
     def n(self) -> int:
         return self._road_n + len(self._spurs)
 
-    def name_road_vertex(self, v: int, settlement_id: str) -> None:
-        self._named[v] = settlement_id
-
-    def add_spur(self, point: GeoPoint, settlement_id: str, road_vertex: int, length: float) -> int:
-        self._spurs.append((point, settlement_id, road_vertex, length))
+    def add_spur(self, point: GeoPoint, road_vertex: int, length: float) -> int:
+        self._spurs.append((point, road_vertex, length))
         return self.n - 1
 
-    def _payload(self, v: int) -> VertexPayload:
+    def point(self, v: int) -> GeoPoint:
         if 0 <= v < self._road_n:
-            return VertexPayload(self.roads.vertices[v], self._named.get(v))
+            return self.roads.vertices[v]
         if self._road_n <= v < self.n:
-            point, sid, _, _ = self._spurs[v - self._road_n]
-            return VertexPayload(point, sid)
+            return self._spurs[v - self._road_n][0]
         raise IndexError(f"vertex {v} out of range for {self.n} vertices")
 
     def weight(self, u: int, v: int) -> float:
         a, b = min(u, v), max(u, v)
         if b < self._road_n:
-            return self.roads.arrays().weight(a, b)
+            return self.roads.weight(a, b)
         if a < self._road_n <= b < self.n:
-            _, _, road_vertex, length = self._spurs[b - self._road_n]
+            _, road_vertex, length = self._spurs[b - self._road_n]
             if road_vertex == a:
                 return length
         raise KeyError((u, v))
@@ -187,28 +174,17 @@ class RoadOverlay:
 
     @property
     def edge_count(self) -> int:
-        return len(self.roads.arrays().indices) // 2 + len(self._spurs)
+        return self.roads.edge_count + len(self._spurs)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
-        ru, rv, rw = self.roads.arrays().upper_edges()
+        ru, rv, rw = self.roads.edge_arrays()
         su, sv, sw = _edge_arrays(
-            [(road_v, self._road_n + i, w) for i, (_, _, road_v, w) in enumerate(self._spurs)]
+            [(road_v, self._road_n + i, w) for i, (_, road_v, w) in enumerate(self._spurs)]
         )
         u, v, w = np.concatenate([ru, su]), np.concatenate([rv, sv]), np.concatenate([rw, sw])
         order = np.lexsort((v, u))
         return u[order], v[order], w[order]
-
-
-class _OverlayPayloads(SequenceABC):
-    def __init__(self, overlay: RoadOverlay):
-        self._overlay = overlay
-
-    def __len__(self) -> int:
-        return self._overlay.n
-
-    def __getitem__(self, v: int) -> VertexPayload:
-        return self._overlay._payload(v)
 
 
 @dataclass(frozen=True)
@@ -281,14 +257,14 @@ def build_euclidean_graph(nodes: Sequence[Settlement]) -> GreatCircleGraph:
                 f"settlements {seen[s.location]!r} and {s.id!r} share coordinate {s.location}"
             )
         seen[s.location] = s.id
-    return GreatCircleGraph([VertexPayload(s.location, s.id) for s in nodes])
+    return GreatCircleGraph([s.location for s in nodes])
 
 
 @dataclass(frozen=True)
 class RoadAttachment:
     """Road graph augmented with settlement terminals.
 
-    terminal_vertex maps settlement id to its vertex. Settlements farther
+    terminal_vertex maps settlement id to its vertex, one to one. Settlements farther
     than the snap radius from every road vertex are still attached (a spur to
     the nearest vertex) but are listed in `beyond_snap` for reporting.
     """
@@ -306,8 +282,10 @@ def attach_terminals_to_roads(
     A settlement coincident with a road vertex merges onto it; otherwise it
     becomes a new vertex with a spur edge to the nearest road vertex
     (nearest by distance, ties to the lowest vertex id). The road graph is
-    shared, not copied: the result is an overlay holding only the spurs and
-    settlement ids.
+    shared, not copied: the result is an overlay holding only the spurs.
+
+    Raises:
+        DuplicateCoordinate: two settlements merge onto one road vertex.
     """
     if not nodes:
         raise EmptyNodeSet("no settlements to attach")
@@ -317,17 +295,22 @@ def attach_terminals_to_roads(
         raise EmptyNodeSet("road graph has no vertices to attach to")
     g = RoadOverlay(roads)
     terminal_vertex: dict[str, int] = {}
+    merged: dict[int, str] = {}  # road vertex -> the settlement merged onto it
     beyond: list[tuple[str, float]] = []
     for s in nodes:
         if s.id in terminal_vertex:
             raise ValueError(f"duplicate settlement id {s.id!r}")
         best_v, best_d = roads.nearest_vertex(s.location)
         if best_d == 0.0:
-            # Coincident with a road vertex: merge, keeping the settlement id.
-            g.name_road_vertex(best_v, s.id)
+            if best_v in merged:
+                raise DuplicateCoordinate(
+                    f"settlements {merged[best_v]!r} and {s.id!r} are both at road vertex "
+                    f"{best_v} ({s.location})"
+                )
+            merged[best_v] = s.id
             terminal_vertex[s.id] = best_v
             continue
-        vid = g.add_spur(s.location, s.id, best_v, best_d)
+        vid = g.add_spur(s.location, best_v, best_d)
         terminal_vertex[s.id] = vid
         if best_d > snap_radius_km:
             beyond.append((s.id, best_d))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 
 import numpy as np
 
@@ -107,27 +106,15 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
     """
     g = prized.graph
     n = g.n
-    root = prized.root
     if n == 0:
         raise EmptyNodeSet("cannot design over an empty graph")
     edges = g.edge_arrays()
     forest, dual_terms = _grow_moats(prized, edges)
-
-    # Root component of the moat forest.
     adj: dict[int, list[tuple[int, float]]] = {}
     for u, v, w in forest:
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
-    component: set[int] = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj.get(u, []):
-            if v not in component:
-                component.add(v)
-                queue.append(v)
-
-    kept_vertices, kept_edges = _strong_prune(prized, adj, component)
+    kept_vertices, kept_edges = _strong_prune(prized, adj)
     kept_edges = _reconnect_minimally(edges, n, kept_vertices, kept_edges)
     design = _prized_design(
         "PCST_GW", prized, kept_vertices, kept_edges, dual_bound=math.fsum(dual_terms)
@@ -244,11 +231,12 @@ def _reconnect_minimally(
 
 
 def _strong_prune(
-    prized: PrizedGraph, adj: dict[int, list[tuple[int, float]]], component: set[int]
+    prized: PrizedGraph, adj: dict[int, list[tuple[int, float]]]
 ) -> tuple[set[int], list[tuple[int, int, float]]]:
-    """Best subtree of the root component that contains the root.
+    """Best subtree of the forest `adj` that contains the root.
 
-    Bottom-up over the tree: a child subtree is kept only when its pruned
+    A DFS from the root discovers exactly the root's component; then,
+    bottom-up over that tree, a child subtree is kept only when its pruned
     value strictly exceeds the edge cost that reaches it.
     """
     root = prized.root
@@ -258,7 +246,7 @@ def _strong_prune(
     while stack:
         u = stack.pop()
         for v, w in sorted(adj.get(u, [])):
-            if v in component and v not in parent:
+            if v not in parent:
                 parent[v] = (u, w)
                 order.append((v, u, w))
                 stack.append(v)

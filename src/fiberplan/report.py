@@ -561,7 +561,7 @@ def emit_design_geojson(
         used_vertices: set[int] = set()
         for u, v, w in design.edges:
             used_vertices.update((u, v))
-            pu, pv = graph.payloads[u].point, graph.payloads[v].point
+            pu, pv = graph.point(u), graph.point(v)
             features.append(
                 {
                     "type": "Feature",
@@ -581,7 +581,7 @@ def emit_design_geojson(
             )
         point_vertices = sorted(used_vertices | set(terminal_ids))
         for vid in point_vertices:
-            payload = graph.payloads[vid]
+            point = graph.point(vid)
             sid = terminal_ids.get(vid)
             if sid == result.root_id:
                 role = "root"
@@ -594,7 +594,7 @@ def emit_design_geojson(
                     "type": "Feature",
                     "geometry": {
                         "type": "Point",
-                        "coordinates": [round(payload.point.lon, 6), round(payload.point.lat, 6)],
+                        "coordinates": [round(point.lon, 6), round(point.lat, 6)],
                     },
                     "properties": {
                         "level": result.level,

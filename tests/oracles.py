@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -272,22 +271,11 @@ def pcst_gw_reference(prized: PrizedGraph) -> NetworkDesign:
     if g.n == 0:
         raise EmptyNodeSet("cannot design over an empty graph")
     forest = grow_moats_reference(prized)
-
-    # Root component of the moat forest.
     adj: dict[int, list[tuple[int, float]]] = {}
     for u, v, w in forest:
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
-    component: set[int] = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj.get(u, []):
-            if v not in component:
-                component.add(v)
-                queue.append(v)
-
-    kept_vertices, kept_edges = _strong_prune(prized, adj, component)
+    kept_vertices, kept_edges = _strong_prune(prized, adj)
     kept_edges = _reconnect_minimally_reference(g, kept_vertices, kept_edges, root)
     return _prized_design("PCST_GW", prized, kept_vertices, kept_edges)
 

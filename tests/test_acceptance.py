@@ -118,7 +118,7 @@ def test_criterion_4_lca_fixture_values_and_additivity():
         shipping_mass = d * book.cable_kg_per_km + nodes * book.node_mass_kg
         phases = [
             fiber_mfg_emissions(d, book) + nonfiber_mfg_emissions(nodes, book),
-            transport_emissions(d, nodes, shipping_mass, book),
+            transport_emissions(d, shipping_mass, book),
             construction_emissions(d, book),
             users * operations_emissions(users, users / nodes, book)
             if users > 0 and nodes > 0

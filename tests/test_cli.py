@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
+import codecs
 import json
 import math
 import os
@@ -87,6 +88,54 @@ def test_solver_error_exits_4(tmp_path, capsys):
     code = main(["design", "--config", str(cfg)])
     assert code == 4
     assert _stderr_error(capsys)["exit_code"] == 4
+
+
+def test_pcst_with_two_settlements_on_one_road_vertex_exits_4(tmp_path, capsys):
+    settlements = tmp_path / "settlements.csv"
+    settlements.write_text(
+        "id,lat,lon,population,region_id,subregion_id\n"
+        "big,0.0,36.0,30000,R1,S1\n"
+        "a,0.1,36.1,2000,R1,S2\n"
+        "b,0.1,36.1,1000,R1,S3\n"  # on the same road vertex as a
+    )
+    areas = tmp_path / "areas.csv"
+    areas.write_text("subregion_id,area_km2\nS1,10\nS2,10\nS3,10\n")
+    roads = tmp_path / "roads.geojson"
+    roads.write_text(json.dumps(_feature_collection([[36.0, 0.0], [36.1, 0.1]])))
+    out = tmp_path / "out"
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "inputs": {"settlements": str(settlements), "areas": str(areas),
+                           "roads": str(roads)},
+                "adoption_rate": 0.005,
+                "algorithms": ["pcst"],
+                "output_dir": str(out),
+            }
+        )
+    )
+    assert main(["design", "--config", str(cfg)]) == 4
+    error = _assert_error_after_run(capsys, out, 4, "DuplicateCoordinate")
+    assert "'a' and 'b'" in error["message"]
+
+
+@pytest.mark.parametrize("name", ["settlements", "areas", "fiber", "roads", "scenario"])
+def test_inputs_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys, name):
+    inputs = {}
+    if name != "scenario":
+        with open(GOLDEN, encoding="utf-8") as fh:
+            source = os.path.join(os.path.dirname(GOLDEN), json.load(fh)["inputs"][name])
+        path = tmp_path / f"bom-{os.path.basename(source)}"
+        with open(source, "rb") as fh:
+            path.write_bytes(codecs.BOM_UTF8 + fh.read())
+        inputs = {name: str(path)}
+    cfg = _golden_variant(tmp_path, inputs=inputs)
+    if name == "scenario":
+        path = tmp_path / "scenario.json"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(["validate", "--config", cfg]) == 0
+    assert "scenario ok: 30 settlements, 3 regions, 15 subregions" in capsys.readouterr().out
 
 
 def test_mc_without_config_section_exits_2(tmp_path, capsys):
@@ -256,6 +305,15 @@ def test_non_finite_book_value_exits_2(tmp_path, capsys, change):
     out = tmp_path / "out"
     cfg = _golden_variant(tmp_path, **change)
     assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)
+
+
+def test_assessment_years_beyond_the_bound_exit_2_before_pricing(tmp_path, capsys):
+    # At rate 0 nothing overflows: the opex present value would sum 10**9 + 1
+    # terms for every draw.
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, cost={"discount_rate": 0.0, "assessment_years": 10**9})
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
     _assert_config_error(capsys, out)
 
 

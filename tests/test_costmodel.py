@@ -33,6 +33,9 @@ class TestCostBook:
             CostBook(discount_rate=-0.1)
         with pytest.raises(ValueError):
             CostBook(assessment_years=0)
+        with pytest.raises(ValueError, match="1000"):
+            CostBook(assessment_years=1001)
+        assert CostBook(assessment_years=1000).assessment_years == 1000
 
 
 class TestCapex:

@@ -426,15 +426,14 @@ def test_road_arrays_csr_keeps_lightest_parallel_edge():
         vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0), GeoPoint(1.0, 0.0)),
         edges=((0, 1, 5.0), (1, 0, 3.0), (0, 2, 2.0)),
     )
-    arrays = roads.arrays()
-    assert arrays is roads.arrays()  # built once, then shared
-    assert arrays.indptr.tolist() == [0, 2, 3, 4]
-    assert arrays.indices.tolist() == [1, 2, 0, 0]
-    assert arrays.weights.tolist() == [3.0, 2.0, 3.0, 2.0]
-    assert [a.tolist() for a in arrays.upper_edges()] == [[0, 0], [1, 2], [3.0, 2.0]]
-    assert arrays.weight(1, 0) == 3.0
+    assert roads.indptr.tolist() == [0, 2, 3, 4]
+    assert roads.indices.tolist() == [1, 2, 0, 0]
+    assert roads.weights.tolist() == [3.0, 2.0, 3.0, 2.0]
+    assert [a.tolist() for a in roads.edge_arrays()] == [[0, 0], [1, 2], [3.0, 2.0]]
+    assert roads.edges == ((0, 1, 3.0), (0, 2, 2.0))
+    assert roads.weight(1, 0) == 3.0
     with pytest.raises(KeyError):
-        arrays.weight(1, 2)
+        roads.weight(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -443,9 +442,8 @@ def test_road_arrays_csr_keeps_lightest_parallel_edge():
     ids=["self-loop", "out-of-range", "zero-weight", "nan-weight"],
 )
 def test_road_arrays_reject_bad_edges(edges):
-    roads = RoadGraph(vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)), edges=edges)
     with pytest.raises(ValueError):
-        roads.arrays()
+        RoadGraph(vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)), edges=edges)
 
 
 def test_nearest_vertex_equals_a_full_haversine_scan():

@@ -69,7 +69,7 @@ class TestBuildEuclideanGraph:
         assert g.weight(0, 1) == pytest.approx(
             haversine_km(nodes[0].location, nodes[1].location)
         )
-        assert g.payloads[2].settlement_id == "c"
+        assert g.point(2) == nodes[2].location
 
     def test_duplicate_coordinate(self):
         nodes = [_settlement("a", 1.0, 2.0), _settlement("b", 1.0, 2.0)]
@@ -98,7 +98,7 @@ class TestAttachTerminals:
         )
         assert att.terminal_vertex == {"a": 1}
         assert att.graph.n == 3  # no new vertex
-        assert att.graph.payloads[1].settlement_id == "a"
+        assert att.graph.point(1) == GeoPoint(0.0, 0.5)
         assert att.beyond_snap == ()
 
     def test_nearby_settlement_gets_spur(self):
@@ -122,6 +122,17 @@ class TestAttachTerminals:
     def test_empty_nodes_rejected(self):
         with pytest.raises(EmptyNodeSet):
             attach_terminals_to_roads([], self._roads(), snap_radius_km=5.0)
+
+    def test_two_settlements_on_one_road_vertex_rejected(self):
+        nodes = [_settlement("a", 0.0, 0.5), _settlement("b", 0.0, 0.5)]
+        with pytest.raises(DuplicateCoordinate, match="'a' and 'b'"):
+            attach_terminals_to_roads(nodes, self._roads(), snap_radius_km=5.0)
+
+    def test_settlements_at_one_point_off_the_road_keep_separate_spurs(self):
+        nodes = [_settlement("a", 0.1, 0.5), _settlement("b", 0.1, 0.5)]
+        att = attach_terminals_to_roads(nodes, self._roads(), snap_radius_km=50.0)
+        assert att.terminal_vertex == {"a": 3, "b": 4}
+        assert att.graph.weight(3, 1) == att.graph.weight(4, 1) > 0.0
 
 
 class TestPrizedGraph:
@@ -180,10 +191,10 @@ class TestRoadOverlay:
             g.weight(0, 2)
         with pytest.raises(KeyError):
             g.weight(0, 3)
-        assert [p.settlement_id for p in g.payloads] == [None, None, "on", "near"]
-        assert g.payloads[3].point == near.location
+        assert att.terminal_vertex == {"near": 3, "on": 2}
+        assert [g.point(v) for v in range(4)] == [*roads.vertices, near.location]
         with pytest.raises(IndexError):
-            g.payloads[4]
+            g.point(4)
 
     def test_road_graph_without_vertices_rejected(self):
         with pytest.raises(EmptyNodeSet):

@@ -41,18 +41,18 @@ class TestManufacturing:
 
 class TestTransport:
     def test_zero(self):
-        assert transport_emissions(0.0, 0, 0.0, BOOK) == 0.0
+        assert transport_emissions(0.0, 0.0, BOOK) == 0.0
 
     def test_shipping_only(self):
-        assert transport_emissions(0.0, 1, 247.0, BOOK) == pytest.approx(79.8798, abs=1e-9)
+        assert transport_emissions(0.0, 247.0, BOOK) == pytest.approx(79.8798, abs=1e-9)
 
     def test_vehicle_term_doubles_with_distance(self):
-        base = transport_emissions(10.0, 1, 0.0, BOOK)
-        assert transport_emissions(20.0, 1, 0.0, BOOK) == pytest.approx(2 * base, rel=1e-12)
+        base = transport_emissions(10.0, 0.0, BOOK)
+        assert transport_emissions(20.0, 0.0, BOOK) == pytest.approx(2 * base, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            transport_emissions(-1.0, 0, 0.0, BOOK)
+            transport_emissions(-1.0, 0.0, BOOK)
 
 
 class TestConstruction:
@@ -131,7 +131,7 @@ class TestTotal:
         )
         shipping = 12.0 * BOOK.cable_kg_per_km + 3 * BOOK.node_mass_kg
         assert b.trans_kg == pytest.approx(
-            transport_emissions(12.0, 3, shipping, BOOK), rel=1e-12
+            transport_emissions(12.0, shipping, BOOK), rel=1e-12
         )
         assert b.constr_kg == pytest.approx(construction_emissions(12.0, BOOK), rel=1e-12)
         assert b.ops_kg == pytest.approx(
