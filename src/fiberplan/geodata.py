@@ -138,7 +138,10 @@ class RoadGraph:
         self.lat = np.array([p.lat for p in self.vertices], dtype=np.float64)
         self.lon = np.array([p.lon for p in self.vertices], dtype=np.float64)
         self.cos_lat = np.cos(np.radians(self.lat))
-        for array in (self.indptr, self.indices, self.weights, self.lat, self.lon, self.cos_lat):
+        self._by_lat = np.argsort(self.lat, kind="stable")  # vertex ids by latitude
+        self._sorted_lat = self.lat[self._by_lat]
+        arrays = (self.indptr, self.indices, self.weights, self.lat, self.lon, self.cos_lat)
+        for array in arrays + (self._by_lat, self._sorted_lat):
             array.flags.writeable = False
 
     @property
@@ -168,24 +171,48 @@ class RoadGraph:
         """Nearest vertex to p and its `haversine_km` distance; ties go to
         the lowest id.
 
-        One vectorised pass short-lists the vertices within a 1e-9 relative
-        margin of the minimum (numpy's sin and asin may differ from math's
-        in the last bits, far inside that margin). `haversine_km` then
-        scans the short-list in id order with the same strict `<` as a full
-        scan, so the result is bit-for-bit that of a full scan.
+        A vertex is at least R * |dphi| from p (the haversine adds a
+        non-negative longitude term to sin^2(dphi / 2)), so only a latitude
+        window around p can hold the nearest one. The 2 * max(16, sqrt(n))
+        vertices next to p in latitude order bound the nearest distance by
+        their best numpy distance d. The window is then widened to every
+        vertex with R * |dphi| <= d * (1 + 1e-6), plus 1e-12 degrees: the
+        relative margin covers the rounding of the distances, and the
+        absolute one the rounding of p.lat +- the reach and the latitude
+        differences whose sine underflows. The window's vectorised pass
+        short-lists the vertices within a 1e-9 relative margin of its
+        minimum (numpy's sin and asin may differ from math's in the last
+        bits, far inside that margin). `haversine_km` then scans the
+        short-list in id order with the same strict `<` as a full scan, so
+        the result is bit-for-bit that of a full scan.
         """
-        dphi = np.radians(self.lat - p.lat)
-        dlam = np.radians(self.lon - p.lon)
-        cos_lat = math.cos(math.radians(p.lat))
-        h = np.sin(dphi / 2.0) ** 2 + cos_lat * self.cos_lat * np.sin(dlam / 2.0) ** 2
-        d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+        n = len(self.vertices)
+        k = int(np.searchsorted(self._sorted_lat, p.lat))
+        half = max(16, math.isqrt(n))
+        lo, hi = max(0, k - half), min(n, k + half)
+        ids = self._by_lat[lo:hi]
+        d = self._distances_km(p, ids)
+        reach = math.degrees(float(d.min()) * (1.0 + 1e-6) / EARTH_RADIUS_KM) + 1e-12
+        wide_lo = int(np.searchsorted(self._sorted_lat, p.lat - reach, side="left"))
+        wide_hi = int(np.searchsorted(self._sorted_lat, p.lat + reach, side="right"))
+        if wide_lo < lo or wide_hi > hi:
+            ids = self._by_lat[wide_lo:wide_hi]
+            d = self._distances_km(p, ids)
         limit = float(d.min()) * (1.0 + 1e-9)
         best_v, best_d = -1, math.inf
-        for vid in np.flatnonzero(d <= limit).tolist():
+        for vid in np.sort(ids[d <= limit]).tolist():
             dist = haversine_km(p, self.vertices[vid])
             if dist < best_d:
                 best_v, best_d = vid, dist
         return best_v, best_d
+
+    def _distances_km(self, p: GeoPoint, ids: np.ndarray) -> np.ndarray:
+        """numpy `haversine_km` from p to each vertex in ids."""
+        dphi = np.radians(self.lat[ids] - p.lat)
+        dlam = np.radians(self.lon[ids] - p.lon)
+        cos_lat = math.cos(math.radians(p.lat))
+        h = np.sin(dphi / 2.0) ** 2 + cos_lat * self.cos_lat[ids] * np.sin(dlam / 2.0) ** 2
+        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

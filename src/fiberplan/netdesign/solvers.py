@@ -98,7 +98,9 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
     objective stays within a factor 2 of the optimum.
 
     Simultaneous events resolve merges before deactivations, each in
-    lexicographic vertex order.
+    lexicographic vertex order. Each event works on the frontier only (see
+    `_grow_moats`), so its cost follows the moats' perimeter, not the
+    graph's size, and it takes exactly the decisions of the per-edge loop.
 
     The result's `dual_bound` is the sum over events of dt times the number
     of active clusters: the value of the GW dual, a lower bound on the
@@ -135,74 +137,135 @@ def _grow_moats(
 ) -> tuple[list[tuple[int, int, float]], list[float]]:
     """The moat-growing phase of `pcst_gw` over the graph's (u, v, w) arrays.
 
-    Each event is a few array operations over all edges that evaluate the
-    scalar rules exactly: an edge joining distinct clusters, `rate` of them
-    active (rate > 0), meets after `max(0, (w - depth[u] - depth[v]) / rate)`;
-    an active cluster dies after `max(0, prize_sum - dual)`; the event's dt
-    is then added to the depth of every member of every active cluster.
-    Events are chosen by the key (dt, kind, min vertex, max vertex), with
-    merges (kind 0) before deaths (kind 1).
+    Each event evaluates the scalar rules exactly, over the frontier only:
+    the ascending ids of the live edges, which join two clusters with
+    `rate` > 0 of them active. A live edge meets after
+    `max(0, (w - depth[u] - depth[v]) / rate)`; an active cluster dies after
+    `max(0, prize_sum - dual)`. Events are chosen by the key
+    (dt, kind, min vertex, max vertex), with merges (kind 0) before deaths
+    (kind 1); the frontier's ascending order makes argmin's first index
+    the smallest (u, v). The frontier ends in copies of its last id (see
+    `_padded`), which change no choice: argmin takes the first of equal
+    values, and a depth is added to once per event however often its
+    vertex is listed.
+
+    The event's dt is added to the depth of the active-side endpoints of
+    live edges only. That is exact: a depth is read only through a live
+    edge, and a vertex of an active cluster with no live edge has every
+    neighbour in its own cluster, so, as clusters only merge, it never has
+    a live edge again. A merge relabels the smaller side into the larger
+    one; when the merged cluster is active, the edges of a side that was
+    inactive enter the frontier, and edges that became internal or lost
+    both active sides leave it at the next event.
 
     Returns the forest edges in the order they merged, and each event's
     dual increment dt x (number of active clusters).
     """
     n = prized.graph.n
     root = prized.root
-    # Ascending (u, v) order: argmin's first-index rule breaks dt ties by (u, v).
     eu, ev, ew = edges
+    # The ids of the edges at each vertex, ascending, as a CSR: entry 2e + s
+    # of the interleaved ends is side s of edge e.
+    ends = np.stack([eu, ev], axis=1).ravel()
+    incident = np.argsort(ends, kind="stable")
+    incident >>= 1
+    incident_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=incident_ptr[1:])
+    del ends
 
-    # Clusters 0..n-1 are the singletons; each of at most n - 1 merges adds one.
-    owner = np.arange(n)  # vertex -> current cluster id
-    prize_sum = np.zeros(2 * n)
-    prize_sum[:n] = [prized.prize(v) for v in range(n)]
-    dual = np.zeros(2 * n)
-    active = np.zeros(2 * n, dtype=bool)
-    active[:n] = prize_sum[:n] > 0.0
+    owner = np.arange(n)  # vertex -> cluster id; a cluster keeps its larger side's id
+    members: dict[int, list[int]] = {}  # merged clusters only; a singleton c is [c]
+    prize_sum = np.array([prized.prize(v) for v in range(n)], dtype=np.float64)
+    dual = np.zeros(n)
+    active = prize_sum > 0.0
     active[root] = False
-    min_member = np.arange(2 * n)
-    next_cid = n
+    min_member = np.arange(n)
+    active_ids = np.flatnonzero(active)  # in no particular order
+    frontier = np.flatnonzero(active[eu] | active[ev])  # ascending edge ids
+    count = frontier.size  # the frontier's entries past `count` are padding
+    frontier = _padded(frontier)
 
     depth = np.zeros(n)  # accumulated moat depth over each vertex
     forest: list[tuple[int, int, float]] = []
     dual_terms: list[float] = []
 
-    while True:
-        active_ids = np.flatnonzero(active)
-        if not active_ids.size:
-            break
-        cu, cv = owner[eu], owner[ev]
-        rate = active[cu].astype(np.int64) + active[cv]
-        live = np.flatnonzero((cu != cv) & (rate > 0))
-        slack = ew[live] - depth[eu[live]] - depth[ev[live]]
-        edge_dt = slack / rate[live]
+    while active_ids.size:
+        fu, fv = eu[frontier], ev[frontier]
+        cu, cv = owner[fu], owner[fv]
+        au, av = active[cu], active[cv]
+        live = (cu != cv) & (au | av)
+        live[count:] = False  # the padding
+        keep = live.nonzero()[0]
+        count = keep.size
+        if count < frontier.size:
+            keep = _padded(keep)
+            frontier, fu, fv, au, av = frontier[keep], fu[keep], fv[keep], au[keep], av[keep]
+        slack = ew[frontier] - depth[fu] - depth[fv]
+        edge_dt = slack / np.where(au & av, 2.0, 1.0)  # the rate, 1 or 2 active sides
         edge_dt = np.where(edge_dt > 0.0, edge_dt, 0.0)
         gap = prize_sum[active_ids] - dual[active_ids]
-        death_dt = np.where(gap > 0.0, gap, 0.0)
-        dt = float(death_dt.min())
+        dt = max(0.0, float(gap.min()))  # the smallest of the clipped gaps
         merge_edge = -1
-        if live.size:
-            i = int(np.argmin(edge_dt))
+        if frontier.size:
+            i = int(edge_dt.argmin())
             if edge_dt[i] <= dt:
-                merge_edge, dt = int(live[i]), float(edge_dt[i])
+                merge_edge, dt = int(frontier[i]), float(edge_dt[i])
         dual_terms.append(dt * active_ids.size)
         dual[active_ids] += dt
-        depth[active[owner]] += dt
-        if merge_edge >= 0:
-            u, v, w = int(eu[merge_edge]), int(ev[merge_edge]), float(ew[merge_edge])
-            a, b = owner[u], owner[v]
-            prize_sum[next_cid] = prize_sum[a] + prize_sum[b]
-            dual[next_cid] = dual[a] + dual[b]
-            has_root = owner[root] in (a, b)
-            active[next_cid] = (not has_root) and dual[next_cid] < prize_sum[next_cid]
-            active[a] = active[b] = False
-            min_member[next_cid] = min(min_member[a], min_member[b])
-            owner[(owner == a) | (owner == b)] = next_cid
-            next_cid += 1
-            forest.append((u, v, w))
-        else:
-            dying = active_ids[death_dt == dt]
-            active[dying[np.argmin(min_member[dying])]] = False
+        # Fancy-index += adds once per vertex, however often it is listed.
+        depth[np.concatenate([fu[au], fv[av]])] += dt
+        if merge_edge < 0:
+            dying = active_ids[np.where(gap > 0.0, gap, 0.0) == dt]
+            active[dying[min_member[dying].argmin()]] = False
+            active_ids = active_ids[active[active_ids]]
+            continue
+        u, v, w = int(eu[merge_edge]), int(ev[merge_edge]), float(ew[merge_edge])
+        a, b = int(owner[u]), int(owner[v])
+        big, small = members.pop(a, [a]), members.pop(b, [b])
+        if len(big) < len(small):
+            a, b, big, small = b, a, small, big
+        was_active = bool(active[a]), bool(active[b])
+        has_root = owner[root] in (a, b)
+        prize_sum[a] = prize_sum[a] + prize_sum[b]
+        dual[a] = dual[a] + dual[b]
+        active[a] = (not has_root) and dual[a] < prize_sum[a]
+        active[b] = False
+        min_member[a] = min(min_member[a], min_member[b])
+        owner[small] = a
+        forest.append((u, v, w))
+        active_ids = active_ids[active[active_ids]]
+        if active[a] and not was_active[0]:
+            active_ids = np.concatenate([active_ids, [a]])
+        if active[a] and not all(was_active):
+            # The edges from the side that was inactive to other inactive
+            # clusters were not live; they join the frontier now.
+            joining = (big, small)[was_active[0]]
+            ids = np.concatenate([incident[incident_ptr[x] : incident_ptr[x + 1]] for x in joining])
+            ju, jv = owner[eu[ids]], owner[ev[ids]]
+            joined = ids[(ju != jv) & ~(active[ju] & active[jv])]
+            frontier = np.concatenate([frontier[:count], joined])
+            frontier.sort(kind="stable")  # timsort: a sorted run plus a few new ids
+            count = frontier.size
+            frontier = _padded(frontier)
+        big.extend(small)
+        members[a] = big
     return forest, dual_terms
+
+
+def _padded(a: np.ndarray) -> np.ndarray:
+    """`a` padded with copies of its last entry to a multiple of 16 entries.
+
+    numpy keeps up to 7 freed buffers of every size under 1 KiB for reuse,
+    and never returns them. Frontier-sized temporaries of every length
+    would fill that cache (peak RSS +0.35 MB on the pcst-roads benchmark);
+    padded, they come in a few sizes only.
+    """
+    pad = -a.size % 16
+    if not pad or not a.size:
+        return a
+    out = np.full(a.size + pad, a[-1])
+    out[: a.size] = a
+    return out
 
 
 def _reconnect_minimally(

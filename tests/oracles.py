@@ -4,6 +4,10 @@ The Kruskal MST here is written against raw edge lists (no shared code with
 the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw_reference` is the scalar moat-growing loop that the vectorised
 `pcst_gw` replaced, kept as the reference it must match design for design.
+`grow_moats_dense_reference` is the all-edges array loop that the
+frontier-only `_grow_moats` replaced; their forests and dual increments
+must be equal bit for bit. `nearest_vertex_reference` is the full scan that
+the latitude window of `RoadGraph.nearest_vertex` replaced.
 `prim_mst_reference` is the heap Prim that the dense `prim_mst` replaced,
 and `euclidean_graph_reference` the complete graph it ran on, with every
 edge stored; MST designs must match them edge for edge.
@@ -24,7 +28,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from fiberplan.costmodel import CostBook, tco_quantities
-from fiberplan.geodata import FiberLineSet, GeoPoint, Settlement, haversine_km, point_segment_km
+from fiberplan.geodata import (
+    EARTH_RADIUS_KM,
+    FiberLineSet,
+    GeoPoint,
+    RoadGraph,
+    Settlement,
+    haversine_km,
+    point_segment_km,
+)
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign import (
     DisconnectedGraph,
@@ -135,6 +147,24 @@ def random_grid_instance(rng: random.Random) -> PrizedGraph:
     n = rows * cols
     prizes = {v: rng.choice(GRID_PRIZES) for v in range(n)}
     return PrizedGraph(graph=graph_from_edges(n, edges), prizes=prizes, root=rng.randrange(n))
+
+
+def random_sparse_grid_instance(rng: random.Random) -> PrizedGraph:
+    """Road-like prized grid of 10-40 x 10-40 vertices: 10% of the edges
+    dropped, about 4% of the vertices prized, and a random prized root, so
+    moats cross long stretches of zero-prize vertices."""
+    rows, cols = rng.randint(10, 40), rng.randint(10, 40)
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            for u in ((v + 1) if c + 1 < cols else None, (v + cols) if r + 1 < rows else None):
+                if u is not None and rng.random() >= 0.1:
+                    edges.append((v, u, rng.choice(GRID_WEIGHTS)))
+    n = rows * cols
+    prized = rng.sample(range(n), max(2, round(0.04 * n)))
+    prizes = {v: rng.choice(GRID_PRIZES[1:]) * rng.choice((1.0, 4.0, 16.0)) for v in prized}
+    return PrizedGraph(graph=graph_from_edges(n, edges), prizes=prizes, root=prized[0])
 
 
 def assert_design_is_tree(design: NetworkDesign, root: int) -> None:
@@ -250,6 +280,72 @@ def grow_moats_reference(prized: PrizedGraph) -> list[tuple[int, int, float]]:
         else:
             clusters[best_event[1]].active = False
     return forest
+
+
+def grow_moats_dense_reference(
+    prized: PrizedGraph, edges: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[list[tuple[int, int, float]], list[float]]:
+    """The moat-growing loop that `_grow_moats` replaced: every event is a
+    few array operations over all edges and all vertices. Returns the forest
+    edges in the order they merged, and each event's dual increment
+    dt x (number of active clusters)."""
+    n = prized.graph.n
+    root = prized.root
+    # Ascending (u, v) order: argmin's first-index rule breaks dt ties by (u, v).
+    eu, ev, ew = edges
+
+    # Clusters 0..n-1 are the singletons; each of at most n - 1 merges adds one.
+    owner = np.arange(n)  # vertex -> current cluster id
+    prize_sum = np.zeros(2 * n)
+    prize_sum[:n] = [prized.prize(v) for v in range(n)]
+    dual = np.zeros(2 * n)
+    active = np.zeros(2 * n, dtype=bool)
+    active[:n] = prize_sum[:n] > 0.0
+    active[root] = False
+    min_member = np.arange(2 * n)
+    next_cid = n
+
+    depth = np.zeros(n)  # accumulated moat depth over each vertex
+    forest: list[tuple[int, int, float]] = []
+    dual_terms: list[float] = []
+
+    while True:
+        active_ids = np.flatnonzero(active)
+        if not active_ids.size:
+            break
+        cu, cv = owner[eu], owner[ev]
+        rate = active[cu].astype(np.int64) + active[cv]
+        live = np.flatnonzero((cu != cv) & (rate > 0))
+        slack = ew[live] - depth[eu[live]] - depth[ev[live]]
+        edge_dt = slack / rate[live]
+        edge_dt = np.where(edge_dt > 0.0, edge_dt, 0.0)
+        gap = prize_sum[active_ids] - dual[active_ids]
+        death_dt = np.where(gap > 0.0, gap, 0.0)
+        dt = float(death_dt.min())
+        merge_edge = -1
+        if live.size:
+            i = int(np.argmin(edge_dt))
+            if edge_dt[i] <= dt:
+                merge_edge, dt = int(live[i]), float(edge_dt[i])
+        dual_terms.append(dt * active_ids.size)
+        dual[active_ids] += dt
+        depth[active[owner]] += dt
+        if merge_edge >= 0:
+            u, v, w = int(eu[merge_edge]), int(ev[merge_edge]), float(ew[merge_edge])
+            a, b = owner[u], owner[v]
+            prize_sum[next_cid] = prize_sum[a] + prize_sum[b]
+            dual[next_cid] = dual[a] + dual[b]
+            has_root = owner[root] in (a, b)
+            active[next_cid] = (not has_root) and dual[next_cid] < prize_sum[next_cid]
+            active[a] = active[b] = False
+            min_member[next_cid] = min(min_member[a], min_member[b])
+            owner[(owner == a) | (owner == b)] = next_cid
+            next_cid += 1
+            forest.append((u, v, w))
+        else:
+            dying = active_ids[death_dt == dt]
+            active[dying[np.argmin(min_member[dying])]] = False
+    return forest, dual_terms
 
 
 def pcst_gw_reference(prized: PrizedGraph) -> NetworkDesign:
@@ -509,3 +605,21 @@ def within_buffer_reference(point: GeoPoint, lines: FiberLineSet, radius_km: flo
             if point_segment_km(point, a, b) <= radius_km:
                 return True
     return False
+
+
+def nearest_vertex_reference(roads: RoadGraph, p: GeoPoint) -> tuple[int, float]:
+    """Nearest road vertex to p and its `haversine_km` distance, ties to the
+    lowest id: one vectorised pass over every vertex short-lists those
+    within 1e-9 of the minimum, and `haversine_km` confirms them in id order."""
+    dphi = np.radians(roads.lat - p.lat)
+    dlam = np.radians(roads.lon - p.lon)
+    cos_lat = math.cos(math.radians(p.lat))
+    h = np.sin(dphi / 2.0) ** 2 + cos_lat * roads.cos_lat * np.sin(dlam / 2.0) ** 2
+    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+    limit = float(d.min()) * (1.0 + 1e-9)
+    best_v, best_d = -1, math.inf
+    for vid in np.flatnonzero(d <= limit).tolist():
+        dist = haversine_km(p, roads.vertices[vid])
+        if dist < best_d:
+            best_v, best_d = vid, dist
+    return best_v, best_d

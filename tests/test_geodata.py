@@ -39,7 +39,7 @@ from fiberplan.geodata import (
     write_settlements_csv,
 )
 
-from .oracles import within_buffer_reference
+from .oracles import nearest_vertex_reference, within_buffer_reference
 
 # --- haversine -------------------------------------------------------------
 
@@ -468,3 +468,73 @@ def test_nearest_vertex_ties_go_to_the_lowest_id():
     p = GeoPoint(0.0, 0.25)
     assert haversine_km(p, roads.vertices[1]) == haversine_km(p, roads.vertices[2])
     assert roads.nearest_vertex(p) == (1, haversine_km(p, roads.vertices[1]))
+
+
+def _shuffled_grid(rng: random.Random, side: int, lat0: float, lon0: float, spacing: float,
+                   jitter: float) -> RoadGraph:
+    """A side x side road grid whose vertex ids are shuffled, so id order
+    and latitude order disagree."""
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    rng.shuffle(cells)
+    where = {cell: i for i, cell in enumerate(cells)}
+    vertices = [
+        GeoPoint(
+            max(-90.0, min(90.0, lat0 + (r + rng.uniform(-jitter, jitter)) * spacing)),
+            lon0 + (c + rng.uniform(-jitter, jitter)) * spacing,
+        )
+        for r, c in cells
+    ]
+    edges = []
+    for (r, c), i in where.items():
+        for cell in ((r + 1, c), (r, c + 1)):
+            if cell in where:
+                j = where[cell]
+                edges.append((i, j, haversine_km(vertices[i], vertices[j])))
+    return RoadGraph(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "side, lat0, jitter",
+    [(40, 0.5, 0.1), (80, -12.0, 0.1), (20, 84.0, 0.1), (12, -89.5, 0.1), (30, 45.0, 0.0)],
+    ids=["1600-vertices", "6400-vertices", "above-80N", "at-the-south-pole", "exact-lattice"],
+)
+def test_nearest_vertex_equals_the_full_scan_reference(side, lat0, jitter):
+    rng = random.Random(side * 1000 + int(lat0))
+    spacing = 0.02 if lat0 != -89.5 else 0.03125
+    roads = _shuffled_grid(rng, side, lat0, 30.0, spacing, jitter)
+    span = side * spacing
+    lat_hi = min(90.0, lat0 + span)
+
+    def clamp(lat: float) -> float:
+        return max(-90.0, min(90.0, lat))
+
+    points = [  # inside the grid
+        GeoPoint(rng.uniform(lat0, lat_hi), rng.uniform(30.0, 30.0 + span)) for _ in range(300)
+    ]
+    # beside the grid: within one grid span of an edge of it
+    points += [
+        GeoPoint(clamp(lat0 + rng.uniform(-1.0, 2.0) * span), 30.0 + rng.uniform(-1.0, 2.0) * span)
+        for _ in range(150)
+    ]
+    # far outside, anywhere on the globe
+    points += [GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)) for _ in range(100)]
+    points += [GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)]
+    points += rng.sample(roads.vertices, 30)  # coincident: distance exactly 0
+    for p in points:
+        assert roads.nearest_vertex(p) == nearest_vertex_reference(roads, p), p
+
+
+def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
+    # p is exactly as far from the vertices 0.25 degrees north and south of
+    # it (dlam = 0, so only dphi counts), and those two are its nearest; the
+    # lower id wins whichever side of p it lies on.
+    offsets = [(0.25, 0.0), (-0.25, 0.0), (0.0, 0.5), (0.0, -0.5)]
+    p = GeoPoint(10.5, 30.5)
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]):
+        vertices = [GeoPoint(10.5 + offsets[k][0], 30.5 + offsets[k][1]) for k in order]
+        roads = RoadGraph(vertices, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        north, south = order.index(0), order.index(1)
+        assert haversine_km(p, vertices[north]) == haversine_km(p, vertices[south])
+        want = (min(north, south), haversine_km(p, vertices[north]))
+        assert nearest_vertex_reference(roads, p) == want
+        assert roads.nearest_vertex(p) == want

@@ -27,12 +27,14 @@ from fiberplan.netdesign.solvers import _grow_moats
 from .oracles import (
     assert_design_is_tree,
     graph_from_edges,
+    grow_moats_dense_reference,
     grow_moats_reference,
     kruskal_mst,
     pcst_gw_reference,
     random_connected_edges,
     random_grid_instance,
     random_prized_instance,
+    random_sparse_grid_instance,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -233,17 +235,27 @@ class TestGwAgainstExact:
 
 
 class TestGwAgainstReference:
-    """The vectorised loop must give the scalar reference's design exactly:
+    """The frontier loop must give the scalar reference's design exactly:
     same edges, same float weights and totals, not merely close ones. The
     moat forests must match too, merge for merge, because pruning often
-    hides a wrong event order from the final design."""
+    hides a wrong event order from the final design. Against the dense loop
+    it replaced, the forest and every event's dual increment must be equal
+    bit for bit, so the dual bound is too."""
+
+    @staticmethod
+    def assert_moats_match_the_dense_loop(pg):
+        edges = pg.graph.edge_arrays()
+        forest, dual_terms = _grow_moats(pg, edges)
+        assert (forest, dual_terms) == grow_moats_dense_reference(pg, edges)
+        assert [math.copysign(1.0, t) for t in dual_terms] == [1.0] * len(dual_terms)
+        return forest, dual_terms
 
     def test_identical_designs_on_tie_heavy_grids(self):
         rng = random.Random(20_2411)
         disconnected = 0
         for _ in range(600):
             pg = random_grid_instance(rng)
-            forest, _ = _grow_moats(pg, pg.graph.edge_arrays())
+            forest, _ = self.assert_moats_match_the_dense_loop(pg)
             assert forest == grow_moats_reference(pg)
             assert pcst_gw(pg) == pcst_gw_reference(pg)
             try:
@@ -262,9 +274,19 @@ class TestGwAgainstReference:
             root = rng.choice(terminals)
             prizes = {v: rng.choice((0.0, 1.0, 5.0, 20.0, 80.0)) for v in terminals if v != root}
             pg = PrizedGraph(graph=attachment.graph, prizes=prizes, root=root)
-            forest, _ = _grow_moats(pg, pg.graph.edge_arrays())
+            forest, _ = self.assert_moats_match_the_dense_loop(pg)
             assert forest == grow_moats_reference(pg)
             assert pcst_gw(pg) == pcst_gw_reference(pg)
+
+    def test_identical_moats_on_sparse_road_like_grids(self):
+        rng = random.Random(40_1128)
+        merges = deaths = 0
+        for _ in range(40):
+            pg = random_sparse_grid_instance(rng)
+            forest, dual_terms = self.assert_moats_match_the_dense_loop(pg)
+            merges += len(forest)
+            deaths += len(dual_terms) - len(forest)
+        assert merges >= 10_000 and deaths >= 50  # long moats that also die
 
 
 class TestGwDualBound:
