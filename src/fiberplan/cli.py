@@ -81,17 +81,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_report(cfg)
         return _cmd_mc(cfg)
     except FiberPlanError as exc:
-        print(
-            json.dumps(
-                {
-                    "error": type(exc).__name__,
-                    "exit_code": exc.exit_code,
-                    "message": str(exc),
-                }
-            ),
-            file=sys.stderr,
-        )
-        return exc.exit_code
+        return _report_error(exc, exc.exit_code)
+    except Exception as exc:  # a defect, not a documented failure
+        log.debug("unexpected error", exc_info=True)
+        return _report_error(exc, 1)
+
+
+def _report_error(exc: Exception, exit_code: int) -> int:
+    """Print the one-line JSON error to stderr; return the exit code."""
+    print(
+        json.dumps({"error": type(exc).__name__, "exit_code": exit_code, "message": str(exc)}),
+        file=sys.stderr,
+    )
+    return exit_code
 
 
 def _cmd_validate(cfg: ScenarioConfig) -> int:

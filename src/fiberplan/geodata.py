@@ -191,13 +191,13 @@ class RoadGraph:
         half = max(16, math.isqrt(n))
         lo, hi = max(0, k - half), min(n, k + half)
         ids = self._by_lat[lo:hi]
-        d = self._distances_km(p, ids)
+        d = haversine_km_array(p, self.lat[ids], self.lon[ids], self.cos_lat[ids])
         reach = math.degrees(float(d.min()) * (1.0 + 1e-6) / EARTH_RADIUS_KM) + 1e-12
         wide_lo = int(np.searchsorted(self._sorted_lat, p.lat - reach, side="left"))
         wide_hi = int(np.searchsorted(self._sorted_lat, p.lat + reach, side="right"))
         if wide_lo < lo or wide_hi > hi:
             ids = self._by_lat[wide_lo:wide_hi]
-            d = self._distances_km(p, ids)
+            d = haversine_km_array(p, self.lat[ids], self.lon[ids], self.cos_lat[ids])
         limit = float(d.min()) * (1.0 + 1e-9)
         best_v, best_d = -1, math.inf
         for vid in np.sort(ids[d <= limit]).tolist():
@@ -205,14 +205,6 @@ class RoadGraph:
             if dist < best_d:
                 best_v, best_d = vid, dist
         return best_v, best_d
-
-    def _distances_km(self, p: GeoPoint, ids: np.ndarray) -> np.ndarray:
-        """numpy `haversine_km` from p to each vertex in ids."""
-        dphi = np.radians(self.lat[ids] - p.lat)
-        dlam = np.radians(self.lon[ids] - p.lon)
-        cos_lat = math.cos(math.radians(p.lat))
-        h = np.sin(dphi / 2.0) ** 2 + cos_lat * self.cos_lat[ids] * np.sin(dlam / 2.0) ** 2
-        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -223,6 +215,23 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     dlam = math.radians(b.lon - a.lon)
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
+def haversine_km_array(
+    p: GeoPoint, lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray
+) -> np.ndarray:
+    """`haversine_km(p, q)` for every point q = (lat[i], lon[i]) at once;
+    cos_lat is the cosine of their latitudes in radians.
+
+    numpy's sin and arcsin may differ from math's in the last bits, so a
+    caller that needs the exact float short-lists with a margin and
+    confirms with `haversine_km`.
+    """
+    dphi = np.radians(lat - p.lat)
+    dlam = np.radians(lon - p.lon)
+    cos_p = math.cos(math.radians(p.lat))
+    h = np.sin(dphi / 2.0) ** 2 + cos_p * cos_lat * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
 
 
 def _local_xy(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:

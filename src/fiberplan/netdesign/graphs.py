@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import SolverError
-from ..geodata import GeoPoint, RoadGraph, Settlement, haversine_km
+from ..geodata import EARTH_RADIUS_KM, GeoPoint, RoadGraph, Settlement
 
 log = logging.getLogger(__name__)
 
@@ -93,11 +93,21 @@ class WeightedGraph:
 
 class GreatCircleGraph:
     """Complete graph over located vertices that stores only their points:
-    weight(u, v) is computed on demand as haversine_km(p[min], p[max])."""
+    weight(u, v) is computed on demand as haversine_km(p[min], p[max]).
+
+    Each point's lat, lon and cos(radians(lat)) are kept once, in flat
+    lists, and `weights_from` evaluates `haversine_km`'s expression on
+    them with the lower id's point first. Only the cosines are hoisted, and
+    their product is commutative, so every weight is the float that
+    `haversine_km` returns.
+    """
 
     def __init__(self, points: Sequence[GeoPoint]):
         self._points = tuple(points)
         self.n = len(self._points)
+        self._lat = [p.lat for p in self._points]
+        self._lon = [p.lon for p in self._points]
+        self._cos_lat = [math.cos(math.radians(lat)) for lat in self._lat]
 
     def point(self, v: int) -> GeoPoint:
         return self._points[v]
@@ -109,12 +119,29 @@ class GreatCircleGraph:
     def weight(self, u: int, v: int) -> float:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise KeyError((u, v))
-        return haversine_km(self._points[min(u, v)], self._points[max(u, v)])
+        return self.weights_from(u, (v,))[0]
 
     def weights_from(self, u: int, targets: Iterable[int]) -> list[float]:
         """Weight of the edge from u to each target (every target != u)."""
-        p, pu = self._points, self._points[u]
-        return [haversine_km(pu, p[v]) if u < v else haversine_km(p[v], pu) for v in targets]
+        lat, lon, cos_lat = self._lat, self._lon, self._cos_lat
+        lat_u, lon_u, cos_u = lat[u], lon[u], cos_lat[u]
+        radians, sin, sqrt, asin = math.radians, math.sin, math.sqrt, math.asin
+        diameter = 2.0 * EARTH_RADIUS_KM
+        out = []
+        for v in targets:
+            if u < v:
+                h = (
+                    sin(radians(lat[v] - lat_u) / 2.0) ** 2
+                    + cos_u * cos_lat[v] * sin(radians(lon[v] - lon_u) / 2.0) ** 2
+                )
+            else:
+                h = (
+                    sin(radians(lat_u - lat[v]) / 2.0) ** 2
+                    + cos_lat[v] * cos_u * sin(radians(lon_u - lon[v]) / 2.0) ** 2
+                )
+            s = sqrt(h)
+            out.append(diameter * asin(s if s < 1.0 else 1.0))
+        return out
 
 
 def _edge_arrays(

@@ -41,7 +41,9 @@ def prim_mst(graph: WeightedGraph | GreatCircleGraph, root: int = 0) -> NetworkD
     is no edge: a `WeightedGraph` or a `GreatCircleGraph`. Each step keeps
     every outside vertex's best (weight, min endpoint, max endpoint) key and
     takes the smallest, so ties go to the smaller (min, max) pair and the
-    tree is unique. Memory is O(n).
+    tree is unique. The keys are flat lists in step with `outside`: the
+    weights are compared alone, and the endpoints only where weights are
+    equal. Memory is O(n).
 
     Raises:
         EmptyNodeSet: the graph has no vertices.
@@ -53,25 +55,34 @@ def prim_mst(graph: WeightedGraph | GreatCircleGraph, root: int = 0) -> NetworkD
         raise EmptyNodeSet("cannot span an empty graph")
     if not (0 <= root < n):
         raise RootMissing(f"root {root} not in graph of {n} vertices")
-    key = [(math.inf, n, n)] * n
     outside = [v for v in range(n) if v != root]  # ascending
+    # key of outside[i]: (key_w[i], key_a[i], key_b[i])
+    key_w = [math.inf] * (n - 1)
+    key_a = [n] * (n - 1)
+    key_b = [n] * (n - 1)
     chosen: list[tuple[int, int, float]] = []
     u = root
     while outside:
-        for v, w in zip(outside, graph.weights_from(u, outside)):
-            if w <= key[v][0]:
-                edge = (w, u, v) if u < v else (w, v, u)
-                if edge < key[v]:
-                    key[v] = edge
-        u = min(outside, key=key.__getitem__)
-        w, a, b = key[u]
+        weights = graph.weights_from(u, outside)
+        for i in [i for i, w, k in zip(range(n), weights, key_w) if w <= k]:
+            v = outside[i]
+            a, b = (u, v) if u < v else (v, u)
+            if weights[i] < key_w[i] or (a, b) < (key_a[i], key_b[i]):
+                key_w[i], key_a[i], key_b[i] = weights[i], a, b
+        w = min(key_w)
         if w == math.inf:
             raise DisconnectedGraph(
                 f"{len(outside)} of {n} vertices unreachable from root {root} "
                 f"(first few: {outside[:5]})"
             )
-        outside.remove(u)
-        chosen.append((a, b, w))
+        i = key_w.index(w)
+        if key_w.count(w) > 1:
+            i = min(
+                (j for j, k in enumerate(key_w) if k == w),
+                key=lambda j: (key_a[j], key_b[j]),
+            )
+        u = outside.pop(i)
+        chosen.append((key_a.pop(i), key_b.pop(i), key_w.pop(i)))
     return NetworkDesign(
         algorithm="MST",
         edges=_sorted_edges(chosen),

@@ -16,6 +16,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import demand as demand_mod
 from .config import ScenarioConfig, parameters_payload
 from .demand import AdoptionScenario, SubregionDemand, users_for_node
@@ -26,6 +28,7 @@ from .geodata import (
     Settlement,
     SettlementSet,
     haversine_km,
+    haversine_km_array,
     load_fiber_lines,
     load_road_graph,
     load_settlements,
@@ -184,8 +187,17 @@ def _pick_backbone_root(
     """Root settlement for the country backbone.
 
     Prefers the core-adjacent settlement nearest any regional node (existing
-    plant, not billed); falls back to the most populous regional node when
-    nothing touches the core. Returns (root id, root is billable, warnings).
+    plant, not billed), by `haversine_km` with ties to the lowest id; falls
+    back to the most populous regional node when nothing touches the core.
+    Returns (root id, root is billable, warnings).
+
+    numpy distances from each regional node to every core settlement give
+    each core's nearest-node distance. The cores within a 1e-9 relative
+    and 1e-12 km absolute margin of the smallest are short-listed: numpy's
+    sin and arcsin, and the swapped argument order, move a distance by a
+    few ulps at most, far inside the margin. Only they are measured with
+    `haversine_km` against every regional node, so the pick is that of the
+    full scalar scan.
     """
     rnod_ids = sorted(classification.regional_nodes.values())
     core_ids = sorted(
@@ -194,13 +206,22 @@ def _pick_backbone_root(
         if role is NodeRole.CORE_ADJACENT
     )
     if core_ids and rnod_ids:
-        rnods = [settlements.by_id(sid) for sid in rnod_ids]
-
-        def nearest_rnod_km(core_id: str) -> float:
-            core = settlements.by_id(core_id)
-            return min(haversine_km(core.location, r.location) for r in rnods)
-
-        root = min(core_ids, key=lambda sid: (nearest_rnod_km(sid), sid))
+        cores = [settlements.by_id(sid).location for sid in core_ids]
+        rnods = [settlements.by_id(sid).location for sid in rnod_ids]
+        lat = np.array([p.lat for p in cores], dtype=np.float64)
+        lon = np.array([p.lon for p in cores], dtype=np.float64)
+        cos_lat = np.cos(np.radians(lat))
+        nearest = np.full(len(cores), np.inf)
+        for r in rnods:
+            np.minimum(nearest, haversine_km_array(r, lat, lon, cos_lat), out=nearest)
+        limit = float(nearest.min()) * (1.0 + 1e-9) + 1e-12
+        root = min(
+            (
+                min(haversine_km(cores[i], r) for r in rnods),
+                core_ids[i],
+            )
+            for i in np.flatnonzero(nearest <= limit).tolist()
+        )[1]
         return root, False, []
     if core_ids:
         # nothing to connect; any core settlement can stand as the root

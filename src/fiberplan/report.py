@@ -551,37 +551,34 @@ def emit_design_geojson(
     Each design contributes LineString features per kept edge and Point
     features per terminal (connected or not) and per routing vertex used by
     an edge.
+
+    The text is what `json.dumps(doc, sort_keys=True, separators=(",",
+    ":"))` writes for the document of dicts, built directly: every object's
+    keys are in sorted order in the templates below, a coordinate is
+    `repr(round(x, 6))` and a weight `repr(float(format(w, ".6g")))` (json
+    writes a finite float as its repr), and strings go through
+    `json.dumps`, with its ASCII escapes.
     """
-    features: list[dict] = []
+    features: list[str] = []
     for result in results:
         design = result.design
-        algorithm = design.algorithm
         graph = result.graph
+        algorithm = f'"algorithm":{json.dumps(design.algorithm)}'
+        level = f'"level":{json.dumps(result.level)}'
         terminal_ids = {v: sid for sid, v in result.terminal_vertex.items()}
-        used_vertices: set[int] = set()
-        for u, v, w in design.edges:
-            used_vertices.update((u, v))
-            pu, pv = graph.point(u), graph.point(v)
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": [
-                            [round(pu.lon, 6), round(pu.lat, 6)],
-                            [round(pv.lon, 6), round(pv.lat, 6)],
-                        ],
-                    },
-                    "properties": {
-                        "level": result.level,
-                        "algorithm": algorithm,
-                        "weight_km": float(format(w, ".6g")),
-                    },
-                }
-            )
+        used_vertices = {x for u, v, _ in design.edges for x in (u, v)}
         point_vertices = sorted(used_vertices | set(terminal_ids))
+        coords = {}
         for vid in point_vertices:
             point = graph.point(vid)
+            coords[vid] = f"[{round(point.lon, 6)!r},{round(point.lat, 6)!r}]"
+        for u, v, w in design.edges:
+            features.append(
+                f'{{"geometry":{{"coordinates":[{coords[u]},{coords[v]}],"type":"LineString"}},'
+                f'"properties":{{{algorithm},{level},"weight_km":{float(format(w, ".6g"))!r}}},'
+                f'"type":"Feature"}}'
+            )
+        for vid in point_vertices:
             sid = terminal_ids.get(vid)
             if sid == result.root_id:
                 role = "root"
@@ -589,26 +586,16 @@ def emit_design_geojson(
                 role = "terminal"
             else:
                 role = "steiner"
+            connected = "true" if vid in design.connected_vertices else "false"
+            settlement = "" if sid is None else f',"settlement_id":{json.dumps(sid)}'
             features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "Point",
-                        "coordinates": [round(point.lon, 6), round(point.lat, 6)],
-                    },
-                    "properties": {
-                        "level": result.level,
-                        "algorithm": algorithm,
-                        "role": role,
-                        "connected": vid in design.connected_vertices,
-                        **({"settlement_id": sid} if sid is not None else {}),
-                    },
-                }
+                f'{{"geometry":{{"coordinates":{coords[vid]},"type":"Point"}},'
+                f'"properties":{{{algorithm},"connected":{connected},{level},"role":"{role}"'
+                f'{settlement}}},"type":"Feature"}}'
             )
-    doc = {
-        "type": "FeatureCollection",
-        "parameters_hash": parameters_hash,
-        "features": features,
-    }
-    _atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    text = (
+        f'{{"features":[{",".join(features)}],'
+        f'"parameters_hash":{json.dumps(parameters_hash)},"type":"FeatureCollection"}}\n'
+    )
+    _atomic_write_text(path, text)
     log.info("wrote %d geojson features to %s", len(features), path)

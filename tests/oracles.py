@@ -15,12 +15,18 @@ edge stored; MST designs must match them edge for edge.
 draw-by-draw pricing that the report's vectorized kernel replaced; the
 kernel must match them field for field. `within_buffer_reference` is the
 per-segment scalar buffer test that `within_buffer_mask` replaced; the mask
-must match it point for point.
+must match it point for point. `pick_backbone_root_reference` is the scalar
+core x regional-node scan that the pipeline's short-listed root pick
+replaced, and `design_geojson_reference` the dict document and
+`json.dumps` that the text-built design GeoJSON replaced; the root pick and
+the written bytes must equal theirs.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
+import logging
 import math
 import random
 from typing import Mapping, Sequence
@@ -34,14 +40,18 @@ from fiberplan.geodata import (
     GeoPoint,
     RoadGraph,
     Settlement,
+    SettlementSet,
     haversine_km,
     point_segment_km,
 )
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign import (
+    ClassificationResult,
+    DesignResult,
     DisconnectedGraph,
     EmptyNodeSet,
     NetworkDesign,
+    NodeRole,
     PrizedGraph,
     RootMissing,
     WeightedGraph,
@@ -57,6 +67,8 @@ from fiberplan.report import (
     resolve_parameter_key,
     scc,
 )
+
+log = logging.getLogger(__name__)
 
 
 def kruskal_mst(n: int, edges: list[tuple[int, int, float]]) -> tuple[float, list]:
@@ -623,3 +635,105 @@ def nearest_vertex_reference(roads: RoadGraph, p: GeoPoint) -> tuple[int, float]
         if dist < best_d:
             best_v, best_d = vid, dist
     return best_v, best_d
+
+
+def pick_backbone_root_reference(
+    classification: ClassificationResult, settlements: SettlementSet
+) -> tuple[str, bool, list[str]]:
+    """Root settlement for the country backbone.
+
+    Prefers the core-adjacent settlement nearest any regional node (existing
+    plant, not billed); falls back to the most populous regional node when
+    nothing touches the core. Returns (root id, root is billable, warnings).
+    """
+    rnod_ids = sorted(classification.regional_nodes.values())
+    core_ids = sorted(
+        sid
+        for sid, role in classification.roles.items()
+        if role is NodeRole.CORE_ADJACENT
+    )
+    if core_ids and rnod_ids:
+        rnods = [settlements.by_id(sid) for sid in rnod_ids]
+
+        def nearest_rnod_km(core_id: str) -> float:
+            core = settlements.by_id(core_id)
+            return min(haversine_km(core.location, r.location) for r in rnods)
+
+        root = min(core_ids, key=lambda sid: (nearest_rnod_km(sid), sid))
+        return root, False, []
+    if core_ids:
+        # nothing to connect; any core settlement can stand as the root
+        return core_ids[0], False, []
+    fallback = max(
+        rnod_ids, key=lambda sid: (settlements.by_id(sid).population, sid)
+    )
+    warning = (
+        f"no settlement within the core buffer; backbone rooted at regional node "
+        f"{fallback!r}"
+    )
+    log.warning(warning)
+    return fallback, True, [warning]
+
+
+def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: str) -> str:
+    """The text of a design GeoJSON FeatureCollection: the document as
+    dicts, written by `json.dumps` with sorted keys."""
+    features: list[dict] = []
+    for result in results:
+        design = result.design
+        algorithm = design.algorithm
+        graph = result.graph
+        terminal_ids = {v: sid for sid, v in result.terminal_vertex.items()}
+        used_vertices: set[int] = set()
+        for u, v, w in design.edges:
+            used_vertices.update((u, v))
+            pu, pv = graph.point(u), graph.point(v)
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": {
+                        "type": "LineString",
+                        "coordinates": [
+                            [round(pu.lon, 6), round(pu.lat, 6)],
+                            [round(pv.lon, 6), round(pv.lat, 6)],
+                        ],
+                    },
+                    "properties": {
+                        "level": result.level,
+                        "algorithm": algorithm,
+                        "weight_km": float(format(w, ".6g")),
+                    },
+                }
+            )
+        point_vertices = sorted(used_vertices | set(terminal_ids))
+        for vid in point_vertices:
+            point = graph.point(vid)
+            sid = terminal_ids.get(vid)
+            if sid == result.root_id:
+                role = "root"
+            elif sid is not None:
+                role = "terminal"
+            else:
+                role = "steiner"
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": {
+                        "type": "Point",
+                        "coordinates": [round(point.lon, 6), round(point.lat, 6)],
+                    },
+                    "properties": {
+                        "level": result.level,
+                        "algorithm": algorithm,
+                        "role": role,
+                        "connected": vid in design.connected_vertices,
+                        **({"settlement_id": sid} if sid is not None else {}),
+                    },
+                }
+            )
+    doc = {
+        "type": "FeatureCollection",
+        "parameters_hash": parameters_hash,
+        "features": features,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

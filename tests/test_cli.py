@@ -2,6 +2,7 @@
 
 import codecs
 import json
+import logging
 import math
 import os
 import subprocess
@@ -439,3 +440,28 @@ def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
     cfg = _golden_variant(tmp_path, inputs={"fiber": str(tmp_path)})
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
     _assert_config_error(capsys, out)
+
+
+def test_unexpected_exception_exits_1_with_one_json_line(tmp_path, capsys, caplog, monkeypatch):
+    def boom(cfg):
+        raise RuntimeError("solver state is inconsistent")
+
+    monkeypatch.setattr("fiberplan.cli.run_pipeline", boom)
+    out = tmp_path / "out"
+    assert main(["report", "--config", GOLDEN, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1, err
+    assert json.loads(lines[0]) == {
+        "error": "RuntimeError",
+        "exit_code": 1,
+        "message": "solver state is inconsistent",
+    }
+    assert "Traceback" not in err
+    assert not [r for r in caplog.records if r.exc_info]  # nothing at the default level
+
+    caplog.set_level(logging.DEBUG, logger="fiberplan.cli")
+    assert main(["report", "--config", GOLDEN, "--out", str(out)]) == 1
+    (record,) = [r for r in caplog.records if r.exc_info]
+    assert record.levelno == logging.DEBUG
+    assert record.exc_info[0] is RuntimeError

@@ -114,6 +114,25 @@ def test_mst_designs_equal_the_heap_prim_over_a_stored_complete_graph():
     assert min(seen.values()) >= 50, seen
 
 
+def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
+    # weights_from and weight evaluate haversine_km's expression on hoisted
+    # per-point cosines; every weight must still be its float, bit for bit.
+    rng = random.Random(9_2026)
+    for i in range(40):
+        kind = ("spread", "grid", "antimeridian", "polar")[i % 4]
+        nodes = _point_set(rng, kind)
+        points = [s.location for s in nodes]
+        graph = build_euclidean_graph(nodes)
+        ids = list(range(len(points)))
+        rng.shuffle(ids)
+        for u in range(len(points)):
+            targets = [v for v in ids if v != u]
+            row = graph.weights_from(u, targets)
+            for v, w in zip(targets, row):
+                expected = haversine_km(points[min(u, v)], points[max(u, v)])
+                assert w == expected == graph.weight(u, v) == graph.weight(v, u), (kind, u, v)
+
+
 def test_a_1000_node_mst_design_stores_no_complete_graph():
     rng = random.Random(1000)
     nodes = [_s(f"s{i:04d}", rng.uniform(-5.0, 5.0), rng.uniform(30.0, 40.0)) for i in range(1000)]

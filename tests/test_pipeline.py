@@ -2,13 +2,17 @@
 
 import math
 import os
+import random
 
 import pytest
 
 from fiberplan.config import load_scenario
 from fiberplan.demand import SubregionDemand
 from fiberplan.errors import DataError
+from fiberplan.geodata import GeoPoint, Settlement, SettlementSet, haversine_km
+from fiberplan.netdesign import ClassificationResult, NodeRole
 from fiberplan.pipeline import (
+    _pick_backbone_root,
     build_demand,
     emit_outputs,
     load_inputs,
@@ -16,6 +20,8 @@ from fiberplan.pipeline import (
     run_pipeline,
 )
 from fiberplan.report import KeyMismatch
+
+from .oracles import pick_backbone_root_reference
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DIR = os.path.join(DATA, "golden")
@@ -240,3 +246,73 @@ def test_region_decile_requires_a_demand_record():
     demand_index: dict[str, SubregionDemand] = {}
     with pytest.raises(KeyMismatch):
         _region_decile("R1", classification, settlements, demand_index)
+
+
+def _root_pick_case(rng, kind):
+    """Settlements and a classification for one backbone root pick: core
+    settlements, regional nodes and a few ignored access nodes, laid out
+    as `kind` says; ids are shuffled so their order is not the layout's."""
+    def spot():
+        if kind == "antimeridian":
+            return rng.uniform(-30.0, 30.0), rng.choice((1, -1)) * rng.uniform(179.0, 180.0)
+        if kind == "polar":
+            return rng.choice((1, -1)) * rng.uniform(80.0, 90.0), rng.uniform(-180.0, 180.0)
+        return rng.uniform(-20.0, 20.0), rng.uniform(10.0, 50.0)
+
+    n_core = 0 if kind == "no_core" else rng.randint(1, 25)
+    n_rnod = 0 if kind == "no_rnod" else rng.randint(1, 8)
+    cores = [spot() for _ in range(n_core)]
+    rnods = [spot() for _ in range(n_rnod)]
+    if kind == "mirror":  # two cores equally near a regional node, nearer than any other
+        lat, lon = rnods[0]
+        dlat, dlon = rng.uniform(-0.01, 0.01), rng.uniform(0.001, 0.01)
+        cores[:2] = [(lat + dlat, lon - dlon), (lat + dlat, lon + dlon)]
+    elif kind == "zero":  # a core settlement on a regional node
+        cores[0] = rnods[rng.randrange(n_rnod)]
+    ids = [f"s{i:03d}" for i in rng.sample(range(1000), n_core + n_rnod + 3)]
+    settlements, roles, regional_nodes = [], {}, {}
+    for i, (lat, lon) in enumerate(cores + rnods + [spot() for _ in range(3)]):
+        sid = ids[i]
+        region = f"R{i}"
+        settlements.append(
+            Settlement(sid, GeoPoint(lat, lon), rng.choice((100, 200, 300)), region, f"{region}-1")
+        )
+        if i < n_core:
+            roles[sid] = NodeRole.CORE_ADJACENT
+        elif i < n_core + n_rnod:
+            roles[sid] = NodeRole.REGIONAL
+            regional_nodes[region] = sid
+        else:
+            roles[sid] = NodeRole.ACCESS
+    classification = ClassificationResult(
+        roles=roles,
+        region_anchor={s.region_id: s.id for s in settlements},
+        regional_nodes=regional_nodes,
+        access_nodes={},
+        regions_without_candidate=(),
+    )
+    return classification, SettlementSet(tuple(settlements))
+
+
+def test_backbone_root_equals_the_scalar_scan():
+    rng = random.Random(2_2026)
+    kinds = ("spread", "mirror", "zero", "antimeridian", "polar", "no_core", "no_rnod")
+    seen = dict.fromkeys(kinds + ("tie",), 0)
+    for i in range(210):
+        kind = kinds[i % len(kinds)]
+        classification, settlements = _root_pick_case(rng, kind)
+        picked = _pick_backbone_root(classification, settlements)
+        assert picked == pick_backbone_root_reference(classification, settlements), kind
+        seen[kind] += 1
+        rnods = [settlements.by_id(s).location for s in classification.regional_nodes.values()]
+        nearest = sorted(
+            min(haversine_km(settlements.by_id(sid).location, r) for r in rnods)
+            for sid, role in classification.roles.items()
+            if role is NodeRole.CORE_ADJACENT and rnods
+        )
+        seen["tie"] += len(nearest) > 1 and nearest[0] == nearest[1]
+        if kind == "zero":
+            assert nearest[0] == 0.0
+        if kind == "no_core":
+            assert picked[1] and len(picked[2]) == 1
+    assert seen["tie"] >= 25, seen

@@ -2,15 +2,18 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from fiberplan.costmodel import CostBook, tco_quantities
 from fiberplan.errors import ConfigError, OutputError
-from fiberplan.geodata import GeoPoint, Settlement
+from fiberplan.config import load_scenario
+from fiberplan.geodata import GeoPoint, RoadGraph, Settlement, haversine_km
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign import design_network
+from fiberplan.pipeline import run_pipeline
 from fiberplan.report import (
     MC_COLUMNS,
     MC_METRICS,
@@ -30,6 +33,8 @@ from fiberplan.report import (
     resolve_parameter_key,
     scc,
 )
+
+from .oracles import design_geojson_reference
 
 COST = CostBook()
 LCA = EmissionFactorBook()
@@ -442,3 +447,73 @@ def test_emit_design_geojson_byte_identical(tmp_path):
     emit_design_geojson([result], str(p2), parameters_hash="a" * 16)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().endswith(b"\n")
+
+
+GOLDEN_SCENARIO = os.path.join(os.path.dirname(__file__), "data", "golden", "scenario.json")
+
+
+def _emit_and_compare(tmp_path, results, name) -> str:
+    """Emit `results`, assert the bytes equal the dict-and-json.dumps
+    document's, and return the text."""
+    path = tmp_path / name
+    emit_design_geojson(results, str(path), parameters_hash="0123456789abcdef")
+    expected = design_geojson_reference(results, "0123456789abcdef")
+    assert path.read_bytes() == expected.encode("utf-8")
+    return expected
+
+
+def test_design_geojson_equals_the_json_document_on_the_golden_designs(tmp_path):
+    result = run_pipeline(load_scenario(GOLDEN_SCENARIO, out_dir=str(tmp_path / "out")))
+    assert sorted(result.designs) == [
+        ("mst", "access"), ("mst", "regional"), ("pcst", "access"), ("pcst", "regional")
+    ]
+    for (selection, level), results in sorted(result.designs.items()):
+        assert results
+        _emit_and_compare(tmp_path, results, f"design_{level}_{selection}.geojson")
+
+
+def test_design_geojson_equals_the_json_document_on_hand_made_designs(tmp_path):
+    road_points = [GeoPoint(0.0, 0.25 * i) for i in range(5)]
+    roads = RoadGraph(
+        road_points,
+        [(i, i + 1, haversine_km(road_points[i], road_points[i + 1])) for i in range(4)],
+    )
+    escaped_ids = ['q"uote', "back\\slash", "café", "tab\there"]
+    pcst = design_network(
+        "regional",
+        "pcst",
+        [
+            Settlement(escaped_ids[0], GeoPoint(0.0, 0.0), 10, "R1", "R1S1"),
+            Settlement(escaped_ids[1], GeoPoint(0.0, 1.0), 10, "R1", "R1S2"),
+            Settlement(escaped_ids[2], GeoPoint(0.045, 0.5), 10, "R1", "R1S3"),
+        ],
+        escaped_ids[0],
+        roads=roads,
+        node_users={escaped_ids[1]: 200.0, escaped_ids[2]: 1.0},
+        snap_radius_km=10.0,
+    )
+    assert pcst.design.excluded_terminals
+    mst = design_network(
+        "access",
+        "mst",
+        [
+            Settlement(escaped_ids[3], GeoPoint(-1e-9, -4e-7), 10, "R2", "R2S1"),  # -0.0, -0.0
+            Settlement("east", GeoPoint(0.5, 180.0), 10, "R2", "R2S2"),
+            Settlement("west", GeoPoint(-0.5, -180.0), 10, "R2", "R2S3"),
+            Settlement("near-east", GeoPoint(10.0, 179.9999996), 10, "R2", "R2S4"),
+            Settlement("tiny-step", GeoPoint(10.0 + 1e-10, 179.9999996), 10, "R2", "R2S5"),
+        ],
+        escaped_ids[3],
+    )
+    single = design_network(
+        "access", "mst", [Settlement("alone", GeoPoint(-3.25, 36.5), 10, "R3", "R3S1")], "alone"
+    )
+    text = _emit_and_compare(tmp_path, [pcst], "pcst.geojson")
+    assert '"connected":false' in text and '"role":"steiner"' in text
+    assert all(json.dumps(sid) in text for sid in escaped_ids[:3])
+    text = _emit_and_compare(tmp_path, [mst], "mst.geojson")
+    assert "[-0.0,-0.0]" in text and "[180.0,0.5]" in text and "[-180.0,-0.5]" in text
+    assert "e-0" in text  # the tiny step's weight is written in exponent form
+    _emit_and_compare(tmp_path, [single], "single.geojson")
+    _emit_and_compare(tmp_path, [pcst, mst, single, mst], "several.geojson")
+    _emit_and_compare(tmp_path, [], "empty.geojson")
