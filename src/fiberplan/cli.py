@@ -21,6 +21,7 @@ from . import __version__
 from .config import ScenarioConfig, load_scenario
 from .errors import ConfigError, FiberPlanError
 from .netdesign import NodeRole, classify_nodes
+from .netdesign.design import ALGORITHMS
 from .pipeline import (
     PipelineResult,
     build_demand,
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="scenario JSON path")
         cmd.add_argument(
             "--algorithm",
-            choices=("mst", "pcst", "both"),
+            choices=(*ALGORITHMS, "both"),
             help="override the scenario's algorithm selection",
         )
         cmd.add_argument("--out", help="override the scenario's output directory")

@@ -16,6 +16,7 @@ from typing import Any, Mapping
 from .costmodel import CostBook
 from .errors import ConfigError, is_finite_number
 from .lca import EmissionFactorBook
+from .netdesign.design import ALGORITHMS
 from .report import (
     Distribution,
     InvalidDistributionBounds,
@@ -24,7 +25,6 @@ from .report import (
     resolve_parameter_key,
 )
 
-_ALGORITHM_CHOICES = ("mst", "pcst")
 _SETTLEMENT_FORMATS = ("csv", "geojson")
 
 _TOP_LEVEL_KEYS = {
@@ -144,7 +144,7 @@ def load_scenario(
     if prize_scale <= 0:
         raise ConfigError(f"prize_scale must be positive, got {prize_scale}")
 
-    algorithms = _parse_algorithms(raw.get("algorithms", ["mst", "pcst"]), algorithm)
+    algorithms = _parse_algorithms(raw.get("algorithms", list(ALGORITHMS)), algorithm)
     if "pcst" in algorithms and roads_path is None:
         raise ConfigError("inputs.roads is required when the pcst algorithm is selected")
 
@@ -194,16 +194,20 @@ def _number(raw: Mapping[str, Any], key: str, *, default: float | None = None, r
 def _parse_algorithms(value: Any, override: str | None) -> tuple[str, ...]:
     if override is not None:
         if override == "both":
-            return _ALGORITHM_CHOICES
-        if override not in _ALGORITHM_CHOICES:
-            raise ConfigError(f"algorithm must be mst, pcst, or both, got {override!r}")
+            return tuple(ALGORITHMS)
+        if override not in ALGORITHMS:
+            raise ConfigError(
+                f"algorithm must be {', '.join(ALGORITHMS)}, or both, got {override!r}"
+            )
         return (override,)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"algorithms must be a non-empty list, got {value!r}")
     seen: list[str] = []
     for item in value:
-        if item not in _ALGORITHM_CHOICES:
-            raise ConfigError(f"algorithms entries must be mst or pcst, got {item!r}")
+        if item not in ALGORITHMS:
+            raise ConfigError(
+                f"algorithms entries must be {' or '.join(ALGORITHMS)}, got {item!r}"
+            )
         if item not in seen:
             seen.append(item)
     return tuple(sorted(seen))  # mst before pcst, deterministic

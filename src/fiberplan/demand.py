@@ -9,7 +9,6 @@ rate applied above a minimum-density cutoff.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 from .geodata import _open_input
-from .report import _atomic_write_text
+from .report import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +96,36 @@ def decile_for_density(density_per_km2: float) -> int:
     return 10
 
 
+def _ranked(
+    subregions: Iterable[tuple[str, int, float]],
+) -> list[tuple[float, str, int, float]]:
+    """(density, subregion_id, population, area_km2), density-descending
+    with ties by subregion_id; rejects duplicate ids and bad areas."""
+    seen: set[str] = set()
+    ranked: list[tuple[float, str, int, float]] = []
+    for sid, population, area in subregions:
+        if sid in seen:
+            raise DataError(f"duplicate subregion_id {sid!r}")
+        seen.add(sid)
+        ranked.append((population_density(population, area), sid, population, area))
+    ranked.sort(key=lambda t: (-t[0], t[1]))
+    return ranked
+
+
+def _record(
+    ranked: tuple[float, str, int, float], decile: int, scenario: AdoptionScenario | None
+) -> SubregionDemand:
+    density, sid, population, area = ranked
+    return SubregionDemand(
+        subregion_id=sid,
+        area_km2=area,
+        population=population,
+        density_per_km2=density,
+        decile=decile,
+        users_per_km2=potential_users(density, scenario) if scenario is not None else 0.0,
+    )
+
+
 def assign_deciles(
     subregions: Iterable[tuple[str, int, float]],
     scenario: AdoptionScenario | None = None,
@@ -115,36 +144,10 @@ def assign_deciles(
     rows = list(subregions)
     if len(rows) < 10:
         raise TooFewSubregions(f"need at least 10 subregions for deciles, got {len(rows)}")
-    seen: set[str] = set()
-    ranked: list[tuple[float, str, int, float]] = []
-    for sid, population, area in rows:
-        if sid in seen:
-            raise DataError(f"duplicate subregion_id {sid!r}")
-        seen.add(sid)
-        ranked.append((population_density(population, area), sid, population, area))
-    ranked.sort(key=lambda t: (-t[0], t[1]))
-
-    n = len(ranked)
-    q, r = divmod(n, 10)
-    out: list[SubregionDemand] = []
-    index = 0
-    for decile in range(1, 11):
-        size = q + (1 if decile <= r else 0)
-        for _ in range(size):
-            density, sid, population, area = ranked[index]
-            users = potential_users(density, scenario) if scenario is not None else 0.0
-            out.append(
-                SubregionDemand(
-                    subregion_id=sid,
-                    area_km2=area,
-                    population=population,
-                    density_per_km2=density,
-                    decile=decile,
-                    users_per_km2=users,
-                )
-            )
-            index += 1
-    log.info("assigned deciles for %d subregions", n)
+    q, r = divmod(len(rows), 10)
+    deciles = [d for d in range(1, 11) for _ in range(q + (1 if d <= r else 0))]
+    out = [_record(t, d, scenario) for t, d in zip(_ranked(rows), deciles)]
+    log.info("assigned deciles for %d subregions", len(out))
     return out
 
 
@@ -153,26 +156,7 @@ def band_demand(
     scenario: AdoptionScenario | None = None,
 ) -> list[SubregionDemand]:
     """Demand records with band-based deciles (no minimum subregion count)."""
-    out = []
-    seen: set[str] = set()
-    for sid, population, area in subregions:
-        if sid in seen:
-            raise DataError(f"duplicate subregion_id {sid!r}")
-        seen.add(sid)
-        density = population_density(population, area)
-        users = potential_users(density, scenario) if scenario is not None else 0.0
-        out.append(
-            SubregionDemand(
-                subregion_id=sid,
-                area_km2=area,
-                population=population,
-                density_per_km2=density,
-                decile=decile_for_density(density),
-                users_per_km2=users,
-            )
-        )
-    out.sort(key=lambda d: (-d.density_per_km2, d.subregion_id))
-    return out
+    return [_record(t, decile_for_density(t[0]), scenario) for t in _ranked(subregions)]
 
 
 def users_for_node(demand: SubregionDemand) -> float:
@@ -209,18 +193,4 @@ def load_area_table(path: str) -> dict[str, float]:
 
 def write_demand_csv(demands: Sequence[SubregionDemand], path: str) -> None:
     """Serialize demand records with 6-significant-digit floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DEMAND_COLUMNS)
-    for d in demands:
-        writer.writerow(
-            [
-                d.subregion_id,
-                format(d.area_km2, ".6g"),
-                d.population,
-                format(d.density_per_km2, ".6g"),
-                d.decile,
-                format(d.users_per_km2, ".6g"),
-            ]
-        )
-    _atomic_write_text(path, buf.getvalue())
+    write_csv(path, DEMAND_COLUMNS, demands)

@@ -383,6 +383,8 @@ def load_settlements(path: str, fmt: str = "csv") -> SettlementSet:
         settlements = _load_settlements_geojson(path)
     else:
         raise ValueError(f"unknown settlements format {fmt!r}")
+    if not settlements:
+        raise EmptyCollection(f"{path}: no settlements")
     log.info("loaded %d settlements from %s", len(settlements), path)
     return SettlementSet(settlements=tuple(settlements))
 

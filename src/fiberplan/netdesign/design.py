@@ -27,7 +27,8 @@ from .solvers import pcst_gw, prim_mst
 log = logging.getLogger(__name__)
 
 LEVELS = ("regional", "access")
-ALGORITHMS = ("mst", "pcst")
+# algorithm selection -> the solver tag its designs and report rows carry
+ALGORITHMS = {"mst": "MST", "pcst": "PCST_GW"}
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def design_network(
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+        raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}")
     if not nodes:
         raise EmptyNodeSet(f"{level} design requested over no nodes")
     unique = {s.id: s for s in nodes}
@@ -114,7 +115,7 @@ def _single_node_result(
 ) -> DesignResult:
     graph = GreatCircleGraph([node.location])
     design = NetworkDesign(
-        algorithm="MST" if algorithm == "mst" else "PCST_GW",
+        algorithm=ALGORITHMS[algorithm],
         edges=(),
         connected_vertices=frozenset({0}),
         excluded_terminals=frozenset(),

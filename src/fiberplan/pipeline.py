@@ -40,6 +40,7 @@ from .netdesign import (
     classify_nodes,
     design_network,
 )
+from .netdesign.design import ALGORITHMS, LEVELS
 from .report import (
     DecileReportRow,
     KeyMismatch,
@@ -83,9 +84,6 @@ class PipelineResult:
     rows: list[DecileReportRow]
     total_users: float
     warnings: list[str] = field(default_factory=list)
-
-
-_SELECTION_TAG = {"mst": "MST", "pcst": "PCST_GW"}
 
 
 def load_inputs(cfg: ScenarioConfig) -> LoadedInputs:
@@ -150,21 +148,17 @@ def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
     )
 
 
-def _region_members(settlements: SettlementSet) -> dict[str, list[Settlement]]:
-    members: dict[str, list[Settlement]] = {}
-    for s in settlements:
-        members.setdefault(s.region_id, []).append(s)
-    return members
-
-
 def _region_users(
-    members: Mapping[str, Sequence[Settlement]], users_by_subregion: Mapping[str, float]
+    settlements: SettlementSet, users_by_subregion: Mapping[str, float]
 ) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for region in sorted(members):
-        subregions = sorted({s.subregion_id for s in members[region]})
-        out[region] = math.fsum(users_by_subregion[sid] for sid in subregions)
-    return out
+    """Potential users per region, in region order."""
+    subregions: dict[str, set[str]] = {}
+    for s in settlements:
+        subregions.setdefault(s.region_id, set()).add(s.subregion_id)
+    return {
+        region: math.fsum(users_by_subregion[sid] for sid in sorted(subregions[region]))
+        for region in sorted(subregions)
+    }
 
 
 def _region_decile(
@@ -243,69 +237,70 @@ def build_designs(
     stage: DemandStage,
     classification: ClassificationResult,
 ) -> tuple[dict[tuple[str, str], list[DesignResult]], list[str]]:
-    """Solve every selected algorithm at both network levels."""
+    """Solve every selected algorithm at both network levels.
+
+    The designs are one list of jobs, each (level, root id, nodes, users per
+    prized node, root billable): the backbone over the regional nodes first,
+    when there are any, then one access network per region in region order.
+    Every selected algorithm solves every job.
+    """
     settlements = inputs.settlements
-    members = _region_members(settlements)
-    warnings: list[str] = []
+    region_users = _region_users(settlements, stage.users_by_subregion)
+    jobs: list[tuple[str, str, list[Settlement], dict[str, float], bool]] = []
 
     rnod_ids = sorted(classification.regional_nodes.values())
     if rnod_ids:
-        root_id, root_billable, root_warnings = _pick_backbone_root(classification, settlements)
-        backbone_nodes = [settlements.by_id(sid) for sid in sorted(set(rnod_ids) | {root_id})]
-        region_users = _region_users(members, stage.users_by_subregion)
-        backbone_prizes = {
-            sid: region_users[settlements.by_id(sid).region_id] for sid in rnod_ids
-        }
-    access_ids_by_region: dict[str, list[str]] = {region: [] for region in members}
+        root_id, root_billable, backbone_warnings = _pick_backbone_root(
+            classification, settlements
+        )
+        jobs.append((
+            "regional",
+            root_id,
+            [settlements.by_id(sid) for sid in sorted(set(rnod_ids) | {root_id})],
+            {sid: region_users[settlements.by_id(sid).region_id] for sid in rnod_ids},
+            root_billable,
+        ))
+    else:
+        backbone_warnings = ["no regional nodes: the backbone level is empty"]
+        log.warning(backbone_warnings[0])
+
+    access_ids_by_region: dict[str, list[str]] = {region: [] for region in region_users}
     for sid in sorted(classification.access_nodes.values()):
         access_ids_by_region[settlements.by_id(sid).region_id].append(sid)
+    for region in region_users:
+        anchor_id = classification.region_anchor[region]
+        access_ids = access_ids_by_region[region]
+        jobs.append((
+            "access",
+            anchor_id,
+            [settlements.by_id(sid) for sid in sorted(set(access_ids) | {anchor_id})],
+            {
+                sid: stage.users_by_subregion[settlements.by_id(sid).subregion_id]
+                for sid in access_ids
+            },
+            True,
+        ))
 
     designs: dict[tuple[str, str], list[DesignResult]] = {}
+    warnings: list[str] = []
     for selection in cfg.algorithms:
-        designs[(selection, "regional")] = []
-        designs[(selection, "access")] = []
-
-        if rnod_ids:
-            warnings.extend(root_warnings)
+        for level in LEVELS:
+            designs[(selection, level)] = []
+        warnings.extend(backbone_warnings)
+        for level, root_id, nodes, node_users, root_billable in jobs:
             result = design_network(
-                "regional",
+                level,
                 selection,
-                backbone_nodes,
+                nodes,
                 root_id,
-                roads=inputs.roads if selection == "pcst" else None,
-                node_users=backbone_prizes if selection == "pcst" else None,
+                roads=inputs.roads,
+                node_users=node_users,
                 snap_radius_km=cfg.snap_radius_km,
                 prize_scale=cfg.prize_scale,
                 count_root_as_terminal=root_billable,
             )
             warnings.extend(result.warnings)
-            designs[(selection, "regional")].append(result)
-        else:
-            warnings.append("no regional nodes: the backbone level is empty")
-            log.warning(warnings[-1])
-
-        for region in sorted(members):
-            anchor_id = classification.region_anchor[region]
-            access_ids = access_ids_by_region[region]
-            node_ids = sorted(set(access_ids) | {anchor_id})
-            nodes = [settlements.by_id(sid) for sid in node_ids]
-            prize_by_node = {
-                sid: stage.users_by_subregion[settlements.by_id(sid).subregion_id]
-                for sid in access_ids
-            }
-            result = design_network(
-                "access",
-                selection,
-                nodes,
-                anchor_id,
-                roads=inputs.roads if selection == "pcst" else None,
-                node_users=prize_by_node if selection == "pcst" else None,
-                snap_radius_km=cfg.snap_radius_km,
-                prize_scale=cfg.prize_scale,
-                count_root_as_terminal=True,
-            )
-            warnings.extend(result.warnings)
-            designs[(selection, "access")].append(result)
+            designs[(selection, level)].append(result)
     return designs, warnings
 
 
@@ -317,102 +312,55 @@ def build_units(
 ) -> list[ReportUnit]:
     """One reporting unit per region per level per algorithm.
 
-    The backbone's length and operating cost are split equally across the
-    regions whose regional node it connects; regions it does not reach (on
-    the core already, below threshold, or priced out by the prize solver)
-    keep their users but carry zero backbone quantities. Access designs are
-    attributed whole to their region.
+    Access designs are attributed whole to their region. The backbone's
+    length and operating cost are split equally across the regions whose
+    regional node it connects; regions it does not reach (on the core
+    already, below threshold, or priced out by the prize solver) keep their
+    users but carry zero quantities, as every region does at a level with
+    no design.
     """
     settlements = inputs.settlements
-    members = _region_members(settlements)
     demand_index = {r.subregion_id: r for r in stage.records}
-    region_users = _region_users(members, stage.users_by_subregion)
+    region_users = _region_users(settlements, stage.users_by_subregion)
     region_decile = {
         region: _region_decile(region, classification, settlements, demand_index)
-        for region in sorted(members)
+        for region in region_users
     }
+    rnod_region = {sid: region for region, sid in classification.regional_nodes.items()}
 
     units: list[ReportUnit] = []
     for (selection, level), results in sorted(designs.items()):
-        tag = _SELECTION_TAG[selection]
-        if level == "regional":
-            units.extend(
-                _regional_units(
-                    results, tag, classification, settlements, region_users, region_decile
+        # region -> (node count, length km, opex share)
+        shares = dict.fromkeys(region_users, (0, 0.0, 0.0))
+        for result in results:
+            if level == "access":
+                regions = [settlements.by_id(result.root_id).region_id]
+                node_count = result.design.terminal_node_count
+            else:
+                regions = [
+                    rnod_region[sid]
+                    for sid in result.connected_settlements()
+                    if sid in rnod_region
+                ]
+                node_count = 1
+            for region in regions:
+                shares[region] = (
+                    node_count,
+                    result.design.total_length_km / len(regions),
+                    1.0 / len(regions),
                 )
-            )
-        else:
-            units.extend(
-                _access_units(results, tag, settlements, region_users, region_decile)
-            )
-    return units
-
-
-def _regional_units(
-    results: Sequence[DesignResult],
-    tag: str,
-    classification: ClassificationResult,
-    settlements: SettlementSet,
-    region_users: Mapping[str, float],
-    region_decile: Mapping[str, int],
-) -> list[ReportUnit]:
-    served: dict[str, bool] = {region: False for region in region_users}
-    length_share = 0.0
-    opex_share = 0.0
-    if results:
-        (result,) = results
-        rnod_region = {
-            sid: settlements.by_id(sid).region_id
-            for sid in classification.regional_nodes.values()
-        }
-        connected = [
-            sid for sid in result.connected_settlements() if sid in rnod_region
-        ]
-        k = len(connected)
-        if k:
-            length_share = result.design.total_length_km / k
-            opex_share = 1.0 / k
-        for sid in connected:
-            served[rnod_region[sid]] = True
-    units = []
-    for region in sorted(region_users):
-        reached = served[region]
-        units.append(
+        units.extend(
             ReportUnit(
                 key=region,
                 decile=region_decile[region],
-                level="regional",
-                algorithm=tag,
+                level=level,
+                algorithm=ALGORITHMS[selection],
                 users=region_users[region],
-                node_count=1 if reached else 0,
-                length_km=length_share if reached else 0.0,
-                opex_share=opex_share if reached else 0.0,
+                node_count=node_count,
+                length_km=length_km,
+                opex_share=opex_share,
             )
-        )
-    return units
-
-
-def _access_units(
-    results: Sequence[DesignResult],
-    tag: str,
-    settlements: SettlementSet,
-    region_users: Mapping[str, float],
-    region_decile: Mapping[str, int],
-) -> list[ReportUnit]:
-    units = []
-    for result in results:
-        region = settlements.by_id(result.root_id).region_id
-        units.append(
-            ReportUnit(
-                key=region,
-                decile=region_decile[region],
-                level="access",
-                algorithm=tag,
-                users=region_users[region],
-                node_count=result.design.terminal_node_count,
-                length_km=result.design.total_length_km,
-                opex_share=1.0,
-            )
+            for region, (node_count, length_km, opex_share) in sorted(shares.items())
         )
     return units
 

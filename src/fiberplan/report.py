@@ -514,29 +514,35 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def write_csv(
+    path: str,
+    columns: Sequence[str],
+    rows: Sequence[object],
+    *,
+    parameters_hash: str | None = None,
+) -> None:
+    """Write each row's `columns` attributes as CSV, floats at `.6g`, after
+    a parameters-hash comment line when a hash is given."""
+    buf = io.StringIO()
+    if parameters_hash is not None:
+        buf.write(f"# parameters_hash={parameters_hash}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(getattr(row, col)) for col in columns] for row in rows)
+    _atomic_write_text(path, buf.getvalue())
+
+
 def emit_csv(rows: Sequence[DecileReportRow], path: str, *, parameters_hash: str) -> None:
     """Write report rows as CSV with a parameters-hash comment header."""
     if not rows:
         raise ValueError("refusing to emit an empty report")
-    buf = io.StringIO()
-    buf.write(f"# parameters_hash={parameters_hash}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in REPORT_COLUMNS])
-    _atomic_write_text(path, buf.getvalue())
+    write_csv(path, REPORT_COLUMNS, rows, parameters_hash=parameters_hash)
     log.info("wrote %d report rows to %s", len(rows), path)
 
 
 def emit_mc_csv(rows: Sequence[McSummaryRow], path: str, *, parameters_hash: str) -> None:
     """Write Monte Carlo summaries as CSV with a parameters-hash header."""
-    buf = io.StringIO()
-    buf.write(f"# parameters_hash={parameters_hash}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MC_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in MC_COLUMNS])
-    _atomic_write_text(path, buf.getvalue())
+    write_csv(path, MC_COLUMNS, rows, parameters_hash=parameters_hash)
     log.info("wrote %d mc summary rows to %s", len(rows), path)
 
 

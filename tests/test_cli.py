@@ -139,6 +139,42 @@ def test_inputs_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys, name):
     assert "scenario ok: 30 settlements, 3 regions, 15 subregions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "report"])
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("csv", "id,lat,lon,population,region_id,subregion_id\n"),
+        ("geojson", json.dumps({"type": "FeatureCollection", "features": []})),
+    ],
+    ids=["csv", "geojson"],
+)
+def test_settlements_without_rows_exit_3(tmp_path, capsys, command, fmt, text):
+    settlements = tmp_path / f"settlements.{fmt}"
+    settlements.write_text(text)
+    doc = {
+        "inputs": {
+            "settlements": str(settlements),
+            "areas": os.path.join(DATA, "tiny", "areas.csv"),
+        },
+        "settlements_format": fmt,
+        "adoption_rate": 0.005,
+        "algorithms": ["mst"],
+    }
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if line.startswith("{")]
+    assert json.loads(line) == {
+        "error": "EmptyCollection",
+        "exit_code": 3,
+        "message": f"{settlements}: no settlements",
+    }
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_mc_without_config_section_exits_2(tmp_path, capsys):
     code = main(["mc", "--config", TINY, "--out", str(tmp_path / "out")])
     assert code == 2

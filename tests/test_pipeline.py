@@ -1,5 +1,6 @@
 """Tests for the end-to-end pipeline: attribution, conservation, goldens."""
 
+import dataclasses
 import math
 import os
 import random
@@ -149,6 +150,39 @@ def test_tiny_scenario_uses_band_fallback_and_warns(tmp_path):
     (regional,) = result.designs[("mst", "regional")]
     assert regional.design.terminal_node_count == 1
     assert regional.design.total_length_km == 0.0
+
+
+def test_a_region_the_backbone_does_not_reach_keeps_its_users_at_zero_quantities(tmp_path):
+    # R3's largest settlement (24,000) is under the threshold: R3 has no regional node
+    cfg = dataclasses.replace(
+        load_scenario(GOLDEN, out_dir=str(tmp_path)), main_settlement_threshold=25_000
+    )
+    result = run_pipeline(cfg)
+    assert result.classification.regional_nodes == {"R1": "r1s3a", "R2": "r2s1a"}
+    for selection, tag in (("mst", "MST"), ("pcst", "PCST_GW")):
+        (regional,) = result.designs[(selection, "regional")]
+        units = {u.key: u for u in result.units if u.level == "regional" and u.algorithm == tag}
+        assert sorted(units) == ["R1", "R2", "R3"]
+        unreached = units["R3"]
+        assert (unreached.decile, unreached.users) == (2, pytest.approx(167.75, rel=1e-12))
+        assert (unreached.node_count, unreached.length_km, unreached.opex_share) == (0, 0.0, 0.0)
+        for region in ("R1", "R2"):
+            unit = units[region]
+            assert (unit.node_count, unit.opex_share) == (1, 0.5)
+            assert unit.length_km == regional.design.total_length_km / 2
+
+
+def test_a_run_without_regional_nodes_has_zero_backbone_units(tmp_path):
+    cfg = dataclasses.replace(
+        load_scenario(TINY, out_dir=str(tmp_path)), main_settlement_threshold=30_000
+    )
+    result = run_pipeline(cfg)
+    assert result.designs[("mst", "regional")] == []
+    assert result.warnings[-1] == "no regional nodes: the backbone level is empty"
+    (unit,) = [u for u in result.units if u.level == "regional"]
+    assert (unit.key, unit.decile, unit.algorithm) == ("R1", 2, "MST")
+    assert unit.users == pytest.approx(160.0, rel=1e-12)
+    assert (unit.node_count, unit.length_km, unit.opex_share) == (0, 0.0, 0.0)
 
 
 def test_emit_outputs_designs_only_writes_no_csv(tmp_path):

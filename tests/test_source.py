@@ -9,6 +9,7 @@ import sys
 import fiberplan
 
 PACKAGE = pathlib.Path(fiberplan.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_package_has_no_assert_statements():
@@ -44,3 +45,22 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 if name.partition(".")[0] not in allowed
             ]
     assert not found, "imports outside the standard library and numpy: " + ", ".join(found)
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert 'out_dir="/tmp/golden"' in block
+    monkeypatch.chdir(ROOT)
+    exec(block.replace('"/tmp/golden"', repr(str(tmp_path))), {})
+    assert len(capsys.readouterr().out.splitlines()) == 8  # 2 deciles x 2 levels x 2 algorithms
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demand.csv",
+        "design_access_mst.geojson",
+        "design_access_pcst.geojson",
+        "design_regional_mst.geojson",
+        "design_regional_pcst.geojson",
+        "mc_summary.csv",
+        "report.csv",
+    ]
