@@ -20,7 +20,7 @@ from typing import Sequence
 from . import __version__
 from .config import ScenarioConfig, load_scenario
 from .errors import ConfigError, FiberPlanError
-from .netdesign import NodeRole, classify_nodes
+from .netdesign.classify import NodeRole, classify_nodes
 from .netdesign.design import ALGORITHMS
 from .pipeline import (
     PipelineResult,

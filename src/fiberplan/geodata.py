@@ -159,14 +159,6 @@ class RoadGraph:
         upper = self.indices > rows
         return rows[upper], self.indices[upper], self.weights[upper]
 
-    def weight(self, u: int, v: int) -> float:
-        """Weight of road edge (u, v); KeyError when there is none."""
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        i = lo + int(np.searchsorted(self.indices[lo:hi], v))
-        if i == hi or self.indices[i] != v:
-            raise KeyError((u, v))
-        return float(self.weights[i])
-
     def nearest_vertex(self, p: GeoPoint) -> tuple[int, float]:
         """Nearest vertex to p and its `haversine_km` distance; ties go to
         the lowest id.
@@ -337,8 +329,13 @@ def _check_coords(lat: float, lon: float, where: str) -> None:
 
 
 def _build_settlement(
-    raw: dict[str, str | float | int], where: str, seen: dict[str, str]
+    raw: dict[str, str | float | int | None], where: str, seen: dict[str, str]
 ) -> Settlement:
+    # A short CSV row leaves its last fields None, as does a GeoJSON null.
+    # float() and int() reject None; str() would make it the text "None".
+    if raw["id"] is None or raw["region_id"] is None or raw["subregion_id"] is None:
+        missing = [k for k in SETTLEMENT_COLUMNS if raw[k] is None]
+        raise ParseError(f"{where}: no value for {', '.join(missing)}")
     sid = str(raw["id"]).strip()
     if not sid:
         raise ParseError(f"{where}: empty settlement id")
@@ -462,17 +459,6 @@ def _position(where: str, coords: object) -> tuple[float, float]:
             f"{where}: a position must be [lon, lat] finite numbers, got {coords!r:.80}"
         )
     return float(coords[0]), float(coords[1])
-
-
-def write_settlements_csv(settlements: SettlementSet, path: str) -> None:
-    """Serialize settlements in canonical CSV form (round-trips exactly)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SETTLEMENT_COLUMNS)
-        for s in settlements:
-            writer.writerow(
-                [s.id, repr(s.location.lat), repr(s.location.lon), s.population, s.region_id, s.subregion_id]
-            )
 
 
 def _iter_polylines(path: str) -> Iterator[tuple[str, object]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,60 +35,6 @@ class DisconnectedGraph(SolverError):
 
 class RootMissing(SolverError):
     """The requested root vertex is not in the graph."""
-
-
-class InstanceTooLarge(SolverError):
-    """The exact solver was asked for more vertices than it enumerates."""
-
-
-class WeightedGraph:
-    """Undirected graph with positive edge weights and dense vertex ids."""
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        self.n = n
-        self._adj: list[dict[int, float]] = [dict() for _ in range(n)]
-
-    def add_vertex(self) -> int:
-        self._adj.append(dict())
-        self.n += 1
-        return self.n - 1
-
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {self.n} vertices")
-        if weight <= 0.0:
-            raise ValueError(f"edge weight must be positive, got {weight}")
-        prev = self._adj[u].get(v)
-        if prev is None or weight < prev:
-            self._adj[u][v] = weight
-            self._adj[v][u] = weight
-
-    def weights_from(self, u: int, targets: Iterable[int]) -> list[float]:
-        """Weight of the edge from u to each target, inf where there is none."""
-        adj = self._adj[u]
-        return [adj.get(v, math.inf) for v in targets]
-
-    def weight(self, u: int, v: int) -> float:
-        return self._adj[u][v]
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Edges normalized u < v, in ascending (u, v) order."""
-        for u in range(self.n):
-            for v, w in sorted(self._adj[u].items()):
-                if u < v:
-                    yield u, v, w
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) arrays of `edges()`, in the same ascending (u, v) order."""
-        return _edge_arrays(list(self.edges()))
 
 
 class GreatCircleGraph:
@@ -144,20 +90,11 @@ class GreatCircleGraph:
         return out
 
 
-def _edge_arrays(
-    edges: list[tuple[int, int, float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u = np.array([e[0] for e in edges], dtype=np.int64)
-    v = np.array([e[1] for e in edges], dtype=np.int64)
-    w = np.array([e[2] for e in edges], dtype=np.float64)
-    return u, v, w
-
-
 class RoadOverlay:
     """A shared road graph plus one design's spurs.
 
-    Reads like a WeightedGraph (`n`, `weight`, `edges`, `edge_count`,
-    `edge_arrays`), plus `point(v)`, but stores only what the design adds:
+    Answers `n`, `edge_count`, `edge_arrays()` and `point(v)` for the road
+    graph with the spurs added, but stores only what the design adds:
     vertices 0..R-1 are the road vertices, read from the road graph's CSR;
     spur vertices follow in attachment order, each joined by one edge to
     one road vertex.
@@ -184,21 +121,6 @@ class RoadOverlay:
             return self._spurs[v - self._road_n][0]
         raise IndexError(f"vertex {v} out of range for {self.n} vertices")
 
-    def weight(self, u: int, v: int) -> float:
-        a, b = min(u, v), max(u, v)
-        if b < self._road_n:
-            return self.roads.weight(a, b)
-        if a < self._road_n <= b < self.n:
-            _, road_vertex, length = self._spurs[b - self._road_n]
-            if road_vertex == a:
-                return length
-        raise KeyError((u, v))
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Edges normalized u < v, in ascending (u, v) order."""
-        u, v, w = self.edge_arrays()
-        return zip(u.tolist(), v.tolist(), w.tolist())
-
     @property
     def edge_count(self) -> int:
         return self.roads.edge_count + len(self._spurs)
@@ -206,9 +128,9 @@ class RoadOverlay:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
         ru, rv, rw = self.roads.edge_arrays()
-        su, sv, sw = _edge_arrays(
-            [(road_v, self._road_n + i, w) for i, (_, road_v, w) in enumerate(self._spurs)]
-        )
+        su = np.array([road_v for _, road_v, _ in self._spurs], dtype=np.int64)
+        sv = np.arange(self._road_n, self.n, dtype=np.int64)
+        sw = np.array([w for _, _, w in self._spurs], dtype=np.float64)
         u, v, w = np.concatenate([ru, su]), np.concatenate([rv, sv]), np.concatenate([rw, sw])
         order = np.lexsort((v, u))
         return u[order], v[order], w[order]
@@ -218,13 +140,15 @@ class RoadOverlay:
 class PrizedGraph:
     """A weighted graph with vertex prizes and a designated root.
 
-    Prizes are the opportunity value of connecting a vertex (same unit as
-    edge weights). Vertices absent from `prizes` carry prize 0. `terminals`
+    The solvers read `graph` only through `n` and `edge_arrays()`, so any
+    graph with those two will do; a run passes a `RoadOverlay`. Prizes are
+    the opportunity value of connecting a vertex (same unit as edge
+    weights). Vertices absent from `prizes` carry prize 0. `terminals`
     marks the vertices that count as demand points; it defaults to the
     positive-prize vertices, but may include zero-prize demand points.
     """
 
-    graph: WeightedGraph
+    graph: RoadOverlay
     prizes: Mapping[int, float]
     root: int
     terminals: frozenset[int] = field(default=None)  # type: ignore[assignment]
@@ -255,7 +179,7 @@ class PrizedGraph:
 class NetworkDesign:
     """Result of a design solve over a weighted graph."""
 
-    algorithm: str  # "MST" | "PCST_GW" | "PCST_EXACT"
+    algorithm: str  # "MST" | "PCST_GW"
     edges: tuple[tuple[int, int, float], ...]  # normalized u < v, sorted
     connected_vertices: frozenset[int]
     excluded_terminals: frozenset[int]

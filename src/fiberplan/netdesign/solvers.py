@@ -1,6 +1,6 @@
 """Tree solvers: minimum spanning tree and prize-collecting Steiner tree.
 
-All three solvers are deterministic: every tie (equal edge weights, equal
+Both solvers are deterministic: every tie (equal edge weights, equal
 event times, equal objectives) is broken by fixed lexicographic rules, so a
 given graph always yields bit-identical designs.
 """
@@ -12,21 +12,16 @@ import math
 
 import numpy as np
 
-from ..errors import SolverError
 from .graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
     GreatCircleGraph,
-    InstanceTooLarge,
     NetworkDesign,
     PrizedGraph,
     RootMissing,
-    WeightedGraph,
 )
 
 log = logging.getLogger(__name__)
-
-EXACT_PCST_MAX_VERTICES = 16
 
 
 def _sorted_edges(edges: list[tuple[int, int, float]]) -> tuple[tuple[int, int, float], ...]:
@@ -34,16 +29,16 @@ def _sorted_edges(edges: list[tuple[int, int, float]]) -> tuple[tuple[int, int, 
     return tuple(sorted(normalized))
 
 
-def prim_mst(graph: WeightedGraph | GreatCircleGraph, root: int = 0) -> NetworkDesign:
+def prim_mst(graph: GreatCircleGraph, root: int = 0) -> NetworkDesign:
     """Minimum spanning tree grown from `root`, by Prim's dense O(n²) scan.
 
-    `graph` has `n` vertices and `weights_from(u, targets)`, inf where there
-    is no edge: a `WeightedGraph` or a `GreatCircleGraph`. Each step keeps
-    every outside vertex's best (weight, min endpoint, max endpoint) key and
-    takes the smallest, so ties go to the smaller (min, max) pair and the
-    tree is unique. The keys are flat lists in step with `outside`: the
-    weights are compared alone, and the endpoints only where weights are
-    equal. Memory is O(n).
+    Prim reads only `graph.n` and `graph.weights_from(u, targets)`, inf
+    where there is no edge, so any graph with those two will do; a run
+    passes a `GreatCircleGraph`. Each step keeps every outside vertex's
+    best (weight, min endpoint, max endpoint) key and takes the smallest,
+    so ties go to the smaller (min, max) pair and the tree is unique. The
+    keys are flat lists in step with `outside`: the weights are compared
+    alone, and the endpoints only where weights are equal. Memory is O(n).
 
     Raises:
         EmptyNodeSet: the graph has no vertices.
@@ -297,11 +292,10 @@ def _reconnect_minimally(
     inside[list(kept)] = True
     eu, ev, ew = edges
     induced = inside[eu] & inside[ev]
-    tree, _ = _kruskal_tree(
+    return _kruskal_tree(
         sorted(kept),
         sorted(zip(ew[induced].tolist(), eu[induced].tolist(), ev[induced].tolist())),
     )
-    return tree
 
 
 def _strong_prune(
@@ -357,14 +351,12 @@ def _prized_design(
     )
 
 
-# --- exact PCST by enumeration ---------------------------------------------
-
-
 def _kruskal_tree(
     vertices: list[int], edges: list[tuple[float, int, int]]
-) -> tuple[list[tuple[int, int, float]], bool]:
-    """Kruskal MST of the subgraph induced on `vertices`: (edges, spanning?).
-    `edges` are all (w, u, v), u < v, ascending: ties go to the smaller (u, v)."""
+) -> list[tuple[int, int, float]]:
+    """Kruskal spanning forest of the subgraph induced on `vertices`, a tree
+    when that subgraph is connected. `edges` are all (w, u, v), u < v,
+    ascending: ties go to the smaller (u, v)."""
     parent = {v: v for v in vertices}
 
     def find(x: int) -> int:
@@ -382,49 +374,4 @@ def _kruskal_tree(
             if ru != rv:
                 parent[ru] = rv
                 chosen.append((u, v, w))
-    return chosen, len(chosen) == len(vertices) - 1
-
-
-def pcst_exact(prized: PrizedGraph) -> NetworkDesign:
-    """Optimal rooted prize-collecting Steiner tree by subset enumeration.
-
-    Enumerates every vertex subset containing the root whose induced subgraph
-    is connected, costs it as induced-MST weight plus the prizes it forgoes,
-    and keeps the best (ties to the lexicographically smallest subset).
-    Intended as an oracle for small instances.
-
-    Raises:
-        InstanceTooLarge: more than 16 vertices.
-    """
-    g = prized.graph
-    n = g.n
-    if n == 0:
-        raise EmptyNodeSet("cannot design over an empty graph")
-    if n > EXACT_PCST_MAX_VERTICES:
-        raise InstanceTooLarge(
-            f"exact solver enumerates at most {EXACT_PCST_MAX_VERTICES} vertices, got {n}"
-        )
-    root = prized.root
-    edges = sorted((w, u, v) for u, v, w in g.edges())
-    others = [v for v in range(n) if v != root]
-    total_prize = math.fsum(prized.prize(v) for v in range(n))
-
-    best: tuple[float, tuple[int, ...]] | None = None
-    best_edges: list[tuple[int, int, float]] | None = None
-    for mask in range(1 << len(others)):
-        subset = [root] + [others[i] for i in range(len(others)) if mask >> i & 1]
-        subset.sort()
-        tree, spanning = _kruskal_tree(subset, edges)
-        if not spanning:
-            continue
-        weight = math.fsum(w for _, _, w in tree)
-        penalty = total_prize - math.fsum(prized.prize(v) for v in subset)
-        objective = weight + penalty
-        key = (objective, tuple(subset))
-        if best is None or key < best:
-            best = key
-            best_edges = tree
-    if best is None or best_edges is None:
-        # Unreachable: the root-only subset always qualifies.
-        raise SolverError("exact PCST found no feasible subset")
-    return _prized_design("PCST_EXACT", prized, set(best[1]), best_edges)
+    return chosen

@@ -33,14 +33,8 @@ from .geodata import (
     load_road_graph,
     load_settlements,
 )
-from .netdesign import (
-    ClassificationResult,
-    DesignResult,
-    NodeRole,
-    classify_nodes,
-    design_network,
-)
-from .netdesign.design import ALGORITHMS, LEVELS
+from .netdesign.classify import ClassificationResult, NodeRole, classify_nodes
+from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, design_network
 from .report import (
     DecileReportRow,
     KeyMismatch,
@@ -242,7 +236,9 @@ def build_designs(
     The designs are one list of jobs, each (level, root id, nodes, users per
     prized node, root billable): the backbone over the regional nodes first,
     when there are any, then one access network per region in region order.
-    Every selected algorithm solves every job.
+    Every selected algorithm solves every job. The backbone's own warnings
+    (its fallback root, or its absence) are listed once per run, before
+    those of the designs.
     """
     settlements = inputs.settlements
     region_users = _region_users(settlements, stage.users_by_subregion)
@@ -282,11 +278,10 @@ def build_designs(
         ))
 
     designs: dict[tuple[str, str], list[DesignResult]] = {}
-    warnings: list[str] = []
+    warnings = list(backbone_warnings)
     for selection in cfg.algorithms:
         for level in LEVELS:
             designs[(selection, level)] = []
-        warnings.extend(backbone_warnings)
         for level, root_id, nodes, node_users, root_billable in jobs:
             result = design_network(
                 level,

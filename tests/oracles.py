@@ -1,5 +1,11 @@
 """Independent reference implementations and generators used by the tests.
 
+`WeightedGraph` is a sparse graph built edge by edge, the test graph that
+both solvers accept: `prim_mst` reads its `weights_from`, `pcst_gw` its
+`edge_arrays`. `pcst_exact` is the optimal prize-collecting Steiner tree by
+subset enumeration (at most `EXACT_PCST_MAX_VERTICES` vertices, else
+`InstanceTooLarge`), the oracle of the GW sandwich and dual-bound tests;
+it reads every graph through `edge_arrays()`, as the oracles below do.
 The Kruskal MST here is written against raw edge lists (no shared code with
 the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw_reference` is the scalar moat-growing loop that the vectorised
@@ -29,11 +35,12 @@ import json
 import logging
 import math
 import random
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from fiberplan.costmodel import CostBook, tco_quantities
+from fiberplan.errors import SolverError
 from fiberplan.geodata import (
     EARTH_RADIUS_KM,
     FiberLineSet,
@@ -45,18 +52,21 @@ from fiberplan.geodata import (
     point_segment_km,
 )
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
-from fiberplan.netdesign import (
-    ClassificationResult,
-    DesignResult,
+from fiberplan.netdesign.classify import ClassificationResult, NodeRole
+from fiberplan.netdesign.design import DesignResult
+from fiberplan.netdesign.graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
     NetworkDesign,
-    NodeRole,
     PrizedGraph,
     RootMissing,
-    WeightedGraph,
 )
-from fiberplan.netdesign.solvers import _prized_design, _sorted_edges, _strong_prune
+from fiberplan.netdesign.solvers import (
+    _kruskal_tree,
+    _prized_design,
+    _sorted_edges,
+    _strong_prune,
+)
 from fiberplan.report import (
     MC_METRICS,
     DecileReportRow,
@@ -69,6 +79,72 @@ from fiberplan.report import (
 )
 
 log = logging.getLogger(__name__)
+
+EXACT_PCST_MAX_VERTICES = 16
+
+
+class InstanceTooLarge(SolverError):
+    """The exact solver was asked for more vertices than it enumerates."""
+
+
+class WeightedGraph:
+    """Undirected graph with positive edge weights and dense vertex ids."""
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        self.n = n
+        self._adj: list[dict[int, float]] = [dict() for _ in range(n)]
+
+    def add_vertex(self) -> int:
+        self._adj.append(dict())
+        self.n += 1
+        return self.n - 1
+
+    def add_edge(self, u: int, v: int, weight: float) -> None:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {self.n} vertices")
+        if weight <= 0.0:
+            raise ValueError(f"edge weight must be positive, got {weight}")
+        prev = self._adj[u].get(v)
+        if prev is None or weight < prev:
+            self._adj[u][v] = weight
+            self._adj[v][u] = weight
+
+    def weights_from(self, u: int, targets: Iterable[int]) -> list[float]:
+        """Weight of the edge from u to each target, inf where there is none."""
+        adj = self._adj[u]
+        return [adj.get(v, math.inf) for v in targets]
+
+    def weight(self, u: int, v: int) -> float:
+        return self._adj[u][v]
+
+    def edges(self) -> Iterator[tuple[int, int, float]]:
+        """Edges normalized u < v, in ascending (u, v) order."""
+        for u in range(self.n):
+            for v, w in sorted(self._adj[u].items()):
+                if u < v:
+                    yield u, v, w
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(a) for a in self._adj) // 2
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, w) arrays of `edges()`, in the same ascending (u, v) order."""
+        edges = list(self.edges())
+        u = np.array([e[0] for e in edges], dtype=np.int64)
+        v = np.array([e[1] for e in edges], dtype=np.int64)
+        w = np.array([e[2] for e in edges], dtype=np.float64)
+        return u, v, w
+
+
+def edge_list(graph) -> list[tuple[int, int, float]]:
+    """Every edge of a graph as (u, v, w), u < v, in ascending (u, v)
+    order, read through its `edge_arrays()`."""
+    return list(zip(*(a.tolist() for a in graph.edge_arrays())))
 
 
 def kruskal_mst(n: int, edges: list[tuple[int, int, float]]) -> tuple[float, list]:
@@ -221,7 +297,7 @@ def grow_moats_reference(prized: PrizedGraph) -> list[tuple[int, int, float]]:
     g = prized.graph
     n = g.n
     root = prized.root
-    edges = list(g.edges())
+    edges = edge_list(g)
 
     find_cache = list(range(n))  # vertex -> cluster id (path-compressed lazily)
     clusters: dict[int, _Cluster] = {}
@@ -404,11 +480,57 @@ def _reconnect_minimally_reference(
     sub_vertices = sorted(kept)
     index = {v: i for i, v in enumerate(sub_vertices)}
     sub = WeightedGraph(len(sub_vertices))
-    for u, v, w in g.edges():
+    for u, v, w in edge_list(g):
         if u in index and v in index:
             sub.add_edge(index[u], index[v], w)
     mst = prim_mst_reference(sub, root=index[root])
     return [(sub_vertices[a], sub_vertices[b], w) for a, b, w in mst.edges]
+
+
+# --- exact PCST by enumeration -----------------------------------------------
+
+
+def pcst_exact(prized: PrizedGraph) -> NetworkDesign:
+    """Optimal rooted prize-collecting Steiner tree by subset enumeration.
+
+    Enumerates every vertex subset containing the root whose induced subgraph
+    is connected, costs it as induced-MST weight plus the prizes it forgoes,
+    and keeps the best (ties to the lexicographically smallest subset).
+
+    Raises:
+        InstanceTooLarge: more than 16 vertices.
+    """
+    g = prized.graph
+    n = g.n
+    if n == 0:
+        raise EmptyNodeSet("cannot design over an empty graph")
+    if n > EXACT_PCST_MAX_VERTICES:
+        raise InstanceTooLarge(
+            f"exact solver enumerates at most {EXACT_PCST_MAX_VERTICES} vertices, got {n}"
+        )
+    root = prized.root
+    edges = sorted((w, u, v) for u, v, w in edge_list(g))
+    others = [v for v in range(n) if v != root]
+    total_prize = math.fsum(prized.prize(v) for v in range(n))
+
+    best: tuple[float, tuple[int, ...]] | None = None
+    best_edges: list[tuple[int, int, float]] | None = None
+    for mask in range(1 << len(others)):
+        subset = [root] + [others[i] for i in range(len(others)) if mask >> i & 1]
+        subset.sort()
+        tree = _kruskal_tree(subset, edges)
+        if len(tree) != len(subset) - 1:
+            continue  # the induced subgraph is not connected
+        weight = math.fsum(w for _, _, w in tree)
+        penalty = total_prize - math.fsum(prized.prize(v) for v in subset)
+        objective = weight + penalty
+        key = (objective, tuple(subset))
+        if best is None or key < best:
+            best = key
+            best_edges = tree
+    # The root-only subset always qualifies.
+    assert best is not None and best_edges is not None
+    return _prized_design("PCST_EXACT", prized, set(best[1]), best_edges)
 
 
 # --- MST: the heap Prim over a stored complete graph --------------------------

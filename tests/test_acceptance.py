@@ -27,7 +27,8 @@ from fiberplan.lca import (
     operations_emissions,
     transport_emissions,
 )
-from fiberplan.netdesign import PrizedGraph, WeightedGraph, pcst_exact, pcst_gw, prim_mst
+from fiberplan.netdesign.graphs import PrizedGraph
+from fiberplan.netdesign.solvers import pcst_gw, prim_mst
 from fiberplan.pipeline import run_pipeline
 from fiberplan.report import (
     MC_METRICS,
@@ -40,7 +41,14 @@ from fiberplan.report import (
     scc,
 )
 
-from .oracles import graph_from_edges, kruskal_mst, random_connected_edges, random_prized_instance
+from .oracles import (
+    WeightedGraph,
+    graph_from_edges,
+    kruskal_mst,
+    pcst_exact,
+    random_connected_edges,
+    random_prized_instance,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden", "scenario.json")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fiberplan.geodata import FiberLineSet, GeoPoint, Settlement, SettlementSet
-from fiberplan.netdesign import NodeRole, classify_nodes
+from fiberplan.netdesign.classify import NodeRole, classify_nodes
 
 # Fiber running along the equator from lon 0 to lon 1.
 FIBER = FiberLineSet(lines=((GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)),))

@@ -471,6 +471,20 @@ def test_road_segment_of_zero_km_exits_3(tmp_path, capsys, command):
     assert "feature[0]" in error["message"]
 
 
+def test_a_backbone_warning_is_printed_once_for_both_algorithms(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, inputs={"fiber": None})
+    assert main(["design", "--config", cfg, "--algorithm", "both", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if " regional @" in line] == [
+        "mst regional @r1s3a",
+        "pcst regional @r1s3a",
+    ]
+    assert [line for line in lines if "core buffer" in line] == [
+        "warning: no settlement within the core buffer; backbone rooted at regional node 'r1s3a'"
+    ]
+
+
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _golden_variant(tmp_path, inputs={"fiber": str(tmp_path)})

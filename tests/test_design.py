@@ -12,7 +12,9 @@ import tracemalloc
 import pytest
 
 from fiberplan.geodata import GeoPoint, RoadGraph, Settlement, haversine_km
-from fiberplan.netdesign import EmptyNodeSet, build_euclidean_graph, design_network, prim_mst
+from fiberplan.netdesign.design import design_network
+from fiberplan.netdesign.graphs import EmptyNodeSet, build_euclidean_graph
+from fiberplan.netdesign.solvers import prim_mst
 
 from .oracles import euclidean_graph_reference, prim_mst_reference
 

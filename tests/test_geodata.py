@@ -7,6 +7,7 @@ constructing points at known offsets) and frozen as literals.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import random
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from fiberplan.errors import DataError
 from fiberplan.geodata import (
+    SETTLEMENT_COLUMNS,
     CoordinateOutOfRange,
     DegenerateGeometry,
     DuplicateId,
@@ -36,7 +38,6 @@ from fiberplan.geodata import (
     polyline_length_km,
     within_buffer,
     within_buffer_mask,
-    write_settlements_csv,
 )
 
 from .oracles import nearest_vertex_reference, within_buffer_reference
@@ -278,6 +279,24 @@ def test_load_settlements_non_numeric(tmp_path):
         load_settlements(_write(tmp_path, "s.csv", text))
 
 
+def test_load_settlements_csv_row_with_fields_missing(tmp_path):
+    text = VALID_CSV + "b,1.5,2.5,50\n"
+    path = _write(tmp_path, "s.csv", text)
+    with pytest.raises(ParseError, match=r"s\.csv:5: no value for region_id, subregion_id"):
+        load_settlements(path)
+
+
+def write_settlements_csv(settlements: SettlementSet, path: str) -> None:
+    """Settlements in canonical CSV form (round-trips exactly)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SETTLEMENT_COLUMNS)
+        for s in settlements:
+            writer.writerow(
+                [s.id, repr(s.location.lat), repr(s.location.lon), s.population, s.region_id, s.subregion_id]
+            )
+
+
 def test_settlements_csv_round_trip(tmp_path):
     path = _write(tmp_path, "s.csv", VALID_CSV)
     ss = load_settlements(path)
@@ -306,6 +325,22 @@ def test_load_settlements_geojson(tmp_path):
     ss = load_settlements(path, fmt="geojson")
     assert len(ss) == 1
     assert ss.by_id("s1").location == GeoPoint(-1.2921, 36.8219)
+
+
+@pytest.mark.parametrize("key", ["id", "region_id"])
+def test_load_settlements_geojson_null_property(tmp_path, key):
+    import json
+
+    props = {"id": "s1", "population": 100, "region_id": "R1", "subregion_id": "R1-01", key: None}
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "geometry": {"type": "Point", "coordinates": [36.8, -1.3]}, "properties": props}
+        ],
+    }
+    path = _write(tmp_path, "s.geojson", json.dumps(doc))
+    with pytest.raises(ParseError, match=rf"feature\[0\]: no value for {key}$"):
+        load_settlements(path, fmt="geojson")
 
 
 # --- fiber lines -----------------------------------------------------------
@@ -431,9 +466,6 @@ def test_road_arrays_csr_keeps_lightest_parallel_edge():
     assert roads.weights.tolist() == [3.0, 2.0, 3.0, 2.0]
     assert [a.tolist() for a in roads.edge_arrays()] == [[0, 0], [1, 2], [3.0, 2.0]]
     assert roads.edges == ((0, 1, 3.0), (0, 2, 2.0))
-    assert roads.weight(1, 0) == 3.0
-    with pytest.raises(KeyError):
-        roads.weight(1, 2)
 
 
 @pytest.mark.parametrize(

@@ -5,19 +5,25 @@ from __future__ import annotations
 import pytest
 
 from fiberplan.geodata import GeoPoint, RoadGraph, Settlement, haversine_km
-from fiberplan.netdesign import (
+from fiberplan.netdesign.graphs import (
     DuplicateCoordinate,
     EmptyNodeSet,
     PrizedGraph,
     RootMissing,
-    WeightedGraph,
     attach_terminals_to_roads,
     build_euclidean_graph,
 )
 
+from .oracles import WeightedGraph, edge_list
+
 
 def _settlement(sid, lat, lon, pop=100, region="R1", sub="R1-01"):
     return Settlement(sid, GeoPoint(lat, lon), pop, region, sub)
+
+
+def _weights(graph) -> dict[tuple[int, int], float]:
+    """(u, v) -> weight of each edge, u < v."""
+    return {(u, v): w for u, v, w in edge_list(graph)}
 
 
 class TestWeightedGraph:
@@ -107,7 +113,7 @@ class TestAttachTerminals:
         att = attach_terminals_to_roads([s], self._roads(), snap_radius_km=5.0)
         vid = att.terminal_vertex["a"]
         assert vid == 3  # appended after the 3 road vertices
-        assert att.graph.weight(vid, 1) == pytest.approx(1.0, abs=1e-6)
+        assert _weights(att.graph)[(1, vid)] == pytest.approx(1.0, abs=1e-6)
         assert att.beyond_snap == ()
 
     def test_distant_settlement_flagged(self):
@@ -132,7 +138,8 @@ class TestAttachTerminals:
         nodes = [_settlement("a", 0.1, 0.5), _settlement("b", 0.1, 0.5)]
         att = attach_terminals_to_roads(nodes, self._roads(), snap_radius_km=50.0)
         assert att.terminal_vertex == {"a": 3, "b": 4}
-        assert att.graph.weight(3, 1) == att.graph.weight(4, 1) > 0.0
+        weights = _weights(att.graph)
+        assert weights[(1, 3)] == weights[(1, 4)] > 0.0
 
 
 class TestPrizedGraph:
@@ -181,16 +188,13 @@ class TestRoadOverlay:
         for u, v, w in roads.edges:
             copy.add_edge(u, v, w)
         spur = copy.add_vertex()
-        copy.add_edge(1, spur, g.weight(spur, 1))
+        copy.add_edge(1, spur, haversine_km(near.location, roads.vertices[1]))
         assert g.n == copy.n == 4
-        assert list(g.edges()) == list(copy.edges())
         assert g.edge_count == copy.edge_count == 3
         assert [a.tolist() for a in g.edge_arrays()] == [a.tolist() for a in copy.edge_arrays()]
-        assert g.weight(2, 1) == roads.edges[1][2]
-        with pytest.raises(KeyError):
-            g.weight(0, 2)
-        with pytest.raises(KeyError):
-            g.weight(0, 3)
+        weights = _weights(g)
+        assert weights[(1, 2)] == roads.edges[1][2]
+        assert (0, 2) not in weights and (0, 3) not in weights
         assert att.terminal_vertex == {"near": 3, "on": 2}
         assert [g.point(v) for v in range(4)] == [*roads.vertices, near.location]
         with pytest.raises(IndexError):

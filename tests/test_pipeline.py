@@ -11,7 +11,7 @@ from fiberplan.config import load_scenario
 from fiberplan.demand import SubregionDemand
 from fiberplan.errors import DataError
 from fiberplan.geodata import GeoPoint, Settlement, SettlementSet, haversine_km
-from fiberplan.netdesign import ClassificationResult, NodeRole
+from fiberplan.netdesign.classify import ClassificationResult, NodeRole
 from fiberplan.pipeline import (
     _pick_backbone_root,
     build_demand,
@@ -185,6 +185,15 @@ def test_a_run_without_regional_nodes_has_zero_backbone_units(tmp_path):
     assert (unit.node_count, unit.length_km, unit.opex_share) == (0, 0.0, 0.0)
 
 
+def test_a_run_without_regional_nodes_warns_once_for_both_algorithms(tmp_path):
+    cfg = dataclasses.replace(
+        load_scenario(GOLDEN, out_dir=str(tmp_path)), main_settlement_threshold=10**9
+    )
+    result = run_pipeline(cfg)
+    assert result.designs[("mst", "regional")] == result.designs[("pcst", "regional")] == []
+    assert result.warnings.count("no regional nodes: the backbone level is empty") == 1
+
+
 def test_emit_outputs_designs_only_writes_no_csv(tmp_path):
     cfg = load_scenario(TINY, out_dir=str(tmp_path / "out"))
     result = run_pipeline(cfg)
@@ -265,7 +274,7 @@ def test_area_only_subregions_carry_zero_users(tmp_path):
 def test_region_decile_requires_a_demand_record():
     from fiberplan.pipeline import _region_decile
     from fiberplan.geodata import GeoPoint, Settlement, SettlementSet
-    from fiberplan.netdesign import ClassificationResult, NodeRole
+    from fiberplan.netdesign.classify import ClassificationResult, NodeRole
 
     settlements = SettlementSet(
         (Settlement("a", GeoPoint(0.0, 36.0), 1000, "R1", "S1"),)

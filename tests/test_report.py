@@ -12,7 +12,7 @@ from fiberplan.errors import ConfigError, OutputError
 from fiberplan.config import load_scenario
 from fiberplan.geodata import GeoPoint, RoadGraph, Settlement, haversine_km
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
-from fiberplan.netdesign import design_network
+from fiberplan.netdesign.design import design_network
 from fiberplan.pipeline import run_pipeline
 from fiberplan.report import (
     MC_COLUMNS,

@@ -10,26 +10,24 @@ from dataclasses import replace
 import pytest
 
 from fiberplan.geodata import load_road_graph, load_settlements
-from fiberplan.netdesign import (
+from fiberplan.netdesign.graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
-    InstanceTooLarge,
     PrizedGraph,
     RootMissing,
-    WeightedGraph,
     attach_terminals_to_roads,
-    pcst_exact,
-    pcst_gw,
-    prim_mst,
 )
-from fiberplan.netdesign.solvers import _grow_moats
+from fiberplan.netdesign.solvers import _grow_moats, pcst_gw, prim_mst
 
 from .oracles import (
+    InstanceTooLarge,
+    WeightedGraph,
     assert_design_is_tree,
     graph_from_edges,
     grow_moats_dense_reference,
     grow_moats_reference,
     kruskal_mst,
+    pcst_exact,
     pcst_gw_reference,
     random_connected_edges,
     random_grid_instance,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import sys
 
@@ -64,3 +66,44 @@ def test_readme_library_use_block_runs(tmp_path, monkeypatch, capsys):
         "mc_summary.csv",
         "report.csv",
     ]
+
+
+def test_perfbench_span_targets_resolve():
+    """The traced benchmark wraps functions at the module attributes its
+    SPANS and LEAVES tables name; each one must still exist."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # defines the tables; install() is not called
+    targets = [target for target, _ in spans.SPANS + spans.LEAVES]
+    assert targets
+    missing = []
+    for target in targets:
+        module_name, attr = target.rsplit(".", 1)
+        module = importlib.import_module(f"fiberplan.{module_name}")
+        if not callable(getattr(module, attr, None)):
+            missing.append(target)
+    assert not missing, "perfbench span targets not found: " + ", ".join(missing)
+
+
+# The README's "Lower-level pieces" list: module -> the names it gives there.
+LOWER_LEVEL_PIECES = {
+    "fiberplan.geodata": ("haversine_km",),
+    "fiberplan.netdesign.solvers": ("prim_mst", "pcst_gw"),
+    "fiberplan.costmodel": ("capex_quantities", "opex_npv"),
+    "fiberplan.lca": ("emissions_quantities",),
+    "fiberplan.report": ("scc", "monte_carlo"),
+    "fiberplan.demand": ("assign_deciles",),
+}
+
+
+def test_readme_lower_level_pieces_import_from_their_modules():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Lower-level pieces", 1)[1].split("\n## ", 1)[0]
+    for module_name, names in LOWER_LEVEL_PIECES.items():
+        module = importlib.import_module(module_name)
+        assert f"`{module_name}" in section, module_name
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+            assert f"`{name}`" in section or f"`{module_name}.{name}`" in section, name
