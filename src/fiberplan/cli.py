@@ -20,7 +20,7 @@ from typing import Sequence
 from . import __version__
 from .config import ScenarioConfig, load_scenario
 from .errors import ConfigError, FiberPlanError
-from .netdesign.classify import NodeRole, classify_nodes
+from .netdesign.classify import classify_nodes
 from .netdesign.design import ALGORITHMS
 from .pipeline import (
     PipelineResult,
@@ -106,14 +106,12 @@ def _cmd_validate(cfg: ScenarioConfig) -> int:
         buffer_km=cfg.buffer_km,
         main_settlement_threshold=cfg.main_settlement_threshold,
     )
-    role_counts = {role.value: 0 for role in NodeRole}
-    for role in classification.roles.values():
-        role_counts[role.value] += 1
     regions = {s.region_id for s in inputs.settlements}
     print(f"scenario ok: {len(inputs.settlements)} settlements, "
           f"{len(regions)} regions, {len(stage.records)} subregions")
-    print(f"roles: {role_counts['core_adjacent']} core-adjacent, "
-          f"{role_counts['regional']} regional, {role_counts['access']} access")
+    print(f"roles: {len(classification.core_adjacent)} core-adjacent, "
+          f"{len(classification.regional_nodes)} regional, "
+          f"{len(classification.access_nodes)} access")
     print(f"potential users: {stage.total_users:.6g} "
           f"(adoption {cfg.adoption_rate:.4g} above {cfg.min_density_per_km2:.6g}/km2)")
     print(f"algorithms: {', '.join(cfg.algorithms)}")
@@ -180,7 +178,7 @@ def _print_rows(result: PipelineResult) -> None:
             f"{row.decile:>6} {row.level:>8} {row.algorithm:>9} {row.users:>10.6g} "
             f"{row.total_length_km:>10.6g} {monthly:>12} {kg:>10} {scc_user:>10}"
         )
-    print(f"total users: {result.total_users:.6g}")
+    print(f"total users: {result.demand.total_users:.6g}")
 
 
 def _print_written(written: Sequence[str], warnings: Sequence[str]) -> None:

@@ -133,7 +133,7 @@ def load_scenario(
     if buffer_km < 0:
         raise ConfigError(f"buffer_km must be >= 0, got {buffer_km}")
     threshold = raw.get("main_settlement_threshold", 20_000)
-    if not isinstance(threshold, int) or threshold < 0:
+    if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 0:
         raise ConfigError(
             f"main_settlement_threshold must be a non-negative integer, got {threshold!r}"
         )

@@ -62,18 +62,6 @@ class CostBook:
                 f"got {years!r}"
             )
 
-    @property
-    def per_node_cost(self) -> float:
-        return _per_node_cost(self)
-
-    @property
-    def per_km_cost(self) -> float:
-        return _per_km_cost(self)
-
-    @property
-    def annual_opex(self) -> float:
-        return _annual_opex(self)
-
     def replace(self, **overrides: float) -> "CostBook":
         return dataclasses.replace(self, **overrides)
 
@@ -148,7 +136,7 @@ def capex_quantities(node_count: int, length_km: float, book: CostBook) -> float
 
 def opex_npv(book: CostBook) -> float:
     """Present value of the annual opex stream over years 0..n inclusive."""
-    return _opex_npv(book.annual_opex, book.discount_rate, book.assessment_years)
+    return _opex_npv(_annual_opex(book), book.discount_rate, book.assessment_years)
 
 
 def tco_quantities(

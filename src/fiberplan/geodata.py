@@ -102,21 +102,21 @@ class FiberLineSet:
 
 
 class RoadGraph:
-    """Road network: vertices plus undirected weighted edges, held once as a
-    symmetric CSR adjacency.
+    """Road network: vertex coordinates and undirected weighted edges, held
+    once as flat arrays.
 
     Edge weights are great-circle segment lengths in km. Edges may be given
     in either order and more than once: the graph keeps the lightest of any
-    parallel edges, and rejects self-loops, out-of-range ids and weights
-    that are not positive. Row u of the CSR lists u's neighbours in
-    ascending id order. Coordinates stay in degrees, so a coordinate
-    difference rounds exactly as it does in `haversine_km`. Every array is
-    read-only: one road graph is shared by every design of a run.
+    parallel edges as (u, v, w) arrays with u < v, in ascending (u, v)
+    order, and rejects self-loops, out-of-range ids and weights that are
+    not positive. Coordinates stay in degrees, so a coordinate difference
+    rounds exactly as it does in `haversine_km`, and `point(v)` rebuilds the
+    given `GeoPoint` bit for bit. Every array is read-only: one road graph
+    is shared by every design of a run.
     """
 
     def __init__(self, vertices: Sequence[GeoPoint], edges: Sequence[tuple[int, int, float]]):
-        self.vertices = tuple(vertices)
-        n = len(self.vertices)
+        self.n = n = len(vertices)
         raw = np.array(edges, dtype=np.float64).reshape(-1, 3)
         a, b, w = raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64), raw[:, 2]
         if np.any(a == b):
@@ -125,39 +125,42 @@ class RoadGraph:
             raise ValueError(f"road edge out of range for {n} vertices")
         if np.any(~(w > 0.0)):
             raise ValueError("road edge weights must be positive")
-        rows = np.concatenate([a, b])
-        cols = np.concatenate([b, a])
-        weights = np.concatenate([w, w])
-        order = np.lexsort((weights, cols, rows))
-        rows, cols, weights = rows[order], cols[order], weights[order]
-        first = np.ones(len(rows), dtype=bool)  # lightest of each parallel group
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        self.indices = cols[first]  # int64, 2 x edge count
-        self.weights = weights[first]  # float64, 2 x edge count
-        self.indptr = np.searchsorted(rows[first], np.arange(n + 1))  # int64, n + 1
-        self.lat = np.array([p.lat for p in self.vertices], dtype=np.float64)
-        self.lon = np.array([p.lon for p in self.vertices], dtype=np.float64)
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((w, v, u))
+        u, v, w = u[order], v[order], w[order]
+        first = np.ones(len(u), dtype=bool)  # lightest of each parallel group
+        first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        self._edges = (u[first], v[first], w[first])  # int64, int64, float64
+        self.lat = np.array([p.lat for p in vertices], dtype=np.float64)
+        self.lon = np.array([p.lon for p in vertices], dtype=np.float64)
         self.cos_lat = np.cos(np.radians(self.lat))
         self._by_lat = np.argsort(self.lat, kind="stable")  # vertex ids by latitude
         self._sorted_lat = self.lat[self._by_lat]
-        arrays = (self.indptr, self.indices, self.weights, self.lat, self.lon, self.cos_lat)
-        for array in arrays + (self._by_lat, self._sorted_lat):
+        arrays = (self.lat, self.lon, self.cos_lat, self._by_lat, self._sorted_lat)
+        for array in self._edges + arrays:
             array.flags.writeable = False
+
+    def point(self, v: int) -> GeoPoint:
+        return GeoPoint(self.lat.item(v), self.lon.item(v))
+
+    @property
+    def vertices(self) -> tuple[GeoPoint, ...]:
+        """Every vertex's point in id order, built on each access (the
+        benchmark's traced run counts them); read one with `point(v)`."""
+        return tuple(map(GeoPoint, self.lat.tolist(), self.lon.tolist()))
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """Every edge as (u, v, w) with u < v, in ascending (u, v) order."""
-        return tuple(zip(*(a.tolist() for a in self.edge_arrays())))
+        return tuple(zip(*(a.tolist() for a in self._edges)))
 
     @property
     def edge_count(self) -> int:
-        return len(self.indices) // 2
+        return len(self._edges[0])
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
-        rows = np.repeat(np.arange(len(self.vertices)), np.diff(self.indptr))
-        upper = self.indices > rows
-        return rows[upper], self.indices[upper], self.weights[upper]
+        return self._edges
 
     def nearest_vertex(self, p: GeoPoint) -> tuple[int, float]:
         """Nearest vertex to p and its `haversine_km` distance; ties go to
@@ -178,7 +181,7 @@ class RoadGraph:
         short-list in id order with the same strict `<` as a full scan, so
         the result is bit-for-bit that of a full scan.
         """
-        n = len(self.vertices)
+        n = self.n
         k = int(np.searchsorted(self._sorted_lat, p.lat))
         half = max(16, math.isqrt(n))
         lo, hi = max(0, k - half), min(n, k + half)
@@ -193,7 +196,7 @@ class RoadGraph:
         limit = float(d.min()) * (1.0 + 1e-9)
         best_v, best_d = -1, math.inf
         for vid in np.sort(ids[d <= limit]).tolist():
-            dist = haversine_km(p, self.vertices[vid])
+            dist = haversine_km(p, self.point(vid))
             if dist < best_d:
                 best_v, best_d = vid, dist
         return best_v, best_d
@@ -348,8 +351,14 @@ def _build_settlement(
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: non-numeric coordinate: {exc}") from exc
     _check_coords(lat, lon, where)
+    population = raw["population"]
+    # int() would truncate a GeoJSON 12.5 or -0.5, read true as 1 and overflow on Infinity.
+    if isinstance(population, bool) or (
+        isinstance(population, float) and not population.is_integer()
+    ):
+        raise ParseError(f"{where}: non-integer population: {population!r}")
     try:
-        population = int(raw["population"])
+        population = int(population)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: non-integer population: {exc}") from exc
     if population < 0:
@@ -533,6 +542,6 @@ def load_road_graph(path: str) -> RoadGraph:
         raise EmptyCollection(f"{path}: no line features")
     roads = RoadGraph(vertices, segments)
     log.info(
-        "loaded road graph from %s: %d vertices, %d edges", path, len(vertices), roads.edge_count
+        "loaded road graph from %s: %d vertices, %d edges", path, roads.n, roads.edge_count
     )
     return roads

@@ -7,6 +7,10 @@ construction (diesel burned trenching the buried fraction of the route),
 operations (grid electricity for the powered nodes over the service life),
 and end-of-life treatment (open-loop recycling of cable and node materials).
 All results are kg CO2-equivalent.
+
+Each phase formula is written once, as a private helper over a book `b`.
+`emissions_quantities` prices one design with them, and the report's
+pricing kernel runs the same helpers over arrays of units and draws.
 """
 
 from __future__ import annotations
@@ -14,13 +18,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import DataError, is_finite_number
+from .errors import is_finite_number
 
 HOURS_PER_YEAR = 8_760.0
-
-
-class ZeroUsers(DataError):
-    """An operations figure was requested for a zero-user base."""
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,6 @@ class EmissionFactorBook:
                 f"lifetime_years must be an integer >= 1, got {self.lifetime_years!r}"
             )
 
-    @property
-    def node_mass_kg(self) -> float:
-        """Non-fiber material mass per terminal node."""
-        return _node_mass(self)
-
     def replace(self, **overrides: float) -> "EmissionFactorBook":
         return dataclasses.replace(self, **overrides)
 
@@ -120,6 +115,7 @@ def _nonfiber_mfg(node_count, b):
 
 
 def _transport(d_km, shipping_mass_kg, b):
+    # The vehicle term moves one materials consignment over the route length.
     int_ghg = shipping_mass_kg * b.cf_shipping_per_kg
     nonfb_trans = _node_mass(b) * d_km * b.cf_vehicle_per_kg_km
     return int_ghg + nonfb_trans
@@ -137,6 +133,8 @@ def _per_user_power(n_rn_users, n_tu_users, b):
 
 
 def _operations(n_rn_users, n_tu_users, b):
+    # Lifetime emissions attributed to one user: the per-user power times the
+    # grid intensity, over the operating hours of the assessment period.
     rate_kg_per_hour = _per_user_power(n_rn_users, n_tu_users, b) * b.cf_electricity_per_kwh
     return rate_kg_per_hour * b.operating_hours_per_year * b.lifetime_years
 
@@ -167,70 +165,6 @@ def _per_user_views(total, users, years):
     return per_user, per_user / years
 
 
-def fiber_mfg_emissions(d_km: float, book: EmissionFactorBook) -> float:
-    """Emissions from manufacturing d_km of cable."""
-    if d_km < 0:
-        raise ValueError(f"d_km must be >= 0, got {d_km}")
-    return _fiber_mfg(d_km, book)
-
-
-def nonfiber_mfg_emissions(node_count: int, book: EmissionFactorBook) -> float:
-    """Emissions from manufacturing the node materials (PCB, plastics, steel)."""
-    if node_count < 0:
-        raise ValueError(f"node_count must be >= 0, got {node_count}")
-    return _nonfiber_mfg(node_count, book)
-
-
-def transport_emissions(d_km: float, shipping_mass_kg: float, book: EmissionFactorBook) -> float:
-    """Shipping of the equipment mass plus vehicle movement along the route.
-
-    The vehicle term moves one materials consignment over the route length.
-    """
-    if min(d_km, shipping_mass_kg) < 0:
-        raise ValueError("transport inputs must be >= 0")
-    return _transport(d_km, shipping_mass_kg, book)
-
-
-def construction_emissions(d_km: float, book: EmissionFactorBook) -> float:
-    """Diesel burned trenching the buried fraction of the route."""
-    if d_km < 0:
-        raise ValueError(f"d_km must be >= 0, got {d_km}")
-    return _construction(d_km, book)
-
-
-def _check_user_counts(n_rn_users: float, n_tu_users: float) -> None:
-    if n_rn_users <= 0 or n_tu_users <= 0:
-        raise ZeroUsers(
-            f"operations power needs positive user counts, got n_rn={n_rn_users}, n_tu={n_tu_users}"
-        )
-
-
-def per_user_power_kw(n_rn_users: float, n_tu_users: float, book: EmissionFactorBook) -> float:
-    """Grid power attributed to one user (node share plus overheads)."""
-    _check_user_counts(n_rn_users, n_tu_users)
-    return _per_user_power(n_rn_users, n_tu_users, book)
-
-
-def operations_emissions(
-    n_rn_users: float, n_tu_users: float, book: EmissionFactorBook
-) -> float:
-    """Lifetime operations emissions attributed to one user.
-
-    The hourly rate is the per-user power times the grid carbon intensity;
-    the lifetime figure integrates it over the operating hours of the
-    assessment period.
-    """
-    _check_user_counts(n_rn_users, n_tu_users)
-    return _operations(n_rn_users, n_tu_users, book)
-
-
-def eolt_emissions(d_km: float, node_count: int, book: EmissionFactorBook) -> float:
-    """End-of-life treatment of cable and node materials."""
-    if d_km < 0 or node_count < 0:
-        raise ValueError("eolt inputs must be >= 0")
-    return _eolt(d_km, node_count, book)
-
-
 def emissions_quantities(
     length_km: float, node_count: int, users: float, book: EmissionFactorBook
 ) -> EmissionsBreakdown:
@@ -247,7 +181,7 @@ def emissions_quantities(
             f"length_km and node_count must be >= 0, got {length_km}, {node_count}"
         )
     if users > 0 and node_count > 0:
-        ops = users * operations_emissions(users, users / node_count, book)
+        ops = users * _operations(users, users / node_count, book)
     else:
         ops = 0.0
     mfg, trans, constr, eolt, total = _phases(length_km, node_count, ops, book)

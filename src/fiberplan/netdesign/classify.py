@@ -1,16 +1,15 @@
 """Node role assignment: which settlements anchor which network tier.
 
-A settlement near existing core fiber is CoreAdjacent. Each region's
+A settlement near existing core fiber is core-adjacent. Each region's
 population-maximal settlement at or above the main-settlement threshold is
-its regional anchor; it takes the Regional role unless it is already
-CoreAdjacent (in which case the region is anchored directly on the core).
-Each subregion's population-maximal settlement takes the Access role unless
-a higher role already claimed it. Every settlement holds at most one role.
+its regional anchor; it is the region's regional node unless it is already
+core-adjacent (in which case the region is anchored directly on the core).
+Each subregion's population-maximal settlement is its access node unless a
+higher role already claimed it. Every settlement holds at most one role.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
 from dataclasses import dataclass
@@ -24,27 +23,23 @@ from ..geodata import within_buffer  # noqa: F401
 log = logging.getLogger(__name__)
 
 
-class NodeRole(enum.Enum):
-    CORE_ADJACENT = "core_adjacent"
-    REGIONAL = "regional"
-    ACCESS = "access"
-
-
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Role map plus the indexes the designers need.
+    """The settlements holding each role, plus the indexes the designers need.
+    The roles are core-adjacent and a node of one of `design.LEVELS`.
 
-    roles: settlement id -> role, for role-bearing settlements only.
+    core_adjacent: settlement ids within the core buffer, ascending.
     region_anchor: region id -> anchor settlement id (the regional-tier
         attachment point; population-max fallback for flagged regions).
-    regional_nodes: region id -> settlement id, only where the anchor holds
-        the Regional role (anchors on the core or below threshold excluded).
+    regional_nodes: region id -> settlement id, only where the anchor is
+        the region's regional node (anchors on the core or below threshold
+        excluded).
     access_nodes: subregion id -> settlement id, only where the subregion
-        maximum holds the Access role.
+        maximum holds no other role.
     regions_without_candidate: regions with no settlement at the threshold.
     """
 
-    roles: dict[str, NodeRole]
+    core_adjacent: tuple[str, ...]
     region_anchor: dict[str, str]
     regional_nodes: dict[str, str]
     access_nodes: dict[str, str]
@@ -74,13 +69,10 @@ def classify_nodes(
         raise ValueError(
             f"main_settlement_threshold must be >= 0, got {main_settlement_threshold}"
         )
-    roles: dict[str, NodeRole] = {}
+    core: set[str] = set()
     if fiber is not None:
-        points = [s.location for s in settlements]
-        on_core = within_buffer_mask(points, fiber, buffer_km).tolist()
-        for s, near in zip(settlements, on_core):
-            if near:
-                roles[s.id] = NodeRole.CORE_ADJACENT
+        on_core = within_buffer_mask([s.location for s in settlements], fiber, buffer_km)
+        core = {s.id for s, near in zip(settlements, on_core.tolist()) if near}
 
     by_region: dict[str, list] = {}
     by_subregion: dict[str, list] = {}
@@ -111,28 +103,26 @@ def classify_nodes(
             continue
         anchor = pop_max(candidates)
         region_anchor[region_id] = anchor.id
-        if roles.get(anchor.id) is NodeRole.CORE_ADJACENT:
+        if anchor.id in core:
             log.info("region %s anchors on the core at %s", region_id, anchor.id)
         else:
-            roles[anchor.id] = NodeRole.REGIONAL
             regional_nodes[region_id] = anchor.id
 
+    claimed = core | set(regional_nodes.values())
     access_nodes: dict[str, str] = {}
     for subregion_id in sorted(by_subregion):
         top = pop_max(by_subregion[subregion_id])
-        if top.id not in roles:
-            roles[top.id] = NodeRole.ACCESS
+        if top.id not in claimed:
             access_nodes[subregion_id] = top.id
 
     log.info(
-        "classified %d role-bearing settlements: %d core-adjacent, %d regional, %d access",
-        len(roles),
-        sum(1 for r in roles.values() if r is NodeRole.CORE_ADJACENT),
+        "classified settlements: %d core-adjacent, %d regional, %d access",
+        len(core),
         len(regional_nodes),
         len(access_nodes),
     )
     return ClassificationResult(
-        roles=roles,
+        core_adjacent=tuple(sorted(core)),
         region_anchor=region_anchor,
         regional_nodes=regional_nodes,
         access_nodes=access_nodes,

@@ -95,14 +95,14 @@ class RoadOverlay:
 
     Answers `n`, `edge_count`, `edge_arrays()` and `point(v)` for the road
     graph with the spurs added, but stores only what the design adds:
-    vertices 0..R-1 are the road vertices, read from the road graph's CSR;
+    vertices 0..R-1 are the road vertices, read from the road graph's arrays;
     spur vertices follow in attachment order, each joined by one edge to
     one road vertex.
     """
 
     def __init__(self, roads: RoadGraph):
         self.roads = roads
-        self._road_n = len(roads.vertices)
+        self._road_n = roads.n
         # (point, road vertex, spur length), one per spur vertex
         self._spurs: list[tuple[GeoPoint, int, float]] = []
 
@@ -116,7 +116,7 @@ class RoadOverlay:
 
     def point(self, v: int) -> GeoPoint:
         if 0 <= v < self._road_n:
-            return self.roads.vertices[v]
+            return self.roads.point(v)
         if self._road_n <= v < self.n:
             return self._spurs[v - self._road_n][0]
         raise IndexError(f"vertex {v} out of range for {self.n} vertices")
@@ -242,7 +242,7 @@ def attach_terminals_to_roads(
         raise EmptyNodeSet("no settlements to attach")
     if snap_radius_km < 0:
         raise ValueError(f"snap_radius_km must be >= 0, got {snap_radius_km}")
-    if not roads.vertices:
+    if not roads.n:
         raise EmptyNodeSet("road graph has no vertices to attach to")
     g = RoadOverlay(roads)
     terminal_vertex: dict[str, int] = {}

@@ -21,7 +21,7 @@ import numpy as np
 from . import demand as demand_mod
 from .config import ScenarioConfig, parameters_payload
 from .demand import AdoptionScenario, SubregionDemand, users_for_node
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geodata import (
     FiberLineSet,
     RoadGraph,
@@ -33,7 +33,7 @@ from .geodata import (
     load_road_graph,
     load_settlements,
 )
-from .netdesign.classify import ClassificationResult, NodeRole, classify_nodes
+from .netdesign.classify import ClassificationResult, classify_nodes
 from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, design_network
 from .report import (
     DecileReportRow,
@@ -63,6 +63,7 @@ class LoadedInputs:
 class DemandStage:
     records: list[SubregionDemand]
     users_by_subregion: dict[str, float]
+    users_by_region: dict[str, float]  # in region order
     total_users: float
     warnings: tuple[str, ...]
 
@@ -76,7 +77,6 @@ class PipelineResult:
     designs: dict[tuple[str, str], list[DesignResult]]
     units: list[ReportUnit]
     rows: list[DecileReportRow]
-    total_users: float
     warnings: list[str] = field(default_factory=list)
 
 
@@ -115,7 +115,8 @@ def _check_subregion_regions(settlements: SettlementSet) -> None:
 
 
 def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
-    """Population density, deciles, and potential users per subregion."""
+    """Population density, deciles, and potential users per subregion and
+    per region."""
     pops: dict[str, int] = {sid: 0 for sid in inputs.areas}
     for s in inputs.settlements:
         pops[s.subregion_id] += s.population
@@ -137,6 +138,7 @@ def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
     return DemandStage(
         records=records,
         users_by_subregion=users,
+        users_by_region=_region_users(inputs.settlements, users),
         total_users=math.fsum(users.values()),
         warnings=tuple(warnings),
     )
@@ -188,11 +190,7 @@ def _pick_backbone_root(
     full scalar scan.
     """
     rnod_ids = sorted(classification.regional_nodes.values())
-    core_ids = sorted(
-        sid
-        for sid, role in classification.roles.items()
-        if role is NodeRole.CORE_ADJACENT
-    )
+    core_ids = classification.core_adjacent
     if core_ids and rnod_ids:
         cores = [settlements.by_id(sid).location for sid in core_ids]
         rnods = [settlements.by_id(sid).location for sid in rnod_ids]
@@ -241,7 +239,7 @@ def build_designs(
     those of the designs.
     """
     settlements = inputs.settlements
-    region_users = _region_users(settlements, stage.users_by_subregion)
+    region_users = stage.users_by_region
     jobs: list[tuple[str, str, list[Settlement], dict[str, float], bool]] = []
 
     rnod_ids = sorted(classification.regional_nodes.values())
@@ -316,7 +314,7 @@ def build_units(
     """
     settlements = inputs.settlements
     demand_index = {r.subregion_id: r for r in stage.records}
-    region_users = _region_users(settlements, stage.users_by_subregion)
+    region_users = stage.users_by_region
     region_decile = {
         region: _region_decile(region, classification, settlements, demand_index)
         for region in region_users
@@ -384,7 +382,6 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineResult:
         designs=designs,
         units=units,
         rows=rows,
-        total_users=stage.total_users,
         warnings=warnings,
     )
 
@@ -392,7 +389,7 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineResult:
 def run_monte_carlo(cfg: ScenarioConfig, result: PipelineResult) -> list[McSummaryRow]:
     """Re-price the pipeline's units under the configured parameter draws."""
     if cfg.mc is None:
-        raise DataError("scenario has no monte_carlo section")
+        raise ConfigError("mc needs a monte_carlo section in the scenario config")
     return monte_carlo(result.units, cfg.cost_book, cfg.factor_book, cfg.mc)
 
 

@@ -13,7 +13,10 @@ the package solvers) so the two routes to a spanning tree stay independent.
 `grow_moats_dense_reference` is the all-edges array loop that the
 frontier-only `_grow_moats` replaced; their forests and dual increments
 must be equal bit for bit. `nearest_vertex_reference` is the full scan that
-the latitude window of `RoadGraph.nearest_vertex` replaced.
+the latitude window of `RoadGraph.nearest_vertex` replaced; like every
+oracle here, it reads a road vertex through `point(v)`, which rebuilds one
+`GeoPoint` from the graph's arrays, never through the whole `vertices`
+tuple.
 `prim_mst_reference` is the heap Prim that the dense `prim_mst` replaced,
 and `euclidean_graph_reference` the complete graph it ran on, with every
 edge stored; MST designs must match them edge for edge.
@@ -52,7 +55,7 @@ from fiberplan.geodata import (
     point_segment_km,
 )
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
-from fiberplan.netdesign.classify import ClassificationResult, NodeRole
+from fiberplan.netdesign.classify import ClassificationResult
 from fiberplan.netdesign.design import DesignResult
 from fiberplan.netdesign.graphs import (
     DisconnectedGraph,
@@ -753,7 +756,7 @@ def nearest_vertex_reference(roads: RoadGraph, p: GeoPoint) -> tuple[int, float]
     limit = float(d.min()) * (1.0 + 1e-9)
     best_v, best_d = -1, math.inf
     for vid in np.flatnonzero(d <= limit).tolist():
-        dist = haversine_km(p, roads.vertices[vid])
+        dist = haversine_km(p, roads.point(vid))
         if dist < best_d:
             best_v, best_d = vid, dist
     return best_v, best_d
@@ -769,11 +772,7 @@ def pick_backbone_root_reference(
     nothing touches the core. Returns (root id, root is billable, warnings).
     """
     rnod_ids = sorted(classification.regional_nodes.values())
-    core_ids = sorted(
-        sid
-        for sid, role in classification.roles.items()
-        if role is NodeRole.CORE_ADJACENT
-    )
+    core_ids = sorted(classification.core_adjacent)
     if core_ids and rnod_ids:
         rnods = [settlements.by_id(sid) for sid in rnod_ids]
 

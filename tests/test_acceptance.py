@@ -19,13 +19,14 @@ from fiberplan.costmodel import CostBook, capex_quantities, opex_npv
 from fiberplan.demand import AdoptionScenario, assign_deciles, potential_users
 from fiberplan.lca import (
     EmissionFactorBook,
-    construction_emissions,
+    _construction,
+    _eolt,
+    _fiber_mfg,
+    _node_mass,
+    _nonfiber_mfg,
+    _operations,
+    _transport,
     emissions_quantities,
-    eolt_emissions,
-    fiber_mfg_emissions,
-    nonfiber_mfg_emissions,
-    operations_emissions,
-    transport_emissions,
 )
 from fiberplan.netdesign.graphs import PrizedGraph
 from fiberplan.netdesign.solvers import pcst_gw, prim_mst
@@ -112,10 +113,10 @@ def test_criterion_4_lca_fixture_values_and_additivity():
     65.20 +/- 0.01 kg; 1-node end-of-life 116.57 +/- 0.01 kg; the five phases
     sum to the reported total within 1e-9 relative on 1,000 random inputs."""
     book = EmissionFactorBook()
-    mfg = fiber_mfg_emissions(1.0, book) + nonfiber_mfg_emissions(1, book)
+    mfg = _fiber_mfg(1.0, book) + _nonfiber_mfg(1, book)
     assert mfg == pytest.approx(762.081, abs=1e-9)
-    assert construction_emissions(100.0, book) == pytest.approx(65.20, abs=0.01)
-    assert eolt_emissions(0.0, 1, book) == pytest.approx(116.57, abs=0.01)
+    assert _construction(100.0, book) == pytest.approx(65.20, abs=0.01)
+    assert _eolt(0.0, 1, book) == pytest.approx(116.57, abs=0.01)
 
     rng = random.Random(40_4040)
     for _ in range(1000):
@@ -123,15 +124,15 @@ def test_criterion_4_lca_fixture_values_and_additivity():
         nodes = rng.randrange(0, 200)
         users = rng.uniform(0.0, 1e6) if rng.random() < 0.9 else 0.0
         got = emissions_quantities(d, nodes, users, book)
-        shipping_mass = d * book.cable_kg_per_km + nodes * book.node_mass_kg
+        shipping_mass = d * book.cable_kg_per_km + nodes * _node_mass(book)
         phases = [
-            fiber_mfg_emissions(d, book) + nonfiber_mfg_emissions(nodes, book),
-            transport_emissions(d, shipping_mass, book),
-            construction_emissions(d, book),
-            users * operations_emissions(users, users / nodes, book)
+            _fiber_mfg(d, book) + _nonfiber_mfg(nodes, book),
+            _transport(d, shipping_mass, book),
+            _construction(d, book),
+            users * _operations(users, users / nodes, book)
             if users > 0 and nodes > 0
             else 0.0,
-            eolt_emissions(d, nodes, book),
+            _eolt(d, nodes, book),
         ]
         assert got.total_kg == pytest.approx(math.fsum(phases), rel=1e-9)
         assert [got.mfg_kg, got.trans_kg, got.constr_kg, got.ops_kg, got.eolt_kg] == (

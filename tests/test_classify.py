@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fiberplan.geodata import FiberLineSet, GeoPoint, Settlement, SettlementSet
-from fiberplan.netdesign.classify import NodeRole, classify_nodes
+from fiberplan.netdesign.classify import classify_nodes
 
 # Fiber running along the equator from lon 0 to lon 1.
 FIBER = FiberLineSet(lines=((GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)),))
@@ -27,7 +27,8 @@ def _classify(settlements, fiber=FIBER, buffer_km=2.0, threshold=20_000):
 
 def test_settlement_on_fiber_is_core_adjacent():
     result = _classify(_set(_s("a", 0.0, 0.5, 100, "R1", "R1-01")))
-    assert result.roles["a"] is NodeRole.CORE_ADJACENT
+    assert result.core_adjacent == ("a",)
+    assert result.access_nodes == {}
 
 
 def test_regional_node_is_population_max_over_threshold():
@@ -37,12 +38,11 @@ def test_regional_node_is_population_max_over_threshold():
         _s("small", 10.1, 10.0, 18_000, "R1", "R1-02"),
     )
     result = _classify(ss)
-    assert result.roles["big"] is NodeRole.REGIONAL
     assert result.regional_nodes == {"R1": "big"}
     assert result.region_anchor == {"R1": "big"}
     # The 18k settlement still tops its subregion.
-    assert result.roles["small"] is NodeRole.ACCESS
     assert result.access_nodes == {"R1-02": "small"}
+    assert result.core_adjacent == ()
 
 
 def test_region_without_candidate_is_flagged():
@@ -55,8 +55,7 @@ def test_region_without_candidate_is_flagged():
     assert result.regional_nodes == {}
     # Anchored at the largest settlement; subregion maxima stay Access.
     assert result.region_anchor == {"R1": "a"}
-    assert result.roles["a"] is NodeRole.ACCESS
-    assert result.roles["b"] is NodeRole.ACCESS
+    assert result.access_nodes == {"R1-01": "a", "R1-02": "b"}
 
 
 def test_core_adjacent_takes_precedence_over_regional():
@@ -67,10 +66,10 @@ def test_core_adjacent_takes_precedence_over_regional():
         _s("inland", 5.0, 5.0, 30_000, "R1", "R1-02"),
     )
     result = _classify(ss)
-    assert result.roles["oncore"] is NodeRole.CORE_ADJACENT
+    assert result.core_adjacent == ("oncore",)
     assert result.region_anchor == {"R1": "oncore"}
     assert result.regional_nodes == {}
-    assert result.roles["inland"] is NodeRole.ACCESS
+    assert result.access_nodes == {"R1-02": "inland"}
     assert result.regions_without_candidate == ()
 
 
@@ -83,11 +82,9 @@ def test_each_settlement_has_at_most_one_role():
         _s("little", 5.1, 5.0, 1_000, "R1", "R1-03"),
     )
     result = _classify(ss)
-    assert result.roles == {
-        "oncore": NodeRole.CORE_ADJACENT,
-        "big": NodeRole.ACCESS,
-        "little": NodeRole.ACCESS,
-    }
+    assert result.core_adjacent == ("oncore",)
+    assert result.regional_nodes == {}
+    assert result.access_nodes == {"R1-02": "big", "R1-03": "little"}
     assert result.region_anchor == {"R1": "oncore"}
 
 
@@ -103,16 +100,20 @@ def test_population_ties_break_by_id():
 def test_no_fiber_means_no_core_adjacent():
     ss = _set(_s("a", 0.0, 0.5, 50_000, "R1", "R1-01"))
     result = _classify(ss, fiber=None)
-    assert result.roles["a"] is NodeRole.REGIONAL
+    assert result.core_adjacent == ()
+    assert result.regional_nodes == {"R1": "a"}
+    assert result.access_nodes == {}
 
 
 def test_buffer_radius_respected():
     # ~1 km north of the fiber: inside a 2 km buffer, outside a 0.5 km one.
     near = _s("near", 0.00899320363724538, 0.5, 100, "R1", "R1-01")
     inside = _classify(_set(near), buffer_km=2.0)
-    assert inside.roles["near"] is NodeRole.CORE_ADJACENT
+    assert inside.core_adjacent == ("near",)
+    assert inside.access_nodes == {}
     outside = _classify(_set(near), buffer_km=0.5)
-    assert outside.roles["near"] is NodeRole.ACCESS
+    assert outside.core_adjacent == ()
+    assert outside.access_nodes == {"R1-01": "near"}
 
 
 def test_validation():

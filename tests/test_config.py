@@ -6,6 +6,7 @@ import os
 import pytest
 
 from fiberplan.config import ScenarioConfig, load_scenario, parameters_payload
+from fiberplan.costmodel import _per_node_cost
 from fiberplan.errors import ConfigError
 from fiberplan.report import config_hash
 
@@ -53,7 +54,7 @@ def test_tiny_scenario_defaults():
     assert cfg.prize_scale == 1.0
     assert cfg.min_density_per_km2 == 0.0
     assert cfg.mc is None
-    assert cfg.cost_book.per_node_cost == 177_000.0
+    assert _per_node_cost(cfg.cost_book) == 177_000.0
 
 
 def test_cli_overrides_win():
@@ -154,6 +155,7 @@ def test_bad_adoption_rate(tmp_path, rate):
         ("algorithms", []),
         ("algorithms", ["dijkstra"]),
         ("output_dir", ""),
+        ("main_settlement_threshold", True),
     ],
 )
 def test_bad_scalar_settings(tmp_path, key, value):

@@ -6,15 +6,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fiberplan.costmodel import CostBook, capex_quantities, opex_npv, tco_quantities
+from fiberplan.costmodel import (
+    CostBook,
+    _annual_opex,
+    _per_km_cost,
+    _per_node_cost,
+    capex_quantities,
+    opex_npv,
+    tco_quantities,
+)
 
 
 class TestCostBook:
     def test_defaults(self):
         book = CostBook()
-        assert book.per_node_cost == 177_000.0
-        assert book.per_km_cost == 6_600.0
-        assert book.annual_opex == 522_000.0
+        assert _per_node_cost(book) == 177_000.0
+        assert _per_km_cost(book) == 6_600.0
+        assert _annual_opex(book) == 522_000.0
         assert book.discount_rate == 0.0833
         assert book.assessment_years == 30
         assert book.carbon_price_usd_per_tonne == 75.0

@@ -8,10 +8,13 @@ constructing points at known offsets) and frozen as literals.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import os
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,6 +346,33 @@ def test_load_settlements_geojson_null_property(tmp_path, key):
         load_settlements(path, fmt="geojson")
 
 
+def _point_doc_text(population: str) -> str:
+    """One settlement feature whose population is the raw JSON token given."""
+    return (
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+        '"geometry": {"type": "Point", "coordinates": [36.8, -1.3]}, '
+        '"properties": {"id": "s1", "population": ' + population + ', '
+        '"region_id": "R1", "subregion_id": "R1-01"}}]}'
+    )
+
+
+@pytest.mark.parametrize("population", ["12.5", "-0.5", "true", "false", "Infinity", "-Infinity",
+                                        "NaN", "1e400"])
+def test_load_settlements_geojson_rejects_a_population_that_is_not_a_whole_number(
+    tmp_path, population
+):
+    path = _write(tmp_path, "s.geojson", _point_doc_text(population))
+    with pytest.raises(ParseError, match=r"feature\[0\]: non-integer population"):
+        load_settlements(path, fmt="geojson")
+
+
+@pytest.mark.parametrize("population, want", [("12.0", 12), ("12", 12), ("-0.0", 0), ("0", 0)])
+def test_load_settlements_geojson_reads_an_integral_population(tmp_path, population, want):
+    path = _write(tmp_path, "s.geojson", _point_doc_text(population))
+    got = load_settlements(path, fmt="geojson").by_id("s1").population
+    assert (got, type(got)) == (want, int)
+
+
 # --- fiber lines -----------------------------------------------------------
 
 def _line_doc(*coord_lists, gtype="LineString"):
@@ -401,11 +431,11 @@ def test_load_road_graph_shares_vertices(tmp_path):
     # Two features meeting at (0.5, 0): junction vertex is shared.
     doc = _line_doc([[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.4]])
     rg = load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
-    assert len(rg.vertices) == 3
+    assert rg.n == 3
     assert len(rg.edges) == 2
     for u, v, w in rg.edges:
         assert u < v
-        assert w == pytest.approx(haversine_km(rg.vertices[u], rg.vertices[v]))
+        assert w == pytest.approx(haversine_km(rg.point(u), rg.point(v)))
 
 
 def test_load_road_graph_dedupes_parallel_edges(tmp_path):
@@ -461,11 +491,46 @@ def test_road_arrays_csr_keeps_lightest_parallel_edge():
         vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0), GeoPoint(1.0, 0.0)),
         edges=((0, 1, 5.0), (1, 0, 3.0), (0, 2, 2.0)),
     )
-    assert roads.indptr.tolist() == [0, 2, 3, 4]
-    assert roads.indices.tolist() == [1, 2, 0, 0]
-    assert roads.weights.tolist() == [3.0, 2.0, 3.0, 2.0]
-    assert [a.tolist() for a in roads.edge_arrays()] == [[0, 0], [1, 2], [3.0, 2.0]]
+    u, v, w = roads.edge_arrays()
+    assert [u.tolist(), v.tolist(), w.tolist()] == [[0, 0], [1, 2], [3.0, 2.0]]
+    assert (u.dtype, v.dtype, w.dtype) == (np.int64, np.int64, np.float64)
+    assert not any(a.flags.writeable for a in (u, v, w))
+    assert all(a is b for a, b in zip(roads.edge_arrays(), (u, v, w)))  # stored, not rebuilt
     assert roads.edges == ((0, 1, 3.0), (0, 2, 2.0))
+    assert roads.edge_count == 2
+
+
+def test_road_graph_point_returns_the_loaders_floats_bit_for_bit():
+    given = (GeoPoint(-0.0, 0.1 + 0.2), GeoPoint(5e-324, -0.0), GeoPoint(-89.99999999999999, 180.0))
+    roads = RoadGraph(vertices=given, edges=((0, 1, 1.0), (1, 2, 1.0)))
+    for v, p in enumerate(given):
+        got = roads.point(v)
+        assert (type(got.lat), type(got.lon)) == (float, float)
+        assert (got.lat.hex(), got.lon.hex()) == (p.lat.hex(), p.lon.hex())  # -0.0 stays -0.0
+    assert roads.n == 3
+    assert roads.vertices == given
+
+
+def test_road_graph_retains_only_its_flat_arrays():
+    """A 200 x 200 grid (40,000 vertices, 79,600 edges) keeps its lat, lon
+    and cos_lat, the latitude order, and one (u, v, w) array triple: about
+    3.4 MiB, and no point or edge objects once the inputs are dropped."""
+    side = 200
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vertices = [GeoPoint(r * 0.01, c * 0.01) for r in range(side) for c in range(side)]
+        edges = [(r * side + c, r * side + c + 1, 1.1) for r in range(side) for c in range(side - 1)]
+        edges += [(r * side + c, (r + 1) * side + c, 1.1) for r in range(side - 1) for c in range(side)]
+        roads = RoadGraph(vertices, edges)
+        del vertices, edges
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert (roads.n, roads.edge_count) == (40_000, 79_600)
+    assert retained <= 4 * 1024 * 1024, f"{retained / 2**20:.2f} MiB retained"
 
 
 @pytest.mark.parametrize(
@@ -480,14 +545,15 @@ def test_road_arrays_reject_bad_edges(edges):
 
 def test_nearest_vertex_equals_a_full_haversine_scan():
     roads = load_road_graph(GOLDEN_ROADS)
-    lats = [p.lat for p in roads.vertices]
-    lons = [p.lon for p in roads.vertices]
+    vertices = [roads.point(v) for v in range(roads.n)]
+    lats = [p.lat for p in vertices]
+    lons = [p.lon for p in vertices]
     rng = random.Random(5)
     points = [GeoPoint(rng.uniform(min(lats), max(lats)), rng.uniform(min(lons), max(lons)))
               for _ in range(200)]
-    points += list(roads.vertices[:20])  # coincident: distance exactly 0
+    points += vertices[:20]  # coincident: distance exactly 0
     for p in points:
-        want = min((haversine_km(p, q), v) for v, q in enumerate(roads.vertices))
+        want = min((haversine_km(p, q), v) for v, q in enumerate(vertices))
         assert roads.nearest_vertex(p) == (want[1], want[0])
 
 
@@ -498,8 +564,8 @@ def test_nearest_vertex_ties_go_to_the_lowest_id():
         edges=((0, 1, 111.0), (1, 2, 55.6)),
     )
     p = GeoPoint(0.0, 0.25)
-    assert haversine_km(p, roads.vertices[1]) == haversine_km(p, roads.vertices[2])
-    assert roads.nearest_vertex(p) == (1, haversine_km(p, roads.vertices[1]))
+    assert haversine_km(p, roads.point(1)) == haversine_km(p, roads.point(2))
+    assert roads.nearest_vertex(p) == (1, haversine_km(p, roads.point(1)))
 
 
 def _shuffled_grid(rng: random.Random, side: int, lat0: float, lon0: float, spacing: float,
@@ -551,7 +617,8 @@ def test_nearest_vertex_equals_the_full_scan_reference(side, lat0, jitter):
     # far outside, anywhere on the globe
     points += [GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)) for _ in range(100)]
     points += [GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)]
-    points += rng.sample(roads.vertices, 30)  # coincident: distance exactly 0
+    # coincident: distance exactly 0
+    points += [roads.point(v) for v in rng.sample(range(roads.n), 30)]
     for p in points:
         assert roads.nearest_vertex(p) == nearest_vertex_reference(roads, p), p
 

@@ -184,11 +184,11 @@ class TestRoadOverlay:
         att = attach_terminals_to_roads([near, on_road], roads, snap_radius_km=5.0)
         g = att.graph
         assert g.roads is roads
-        copy = WeightedGraph(len(roads.vertices))
+        copy = WeightedGraph(roads.n)
         for u, v, w in roads.edges:
             copy.add_edge(u, v, w)
         spur = copy.add_vertex()
-        copy.add_edge(1, spur, haversine_km(near.location, roads.vertices[1]))
+        copy.add_edge(1, spur, haversine_km(near.location, roads.point(1)))
         assert g.n == copy.n == 4
         assert g.edge_count == copy.edge_count == 3
         assert [a.tolist() for a in g.edge_arrays()] == [a.tolist() for a in copy.edge_arrays()]
@@ -196,7 +196,7 @@ class TestRoadOverlay:
         assert weights[(1, 2)] == roads.edges[1][2]
         assert (0, 2) not in weights and (0, 3) not in weights
         assert att.terminal_vertex == {"near": 3, "on": 2}
-        assert [g.point(v) for v in range(4)] == [*roads.vertices, near.location]
+        assert [g.point(v) for v in range(4)] == [*map(roads.point, range(3)), near.location]
         with pytest.raises(IndexError):
             g.point(4)
 

@@ -9,9 +9,9 @@ import pytest
 
 from fiberplan.config import load_scenario
 from fiberplan.demand import SubregionDemand
-from fiberplan.errors import DataError
+from fiberplan.errors import ConfigError, DataError
 from fiberplan.geodata import GeoPoint, Settlement, SettlementSet, haversine_km
-from fiberplan.netdesign.classify import ClassificationResult, NodeRole
+from fiberplan.netdesign.classify import ClassificationResult
 from fiberplan.pipeline import (
     _pick_backbone_root,
     build_demand,
@@ -89,8 +89,27 @@ def test_golden_users_conserved_per_level_and_algorithm(golden_run):
         by_group[key] = by_group.get(key, 0.0) + row.users
     assert len(by_group) == 4
     for total in by_group.values():
-        assert total == pytest.approx(result.total_users, rel=1e-12)
-    assert result.total_users == pytest.approx(831.5, rel=1e-12)
+        assert total == pytest.approx(result.demand.total_users, rel=1e-12)
+    assert result.demand.total_users == pytest.approx(831.5, rel=1e-12)
+
+
+def test_golden_region_users_are_computed_once_and_carried_by_every_unit(golden_run):
+    _, result, _ = golden_run
+    stage = result.demand
+    assert list(stage.users_by_region) == sorted({unit.key for unit in result.units})
+    assert math.fsum(stage.users_by_region.values()) == pytest.approx(
+        stage.total_users, rel=1e-12
+    )
+    for unit in result.units:
+        assert unit.users == stage.users_by_region[unit.key]
+
+
+def test_run_monte_carlo_without_a_monte_carlo_section_is_a_config_error():
+    cfg = load_scenario(TINY)
+    assert cfg.mc is None
+    result = run_pipeline(cfg)
+    with pytest.raises(ConfigError, match="needs a monte_carlo section"):
+        run_monte_carlo(cfg, result)
 
 
 def test_golden_backbone_length_is_fully_attributed(golden_run):
@@ -274,13 +293,12 @@ def test_area_only_subregions_carry_zero_users(tmp_path):
 def test_region_decile_requires_a_demand_record():
     from fiberplan.pipeline import _region_decile
     from fiberplan.geodata import GeoPoint, Settlement, SettlementSet
-    from fiberplan.netdesign.classify import ClassificationResult, NodeRole
 
     settlements = SettlementSet(
         (Settlement("a", GeoPoint(0.0, 36.0), 1000, "R1", "S1"),)
     )
     classification = ClassificationResult(
-        roles={"a": NodeRole.REGIONAL},
+        core_adjacent=(),
         region_anchor={"R1": "a"},
         regional_nodes={"R1": "a"},
         access_nodes={},
@@ -293,7 +311,7 @@ def test_region_decile_requires_a_demand_record():
 
 def _root_pick_case(rng, kind):
     """Settlements and a classification for one backbone root pick: core
-    settlements, regional nodes and a few ignored access nodes, laid out
+    settlements, regional nodes and a few settlements with neither role, laid out
     as `kind` says; ids are shuffled so their order is not the layout's."""
     def spot():
         if kind == "antimeridian":
@@ -313,7 +331,7 @@ def _root_pick_case(rng, kind):
     elif kind == "zero":  # a core settlement on a regional node
         cores[0] = rnods[rng.randrange(n_rnod)]
     ids = [f"s{i:03d}" for i in rng.sample(range(1000), n_core + n_rnod + 3)]
-    settlements, roles, regional_nodes = [], {}, {}
+    settlements, core_adjacent, regional_nodes = [], [], {}
     for i, (lat, lon) in enumerate(cores + rnods + [spot() for _ in range(3)]):
         sid = ids[i]
         region = f"R{i}"
@@ -321,14 +339,11 @@ def _root_pick_case(rng, kind):
             Settlement(sid, GeoPoint(lat, lon), rng.choice((100, 200, 300)), region, f"{region}-1")
         )
         if i < n_core:
-            roles[sid] = NodeRole.CORE_ADJACENT
+            core_adjacent.append(sid)
         elif i < n_core + n_rnod:
-            roles[sid] = NodeRole.REGIONAL
             regional_nodes[region] = sid
-        else:
-            roles[sid] = NodeRole.ACCESS
     classification = ClassificationResult(
-        roles=roles,
+        core_adjacent=tuple(sorted(core_adjacent)),
         region_anchor={s.region_id: s.id for s in settlements},
         regional_nodes=regional_nodes,
         access_nodes={},
@@ -350,8 +365,8 @@ def test_backbone_root_equals_the_scalar_scan():
         rnods = [settlements.by_id(s).location for s in classification.regional_nodes.values()]
         nearest = sorted(
             min(haversine_km(settlements.by_id(sid).location, r) for r in rnods)
-            for sid, role in classification.roles.items()
-            if role is NodeRole.CORE_ADJACENT and rnods
+            for sid in classification.core_adjacent
+            if rnods
         )
         seen["tie"] += len(nearest) > 1 and nearest[0] == nearest[1]
         if kind == "zero":

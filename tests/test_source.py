@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 import sys
 
 import fiberplan
@@ -107,3 +108,44 @@ def test_readme_lower_level_pieces_import_from_their_modules():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
             assert f"`{name}`" in section or f"`{module_name}.{name}`" in section, name
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, def line) of every public top-level function or class and
+    every public method of a top-level class."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        found.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [(name, line) for name, line in found if not name.startswith("_")]
+
+
+def test_every_public_name_in_src_has_a_reader():
+    """A public function, class or method that nothing in the package, the
+    README or the benchmark names is API kept only for tests: it belongs in
+    the tests, or nowhere."""
+    sources = sorted(PACKAGE.rglob("*.py"))
+    readers = [
+        (path, path.read_text(encoding="utf-8").splitlines())
+        for path in sources + [ROOT / "README.md"] + sorted((ROOT / "perfbench").glob("*.py"))
+    ]
+    unread = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, def_line in _public_definitions(tree):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(
+                word.search(line)
+                for reader, lines in readers
+                for lineno, line in enumerate(lines, start=1)
+                if (reader, lineno) != (path, def_line)
+            ):
+                unread.append(f"{path.relative_to(PACKAGE)}:{def_line} {name}")
+    assert not unread, "public names nothing outside the tests reads: " + ", ".join(unread)
