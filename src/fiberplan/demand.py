@@ -8,14 +8,13 @@ rate applied above a minimum-density cutoff.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .geodata import _open_input
+from .geodata import _read_csv_rows
 from .report import write_csv
 
 log = logging.getLogger(__name__)
@@ -166,26 +165,20 @@ def users_for_node(demand: SubregionDemand) -> float:
 
 def load_area_table(path: str) -> dict[str, float]:
     """Load subregion areas from a CSV with columns subregion_id,area_km2."""
-    with _open_input(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(AREA_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: missing columns {sorted(missing)}")
-        out: dict[str, float] = {}
-        for lineno, row in enumerate(reader, start=2):
-            sid = (row.get("subregion_id") or "").strip()
-            if not sid:
-                raise DataError(f"{path}:{lineno}: empty subregion_id")
-            if sid in out:
-                raise DataError(f"{path}:{lineno}: duplicate subregion_id {sid!r}")
-            raw_area = row.get("area_km2")
-            try:
-                area = float(raw_area)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad area_km2 {raw_area!r}") from exc
-            if not math.isfinite(area) or area <= 0:
-                raise ZeroArea(f"{path}:{lineno}: area_km2 must be positive, got {area}")
-            out[sid] = area
+    out: dict[str, float] = {}
+    for where, (raw_sid, raw_area) in _read_csv_rows(path, AREA_COLUMNS):
+        sid = (raw_sid or "").strip()
+        if not sid:
+            raise DataError(f"{where}: empty subregion_id")
+        if sid in out:
+            raise DataError(f"{where}: duplicate subregion_id {sid!r}")
+        try:
+            area = float(raw_area)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{where}: bad area_km2 {raw_area!r}") from exc
+        if not math.isfinite(area) or area <= 0:
+            raise ZeroArea(f"{where}: area_km2 must be positive, got {area}")
+        out[sid] = area
     if not out:
         raise DataError(f"{path}: area table has no rows")
     return out

@@ -11,7 +11,9 @@ import csv
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -105,23 +107,28 @@ class RoadGraph:
     """Road network: vertex coordinates and undirected weighted edges, held
     once as flat arrays.
 
-    Edge weights are great-circle segment lengths in km. Edges may be given
-    in either order and more than once: the graph keeps the lightest of any
-    parallel edges as (u, v, w) arrays with u < v, in ascending (u, v)
-    order, and rejects self-loops, out-of-range ids and weights that are
-    not positive. Coordinates stay in degrees, so a coordinate difference
-    rounds exactly as it does in `haversine_km`, and `point(v)` rebuilds the
-    given `GeoPoint` bit for bit. Every array is read-only: one road graph
-    is shared by every design of a run.
+    `RoadGraph(lat, lon, u, v, w)` copies the vertex coordinates and the
+    edges (u[i], v[i], w[i]) from any sequences or buffers. Edge weights are
+    great-circle segment lengths in km. Edges may be given in either order
+    and more than once: the graph keeps the lightest of any parallel edges
+    as (u, v, w) arrays with u < v, in ascending (u, v) order, and rejects
+    self-loops, out-of-range ids and weights that are not positive.
+    Coordinates stay in degrees, so a coordinate difference rounds exactly
+    as it does in `haversine_km`, and `point(v)` returns the given floats
+    bit for bit. Every array is read-only: one road graph is shared by
+    every design of a run.
     """
 
-    def __init__(self, vertices: Sequence[GeoPoint], edges: Sequence[tuple[int, int, float]]):
-        self.n = n = len(vertices)
-        raw = np.array(edges, dtype=np.float64).reshape(-1, 3)
-        a, b, w = raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64), raw[:, 2]
+    def __init__(self, lat: Sequence[float], lon: Sequence[float],
+                 u: Sequence[int], v: Sequence[int], w: Sequence[float]):
+        self.lat = np.array(lat, dtype=np.float64)
+        self.lon = np.array(lon, dtype=np.float64)
+        self.n = n = len(self.lat)
+        a, b = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
         if np.any(a == b):
             raise ValueError(f"self-loop at road vertex {int(a[a == b][0])}")
-        if raw.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+        if len(a) and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
             raise ValueError(f"road edge out of range for {n} vertices")
         if np.any(~(w > 0.0)):
             raise ValueError("road edge weights must be positive")
@@ -131,14 +138,12 @@ class RoadGraph:
         first = np.ones(len(u), dtype=bool)  # lightest of each parallel group
         first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
         self._edges = (u[first], v[first], w[first])  # int64, int64, float64
-        self.lat = np.array([p.lat for p in vertices], dtype=np.float64)
-        self.lon = np.array([p.lon for p in vertices], dtype=np.float64)
         self.cos_lat = np.cos(np.radians(self.lat))
         self._by_lat = np.argsort(self.lat, kind="stable")  # vertex ids by latitude
         self._sorted_lat = self.lat[self._by_lat]
         arrays = (self.lat, self.lon, self.cos_lat, self._by_lat, self._sorted_lat)
-        for array in self._edges + arrays:
-            array.flags.writeable = False
+        for held in self._edges + arrays:
+            held.flags.writeable = False
 
     def point(self, v: int) -> GeoPoint:
         return GeoPoint(self.lat.item(v), self.lon.item(v))
@@ -256,10 +261,6 @@ def point_segment_km(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
     return math.hypot(ax + t * dx, ay + t * dy)
 
 
-def polyline_length_km(points: Sequence[GeoPoint]) -> float:
-    return math.fsum(haversine_km(a, b) for a, b in zip(points, points[1:]))
-
-
 def within_buffer(point: GeoPoint, lines: FiberLineSet, radius_km: float) -> bool:
     """True when the point lies within radius_km of any polyline (the
     one-point case of `within_buffer_mask`)."""
@@ -332,26 +333,26 @@ def _check_coords(lat: float, lon: float, where: str) -> None:
 
 
 def _build_settlement(
-    raw: dict[str, str | float | int | None], where: str, seen: dict[str, str]
+    values: Sequence[str | float | int | None], where: str, seen: dict[str, str]
 ) -> Settlement:
+    raw_id, raw_lat, raw_lon, population, raw_region, raw_subregion = values
     # A short CSV row leaves its last fields None, as does a GeoJSON null.
     # float() and int() reject None; str() would make it the text "None".
-    if raw["id"] is None or raw["region_id"] is None or raw["subregion_id"] is None:
-        missing = [k for k in SETTLEMENT_COLUMNS if raw[k] is None]
+    if raw_id is None or raw_region is None or raw_subregion is None:
+        missing = [k for k, value in zip(SETTLEMENT_COLUMNS, values) if value is None]
         raise ParseError(f"{where}: no value for {', '.join(missing)}")
-    sid = str(raw["id"]).strip()
+    sid = str(raw_id).strip()
     if not sid:
         raise ParseError(f"{where}: empty settlement id")
     if sid in seen:
         raise DuplicateId(f"{where}: duplicate settlement id {sid!r} (first seen at {seen[sid]})")
     seen[sid] = where
     try:
-        lat = float(raw["lat"])
-        lon = float(raw["lon"])
+        lat = float(raw_lat)
+        lon = float(raw_lon)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: non-numeric coordinate: {exc}") from exc
     _check_coords(lat, lon, where)
-    population = raw["population"]
     # int() would truncate a GeoJSON 12.5 or -0.5, read true as 1 and overflow on Infinity.
     if isinstance(population, bool) or (
         isinstance(population, float) and not population.is_integer()
@@ -363,8 +364,8 @@ def _build_settlement(
         raise ParseError(f"{where}: non-integer population: {exc}") from exc
     if population < 0:
         raise NegativePopulation(f"{where}: population {population} is negative")
-    region_id = str(raw["region_id"]).strip()
-    subregion_id = str(raw["subregion_id"]).strip()
+    region_id = str(raw_region).strip()
+    subregion_id = str(raw_subregion).strip()
     if not region_id or not subregion_id:
         raise ParseError(f"{where}: empty region_id or subregion_id")
     return Settlement(
@@ -384,11 +385,13 @@ def load_settlements(path: str, fmt: str = "csv") -> SettlementSet:
         fmt: "csv" or "geojson".
     """
     if fmt == "csv":
-        settlements = _load_settlements_csv(path)
+        rows = _read_csv_rows(path, SETTLEMENT_COLUMNS)
     elif fmt == "geojson":
-        settlements = _load_settlements_geojson(path)
+        rows = _read_settlement_features(path)
     else:
         raise ValueError(f"unknown settlements format {fmt!r}")
+    seen: dict[str, str] = {}
+    settlements = [_build_settlement(values, where, seen) for where, values in rows]
     if not settlements:
         raise EmptyCollection(f"{path}: no settlements")
     log.info("loaded %d settlements from %s", len(settlements), path)
@@ -404,23 +407,27 @@ def _open_input(path: str, **kwargs) -> TextIO:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_settlements_csv(path: str) -> list[Settlement]:
-    out: list[Settlement] = []
-    seen: dict[str, str] = {}
+def _read_csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[str, Sequence[str | None]]]:
+    """Yield ("path:N", the fields under `columns`) for each CSV row, read as
+    `csv.DictReader` reads them: blank rows are skipped and not counted in
+    N, a column named twice is read from its last occurrence, a short row
+    reads None past its end, extra fields are ignored. MissingColumn when
+    the header lacks one of `columns`."""
     with _open_input(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in SETTLEMENT_COLUMNS if c not in header]
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in columns if c not in index]
         if missing:
             raise MissingColumn(f"{path}: missing columns {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            out.append(_build_settlement(row, f"{path}:{lineno}", seen))
-    return out
+        at = [index[c] for c in columns]
+        fields, width = itemgetter(*at), max(at) + 1
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            row += [None] * (width - len(row))  # a short row reads None past its end
+            yield f"{path}:{lineno}", fields(row)
 
 
-def _load_settlements_geojson(path: str) -> list[Settlement]:
-    out: list[Settlement] = []
-    seen: dict[str, str] = {}
+def _read_settlement_features(path: str) -> Iterator[tuple[str, tuple]]:
+    """Yield (where, `SETTLEMENT_COLUMNS` values) for each GeoJSON Point feature."""
     for where, geom, props in _read_features(path):
         if geom.get("type") != "Point":
             raise ParseError(f"{where}: expected Point geometry, got {geom.get('type')!r}")
@@ -428,9 +435,7 @@ def _load_settlements_geojson(path: str) -> list[Settlement]:
         missing = [k for k in ("id", "population", "region_id", "subregion_id") if k not in props]
         if missing:
             raise MissingColumn(f"{where}: missing properties {', '.join(missing)}")
-        raw = {"lat": lat, "lon": lon, **{k: props[k] for k in ("id", "population", "region_id", "subregion_id")}}
-        out.append(_build_settlement(raw, where, seen))
-    return out
+        yield where, (props["id"], lat, lon, props["population"], props["region_id"], props["subregion_id"])
 
 
 def _read_features(path: str) -> Iterator[tuple[str, dict, dict]]:
@@ -488,7 +493,8 @@ def _iter_polylines(path: str) -> Iterator[tuple[str, object]]:
             raise ParseError(f"{where}: expected LineString/MultiLineString, got {gtype!r}")
 
 
-def _parse_polyline(where: str, coords: object) -> tuple[GeoPoint, ...]:
+def _parse_polyline(where: str, coords: object) -> tuple[tuple[GeoPoint, ...], list[float]]:
+    """A polyline's points and the `haversine_km` length of each segment."""
     if not isinstance(coords, list):
         raise ParseError(f"{where}: coordinates must be a list of positions, got {coords!r:.80}")
     if len(coords) < 2:
@@ -498,15 +504,15 @@ def _parse_polyline(where: str, coords: object) -> tuple[GeoPoint, ...]:
         lon, lat = _position(where, c)
         _check_coords(lat, lon, where)
         points.append(GeoPoint(lat, lon))
-    line = tuple(points)
-    if polyline_length_km(line) == 0.0:
+    lengths = [haversine_km(a, b) for a, b in zip(points, points[1:])]
+    if math.fsum(lengths) == 0.0:
         raise DegenerateGeometry(f"{where}: polyline has zero length")
-    return line
+    return tuple(points), lengths
 
 
 def load_fiber_lines(path: str) -> FiberLineSet:
     """Load existing fiber routes from a GeoJSON line collection."""
-    lines = [_parse_polyline(where, coords) for where, coords in _iter_polylines(path)]
+    lines = [_parse_polyline(where, coords)[0] for where, coords in _iter_polylines(path)]
     if not lines:
         raise EmptyCollection(f"{path}: no line features")
     log.info("loaded %d fiber polylines from %s", len(lines), path)
@@ -518,29 +524,27 @@ def load_road_graph(path: str) -> RoadGraph:
 
     Consecutive polyline vertices become edges weighted by great-circle
     length. Coincident endpoints across features share a vertex, which is how
-    separate road features connect into one network.
+    separate road features connect into one network. Positions equal as
+    floats (-0.0 and 0.0) coincide, and a segment between two of them is
+    skipped. Vertex ids follow first appearance as an endpoint of the other
+    segments, and that first endpoint gives the vertex its coordinates.
     """
-    vertex_ids: dict[GeoPoint, int] = {}
-    vertices: list[GeoPoint] = []
-    segments: list[tuple[int, int, float]] = []
-    n_lines = 0
+    vertex_ids: dict[tuple[float, float], int] = {}  # (lat, lon) -> id, in id order
+    u, v, w = array("q"), array("q"), array("d")
     for where, coords in _iter_polylines(path):
-        line = _parse_polyline(where, coords)
-        n_lines += 1
-        for a, b in zip(line, line[1:]):
+        line, lengths = _parse_polyline(where, coords)
+        for a, b, length in zip(line, line[1:], lengths):
             if a == b:
                 continue  # zero-length segment contributes nothing
-            for p in (a, b):
-                if p not in vertex_ids:
-                    vertex_ids[p] = len(vertices)
-                    vertices.append(p)
-            w = haversine_km(a, b)
-            if w == 0.0:
+            if length == 0.0:
                 raise DegenerateGeometry(f"{where}: segment from {a} to {b} has zero length")
-            segments.append((vertex_ids[a], vertex_ids[b], w))
-    if n_lines == 0:
+            u.append(vertex_ids.setdefault((a.lat, a.lon), len(vertex_ids)))
+            v.append(vertex_ids.setdefault((b.lat, b.lon), len(vertex_ids)))
+            w.append(length)
+    if not vertex_ids:  # each line that loads has two distinct positions
         raise EmptyCollection(f"{path}: no line features")
-    roads = RoadGraph(vertices, segments)
+    lat, lon = zip(*vertex_ids)
+    roads = RoadGraph(lat, lon, u, v, w)
     log.info(
         "loaded road graph from %s: %d vertices, %d edges", path, roads.n, roads.edge_count
     )

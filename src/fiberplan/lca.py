@@ -181,6 +181,8 @@ def emissions_quantities(
             f"length_km and node_count must be >= 0, got {length_km}, {node_count}"
         )
     if users > 0 and node_count > 0:
+        if users / node_count == 0.0:
+            raise ValueError(f"users {users} over node_count {node_count} underflows to 0")
         ops = users * _operations(users, users / node_count, book)
     else:
         ops = 0.0

@@ -94,25 +94,27 @@ def design_network(
     ordered = [unique[k] for k in sorted(unique)]
 
     if len(ordered) == 1:
-        return _single_node_result(level, algorithm, ordered[0], count_root_as_terminal)
+        result = _single_node_result(level, algorithm, ordered[0])
+    elif algorithm == "mst":
+        result = _design_mst(level, ordered, root_id)
+    else:
+        result = _design_pcst(
+            level,
+            ordered,
+            root_id,
+            roads=roads,
+            node_users=node_users or {},
+            snap_radius_km=snap_radius_km,
+            prize_scale=prize_scale,
+        )
+    if count_root_as_terminal:
+        return result
+    # Every design keeps its root (PCST's strong pruning never drops it).
+    design = replace(result.design, terminal_node_count=result.design.terminal_node_count - 1)
+    return replace(result, design=design)
 
-    if algorithm == "mst":
-        return _design_mst(level, ordered, root_id, count_root_as_terminal)
-    return _design_pcst(
-        level,
-        ordered,
-        root_id,
-        roads=roads,
-        node_users=node_users or {},
-        snap_radius_km=snap_radius_km,
-        prize_scale=prize_scale,
-        count_root_as_terminal=count_root_as_terminal,
-    )
 
-
-def _single_node_result(
-    level: str, algorithm: str, node: Settlement, count_root: bool
-) -> DesignResult:
+def _single_node_result(level: str, algorithm: str, node: Settlement) -> DesignResult:
     graph = GreatCircleGraph([node.location])
     design = NetworkDesign(
         algorithm=ALGORITHMS[algorithm],
@@ -121,16 +123,14 @@ def _single_node_result(
         excluded_terminals=frozenset(),
         total_length_km=0.0,
         total_penalty=0.0,
-        terminal_node_count=1 if count_root else 0,
+        terminal_node_count=1,
     )
     return DesignResult(
         level=level, design=design, graph=graph, terminal_vertex={node.id: 0}, root_id=node.id
     )
 
 
-def _design_mst(
-    level: str, ordered: Sequence[Settlement], root_id: str, count_root: bool
-) -> DesignResult:
+def _design_mst(level: str, ordered: Sequence[Settlement], root_id: str) -> DesignResult:
     graph = build_euclidean_graph(ordered)
     terminal_vertex = {s.id: i for i, s in enumerate(ordered)}
     design = prim_mst(graph, root=terminal_vertex[root_id])
@@ -139,8 +139,6 @@ def _design_mst(
             raise DuplicateCoordinate(
                 f"settlements {ordered[u].id!r} and {ordered[v].id!r} are 0 km apart"
             )
-    if not count_root:
-        design = replace(design, terminal_node_count=design.terminal_node_count - 1)
     return DesignResult(
         level=level,
         design=design,
@@ -159,7 +157,6 @@ def _design_pcst(
     node_users: Mapping[str, float],
     snap_radius_km: float,
     prize_scale: float,
-    count_root_as_terminal: bool,
 ) -> DesignResult:
     if roads is None:
         raise ValueError("pcst designs require a road network")
@@ -180,8 +177,6 @@ def _design_pcst(
     terminals = frozenset(terminal_vertex[s.id] for s in ordered)
     prized = PrizedGraph(graph=graph, prizes=prizes, root=root_vertex, terminals=terminals)
     design = pcst_gw(prized)
-    if not count_root_as_terminal and root_vertex in design.connected_vertices:
-        design = replace(design, terminal_node_count=design.terminal_node_count - 1)
     warnings = tuple(
         f"settlement {sid} attached {dist:.2f} km beyond the {snap_radius_km:.2f} km snap radius"
         for sid, dist in attachment.beyond_snap

@@ -37,6 +37,7 @@ from .netdesign.classify import ClassificationResult, classify_nodes
 from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, design_network
 from .report import (
     DecileReportRow,
+    IoError,
     KeyMismatch,
     McSummaryRow,
     ReportUnit,
@@ -405,7 +406,10 @@ def emit_outputs(
     mc_rows: Sequence[McSummaryRow] | None = None,
 ) -> list[str]:
     """Write design GeoJSONs and, unless designs_only, the CSV reports."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:  # a regular file at the path or on the way to it
+        raise IoError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
     params_hash = scenario_hash(cfg)
     written: list[str] = []
 

@@ -16,7 +16,7 @@ must be equal bit for bit. `nearest_vertex_reference` is the full scan that
 the latitude window of `RoadGraph.nearest_vertex` replaced; like every
 oracle here, it reads a road vertex through `point(v)`, which rebuilds one
 `GeoPoint` from the graph's arrays, never through the whole `vertices`
-tuple.
+tuple; `road_graph` builds a road graph from `GeoPoint`s and edge tuples.
 `prim_mst_reference` is the heap Prim that the dense `prim_mst` replaced,
 and `euclidean_graph_reference` the complete graph it ran on, with every
 edge stored; MST designs must match them edge for edge.
@@ -142,6 +142,16 @@ class WeightedGraph:
         v = np.array([e[1] for e in edges], dtype=np.int64)
         w = np.array([e[2] for e in edges], dtype=np.float64)
         return u, v, w
+
+
+def road_graph(
+    vertices: Sequence[GeoPoint], edges: Iterable[tuple[int, int, float]]
+) -> RoadGraph:
+    """The `RoadGraph` over vertex points and (u, v, w) edges, given as
+    `RoadGraph(lat, lon, u, v, w)` takes them."""
+    edges = list(edges)
+    u, v, w = zip(*edges) if edges else ((), (), ())
+    return RoadGraph([p.lat for p in vertices], [p.lon for p in vertices], u, v, w)
 
 
 def edge_list(graph) -> list[tuple[int, int, float]]:

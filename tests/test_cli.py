@@ -485,6 +485,30 @@ def test_a_backbone_warning_is_printed_once_for_both_algorithms(tmp_path, capsys
     ]
 
 
+def test_areas_csv_without_a_required_column_exits_3(tmp_path, capsys):
+    areas = tmp_path / "areas.csv"
+    areas.write_text("subregion_id,area\nS1,10\n")
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, inputs={"areas": str(areas)})
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
+    payload = _assert_error_after_run(capsys, out, 3, "MissingColumn")
+    assert payload["message"] == f"{areas}: missing columns area_km2"
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_output_directory_that_cannot_be_made_exits_5(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    out = taken / "sub" if below else taken
+    assert main(["report", "--config", TINY, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert (payload["exit_code"], payload["error"]) == (5, "IoError"), payload
+    assert payload["message"].startswith(f"cannot create output directory {out}: ")
+    assert "Traceback" not in err
+    assert taken.read_text() == "a regular file\n"
+
+
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _golden_variant(tmp_path, inputs={"fiber": str(tmp_path)})

@@ -16,6 +16,7 @@ from fiberplan.demand import (
     ZeroArea,
     assign_deciles,
     band_demand,
+    load_area_table,
     decile_for_density,
     population_density,
     potential_users,
@@ -23,6 +24,7 @@ from fiberplan.demand import (
     write_demand_csv,
 )
 from fiberplan.errors import DataError
+from fiberplan.geodata import MissingColumn
 
 
 def test_population_density():
@@ -192,3 +194,32 @@ def test_write_demand_csv(tmp_path):
     assert lines[0] == "subregion_id,area_km2,population,density_per_km2,decile,users_per_km2"
     assert lines[1] == "s1,12.5,1000,80,6,0.4"
     assert lines[2] == "s2,3,10,3.33333,9,0.0166667"
+
+
+def _areas(tmp_path, text: str) -> str:
+    path = tmp_path / "a.csv"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_load_area_table_reads_rows_as_dict_reader_does(tmp_path):
+    # Blank rows are skipped, a column named twice is read from its last
+    # occurrence, and fields past the header are ignored.
+    text = "subregion_id,area_km2,area_km2\n\nS1,1.0,10\n\n\nS2,2.0,20,extra\n"
+    assert load_area_table(_areas(tmp_path, text)) == {"S1": 10.0, "S2": 20.0}
+
+
+def test_load_area_table_short_row_reads_none_past_its_end(tmp_path):
+    with pytest.raises(DataError, match=r"a\.csv:3: bad area_km2 None"):
+        load_area_table(_areas(tmp_path, "subregion_id,area_km2\nS1,10\n\n\nS2\n"))
+
+
+def test_load_area_table_row_numbers_count_only_rows_that_are_not_blank(tmp_path):
+    text = "subregion_id,area_km2\n\nS1,10\n\nS1,20\n"
+    with pytest.raises(DataError, match=r"a\.csv:3: duplicate subregion_id 'S1'"):
+        load_area_table(_areas(tmp_path, text))
+
+
+def test_load_area_table_missing_column(tmp_path):
+    with pytest.raises(MissingColumn, match=r"a\.csv: missing columns area_km2$"):
+        load_area_table(_areas(tmp_path, "subregion_id,area\nS1,10\n"))

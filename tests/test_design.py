@@ -11,12 +11,12 @@ import tracemalloc
 
 import pytest
 
-from fiberplan.geodata import GeoPoint, RoadGraph, Settlement, haversine_km
+from fiberplan.geodata import GeoPoint, Settlement, haversine_km
 from fiberplan.netdesign.design import design_network
 from fiberplan.netdesign.graphs import EmptyNodeSet, build_euclidean_graph
 from fiberplan.netdesign.solvers import prim_mst
 
-from .oracles import euclidean_graph_reference, prim_mst_reference
+from .oracles import euclidean_graph_reference, prim_mst_reference, road_graph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
@@ -27,7 +27,7 @@ def _s(sid, lat, lon, pop=1000, region="R1", sub="R1-01"):
 
 
 # Road along the equator with vertices every 0.25 degrees.
-ROAD = RoadGraph(
+ROAD = road_graph(
     vertices=tuple(GeoPoint(0.0, 0.25 * i) for i in range(5)),
     edges=tuple(
         (i, i + 1, haversine_km(GeoPoint(0.0, 0.25 * i), GeoPoint(0.0, 0.25 * (i + 1))))

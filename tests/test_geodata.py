@@ -38,12 +38,11 @@ from fiberplan.geodata import (
     load_road_graph,
     load_settlements,
     point_segment_km,
-    polyline_length_km,
     within_buffer,
     within_buffer_mask,
 )
 
-from .oracles import nearest_vertex_reference, within_buffer_reference
+from .oracles import nearest_vertex_reference, road_graph, within_buffer_reference
 
 # --- haversine -------------------------------------------------------------
 
@@ -289,6 +288,33 @@ def test_load_settlements_csv_row_with_fields_missing(tmp_path):
         load_settlements(path)
 
 
+def test_load_settlements_csv_reads_rows_as_dict_reader_does(tmp_path):
+    # Blank rows are skipped, a column named twice is read from its last
+    # occurrence, and fields past the header are ignored.
+    text = (
+        "id,lat,lon,population,region_id,subregion_id,population\n"
+        "\n"
+        "a,1.0,2.0,7,R1,S1,12,extra,fields\n"
+        "\n\n"
+        "b,3.0,4.0,9,R1,S2,15\n"
+    )
+    ss = load_settlements(_write(tmp_path, "s.csv", text))
+    assert [(s.id, s.population, s.subregion_id) for s in ss] == [("a", 12, "S1"), ("b", 15, "S2")]
+
+
+def test_load_settlements_csv_short_row_reads_none_past_its_end(tmp_path):
+    # The row ends before the last occurrence of population, so that reads None.
+    text = "id,lat,lon,population,region_id,subregion_id,population\na,1.0,2.0,7,R1,S1\n"
+    with pytest.raises(ParseError, match=r"s\.csv:2: non-integer population"):
+        load_settlements(_write(tmp_path, "s.csv", text))
+
+
+def test_load_settlements_csv_row_numbers_count_only_rows_that_are_not_blank(tmp_path):
+    text = VALID_CSV.replace("\ns2,", "\n\n\ns2,") + "\nb,1.5,2.5,-50,R1,R1-01\n"
+    with pytest.raises(NegativePopulation, match=r"s\.csv:5: population -50"):
+        load_settlements(_write(tmp_path, "s.csv", text))
+
+
 def write_settlements_csv(settlements: SettlementSet, path: str) -> None:
     """Settlements in canonical CSV form (round-trips exactly)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -389,7 +415,8 @@ def test_load_fiber_lines(tmp_path):
     fl = load_fiber_lines(_write(tmp_path, "f.geojson", json.dumps(doc)))
     assert len(fl.lines) == 1
     assert len(fl.lines[0]) == 3
-    assert polyline_length_km(fl.lines[0]) > 0
+    line = fl.lines[0]
+    assert math.fsum(map(haversine_km, line, line[1:])) > 0
 
 
 def test_load_fiber_lines_multilinestring(tmp_path):
@@ -487,7 +514,7 @@ GOLDEN_ROADS = os.path.join(os.path.dirname(__file__), "data", "golden", "roads.
 
 
 def test_road_arrays_csr_keeps_lightest_parallel_edge():
-    roads = RoadGraph(
+    roads = road_graph(
         vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0), GeoPoint(1.0, 0.0)),
         edges=((0, 1, 5.0), (1, 0, 3.0), (0, 2, 2.0)),
     )
@@ -502,7 +529,7 @@ def test_road_arrays_csr_keeps_lightest_parallel_edge():
 
 def test_road_graph_point_returns_the_loaders_floats_bit_for_bit():
     given = (GeoPoint(-0.0, 0.1 + 0.2), GeoPoint(5e-324, -0.0), GeoPoint(-89.99999999999999, 180.0))
-    roads = RoadGraph(vertices=given, edges=((0, 1, 1.0), (1, 2, 1.0)))
+    roads = road_graph(vertices=given, edges=((0, 1, 1.0), (1, 2, 1.0)))
     for v, p in enumerate(given):
         got = roads.point(v)
         assert (type(got.lat), type(got.lon)) == (float, float)
@@ -523,7 +550,7 @@ def test_road_graph_retains_only_its_flat_arrays():
         vertices = [GeoPoint(r * 0.01, c * 0.01) for r in range(side) for c in range(side)]
         edges = [(r * side + c, r * side + c + 1, 1.1) for r in range(side) for c in range(side - 1)]
         edges += [(r * side + c, (r + 1) * side + c, 1.1) for r in range(side - 1) for c in range(side)]
-        roads = RoadGraph(vertices, edges)
+        roads = road_graph(vertices, edges)
         del vertices, edges
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - base
@@ -533,6 +560,43 @@ def test_road_graph_retains_only_its_flat_arrays():
     assert retained <= 4 * 1024 * 1024, f"{retained / 2**20:.2f} MiB retained"
 
 
+def test_load_road_graph_merges_signed_zeros_at_the_first_segment_endpoint(tmp_path):
+    import json
+
+    # (-0.0, -0.0) equals (0.0, 0.0), so the first segment is skipped and
+    # vertex 0 takes its coordinates from the second segment's start.
+    doc = _line_doc([[-0.0, -0.0], [0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [-0.0, 0.0]])
+    roads = load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
+    assert [(roads.point(v).lat.hex(), roads.point(v).lon.hex()) for v in range(roads.n)] == [
+        ("0x0.0p+0", "0x0.0p+0"), ("0x1.0000000000000p+0", "0x1.0000000000000p+0")
+    ]
+    assert [(u, v) for u, v, _ in roads.edges] == [(0, 1)]
+
+
+def test_load_road_graph_peaks_below_a_point_and_segment_list(tmp_path):
+    """Loading a 200 x 200 road grid (40,000 vertices, 79,600 edges) from
+    GeoJSON fills flat buffers: the traced peak is about 18.2 MiB, the
+    parsed document included. Holding a `GeoPoint` list, a `GeoPoint`-keyed
+    dict and a tuple per segment on the way peaked at about 24.6 MiB."""
+    import json
+
+    side = 200
+    grid = [[[round(36.0 + c * 0.01, 6), round(-1.0 + r * 0.01, 6)] for c in range(side)]
+            for r in range(side)]
+    lines = grid + [[row[c] for row in grid] for c in range(side)]
+    path = _write(tmp_path, "roads.geojson", json.dumps(_line_doc(*lines)))
+    del grid, lines
+    gc.collect()
+    tracemalloc.start()
+    try:
+        roads = load_road_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (roads.n, roads.edge_count) == (40_000, 79_600)
+    assert peak <= 21 * 1024 * 1024, f"{peak / 2**20:.2f} MiB traced peak"
+
+
 @pytest.mark.parametrize(
     "edges",
     [((0, 0, 1.0),), ((0, 2, 1.0),), ((0, 1, 0.0),), ((0, 1, float("nan")),)],
@@ -540,7 +604,7 @@ def test_road_graph_retains_only_its_flat_arrays():
 )
 def test_road_arrays_reject_bad_edges(edges):
     with pytest.raises(ValueError):
-        RoadGraph(vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)), edges=edges)
+        road_graph(vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)), edges=edges)
 
 
 def test_nearest_vertex_equals_a_full_haversine_scan():
@@ -559,7 +623,7 @@ def test_nearest_vertex_equals_a_full_haversine_scan():
 
 def test_nearest_vertex_ties_go_to_the_lowest_id():
     # (0, 0.25) is exactly as far from vertex 2 at (0, 0.5) as from vertex 1 at (0, 0).
-    roads = RoadGraph(
+    roads = road_graph(
         vertices=(GeoPoint(1.0, 0.0), GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.5)),
         edges=((0, 1, 111.0), (1, 2, 55.6)),
     )
@@ -588,7 +652,7 @@ def _shuffled_grid(rng: random.Random, side: int, lat0: float, lon0: float, spac
             if cell in where:
                 j = where[cell]
                 edges.append((i, j, haversine_km(vertices[i], vertices[j])))
-    return RoadGraph(vertices, edges)
+    return road_graph(vertices, edges)
 
 
 @pytest.mark.parametrize(
@@ -631,7 +695,7 @@ def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
     p = GeoPoint(10.5, 30.5)
     for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]):
         vertices = [GeoPoint(10.5 + offsets[k][0], 30.5 + offsets[k][1]) for k in order]
-        roads = RoadGraph(vertices, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        roads = road_graph(vertices, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         north, south = order.index(0), order.index(1)
         assert haversine_km(p, vertices[north]) == haversine_km(p, vertices[south])
         want = (min(north, south), haversine_km(p, vertices[north]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fiberplan.geodata import GeoPoint, RoadGraph, Settlement, haversine_km
+from fiberplan.geodata import GeoPoint, Settlement, haversine_km
 from fiberplan.netdesign.graphs import (
     DuplicateCoordinate,
     EmptyNodeSet,
@@ -14,7 +14,7 @@ from fiberplan.netdesign.graphs import (
     build_euclidean_graph,
 )
 
-from .oracles import WeightedGraph, edge_list
+from .oracles import WeightedGraph, edge_list, road_graph
 
 
 def _settlement(sid, lat, lon, pop=100, region="R1", sub="R1-01"):
@@ -90,7 +90,7 @@ class TestBuildEuclideanGraph:
 class TestAttachTerminals:
     def _roads(self):
         # Straight east-west road along the equator with three vertices.
-        return RoadGraph(
+        return road_graph(
             vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.5), GeoPoint(0.0, 1.0)),
             edges=(
                 (0, 1, haversine_km(GeoPoint(0, 0), GeoPoint(0, 0.5))),
@@ -203,5 +203,5 @@ class TestRoadOverlay:
     def test_road_graph_without_vertices_rejected(self):
         with pytest.raises(EmptyNodeSet):
             attach_terminals_to_roads(
-                [_settlement("a", 0.0, 0.0)], RoadGraph(vertices=(), edges=()), 5.0
+                [_settlement("a", 0.0, 0.0)], road_graph(vertices=(), edges=()), 5.0
             )

@@ -147,6 +147,11 @@ class TestTotal:
             with pytest.raises(ValueError):
                 emissions_quantities(*args, BOOK)
 
+    def test_a_user_base_that_underflows_per_node_is_rejected(self):
+        # 5e-324 / 3 rounds to 0.0, which the terminal share would divide by
+        with pytest.raises(ValueError, match="users 5e-324 over node_count 3 underflows"):
+            emissions_quantities(1.0, 3, 5e-324, BOOK)
+
     def test_monotone_in_length_and_nodes(self):
         base = emissions_quantities(10.0, 2, 100.0, BOOK)
         longer = emissions_quantities(20.0, 2, 100.0, BOOK)
