@@ -144,6 +144,7 @@ class RoadGraph:
         arrays = (self.lat, self.lon, self.cos_lat, self._by_lat, self._sorted_lat)
         for held in self._edges + arrays:
             held.flags.writeable = False
+        self._incidence: tuple[np.ndarray, np.ndarray] | None = None
 
     def point(self, v: int) -> GeoPoint:
         return GeoPoint(self.lat.item(v), self.lon.item(v))
@@ -166,6 +167,12 @@ class RoadGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
         return self._edges
+
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """`edge_incidence` of the graph, built on the first call and kept."""
+        if self._incidence is None:
+            self._incidence = edge_incidence(self.n, *self._edges[:2])
+        return self._incidence
 
     def nearest_vertex(self, p: GeoPoint) -> tuple[int, float]:
         """Nearest vertex to p and its `haversine_km` distance; ties go to
@@ -205,6 +212,19 @@ class RoadGraph:
             if dist < best_d:
                 best_v, best_d = vid, dist
         return best_v, best_d
+
+
+def edge_incidence(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges at each of n vertices as a read-only CSR (ptr, ids):
+    ids[ptr[x]:ptr[x + 1]] are the ascending indices i of the edges
+    (u[i], v[i]) that have x as an end."""
+    ends = np.stack([u, v], axis=1).ravel()  # entry 2i + s is end s of edge i
+    ids = np.argsort(ends, kind="stable")
+    ids >>= 1
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
+    ptr.flags.writeable = ids.flags.writeable = False
+    return ptr, ids
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -16,6 +16,7 @@ pricing kernel runs the same helpers over arrays of units and draws.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import is_finite_number
@@ -184,6 +185,10 @@ def emissions_quantities(
         if users / node_count == 0.0:
             raise ValueError(f"users {users} over node_count {node_count} underflows to 0")
         ops = users * _operations(users, users / node_count, book)
+        if math.isinf(ops):
+            raise ValueError(
+                f"users {users} over node_count {node_count} overflows the operations load"
+            )
     else:
         ops = 0.0
     mfg, trans, constr, eolt, total = _phases(length_km, node_count, ops, book)

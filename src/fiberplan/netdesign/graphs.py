@@ -93,8 +93,9 @@ class GreatCircleGraph:
 class RoadOverlay:
     """A shared road graph plus one design's spurs.
 
-    Answers `n`, `edge_count`, `edge_arrays()` and `point(v)` for the road
-    graph with the spurs added, but stores only what the design adds:
+    Answers `n`, `edge_count`, `edge_arrays()`, `incidence()` and
+    `point(v)` for the road graph with the spurs added, but stores only what
+    the design adds:
     vertices 0..R-1 are the road vertices, read from the road graph's arrays;
     spur vertices follow in attachment order, each joined by one edge to
     one road vertex.
@@ -126,26 +127,42 @@ class RoadOverlay:
         return self.roads.edge_count + len(self._spurs)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
+        """(u, v, w) arrays of every edge with u < v: the road graph's edges
+        in ascending (u, v) order, then one (road vertex, spur vertex) edge
+        per spur, in attachment order."""
         ru, rv, rw = self.roads.edge_arrays()
         su = np.array([road_v for _, road_v, _ in self._spurs], dtype=np.int64)
         sv = np.arange(self._road_n, self.n, dtype=np.int64)
         sw = np.array([w for _, _, w in self._spurs], dtype=np.float64)
-        u, v, w = np.concatenate([ru, su]), np.concatenate([rv, sv]), np.concatenate([rw, sw])
-        order = np.lexsort((v, u))
-        return u[order], v[order], w[order]
+        return np.concatenate([ru, su]), np.concatenate([rv, sv]), np.concatenate([rw, sw])
+
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The road graph's incidence (see `geodata.edge_incidence`) with the
+        spur edges added: ids[ptr[x]:ptr[x + 1]] are the ascending indices
+        into `edge_arrays()` of the edges at vertex x. A spur's edge is one
+        more entry at its road vertex, and the only one at its spur vertex."""
+        road_ptr, road_ids = self.roads.incidence()
+        at = np.array([road_v for _, road_v, _ in self._spurs], dtype=np.int64)
+        spur_ids = np.arange(self.roads.edge_count, self.edge_count, dtype=np.int64)
+        # np.insert puts values bound for one position in their given order.
+        at_road = np.insert(road_ids, road_ptr[at + 1], spur_ids)
+        degree = np.diff(road_ptr) + np.bincount(at, minlength=self._road_n)
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([degree, np.ones(len(at), dtype=np.int64)]), out=ptr[1:])
+        return ptr, np.concatenate([at_road, spur_ids])
 
 
 @dataclass(frozen=True)
 class PrizedGraph:
     """A weighted graph with vertex prizes and a designated root.
 
-    The solvers read `graph` only through `n` and `edge_arrays()`, so any
-    graph with those two will do; a run passes a `RoadOverlay`. Prizes are
-    the opportunity value of connecting a vertex (same unit as edge
-    weights). Vertices absent from `prizes` carry prize 0. `terminals`
-    marks the vertices that count as demand points; it defaults to the
-    positive-prize vertices, but may include zero-prize demand points.
+    The solvers read `graph` only through `n`, `edge_arrays()` and
+    `incidence()`, so any graph with those three will do; a run passes a
+    `RoadOverlay`. Prizes are the opportunity value of connecting a vertex
+    (same unit as edge weights). Vertices absent from `prizes` carry prize
+    0. `terminals` marks the vertices that count as demand points; it
+    defaults to the positive-prize vertices, but may include zero-prize
+    demand points.
     """
 
     graph: RoadOverlay

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -104,9 +106,11 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
     objective stays within a factor 2 of the optimum.
 
     Simultaneous events resolve merges before deactivations, each in
-    lexicographic vertex order. Each event works on the frontier only (see
-    `_grow_moats`), so its cost follows the moats' perimeter, not the
-    graph's size, and it takes exactly the decisions of the per-edge loop.
+    lexicographic vertex order. Moat growing is event-driven (see
+    `_grow_moats`): each event pops the few edges and clusters whose
+    meeting times come first from a heap and decides among them exactly, so
+    its cost does not follow the moats' perimeter, and it takes exactly the
+    decisions of the per-edge loop.
 
     The result's `dual_bound` is the sum over events of dt times the number
     of active clusters: the value of the GW dual, a lower bound on the
@@ -117,7 +121,8 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
     if n == 0:
         raise EmptyNodeSet("cannot design over an empty graph")
     edges = g.edge_arrays()
-    forest, dual_terms = _grow_moats(prized, edges)
+    stats: dict[str, int] = {}
+    forest, dual_terms = _grow_moats(prized, edges, stats)
     adj: dict[int, list[tuple[int, float]]] = {}
     for u, v, w in forest:
         adj.setdefault(u, []).append((v, w))
@@ -128,10 +133,14 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
         "PCST_GW", prized, kept_vertices, kept_edges, dual_bound=math.fsum(dual_terms)
     )
     log.debug(
-        "pcst_gw: %d vertices, %d edges, %d events, objective %.6g, dual bound %.6g",
+        "pcst_gw: %d vertices, %d edges, %d events (%d merges, %d deaths), "
+        "%d exact evaluations, objective %.6g, dual bound %.6g",
         n,
         len(edges[0]),
         len(dual_terms),
+        len(forest),
+        len(dual_terms) - len(forest),
+        stats["evaluations"],
         design.objective,
         design.dual_bound,
     )
@@ -139,139 +148,279 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
 
 
 def _grow_moats(
-    prized: PrizedGraph, edges: tuple[np.ndarray, np.ndarray, np.ndarray]
+    prized: PrizedGraph,
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+    stats: dict[str, int] | None = None,
 ) -> tuple[list[tuple[int, int, float]], list[float]]:
-    """The moat-growing phase of `pcst_gw` over the graph's (u, v, w) arrays.
+    """The moat-growing phase of `pcst_gw` over the graph's (u, v, w)
+    arrays, which `prized.graph.incidence()` indexes.
 
-    Each event evaluates the scalar rules exactly, over the frontier only:
-    the ascending ids of the live edges, which join two clusters with
-    `rate` > 0 of them active. A live edge meets after
-    `max(0, (w - depth[u] - depth[v]) / rate)`; an active cluster dies after
-    `max(0, prize_sum - dual)`. Events are chosen by the key
-    (dt, kind, min vertex, max vertex), with merges (kind 0) before deaths
-    (kind 1); the frontier's ascending order makes argmin's first index
-    the smallest (u, v). The frontier ends in copies of its last id (see
-    `_padded`), which change no choice: argmin takes the first of equal
-    values, and a depth is added to once per event however often its
-    vertex is listed.
+    It takes the decisions of the dense loop (`grow_moats_dense_reference`
+    in the tests) with the same floats. At each event a live edge, which
+    joins two clusters with rate r > 0 of them active, meets after
+    `max(0, ((w - depth[u]) - depth[v]) / r)`, and an active cluster dies
+    after `max(0, prize_sum - dual)`. The event's dt is the smallest of
+    these; a merge wins ties with deaths, edges tie to the lowest (u, v)
+    and deaths to the lowest `min_member`. dt is then added to the dual of
+    every active cluster and to the depth of every vertex in one.
 
-    The event's dt is added to the depth of the active-side endpoints of
-    live edges only. That is exact: a depth is read only through a live
-    edge, and a vertex of an active cluster with no live edge has every
-    neighbour in its own cluster, so, as clusters only merge, it never has
-    a live edge again. A merge relabels the smaller side into the larger
-    one; when the merged cluster is active, the edges of a side that was
-    inactive enter the frontier, and edges that became internal or lost
-    both active sides leave it at the next event.
+    Those additions are replayed lazily, never rebased. The event dts are
+    kept in one list. A vertex holds an exact `depth` and the number
+    `stamp` of events folded into it; while its cluster is active, its
+    depth now is that value plus the later dts added one at a time in
+    event order (`_fold`), and while its cluster is inactive it is frozen.
+    A vertex is read only through a live edge, so when a cluster turns
+    inactive only its boundary vertices are folded, and when one turns
+    active only theirs are restamped: a vertex with no edge out of its
+    cluster never has one again. Cluster duals are folded the same way, and
+    a merge sums the two duals, each folded through the current event.
+
+    Events come from one heap of edges and active clusters keyed by an
+    approximate meeting time key = time + slack / r (a death's slack is
+    prize_sum - dual, its r is 1), computed from the float time P (the
+    sequential sum of the dts) and depths rebased as depth + (P - P at
+    stamp). The real meeting time M = T + (w - Du - Dv) / r, with real
+    time T and real depths, is constant while r is, so an edge is keyed
+    only when one of its sides turns active or inactive, and a cluster
+    only when a merge changes its prize or dual; a version count per edge
+    and per cluster skips outdated entries. Each event pops every entry
+    whose interval [key - d, key + d] can hold the first meeting time,
+    evaluates them exactly with the rules above, and pushes back the ones
+    not taken.
+
+    The margin d. Each depth, dual and time here is a sum of nonnegative
+    dts in which every term passes through at most h = 4n additions (at
+    most 3n events, since there are n - 1 merges and each death ends one of
+    at most 2n - 1 active clusters, and n - 1 merges of duals). Summed in
+    any order, such a float is within e s of the real sum s, where
+    e = 1.01 h u and u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2). Every term of an edge's key is at most
+    S = w + 2|key| (depths are at most T, and w = r (M - T) + Du + Dv), and
+    of a death's at most S = prize_sum + 2|key| (its dual is at most its
+    prize_sum). The key then differs from M by the time's e T, a rebased
+    depth's 3.1 e T each (three sums and two roundings), and the u S of its
+    three roundings: under 8 e S in all, to first order. The time T + dt
+    that the exact rules give the entry at a later event differs from M by
+    the replayed depths' e T each and two roundings: under 3 e S. So
+    d = 16 e S covers both, with room for the rounding of key -+ d and of
+    the real time's bound P (1 + 16 e) (an edge clipped to dt = 0 meets at
+    T), and 2^-1074 is added for halving a subnormal slack. The heap pops
+    in order of key - d until the next one exceeds the smallest key + d
+    popped (or the time's bound), so every entry that ties for the first
+    event is evaluated. The same "short-list under a float margin, confirm
+    exactly" idiom picks a road graph's nearest vertex and the backbone
+    root.
 
     Returns the forest edges in the order they merged, and each event's
-    dual increment dt x (number of active clusters).
+    dual increment dt x (number of active clusters). `stats`, when given,
+    receives the number of exact evaluations.
     """
     n = prized.graph.n
     root = prized.root
-    eu, ev, ew = edges
-    # The ids of the edges at each vertex, ascending, as a CSR: entry 2e + s
-    # of the interleaved ends is side s of edge e.
-    ends = np.stack([eu, ev], axis=1).ravel()
-    incident = np.argsort(ends, kind="stable")
-    incident >>= 1
-    incident_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=incident_ptr[1:])
-    del ends
+    eu, ev, ew = (a.tolist() for a in edges)
+    inc_ptr, inc_ids = prized.graph.incidence()
+    rho = 16 * 1.01 * 4 * n * 2.0**-53  # 16 e, see the docstring
+    tiny = 2.0**-1074
 
-    owner = np.arange(n)  # vertex -> cluster id; a cluster keeps its larger side's id
-    members: dict[int, list[int]] = {}  # merged clusters only; a singleton c is [c]
-    prize_sum = np.array([prized.prize(v) for v in range(n)], dtype=np.float64)
-    dual = np.zeros(n)
-    active = prize_sum > 0.0
+    prize_sum = [0.0] * n
+    for v, p in prized.prizes.items():
+        prize_sum[v] = float(p)
+    active = [p > 0.0 for p in prize_sum]
     active[root] = False
-    min_member = np.arange(n)
-    active_ids = np.flatnonzero(active)  # in no particular order
-    frontier = np.flatnonzero(active[eu] | active[ev])  # ascending edge ids
-    count = frontier.size  # the frontier's entries past `count` are padding
-    frontier = _padded(frontier)
-
-    depth = np.zeros(n)  # accumulated moat depth over each vertex
+    dual = [0.0] * n  # of a cluster, exact through event dstamp[c]
+    dstamp = [0] * n
+    depth = [0.0] * n  # of a vertex, exact through event stamp[v]
+    stamp = [0] * n
+    owner = list(range(n))  # vertex -> cluster id; a cluster keeps its larger side's id
+    members: dict[int, list[int]] = {}  # merged clusters only; a singleton c is [c]
+    boundary: dict[int, list[int]] = {}  # edge ids that may leave a cluster
+    min_member = list(range(n))
+    edge_version = [0] * len(eu)
+    death_version = [0] * n
+    dts = array("d")
+    times = array("d", [0.0])  # times[k]: the float time after k events
     forest: list[tuple[int, int, float]] = []
     dual_terms: list[float] = []
+    evaluations = 0
 
-    while active_ids.size:
-        fu, fv = eu[frontier], ev[frontier]
-        cu, cv = owner[fu], owner[fv]
-        au, av = active[cu], active[cv]
-        live = (cu != cv) & (au | av)
-        live[count:] = False  # the padding
-        keep = live.nonzero()[0]
-        count = keep.size
-        if count < frontier.size:
-            keep = _padded(keep)
-            frontier, fu, fv, au, av = frontier[keep], fu[keep], fv[keep], au[keep], av[keep]
-        slack = ew[frontier] - depth[fu] - depth[fv]
-        edge_dt = slack / np.where(au & av, 2.0, 1.0)  # the rate, 1 or 2 active sides
-        edge_dt = np.where(edge_dt > 0.0, edge_dt, 0.0)
-        gap = prize_sum[active_ids] - dual[active_ids]
-        dt = max(0.0, float(gap.min()))  # the smallest of the clipped gaps
-        merge_edge = -1
-        if frontier.size:
-            i = int(edge_dt.argmin())
-            if edge_dt[i] <= dt:
-                merge_edge, dt = int(frontier[i]), float(edge_dt[i])
-        dual_terms.append(dt * active_ids.size)
-        dual[active_ids] += dt
-        # Fancy-index += adds once per vertex, however often it is listed.
-        depth[np.concatenate([fu[au], fv[av]])] += dt
-        if merge_edge < 0:
-            dying = active_ids[np.where(gap > 0.0, gap, 0.0) == dt]
-            active[dying[min_member[dying].argmin()]] = False
-            active_ids = active_ids[active[active_ids]]
+    def edges_of(c: int) -> list[int]:
+        """Take out the edges that may leave cluster c; a vertex that has
+        not merged or died yet has only its incidence."""
+        if c in boundary:
+            return boundary.pop(c)
+        return inc_ids[inc_ptr[c] : inc_ptr[c + 1]].tolist()
+
+    def entry(key: float, size: float, ident: int, version: int) -> tuple:
+        """The heap entry (key - d, key + d, ident, version) of an edge
+        ident >= 0 of weight `size`, or of the death of cluster ~ident with
+        prize_sum `size`."""
+        d = rho * (size + 2.0 * abs(key)) + tiny
+        return key - d, key + d, ident, version
+
+    heap = []
+    for c in range(n):
+        if not active[c]:
             continue
-        u, v, w = int(eu[merge_edge]), int(ev[merge_edge]), float(ew[merge_edge])
-        a, b = int(owner[u]), int(owner[v])
+        heap.append(entry(prize_sum[c], prize_sum[c], ~c, 0))
+        for e in edges_of(c):
+            x = eu[e] if ev[e] == c else ev[e]
+            if not (active[x] and x < c):  # else it was keyed from x
+                heap.append(entry(ew[e] / (1 + active[x]), ew[e], e, 0))
+    heapify(heap)
+    n_active = sum(active)
+    k = 0  # events so far
+
+    def rekey(c: int, side: list[int], time: float) -> list[int]:
+        """Re-key the edges of `side`, which has just turned active or
+        inactive as part of cluster c, folding (or restamping) the depths of
+        its boundary vertices; returns the edges that still leave c."""
+        keep = []
+        rate_c = active[c]
+        for e in side:
+            x, y = eu[e], ev[e]
+            if owner[y] == c:
+                x, y = y, x
+            cy = owner[y]
+            if cy == c:
+                continue
+            keep.append(e)
+            if rate_c:
+                stamp[x] = k
+            elif stamp[x] < k:
+                depth[x] = _fold(depth[x], dts, stamp[x], k)
+                stamp[x] = k
+            edge_version[e] += 1
+            rate = rate_c + active[cy]
+            if rate:
+                dy = depth[y] + (time - times[stamp[y]]) if active[cy] else depth[y]
+                key = time + ((ew[e] - depth[x]) - dy) / rate
+                heappush(heap, entry(key, ew[e], e, edge_version[e]))
+        return keep
+
+    while n_active:
+        time = times[k]
+        reach = time + rho * time  # the real time's bound
+        bound = math.inf
+        candidates = []
+        while heap and heap[0][0] <= max(reach, bound):
+            top = heappop(heap)
+            i = top[2]
+            if i >= 0:
+                if edge_version[i] != top[3] or owner[eu[i]] == owner[ev[i]]:
+                    continue
+            elif death_version[~i] != top[3]:
+                continue
+            candidates.append(top)
+            bound = min(bound, top[1])
+        evaluations += len(candidates)
+
+        merge_edge, edge_dt = -1, math.inf
+        dying, death_dt = -1, math.inf
+        for top in candidates:
+            i = top[2]
+            if i < 0:
+                c = ~i
+                if dstamp[c] < k:
+                    dual[c] = _fold(dual[c], dts, dstamp[c], k)
+                    dstamp[c] = k
+                gap = prize_sum[c] - dual[c]
+                if not gap > 0.0:
+                    gap = 0.0
+                if gap < death_dt or (gap == death_dt and min_member[c] < min_member[dying]):
+                    dying, death_dt = c, gap
+                continue
+            x, y = eu[i], ev[i]
+            ax, ay = active[owner[x]], active[owner[y]]
+            if ax and stamp[x] < k:
+                depth[x] = _fold(depth[x], dts, stamp[x], k)
+                stamp[x] = k
+            if ay and stamp[y] < k:
+                depth[y] = _fold(depth[y], dts, stamp[y], k)
+                stamp[y] = k
+            dt = ((ew[i] - depth[x]) - depth[y]) / (ax + ay)
+            if not dt > 0.0:
+                dt = 0.0
+            if dt < edge_dt or (dt == edge_dt and (x, y) < (eu[merge_edge], ev[merge_edge])):
+                merge_edge, edge_dt = i, dt
+        taken = merge_edge if merge_edge >= 0 and edge_dt <= death_dt else ~dying
+        for top in candidates:
+            if top[2] != taken:
+                heappush(heap, top)
+
+        dt = edge_dt if taken >= 0 else death_dt
+        dual_terms.append(dt * n_active)
+        dts.append(dt)
+        k += 1
+        time += dt
+        times.append(time)
+
+        if taken < 0:
+            c = dying
+            dual[c] = _fold(dual[c], dts, dstamp[c], k)
+            dstamp[c] = k
+            active[c] = False
+            n_active -= 1
+            death_version[c] += 1
+            boundary[c] = rekey(c, edges_of(c), time)
+            continue
+
+        u, v, w = eu[taken], ev[taken], ew[taken]
+        a, b = owner[u], owner[v]
+        for c in (a, b):
+            if active[c]:
+                dual[c] = _fold(dual[c], dts, dstamp[c], k)
+                dstamp[c] = k
         big, small = members.pop(a, [a]), members.pop(b, [b])
         if len(big) < len(small):
             a, b, big, small = b, a, small, big
-        was_active = bool(active[a]), bool(active[b])
+        was_active = active[a], active[b]
         has_root = owner[root] in (a, b)
+        # Absorbing a cluster of no prize and no dual leaves a's meeting time.
+        same_death = was_active[0] and prize_sum[b] == 0.0 and dual[b] == 0.0
         prize_sum[a] = prize_sum[a] + prize_sum[b]
         dual[a] = dual[a] + dual[b]
+        dstamp[a] = k
         active[a] = (not has_root) and dual[a] < prize_sum[a]
         active[b] = False
+        n_active += active[a] - was_active[0] - was_active[1]
         min_member[a] = min(min_member[a], min_member[b])
-        owner[small] = a
-        forest.append((u, v, w))
-        active_ids = active_ids[active[active_ids]]
-        if active[a] and not was_active[0]:
-            active_ids = np.concatenate([active_ids, [a]])
-        if active[a] and not all(was_active):
-            # The edges from the side that was inactive to other inactive
-            # clusters were not live; they join the frontier now.
-            joining = (big, small)[was_active[0]]
-            ids = np.concatenate([incident[incident_ptr[x] : incident_ptr[x + 1]] for x in joining])
-            ju, jv = owner[eu[ids]], owner[ev[ids]]
-            joined = ids[(ju != jv) & ~(active[ju] & active[jv])]
-            frontier = np.concatenate([frontier[:count], joined])
-            frontier.sort(kind="stable")  # timsort: a sorted run plus a few new ids
-            count = frontier.size
-            frontier = _padded(frontier)
+        death_version[b] += 1
+        for x in small:
+            owner[x] = a
         big.extend(small)
         members[a] = big
+        forest.append((u, v, w))
+        sides = [edges_of(a), edges_of(b)]
+        for j in (0, 1):
+            if was_active[j] != active[a]:
+                sides[j] = rekey(a, sides[j], time)
+        if len(sides[0]) < len(sides[1]):
+            sides.reverse()
+        sides[0].extend(sides[1])
+        boundary[a] = sides[0]
+        if not (active[a] and same_death):
+            death_version[a] += 1
+            if active[a]:
+                key = time + (prize_sum[a] - dual[a])
+                heappush(heap, entry(key, prize_sum[a], ~a, death_version[a]))
+    if stats is not None:
+        stats["evaluations"] = evaluations
     return forest, dual_terms
 
 
-def _padded(a: np.ndarray) -> np.ndarray:
-    """`a` padded with copies of its last entry to a multiple of 16 entries.
-
-    numpy keeps up to 7 freed buffers of every size under 1 KiB for reuse,
-    and never returns them. Frontier-sized temporaries of every length
-    would fill that cache (peak RSS +0.35 MB on the pcst-roads benchmark);
-    padded, they come in a few sizes only.
-    """
-    pad = -a.size % 16
-    if not pad or not a.size:
-        return a
-    out = np.full(a.size + pad, a[-1])
-    out[: a.size] = a
-    return out
+def _fold(value: float, dts: array, start: int, stop: int) -> float:
+    """value + dts[start] + ... + dts[stop - 1], added one at a time in that
+    order: the float the dense loop's per-event additions give.
+    `np.add.accumulate` adds sequentially, so long runs use it; `np.sum`
+    would add pairwise and round differently."""
+    if stop - start < 100:
+        for t in dts[start:stop]:
+            value += t
+        return value
+    run = np.empty(stop - start + 1)
+    run[0] = value
+    run[1:] = np.frombuffer(dts, count=stop)[start:]
+    return float(np.add.accumulate(run, out=run)[-1])
 
 
 def _reconnect_minimally(
@@ -318,7 +467,8 @@ def _strong_prune(
                 parent[v] = (u, w)
                 order.append((v, u, w))
                 stack.append(v)
-    value = {v: prized.prize(v) for v in parent}
+    prizes = prized.prizes
+    value = {v: prizes.get(v, 0.0) for v in parent}
     for v, u, w in reversed(order):
         value[u] += max(0.0, value[v] - w)
 

@@ -2,7 +2,7 @@
 
 `WeightedGraph` is a sparse graph built edge by edge, the test graph that
 both solvers accept: `prim_mst` reads its `weights_from`, `pcst_gw` its
-`edge_arrays`. `pcst_exact` is the optimal prize-collecting Steiner tree by
+`edge_arrays` and `incidence`. `pcst_exact` is the optimal prize-collecting Steiner tree by
 subset enumeration (at most `EXACT_PCST_MAX_VERTICES` vertices, else
 `InstanceTooLarge`), the oracle of the GW sandwich and dual-bound tests;
 it reads every graph through `edge_arrays()`, as the oracles below do.
@@ -11,12 +11,12 @@ the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw_reference` is the scalar moat-growing loop that the vectorised
 `pcst_gw` replaced, kept as the reference it must match design for design.
 `grow_moats_dense_reference` is the all-edges array loop that the
-frontier-only `_grow_moats` replaced; their forests and dual increments
-must be equal bit for bit. `nearest_vertex_reference` is the full scan that
-the latitude window of `RoadGraph.nearest_vertex` replaced; like every
-oracle here, it reads a road vertex through `point(v)`, which rebuilds one
-`GeoPoint` from the graph's arrays, never through the whole `vertices`
-tuple; `road_graph` builds a road graph from `GeoPoint`s and edge tuples.
+event-driven `_grow_moats` replaced (by way of a frontier-only array loop);
+their forests and dual increments must be equal bit for bit.
+`nearest_vertex_reference` is the full scan that the latitude window of
+`RoadGraph.nearest_vertex` replaced; like every oracle here, it reads a
+road vertex through `point(v)`, which rebuilds one `GeoPoint` from the
+graph's arrays, never through the whole `vertices` tuple; `road_graph` builds a road graph from `GeoPoint`s and edge tuples.
 `prim_mst_reference` is the heap Prim that the dense `prim_mst` replaced,
 and `euclidean_graph_reference` the complete graph it ran on, with every
 edge stored; MST designs must match them edge for edge.
@@ -51,6 +51,7 @@ from fiberplan.geodata import (
     RoadGraph,
     Settlement,
     SettlementSet,
+    edge_incidence,
     haversine_km,
     point_segment_km,
 )
@@ -143,6 +144,11 @@ class WeightedGraph:
         w = np.array([e[2] for e in edges], dtype=np.float64)
         return u, v, w
 
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The `edge_incidence` of `edge_arrays()`."""
+        u, v, _ = self.edge_arrays()
+        return edge_incidence(self.n, u, v)
+
 
 def road_graph(
     vertices: Sequence[GeoPoint], edges: Iterable[tuple[int, int, float]]
@@ -155,8 +161,8 @@ def road_graph(
 
 
 def edge_list(graph) -> list[tuple[int, int, float]]:
-    """Every edge of a graph as (u, v, w), u < v, in ascending (u, v)
-    order, read through its `edge_arrays()`."""
+    """Every edge of a graph as (u, v, w), u < v, in its `edge_arrays()`
+    order."""
     return list(zip(*(a.tolist() for a in graph.edge_arrays())))
 
 
@@ -266,6 +272,43 @@ def random_sparse_grid_instance(rng: random.Random) -> PrizedGraph:
     prized = rng.sample(range(n), max(2, round(0.04 * n)))
     prizes = {v: rng.choice(GRID_PRIZES[1:]) * rng.choice((1.0, 4.0, 16.0)) for v in prized}
     return PrizedGraph(graph=graph_from_edges(n, edges), prizes=prizes, root=prized[0])
+
+
+def nudged_instance(rng: random.Random, prized: PrizedGraph) -> PrizedGraph:
+    """`prized` with every edge weight moved 1-3 ulps up or down, so that
+    meeting times that were equal or 1 ulp apart land within a few ulps of
+    each other, in any order."""
+    edges = []
+    for u, v, w in edge_list(prized.graph):
+        toward = rng.choice((-math.inf, math.inf))
+        for _ in range(rng.randint(1, 3)):
+            w = float(np.nextafter(w, toward))
+        edges.append((u, v, w))
+    graph = graph_from_edges(prized.graph.n, edges)
+    return PrizedGraph(graph=graph, prizes=prized.prizes, root=prized.root)
+
+
+def long_moat_grid_instance(rng: random.Random) -> PrizedGraph:
+    """A 20 x 100 grid whose two heavily prized end vertices grow moats of
+    several hundred vertices each: the west one meets the root, 40 columns
+    along, after more than 1,000 events, and the east one keeps growing
+    until it meets the root's now inactive cluster. About 2% of the other
+    vertices carry small prizes, so moats also die."""
+    rows, cols = 20, 100
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1, rng.choice(GRID_WEIGHTS)))
+            if r + 1 < rows:
+                edges.append((v, v + cols, rng.choice(GRID_WEIGHTS)))
+    n = rows * cols
+    west, east, root = 10 * cols, 10 * cols + cols - 1, 10 * cols + 40
+    prizes = {v: rng.choice(GRID_PRIZES[1:]) for v in rng.sample(range(n), n // 50)}
+    prizes.update({west: 1e4, east: 1e4})
+    prizes.pop(root, None)
+    return PrizedGraph(graph=graph_from_edges(n, edges), prizes=prizes, root=root)
 
 
 def assert_design_is_tree(design: NetworkDesign, root: int) -> None:
@@ -393,7 +436,8 @@ def grow_moats_dense_reference(
     n = prized.graph.n
     root = prized.root
     # Ascending (u, v) order: argmin's first-index rule breaks dt ties by (u, v).
-    eu, ev, ew = edges
+    order = np.lexsort((edges[1], edges[0]))
+    eu, ev, ew = (a[order] for a in edges)
 
     # Clusters 0..n-1 are the singletons; each of at most n - 1 merges adds one.
     owner = np.arange(n)  # vertex -> current cluster id

@@ -152,6 +152,11 @@ class TestTotal:
         with pytest.raises(ValueError, match="users 5e-324 over node_count 3 underflows"):
             emissions_quantities(1.0, 3, 5e-324, BOOK)
 
+    def test_a_user_base_that_overflows_the_per_user_power_is_rejected(self):
+        # p_rn_kw / 1e-320 overflows to inf, and inf emissions would follow
+        with pytest.raises(ValueError, match="users 1e-320 over node_count 1 overflows"):
+            emissions_quantities(1.0, 1, 1e-320, BOOK)
+
     def test_monotone_in_length_and_nodes(self):
         base = emissions_quantities(10.0, 2, 100.0, BOOK)
         longer = emissions_quantities(20.0, 2, 100.0, BOOK)

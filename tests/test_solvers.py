@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 import os
 import random
+from array import array
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fiberplan.geodata import load_road_graph, load_settlements
@@ -17,7 +19,7 @@ from fiberplan.netdesign.graphs import (
     RootMissing,
     attach_terminals_to_roads,
 )
-from fiberplan.netdesign.solvers import _grow_moats, pcst_gw, prim_mst
+from fiberplan.netdesign.solvers import _fold, _grow_moats, pcst_gw, prim_mst
 
 from .oracles import (
     InstanceTooLarge,
@@ -27,6 +29,8 @@ from .oracles import (
     grow_moats_dense_reference,
     grow_moats_reference,
     kruskal_mst,
+    long_moat_grid_instance,
+    nudged_instance,
     pcst_exact,
     pcst_gw_reference,
     random_connected_edges,
@@ -241,9 +245,9 @@ class TestGwAgainstReference:
     bit for bit, so the dual bound is too."""
 
     @staticmethod
-    def assert_moats_match_the_dense_loop(pg):
+    def assert_moats_match_the_dense_loop(pg, stats=None):
         edges = pg.graph.edge_arrays()
-        forest, dual_terms = _grow_moats(pg, edges)
+        forest, dual_terms = _grow_moats(pg, edges, stats)
         assert (forest, dual_terms) == grow_moats_dense_reference(pg, edges)
         assert [math.copysign(1.0, t) for t in dual_terms] == [1.0] * len(dual_terms)
         return forest, dual_terms
@@ -251,6 +255,7 @@ class TestGwAgainstReference:
     def test_identical_designs_on_tie_heavy_grids(self):
         rng = random.Random(20_2411)
         disconnected = 0
+        events = evaluations = 0
         for _ in range(600):
             pg = random_grid_instance(rng)
             forest, _ = self.assert_moats_match_the_dense_loop(pg)
@@ -260,12 +265,29 @@ class TestGwAgainstReference:
                 prim_mst(pg.graph)
             except DisconnectedGraph:
                 disconnected += 1
+            # Weights a few ulps off their tie: the keys cannot tell the
+            # edges apart, so the exact evaluation picks each event.
+            stats = {}
+            _, dual_terms = self.assert_moats_match_the_dense_loop(nudged_instance(rng, pg), stats)
+            events += len(dual_terms)
+            evaluations += stats["evaluations"]
         assert disconnected >= 50
+        assert evaluations >= 2 * events
 
     def test_identical_designs_on_the_golden_road_graph(self):
         roads = load_road_graph(os.path.join(GOLDEN, "roads.geojson"))
         settlements = list(load_settlements(os.path.join(GOLDEN, "settlements.csv")))
         attachment = attach_terminals_to_roads(settlements, roads, snap_radius_km=5.0)
+        # The overlay's incidence lists each vertex's edges in edge_arrays() order.
+        g = attachment.graph
+        at: list[list[int]] = [[] for _ in range(g.n)]
+        for i, (u, v) in enumerate(zip(*(a.tolist() for a in g.edge_arrays()[:2]))):
+            at[u].append(i)
+            at[v].append(i)
+        ptr, ids = g.incidence()
+        assert [ids[ptr[x] : ptr[x + 1]].tolist() for x in range(g.n)] == at
+        # Each spur's edge is listed once at a road vertex and once at its own.
+        assert sum(i >= roads.edge_count for a in at[: roads.n] for i in a) == g.n - roads.n
         terminals = sorted(attachment.terminal_vertex.values())
         rng = random.Random(31)
         for _ in range(12):
@@ -285,6 +307,45 @@ class TestGwAgainstReference:
             merges += len(forest)
             deaths += len(dual_terms) - len(forest)
         assert merges >= 10_000 and deaths >= 50  # long moats that also die
+        rng = random.Random(5_1019)
+        for _ in range(2):
+            pg = long_moat_grid_instance(rng)
+            forest, dual_terms = self.assert_moats_match_the_dense_loop(pg)
+            # The merge order shows when a moat of several hundred vertices
+            # first joins the root's cluster: after more than 1,000 events,
+            # with replays that long, and with the other moat growing on
+            # to the boundary that the join froze.
+            cluster = {v: {v} for v in range(pg.graph.n)}
+            joins = []
+            for i, (u, v, _) in enumerate(forest):
+                a, b = cluster[u], cluster[v]
+                if pg.root in a | b:
+                    joins.append((i, len(b if pg.root in a else a)))
+                merged = a | b
+                for x in merged:
+                    cluster[x] = merged
+            first_big = next(i for i, size in joins if size >= 300)
+            assert 1_000 <= first_big < len(forest) - 1
+            assert len(dual_terms) - len(forest) >= 5  # moats also die
+
+
+def test_fold_adds_in_event_order_as_a_python_loop_does():
+    """`np.add.accumulate` adds one element at a time in order, as the
+    dense loop's per-event `+=` does; `np.sum` adds pairwise and would not
+    match. `_fold` relies on it for long replays."""
+    rng = random.Random(2_000)
+    mismatched_sum = 0
+    for _ in range(2_000):
+        size = rng.randint(1, 300)
+        values = [rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-6, 3) for _ in range(size)]
+        expected = values[0]
+        for t in values[1:]:
+            expected += t
+        assert float(np.add.accumulate(np.array(values))[-1]) == expected
+        dts = array("d", values[1:])
+        assert _fold(values[0], dts, 0, len(dts)) == expected
+        mismatched_sum += float(np.sum(np.array(values))) != expected
+    assert mismatched_sum > 0
 
 
 class TestGwDualBound:
