@@ -20,13 +20,11 @@ from typing import Sequence
 from . import __version__
 from .config import ScenarioConfig, load_scenario
 from .errors import ConfigError, FiberPlanError
-from .netdesign.classify import classify_nodes
 from .netdesign.design import ALGORITHMS
 from .pipeline import (
     PipelineResult,
-    build_demand,
     emit_outputs,
-    load_inputs,
+    load_and_classify,
     run_monte_carlo,
     run_pipeline,
 )
@@ -75,12 +73,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             draws=args.draws,
         )
         if args.command == "validate":
-            return _cmd_validate(cfg)
-        if args.command == "design":
-            return _cmd_design(cfg)
-        if args.command == "report":
-            return _cmd_report(cfg)
-        return _cmd_mc(cfg)
+            return _validate(cfg)
+        return _run(cfg, args.command)
     except FiberPlanError as exc:
         return _report_error(exc, exc.exit_code)
     except Exception as exc:  # a defect, not a documented failure
@@ -97,60 +91,39 @@ def _report_error(exc: Exception, exit_code: int) -> int:
     return exit_code
 
 
-def _cmd_validate(cfg: ScenarioConfig) -> int:
-    inputs = load_inputs(cfg)
-    stage = build_demand(cfg, inputs)
-    classification = classify_nodes(
-        inputs.settlements,
-        inputs.fiber,
-        buffer_km=cfg.buffer_km,
-        main_settlement_threshold=cfg.main_settlement_threshold,
-    )
-    regions = {s.region_id for s in inputs.settlements}
+def _validate(cfg: ScenarioConfig) -> int:
+    inputs, stage, classification, warnings = load_and_classify(cfg)
     print(f"scenario ok: {len(inputs.settlements)} settlements, "
-          f"{len(regions)} regions, {len(stage.records)} subregions")
+          f"{len(stage.users_by_region)} regions, {len(stage.records)} subregions")
     print(f"roles: {len(classification.core_adjacent)} core-adjacent, "
           f"{len(classification.regional_nodes)} regional, "
           f"{len(classification.access_nodes)} access")
     print(f"potential users: {stage.total_users:.6g} "
           f"(adoption {cfg.adoption_rate:.4g} above {cfg.min_density_per_km2:.6g}/km2)")
     print(f"algorithms: {', '.join(cfg.algorithms)}")
-    for warning in stage.warnings:
+    for warning in warnings:
         print(f"warning: {warning}")
-    if classification.regions_without_candidate:
-        flagged = ", ".join(classification.regions_without_candidate)
-        print(f"warning: regions without a main-settlement candidate: {flagged}")
     return 0
 
 
-def _cmd_design(cfg: ScenarioConfig) -> int:
-    result = run_pipeline(cfg)
-    written = emit_outputs(cfg, result, designs_only=True)
-    _print_designs(result)
-    _print_written(written, result.warnings)
-    return 0
-
-
-def _cmd_report(cfg: ScenarioConfig) -> int:
-    result = run_pipeline(cfg)
-    written = emit_outputs(cfg, result)
-    _print_designs(result)
-    _print_rows(result)
-    _print_written(written, result.warnings)
-    return 0
-
-
-def _cmd_mc(cfg: ScenarioConfig) -> int:
-    if cfg.mc is None:
+def _run(cfg: ScenarioConfig, command: str) -> int:
+    """design writes the design GeoJSONs, report adds the CSVs and prints
+    the decile rows, and mc adds the Monte Carlo summary."""
+    if command == "mc" and cfg.mc is None:  # before any stage runs
         raise ConfigError("mc needs a monte_carlo section in the scenario config")
     result = run_pipeline(cfg)
-    mc_rows = run_monte_carlo(cfg, result)
-    written = emit_outputs(cfg, result, mc_rows=mc_rows)
+    mc_rows = run_monte_carlo(cfg, result) if command == "mc" else None
+    written = emit_outputs(cfg, result, designs_only=command == "design", mc_rows=mc_rows)
     _print_designs(result)
-    _print_rows(result)
-    print(f"monte carlo: {cfg.mc.draws} draws, seed {cfg.mc.seed}, "
-          f"{len(cfg.mc.distributions)} varied parameters")
-    _print_written(written, result.warnings)
+    if command != "design":
+        _print_rows(result)
+    if mc_rows is not None:
+        print(f"monte carlo: {cfg.mc.draws} draws, seed {cfg.mc.seed}, "
+              f"{len(cfg.mc.distributions)} varied parameters")
+    for warning in result.warnings:
+        print(f"warning: {warning}")
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 
@@ -179,13 +152,6 @@ def _print_rows(result: PipelineResult) -> None:
             f"{row.total_length_km:>10.6g} {monthly:>12} {kg:>10} {scc_user:>10}"
         )
     print(f"total users: {result.demand.total_users:.6g}")
-
-
-def _print_written(written: Sequence[str], warnings: Sequence[str]) -> None:
-    for warning in warnings:
-        print(f"warning: {warning}")
-    for path in written:
-        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 Paths are resolved relative to the config file's directory. Cost and
 emission-factor overrides are flat key/value maps onto the books' fields;
-Monte Carlo distributions reference the same keys. Validation happens here,
-before any data is loaded or any output is written.
+Monte Carlo distributions reference the same keys. CLI overrides replace
+their keys in the parsed document, which is then validated once (the books,
+`McConfig` and `Distribution` check their own fields) before any data is
+loaded or any output is written.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .errors import ConfigError, is_finite_number
 from .lca import EmissionFactorBook
 from .netdesign.design import ALGORITHMS
 from .report import (
+    DIST_BOUNDS,
     Distribution,
     InvalidDistributionBounds,
     McConfig,
     check_distributions,
-    resolve_parameter_key,
 )
 
 _SETTLEMENT_FORMATS = ("csv", "geojson")
@@ -44,6 +46,9 @@ _TOP_LEVEL_KEYS = {
 }
 
 _INPUT_KEYS = {"settlements", "areas", "fiber", "roads"}
+
+# The range of a numeric setting, keyed by the words its error message uses.
+_RANGES = {">= 0": lambda v: v >= 0, "positive": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1}
 
 
 @dataclass(frozen=True)
@@ -86,18 +91,25 @@ def load_scenario(
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    _reject_unknown(raw, _TOP_LEVEL_KEYS, "config keys")
+    if algorithm is not None:
+        raw["algorithms"] = list(ALGORITHMS) if algorithm == "both" else [algorithm]
+    if out_dir is not None:
+        raw["output_dir"] = out_dir
+    mc_overrides = {k: v for k, v in (("seed", seed), ("draws", draws)) if v is not None}
+    if mc_overrides:
+        mc_section = raw.get("monte_carlo")
+        if mc_section is None:
+            raise ConfigError("--seed/--draws given but the config has no monte_carlo section")
+        if isinstance(mc_section, dict):  # _parse_mc rejects any other value
+            raw["monte_carlo"] = {**mc_section, **mc_overrides}
 
     base_dir = os.path.dirname(os.path.abspath(path))
 
     inputs = raw.get("inputs")
     if not isinstance(inputs, dict):
         raise ConfigError("config needs an 'inputs' object")
-    unknown_inputs = set(inputs) - _INPUT_KEYS
-    if unknown_inputs:
-        raise ConfigError(f"unknown input keys: {', '.join(sorted(unknown_inputs))}")
+    _reject_unknown(inputs, _INPUT_KEYS, "input keys")
 
     def input_path(key: str, required: bool) -> str | None:
         value = inputs.get(key)
@@ -123,38 +135,28 @@ def load_scenario(
             f"settlements_format must be one of {_SETTLEMENT_FORMATS}, got {settlements_format!r}"
         )
 
-    adoption_rate = _number(raw, "adoption_rate", required=True)
-    if not 0.0 < adoption_rate <= 1.0:
-        raise ConfigError(f"adoption_rate must be in (0, 1], got {adoption_rate}")
-    min_density = _number(raw, "min_density_per_km2", default=0.0)
-    if min_density < 0:
-        raise ConfigError(f"min_density_per_km2 must be >= 0, got {min_density}")
-    buffer_km = _number(raw, "buffer_km", default=2.0)
-    if buffer_km < 0:
-        raise ConfigError(f"buffer_km must be >= 0, got {buffer_km}")
+    adoption_rate = _number(raw, "adoption_rate", None, "in (0, 1]")
+    min_density = _number(raw, "min_density_per_km2", 0.0, ">= 0")
+    buffer_km = _number(raw, "buffer_km", 2.0, ">= 0")
     threshold = raw.get("main_settlement_threshold", 20_000)
     if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 0:
         raise ConfigError(
             f"main_settlement_threshold must be a non-negative integer, got {threshold!r}"
         )
-    snap_radius_km = _number(raw, "snap_radius_km", default=5.0)
-    if snap_radius_km < 0:
-        raise ConfigError(f"snap_radius_km must be >= 0, got {snap_radius_km}")
-    prize_scale = _number(raw, "prize_scale", default=1.0)
-    if prize_scale <= 0:
-        raise ConfigError(f"prize_scale must be positive, got {prize_scale}")
+    snap_radius_km = _number(raw, "snap_radius_km", 5.0, ">= 0")
+    prize_scale = _number(raw, "prize_scale", 1.0, "positive")
 
-    algorithms = _parse_algorithms(raw.get("algorithms", list(ALGORITHMS)), algorithm)
+    algorithms = _parse_algorithms(raw.get("algorithms", list(ALGORITHMS)))
     if "pcst" in algorithms and roads_path is None:
         raise ConfigError("inputs.roads is required when the pcst algorithm is selected")
 
     cost_book = _build_book(CostBook, raw.get("cost", {}), "cost")
     factor_book = _build_book(EmissionFactorBook, raw.get("emissions", {}), "emissions")
-    mc = _parse_mc(raw.get("monte_carlo"), seed=seed, draws=draws)
+    mc = _parse_mc(raw.get("monte_carlo"))
     if mc is not None:
         check_distributions(mc, cost_book, factor_book)
 
-    output_dir = out_dir if out_dir is not None else raw.get("output_dir", "out")
+    output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
     if not os.path.isabs(output_dir):
@@ -180,26 +182,21 @@ def load_scenario(
     )
 
 
-def _number(raw: Mapping[str, Any], key: str, *, default: float | None = None, required: bool = False) -> float:
+def _number(raw: Mapping[str, Any], key: str, default: float | None, rule: str) -> float:
+    """raw[key], or `default` when it is absent or null (None: required): a
+    finite number in the range `rule` names in _RANGES."""
     value = raw.get(key)
-    if value is None:
-        if required:
-            raise ConfigError(f"{key} is required")
-        return float(default)
+    if value is None and default is None:
+        raise ConfigError(f"{key} is required")
+    value = default if value is None else value
     if not is_finite_number(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if not _RANGES[rule](float(value)):
+        raise ConfigError(f"{key} must be {rule}, got {float(value)}")
     return float(value)
 
 
-def _parse_algorithms(value: Any, override: str | None) -> tuple[str, ...]:
-    if override is not None:
-        if override == "both":
-            return tuple(ALGORITHMS)
-        if override not in ALGORITHMS:
-            raise ConfigError(
-                f"algorithm must be {', '.join(ALGORITHMS)}, or both, got {override!r}"
-            )
-        return (override,)
+def _parse_algorithms(value: Any) -> tuple[str, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"algorithms must be a non-empty list, got {value!r}")
     seen: list[str] = []
@@ -213,6 +210,12 @@ def _parse_algorithms(value: Any, override: str | None) -> tuple[str, ...]:
     return tuple(sorted(seen))  # mst before pcst, deterministic
 
 
+def _reject_unknown(section: Mapping[str, Any], known: set[str], what: str) -> None:
+    unknown = set(section) - known
+    if unknown:
+        raise ConfigError(f"unknown {what}: {', '.join(sorted(unknown))}")
+
+
 def _build_book(book_cls: type, overrides: Any, section: str):
     if not isinstance(overrides, dict):
         raise ConfigError(f"{section} overrides must be an object")
@@ -224,61 +227,39 @@ def _build_book(book_cls: type, overrides: Any, section: str):
         raise ConfigError(f"invalid {section} parameter: {exc}") from exc
 
 
-def _parse_mc(value: Any, *, seed: int | None, draws: int | None) -> McConfig | None:
+def _parse_mc(value: Any) -> McConfig | None:
     if value is None:
-        if seed is not None or draws is not None:
-            raise ConfigError("--seed/--draws given but the config has no monte_carlo section")
         return None
     if not isinstance(value, dict):
         raise ConfigError("monte_carlo must be an object")
-    unknown = set(value) - {"draws", "seed", "distributions"}
-    if unknown:
-        raise ConfigError(f"unknown monte_carlo keys: {', '.join(sorted(unknown))}")
-    mc_draws = draws if draws is not None else value.get("draws", 1000)
-    mc_seed = seed if seed is not None else value.get("seed", 0)
-    if not isinstance(mc_draws, int) or isinstance(mc_draws, bool) or mc_draws < 1:
-        raise ConfigError(f"monte_carlo.draws must be a positive integer, got {mc_draws!r}")
-    if not isinstance(mc_seed, int) or isinstance(mc_seed, bool):
-        raise ConfigError(f"monte_carlo.seed must be an integer, got {mc_seed!r}")
+    _reject_unknown(value, {"draws", "seed", "distributions"}, "monte_carlo keys")
     raw_dists = value.get("distributions", {})
     if not isinstance(raw_dists, dict):
         raise ConfigError("monte_carlo.distributions must be an object")
-    distributions: dict[str, Distribution] = {}
-    for key in sorted(raw_dists):
-        entry = raw_dists[key]
-        resolve_parameter_key(key)  # raises UnknownParameterKey (a ConfigError)
-        distributions[key] = _parse_distribution(key, entry)
-    return McConfig(draws=mc_draws, seed=mc_seed, distributions=distributions)
+    return McConfig(
+        draws=value.get("draws", 1000),
+        seed=value.get("seed", 0),
+        distributions={key: _parse_distribution(key, raw_dists[key]) for key in sorted(raw_dists)},
+    )
 
 
 def _parse_distribution(key: str, entry: Any) -> Distribution:
     if not isinstance(entry, dict) or "dist" not in entry:
         raise ConfigError(f"distribution for {key!r} must be an object with a 'dist' key")
+    _reject_unknown(entry, {"dist", "lo", "mode", "hi", "value"}, f"distribution keys for {key!r}")
     kind = entry["dist"]
-    known = {"dist", "lo", "mode", "hi", "value"}
-    unknown = set(entry) - known
-    if unknown:
-        raise ConfigError(f"unknown distribution keys for {key!r}: {', '.join(sorted(unknown))}")
-
-    def bound(name: str) -> float:
-        value = entry[name]
-        # Distribution rejects anything that is not a finite number.
-        return float(value) if is_finite_number(value) else value
-
+    # Distribution rejects a kind that DIST_BOUNDS does not list.
+    names = DIST_BOUNDS.get(kind, ()) if isinstance(kind, str) else ()
     try:
-        if kind == "fixed":
-            return Distribution(kind="fixed", value=entry.get("value"))
-        if kind == "uniform":
-            return Distribution(kind="uniform", lo=bound("lo"), hi=bound("hi"))
-        if kind == "triangular":
-            return Distribution(
-                kind="triangular", lo=bound("lo"), mode=bound("mode"), hi=bound("hi")
-            )
+        return Distribution(
+            kind=kind,
+            value=entry.get("value") if kind == "fixed" else None,
+            **{name: entry[name] for name in names},
+        )
     except KeyError as exc:
         raise ConfigError(f"distribution for {key!r} is missing {exc}") from exc
     except InvalidDistributionBounds as exc:
         raise InvalidDistributionBounds(f"distribution for {key!r}: {exc}") from exc
-    raise ConfigError(f"distribution for {key!r} has unknown kind {kind!r}")
 
 
 def parameters_payload(cfg: ScenarioConfig) -> dict:

@@ -44,6 +44,10 @@ class TooFewSubregions(DataError):
     """Fewer than ten subregions; an equal-count decile split is undefined."""
 
 
+class DensityOverflow(DataError):
+    """A subregion's population density is too large for a float."""
+
+
 @dataclass(frozen=True)
 class AdoptionScenario:
     """Flat adoption assumption: fraction of population that subscribes."""
@@ -99,14 +103,24 @@ def _ranked(
     subregions: Iterable[tuple[str, int, float]],
 ) -> list[tuple[float, str, int, float]]:
     """(density, subregion_id, population, area_km2), density-descending
-    with ties by subregion_id; rejects duplicate ids and bad areas."""
+    with ties by subregion_id; rejects duplicate ids, bad areas, and
+    densities that are not finite floats."""
     seen: set[str] = set()
     ranked: list[tuple[float, str, int, float]] = []
     for sid, population, area in subregions:
         if sid in seen:
             raise DataError(f"duplicate subregion_id {sid!r}")
         seen.add(sid)
-        ranked.append((population_density(population, area), sid, population, area))
+        try:
+            density = population_density(population, area)
+        except OverflowError:  # a population too large for a float
+            density = math.inf
+        if not math.isfinite(density):
+            raise DensityOverflow(
+                f"subregion {sid!r} has a population density too large for a float "
+                f"(area {area} km2)"
+            )
+        ranked.append((density, sid, population, area))
     ranked.sort(key=lambda t: (-t[0], t[1]))
     return ranked
 

@@ -11,6 +11,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from ..errors import ConfigError
 from ..geodata import RoadGraph, Settlement
 from .graphs import (
     DuplicateCoordinate,
@@ -25,6 +26,11 @@ from .graphs import (
 from .solvers import pcst_gw, prim_mst
 
 log = logging.getLogger(__name__)
+
+
+class PrizeOverflow(ConfigError):
+    """prize_scale makes a PCST design's prizes too large for a float."""
+
 
 LEVELS = ("regional", "access")
 # algorithm selection -> the solver tag its designs and report rows carry
@@ -175,7 +181,12 @@ def _design_pcst(
             raise ValueError(f"negative users for settlement {s.id!r}")
         prizes[terminal_vertex[s.id]] = users * prize_scale
     terminals = frozenset(terminal_vertex[s.id] for s in ordered)
-    prized = PrizedGraph(graph=graph, prizes=prizes, root=root_vertex, terminals=terminals)
+    try:
+        prized = PrizedGraph(graph=graph, prizes=prizes, root=root_vertex, terminals=terminals)
+    except ValueError as exc:  # the only one it can raise here: prizes past a float
+        raise PrizeOverflow(
+            f"prize_scale {prize_scale:.6g} makes the {level} prizes too large: {exc}"
+        ) from exc
     design = pcst_gw(prized)
     warnings = tuple(
         f"settlement {sid} attached {dist:.2f} km beyond the {snap_radius_km:.2f} km snap radius"

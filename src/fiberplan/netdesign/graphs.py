@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -163,6 +164,10 @@ class PrizedGraph:
     0. `terminals` marks the vertices that count as demand points; it
     defaults to the positive-prize vertices, but may include zero-prize
     demand points.
+
+    Prizes must be finite, and their `math.fsum` at most half the largest
+    float: every prize sum and dual, and the time of every event, of moat
+    growing is at most that total, so no heap key is inf, nor inf - inf.
     """
 
     graph: RoadOverlay
@@ -176,8 +181,14 @@ class PrizedGraph:
         for v, p in self.prizes.items():
             if not (0 <= v < self.graph.n):
                 raise ValueError(f"prized vertex {v} not in graph")
-            if p < 0.0:
-                raise ValueError(f"prize must be >= 0, got {p} at vertex {v}")
+            if not 0.0 <= p < math.inf:
+                raise ValueError(f"prize must be finite and >= 0, got {p} at vertex {v}")
+        try:
+            total = math.fsum(self.prizes.values())
+        except OverflowError:  # the exact sum is past the largest float
+            total = math.inf
+        if total > sys.float_info.max / 2:
+            raise ValueError(f"prizes sum to {total:.6g}, over half the largest float")
         prized_vertices = frozenset(v for v, p in self.prizes.items() if p > 0.0)
         if self.terminals is None:
             object.__setattr__(self, "terminals", prized_vertices)

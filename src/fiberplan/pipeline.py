@@ -359,8 +359,11 @@ def build_units(
     return units
 
 
-def run_pipeline(cfg: ScenarioConfig) -> PipelineResult:
-    """Execute load, demand, classify, design, and pricing."""
+def load_and_classify(
+    cfg: ScenarioConfig,
+) -> tuple[LoadedInputs, DemandStage, ClassificationResult, list[str]]:
+    """Execute load, demand, and classify: every stage before the designs.
+    Returns their results and the warnings they raised."""
     inputs = load_inputs(cfg)
     stage = build_demand(cfg, inputs)
     classification = classify_nodes(
@@ -373,6 +376,12 @@ def run_pipeline(cfg: ScenarioConfig) -> PipelineResult:
     if classification.regions_without_candidate:
         flagged = ", ".join(classification.regions_without_candidate)
         warnings.append(f"regions without a main-settlement candidate: {flagged}")
+    return inputs, stage, classification, warnings
+
+
+def run_pipeline(cfg: ScenarioConfig) -> PipelineResult:
+    """Execute load, demand, classify, design, and pricing."""
+    inputs, stage, classification, warnings = load_and_classify(cfg)
     designs, design_warnings = build_designs(cfg, inputs, stage, classification)
     warnings.extend(design_warnings)
     units = build_units(inputs, stage, classification, designs)
@@ -394,10 +403,6 @@ def run_monte_carlo(cfg: ScenarioConfig, result: PipelineResult) -> list[McSumma
     return monte_carlo(result.units, cfg.cost_book, cfg.factor_book, cfg.mc)
 
 
-def scenario_hash(cfg: ScenarioConfig) -> str:
-    return config_hash(parameters_payload(cfg))
-
-
 def emit_outputs(
     cfg: ScenarioConfig,
     result: PipelineResult,
@@ -410,7 +415,7 @@ def emit_outputs(
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:  # a regular file at the path or on the way to it
         raise IoError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
-    params_hash = scenario_hash(cfg)
+    params_hash = config_hash(parameters_payload(cfg))
     written: list[str] = []
 
     for (selection, level), results in sorted(result.designs.items()):

@@ -76,7 +76,8 @@ class UnknownParameterKey(ConfigError):
 
 
 class InvalidDistributionBounds(ConfigError):
-    """A Monte Carlo distribution's bounds are inconsistent."""
+    """A Monte Carlo setting is invalid: the draw count, the seed, or a
+    distribution's kind or bounds."""
 
 
 class PriceOverflow(ConfigError):
@@ -288,14 +289,16 @@ class _PricedUnits:
 
 # --- Monte Carlo ------------------------------------------------------------
 
-_DIST_KINDS = ("fixed", "uniform", "triangular")
+# Each distribution kind and the bounds it reads. A fixed rule reads its
+# optional `value` instead, and without one keeps the book's value.
+DIST_BOUNDS = {"fixed": (), "uniform": ("lo", "hi"), "triangular": ("lo", "mode", "hi")}
 
 
 @dataclass(frozen=True)
 class Distribution:
     """One parameter's sampling rule. Bounds and the fixed value must be
-    finite numbers; whether they are valid for the parameter is checked
-    against its book by `check_distributions`."""
+    finite numbers, and bounds are kept as floats; whether they are valid
+    for the parameter is checked against its book by `check_distributions`."""
 
     kind: str
     lo: float = 0.0
@@ -304,9 +307,9 @@ class Distribution:
     value: float | None = None  # fixed-at-value override; None keeps the book value
 
     def __post_init__(self) -> None:
-        if self.kind not in _DIST_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in DIST_BOUNDS:
             raise InvalidDistributionBounds(
-                f"distribution kind must be one of {_DIST_KINDS}, got {self.kind!r}"
+                f"distribution kind must be one of {tuple(DIST_BOUNDS)}, got {self.kind!r}"
             )
         numbers = (self.lo, self.mode, self.hi) + (() if self.value is None else (self.value,))
         for value in numbers:
@@ -314,6 +317,8 @@ class Distribution:
                 raise InvalidDistributionBounds(
                     f"distribution bounds and value must be finite numbers, got {value!r}"
                 )
+        for name in ("lo", "mode", "hi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.kind == "uniform" and not self.lo <= self.hi:
             raise InvalidDistributionBounds(f"uniform needs lo <= hi, got [{self.lo}, {self.hi}]")
         triangle_ok = self.lo <= self.mode <= self.hi and self.lo < self.hi
@@ -331,8 +336,12 @@ class McConfig:
     distributions: Mapping[str, Distribution]
 
     def __post_init__(self) -> None:
-        if self.draws < 1:
-            raise InvalidDistributionBounds(f"draws must be >= 1, got {self.draws}")
+        if isinstance(self.draws, bool) or not isinstance(self.draws, int) or self.draws < 1:
+            raise InvalidDistributionBounds(
+                f"monte_carlo.draws must be a positive integer, got {self.draws!r}"
+            )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InvalidDistributionBounds(f"monte_carlo.seed must be an integer, got {self.seed!r}")
 
 
 _COST_FIELDS = frozenset(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,6 +182,15 @@ def test_mc_without_config_section_exits_2(tmp_path, capsys):
     assert "monte_carlo" in _stderr_error(capsys)["message"]
 
 
+def test_mc_without_config_section_exits_2_before_any_stage(tmp_path, capsys, monkeypatch):
+    def boom(cfg):
+        raise RuntimeError("a stage ran")
+
+    monkeypatch.setattr("fiberplan.cli.run_pipeline", boom)
+    assert main(["mc", "--config", TINY, "--out", str(tmp_path / "out")]) == 2
+    assert _stderr_error(capsys)["error"] == "ConfigError"
+
+
 def test_pcst_without_roads_exits_2(tmp_path, capsys):
     code = main(
         ["design", "--config", TINY, "--algorithm", "pcst", "--out", str(tmp_path / "out")]
@@ -252,6 +262,89 @@ def test_algorithm_override_limits_outputs(tmp_path):
         "design_access_mst.geojson",
         "design_regional_mst.geojson",
     ]
+
+
+GOLDEN_DESIGNS = """\
+mst access @r1s3a: 5 nodes, 64.7574 km
+mst access @r2s1a: 5 nodes, 72.6173 km
+mst access @r3s1a: 5 nodes, 91.7516 km
+mst regional @r1s1b: 3 nodes, 254.801 km
+pcst access @r1s3a: 4 nodes, 49.0321 km, 1 excluded
+pcst access @r2s1a: 4 nodes, 55.0575 km, 1 excluded
+pcst access @r3s1a: 2 nodes, 18.9016 km, 3 excluded
+pcst regional @r1s1b: 3 nodes, 259.452 km
+"""
+GOLDEN_ROWS = """\
+decile    level algorithm      users         km  tco/user/mo    kg/user   scc/user
+     1   access       MST     663.75    137.375        63.26     944.16      70.81
+     1   access   PCST_GW     663.75     104.09        60.86     777.14      58.29
+     1 regional       MST     663.75    169.867        23.53     527.48      39.56
+     1 regional   PCST_GW     663.75    172.968        23.61     532.18      39.91
+     2   access       MST     167.75    91.7516       127.68    2006.44     150.48
+     2   access   PCST_GW     167.75    18.9016       110.93     877.47      65.81
+     2 regional       MST     167.75    84.9336        46.55    1043.56      78.27
+     2 regional   PCST_GW     167.75    86.4839        46.72    1052.87      78.96
+total users: 831.5
+"""
+GOLDEN_SNAP_WARNING = (
+    "warning: settlement r3s5a attached 27.88 km beyond the 5.00 km snap radius\n"
+)
+
+
+def _wrote(*names: str) -> str:
+    return "".join(f"wrote <out>/{name}\n" for name in names)
+
+
+GOLDEN_GEOJSON = (
+    "design_access_mst.geojson",
+    "design_regional_mst.geojson",
+    "design_access_pcst.geojson",
+    "design_regional_pcst.geojson",
+)
+GOLDEN_STDOUT = {
+    "validate": """\
+scenario ok: 30 settlements, 3 regions, 15 subregions
+roles: 1 core-adjacent, 3 regional, 12 access
+potential users: 831.5 (adoption 0.005 above 0/km2)
+algorithms: mst, pcst
+""",
+    "design": GOLDEN_DESIGNS + GOLDEN_SNAP_WARNING + _wrote(*GOLDEN_GEOJSON),
+    "report": GOLDEN_DESIGNS
+    + GOLDEN_ROWS
+    + GOLDEN_SNAP_WARNING
+    + _wrote(*GOLDEN_GEOJSON, "demand.csv", "report.csv"),
+    "mc": GOLDEN_DESIGNS
+    + GOLDEN_ROWS
+    + "monte carlo: 64 draws, seed 20240229, 2 varied parameters\n"
+    + GOLDEN_SNAP_WARNING
+    + _wrote(*GOLDEN_GEOJSON, "demand.csv", "report.csv", "mc_summary.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout_of_each_command(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", GOLDEN, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.replace(str(out), "<out>") == GOLDEN_STDOUT[command]
+
+
+def test_validate_prints_the_demand_and_classification_warnings(tmp_path, capsys):
+    with open(TINY, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["inputs"] = {k: os.path.join(DATA, "tiny", v) for k, v in doc["inputs"].items()}
+    doc["main_settlement_threshold"] = 10**9
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        "scenario ok: 3 settlements, 1 regions, 3 subregions\n"
+        "roles: 0 core-adjacent, 0 regional, 3 access\n"
+        "potential users: 160 (adoption 0.005 above 0/km2)\n"
+        "algorithms: mst\n"
+        "warning: only 3 subregions: deciles assigned from density bands, "
+        "not an equal-count split\n"
+        "warning: regions without a main-settlement candidate: R1\n"
+    )
 
 
 def test_console_script_is_installed():
@@ -539,3 +632,32 @@ def test_unexpected_exception_exits_1_with_one_json_line(tmp_path, capsys, caplo
     (record,) = [r for r in caplog.records if r.exc_info]
     assert record.levelno == logging.DEBUG
     assert record.exc_info[0] is RuntimeError
+
+
+@pytest.mark.parametrize("command", ["validate", "design", "report"])
+@pytest.mark.parametrize(
+    "population, area",
+    [(10**400, "10.0"), (25_000, "1e-320")],
+    ids=["population-past-a-float", "area-near-zero"],
+)
+def test_density_too_large_for_a_float_exits_3(tmp_path, capsys, command, population, area):
+    settlements = _golden_csv_plus(tmp_path, "settlements", f"r9a,0.0,0.0,{population},R9,R9S1\n")
+    areas = _golden_csv_plus(tmp_path, "areas", f"R9S1,{area}\n")
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, inputs={"settlements": settlements, "areas": areas})
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    error = _assert_error_after_run(capsys, out, 3, "DensityOverflow")
+    assert "subregion 'R9S1'" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["design", "report"])
+def test_prize_scale_past_what_moat_growing_can_add_exits_2_at_once(tmp_path, capsys, command):
+    # 1e307 makes a backbone prize inf: its heap keys in moat growing would
+    # be nan, and the run would not end.
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, prize_scale=1e307)
+    start = time.perf_counter()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 10.0
+    error = _assert_error_after_run(capsys, out, 2, "PrizeOverflow")
+    assert "prize_scale 1e+307" in error["message"]

@@ -163,6 +163,22 @@ def test_bad_scalar_settings(tmp_path, key, value):
         load_scenario(_write_config(tmp_path, **{key: value}))
 
 
+@pytest.mark.parametrize(
+    "key,value,rule",
+    [
+        ("adoption_rate", -0.1, "in (0, 1]"),
+        ("adoption_rate", 0, "in (0, 1]"),
+        ("prize_scale", -1, "positive"),
+        ("prize_scale", 0, "positive"),
+        ("buffer_km", -0.5, ">= 0"),
+    ],
+)
+def test_a_numeric_setting_out_of_range_names_its_whole_range(tmp_path, key, value, rule):
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(_write_config(tmp_path, **{key: value}))
+    assert str(exc.value) == f"{key} must be {rule}, got {float(value)}"
+
+
 def test_pcst_requires_roads(tmp_path):
     with pytest.raises(ConfigError, match="roads"):
         load_scenario(_write_config(tmp_path, algorithms=["pcst"]))
@@ -240,3 +256,33 @@ def test_payload_covers_book_fields_and_mc():
     assert payload["emissions"]["cable_kg_per_km"] == 247.0
     assert payload["monte_carlo"]["seed"] == 20240229
     assert payload["monte_carlo"]["distributions"]["c_olt"]["dist"] == "uniform"
+
+
+@pytest.mark.parametrize("section", [[1], "x", 5])
+@pytest.mark.parametrize("override", [{"seed": 1}, {"draws": 2}])
+def test_overrides_on_a_monte_carlo_section_that_is_not_an_object(tmp_path, section, override):
+    with pytest.raises(ConfigError, match="monte_carlo must be an object"):
+        load_scenario(_write_config(tmp_path, monte_carlo=section), **override)
+
+
+@pytest.mark.parametrize(
+    "override, in_file",
+    [
+        ({"draws": 0}, {"monte_carlo": {"draws": 0}}),
+        ({"seed": True}, {"monte_carlo": {"draws": 3, "seed": True}}),
+        ({"algorithm": "dijkstra"}, {"algorithms": ["dijkstra"]}),
+        ({"out_dir": ""}, {"output_dir": ""}),
+    ],
+    ids=["draws", "seed", "algorithm", "out"],
+)
+def test_an_override_is_checked_as_the_file_value_it_replaces(tmp_path, override, in_file):
+    with pytest.raises(ConfigError) as from_override:
+        load_scenario(_write_config(tmp_path, monte_carlo={"draws": 3}), **override)
+    with pytest.raises(ConfigError) as from_file:
+        load_scenario(_write_config(tmp_path, **in_file))
+    assert repr(from_override.value) == repr(from_file.value)
+
+
+def test_algorithm_override_replaces_an_invalid_file_value(tmp_path):
+    cfg = load_scenario(_write_config(tmp_path, algorithms=["dijkstra"]), algorithm="mst")
+    assert cfg.algorithms == ("mst",)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fiberplan.demand import (
     DENSITY_BAND_FLOORS,
     AdoptionScenario,
+    DensityOverflow,
     SubregionDemand,
     TooFewSubregions,
     ZeroArea,
@@ -127,6 +128,19 @@ def test_assign_deciles_duplicate_subregion():
     rows[5] = ("s1", 10, 1.0)
     with pytest.raises(DataError, match="duplicate"):
         assign_deciles(rows)
+
+
+@pytest.mark.parametrize("split", [assign_deciles, band_demand])
+@pytest.mark.parametrize(
+    "population, area",
+    [(10**400, 10.0), (25_000, 1e-320)],
+    ids=["population-past-a-float", "area-near-zero"],
+)
+def test_density_too_large_for_a_float_names_the_subregion(split, population, area):
+    rows = [(f"s{i}", 10, 1.0) for i in range(9)] + [("dense", population, area)]
+    with pytest.raises(DensityOverflow, match="subregion 'dense'"):
+        split(rows, AdoptionScenario(adoption_rate=0.005))
+    assert DensityOverflow.exit_code == 3
 
 
 def test_assign_deciles_fills_users():

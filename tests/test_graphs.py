@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
 
 from fiberplan.geodata import GeoPoint, Settlement, haversine_km
@@ -174,6 +177,25 @@ class TestPrizedGraph:
             PrizedGraph(graph=self._graph(), prizes={1: -1.0}, root=0)
         with pytest.raises(ValueError):
             PrizedGraph(graph=self._graph(), prizes={7: 1.0}, root=0)
+
+    @pytest.mark.parametrize(
+        "prizes, match",
+        [
+            ({1: math.inf}, "finite"),
+            ({1: math.nan}, "finite"),
+            ({1: 1e308, 2: 1e308}, "over half the largest float"),  # math.fsum overflows
+            ({1: 5e307, 2: 5e307}, "over half the largest float"),  # a finite sum past max / 2
+        ],
+        ids=["inf", "nan", "sum-overflows", "sum-past-half"],
+    )
+    def test_rejects_prizes_moat_growing_cannot_add(self, prizes, match):
+        with pytest.raises(ValueError, match=match):
+            PrizedGraph(graph=self._graph(), prizes=prizes, root=0)
+
+    def test_accepts_prizes_summing_to_half_the_largest_float(self):
+        half = sys.float_info.max / 2
+        pg = PrizedGraph(graph=self._graph(), prizes={1: half / 2, 2: half / 2}, root=0)
+        assert pg.terminals == frozenset({1, 2})
 
 
 class TestRoadOverlay:

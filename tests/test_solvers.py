@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from array import array
 from dataclasses import replace
 
@@ -296,6 +297,24 @@ class TestGwAgainstReference:
             pg = PrizedGraph(graph=attachment.graph, prizes=prizes, root=root)
             forest, _ = self.assert_moats_match_the_dense_loop(pg)
             assert forest == grow_moats_reference(pg)
+            assert pcst_gw(pg) == pcst_gw_reference(pg)
+
+    def test_identical_moats_with_prizes_summing_to_the_accepted_bound(self):
+        """Prizes that sum to nearly half the largest float, the most a
+        PrizedGraph accepts: every prize sum, dual and event time stays
+        finite, and the heap loop takes the dense loop's events."""
+        roads = load_road_graph(os.path.join(GOLDEN, "roads.geojson"))
+        settlements = list(load_settlements(os.path.join(GOLDEN, "settlements.csv")))
+        attachment = attach_terminals_to_roads(settlements, roads, snap_radius_km=5.0)
+        root, *prized = sorted(attachment.terminal_vertex.values())
+        bound = sys.float_info.max / 2 * (1 - 1e-9)
+        rng = random.Random(307)
+        for weights in ([1.0] * len(prized), [rng.choice((0.0, 1.0, 3.0)) for _ in prized], [1.0]):
+            share = bound / math.fsum(weights)
+            prizes = {v: share * w for v, w in zip(prized, weights)}
+            pg = PrizedGraph(graph=attachment.graph, prizes=prizes, root=root)
+            _, dual_terms = self.assert_moats_match_the_dense_loop(pg)
+            assert all(math.isfinite(t) for t in dual_terms)
             assert pcst_gw(pg) == pcst_gw_reference(pg)
 
     def test_identical_moats_on_sparse_road_like_grids(self):

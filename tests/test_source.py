@@ -149,3 +149,37 @@ def test_every_public_name_in_src_has_a_reader():
             ):
                 unread.append(f"{path.relative_to(PACKAGE)}:{def_line} {name}")
     assert not unread, "public names nothing outside the tests reads: " + ", ".join(unread)
+
+
+# Package modules cli.py may import from, and the names it may take from
+# each (None: any name). Stages run through `pipeline` and `config` only.
+CLI_IMPORTS = {
+    "": {"__version__"},
+    "config": None,
+    "errors": None,
+    "pipeline": None,
+    "netdesign.design": {"ALGORITHMS"},  # the argparse choices
+}
+
+
+def test_cli_reaches_the_stages_only_through_pipeline_and_config():
+    """The CLI is a shell over the pipeline: it imports no stage function
+    (loaders, demand, classify, design, solvers, report) on its own."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.partition(".")[0] == "fiberplan"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "fiberplan":
+                    continue
+                module = module.partition(".")[2]
+            allowed = CLI_IMPORTS.get(module, set())
+            found += [
+                f"{module}.{a.name}"
+                for a in node.names
+                if allowed is not None and a.name not in allowed
+            ]
+    assert not found, "cli.py imports stage code directly: " + ", ".join(found)
