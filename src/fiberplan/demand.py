@@ -180,18 +180,18 @@ def users_for_node(demand: SubregionDemand) -> float:
 def load_area_table(path: str) -> dict[str, float]:
     """Load subregion areas from a CSV with columns subregion_id,area_km2."""
     out: dict[str, float] = {}
-    for where, (raw_sid, raw_area) in _read_csv_rows(path, AREA_COLUMNS):
+    for lineno, (raw_sid, raw_area) in _read_csv_rows(path, AREA_COLUMNS):
         sid = (raw_sid or "").strip()
         if not sid:
-            raise DataError(f"{where}: empty subregion_id")
+            raise DataError(f"{path}:{lineno}: empty subregion_id")
         if sid in out:
-            raise DataError(f"{where}: duplicate subregion_id {sid!r}")
+            raise DataError(f"{path}:{lineno}: duplicate subregion_id {sid!r}")
         try:
             area = float(raw_area)
         except (TypeError, ValueError) as exc:
-            raise DataError(f"{where}: bad area_km2 {raw_area!r}") from exc
+            raise DataError(f"{path}:{lineno}: bad area_km2 {raw_area!r}") from exc
         if not math.isfinite(area) or area <= 0:
-            raise ZeroArea(f"{where}: area_km2 must be positive, got {area}")
+            raise ZeroArea(f"{path}:{lineno}: area_km2 must be positive, got {area}")
         out[sid] = area
     if not out:
         raise DataError(f"{path}: area table has no rows")

@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -72,28 +72,70 @@ class Settlement:
     subregion_id: str
 
 
-@dataclass(frozen=True)
 class SettlementSet:
-    """Validated settlements with id-unique lookup."""
+    """Validated settlements held once as columns, one row per settlement in
+    input order.
 
-    settlements: tuple[Settlement, ...]
+    `SettlementSet(ids, lat, lon, population, region_id, subregion_id)`
+    copies one column per field: `ids`, `region_id` and `subregion_id` as
+    tuples of str, `lat` and `lon` as read-only float64 arrays holding the
+    given floats bit for bit, and `population` as a tuple of exact Python
+    ints (a population may exceed any fixed-width integer). `row` maps each
+    id to its row. No `Settlement` is held: `settlement(i)`, iteration and
+    `by_id` build one on demand, and `point(i)` a `GeoPoint`, as
+    `RoadGraph.point(v)` does; `of(settlements)` builds the columns from
+    them.
+    """
+
+    def __init__(self, ids: Sequence[str], lat: Sequence[float], lon: Sequence[float],
+                 population: Sequence[int], region_id: Sequence[str],
+                 subregion_id: Sequence[str]):
+        self.ids = tuple(ids)
+        self.lat = np.array(lat, dtype=np.float64)
+        self.lon = np.array(lon, dtype=np.float64)
+        self.population = tuple(population)
+        self.region_id = tuple(region_id)
+        self.subregion_id = tuple(subregion_id)
+        n = len(self.ids)
+        columns = (self.lat, self.lon, self.population, self.region_id, self.subregion_id)
+        if any(len(column) != n for column in columns):
+            raise ValueError("settlement columns must all have one entry per id")
+        self.row = dict(zip(self.ids, range(n)))
+        if len(self.row) != n:
+            raise ValueError("duplicate settlement ids")
+        self.lat.flags.writeable = self.lon.flags.writeable = False
+
+    @classmethod
+    def of(cls, settlements: Iterable[Settlement]) -> SettlementSet:
+        """The set of the given settlements, in their order."""
+        rows = [
+            (s.id, s.location.lat, s.location.lon, s.population, s.region_id, s.subregion_id)
+            for s in settlements
+        ]
+        return cls(*(zip(*rows) if rows else [()] * len(SETTLEMENT_COLUMNS)))
 
     def __len__(self) -> int:
-        return len(self.settlements)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Settlement]:
-        return iter(self.settlements)
+        return map(self.settlement, range(len(self.ids)))
+
+    def point(self, i: int) -> GeoPoint:
+        """The location of the settlement in row i."""
+        return GeoPoint(self.lat.item(i), self.lon.item(i))
+
+    def settlement(self, i: int) -> Settlement:
+        """The settlement in row i, built from the columns."""
+        return Settlement(
+            self.ids[i],
+            self.point(i),
+            self.population[i],
+            self.region_id[i],
+            self.subregion_id[i],
+        )
 
     def by_id(self, settlement_id: str) -> Settlement:
-        return self._index()[settlement_id]
-
-    def _index(self) -> dict[str, Settlement]:
-        # Built lazily; the set is frozen so the cache cannot go stale.
-        cache = getattr(self, "_by_id", None)
-        if cache is None:
-            cache = {s.id: s for s in self.settlements}
-            object.__setattr__(self, "_by_id", cache)
-        return cache
+        return self.settlement(self.row[settlement_id])
 
 
 @dataclass(frozen=True)
@@ -284,19 +326,28 @@ def point_segment_km(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
 def within_buffer(point: GeoPoint, lines: FiberLineSet, radius_km: float) -> bool:
     """True when the point lies within radius_km of any polyline (the
     one-point case of `within_buffer_mask`)."""
-    return bool(within_buffer_mask((point,), lines, radius_km)[0])
+    return bool(within_buffer_mask((point.lat,), (point.lon,), lines, radius_km)[0])
 
 
 def within_buffer_mask(
-    points: Sequence[GeoPoint], lines: FiberLineSet, radius_km: float
+    lat: Sequence[float], lon: Sequence[float], lines: FiberLineSet, radius_km: float
 ) -> np.ndarray:
-    """Whether each point lies within radius_km of any polyline, as a bool
-    array: point i is inside when `point_segment_km(points[i], a, b) <=
-    radius_km` for some segment a-b.
+    """Whether each point p = (lat[i], lon[i]) lies within radius_km of any
+    polyline, as a bool array: p is inside when `point_segment_km(p, a, b)
+    <= radius_km` for some segment a-b.
 
-    Each segment is measured against all points at once, with the float
-    expressions of `_local_xy` and `point_segment_km` in the same order
-    (a zero-length segment divides by 1 instead, which leaves t = 0 and the
+    Each segment is measured only against the points in its latitude band,
+    the latitudes between its endpoints' widened by `_band_reach_deg`. A
+    point outside the band is outside: in its own tangent frame both
+    endpoints have the same sign of y with |y| > radius_km, so every point
+    of the segment is farther than radius_km. The band's margins, a
+    relative 1e-9 and 1e-12 degrees, cover the rounding of the band edges
+    and of the frame's y, so this holds for the floats of
+    `point_segment_km` too.
+
+    Inside the band the points are measured at once, with the float
+    expressions of `_local_xy` and `point_segment_km` in the same order (a
+    zero-length segment divides by 1 instead, which leaves t = 0 and the
     distance hypot(ax, ay) of the scalar branch); no points x segments
     array is built. numpy's cos and hypot may differ from math's in the
     last bits, so with the numpy distance d and the margin
@@ -312,25 +363,42 @@ def within_buffer_mask(
     """
     if not (math.isfinite(radius_km) and radius_km >= 0):
         raise ValueError(f"radius_km must be a finite number >= 0, got {radius_km}")
-    lat = np.array([p.lat for p in points], dtype=np.float64)
-    lon = np.array([p.lon for p in points], dtype=np.float64)
+    reach = _band_reach_deg(radius_km)
+    lat = np.asarray(lat, dtype=np.float64)
+    lon = np.asarray(lon, dtype=np.float64)
     cos_lat = np.cos(np.radians(lat))
+    by_lat = np.argsort(lat, kind="stable")
+    sorted_lat = lat[by_lat]
     inside = np.zeros(len(lat), dtype=bool)
     for line in lines.lines:
-        bx, by = _local_xy_arrays(lat, lon, cos_lat, line[0])
         for a, b in zip(line, line[1:]):
-            ax, ay = bx, by
-            bx, by = _local_xy_arrays(lat, lon, cos_lat, b)
+            lo = int(np.searchsorted(sorted_lat, min(a.lat, b.lat) - reach, side="left"))
+            hi = int(np.searchsorted(sorted_lat, max(a.lat, b.lat) + reach, side="right"))
+            ids = by_lat[lo:hi]
+            ids = ids[~inside[ids]]
+            if not len(ids):
+                continue
+            band = (lat[ids], lon[ids], cos_lat[ids])
+            ax, ay = _local_xy_arrays(*band, a)
+            bx, by = _local_xy_arrays(*band, b)
             dx, dy = bx - ax, by - ay
             seg_sq = dx * dx + dy * dy
             t = -(ax * dx + ay * dy) / np.where(seg_sq == 0.0, 1.0, seg_sq)
             t = np.maximum(0.0, np.minimum(1.0, t))
             d = np.hypot(ax + t * dx, ay + t * dy)
             margin = 1e-9 * (np.abs(ax) + np.abs(ay) + np.abs(bx) + np.abs(by) + radius_km)
-            inside |= d <= radius_km - margin
-            for i in np.flatnonzero((np.abs(d - radius_km) <= margin) & ~inside).tolist():
-                inside[i] = point_segment_km(points[i], a, b) <= radius_km
+            hit = d <= radius_km - margin
+            inside[ids[hit]] = True
+            for i in ids[(np.abs(d - radius_km) <= margin) & ~hit].tolist():
+                p = GeoPoint(lat.item(i), lon.item(i))
+                inside[i] = point_segment_km(p, a, b) <= radius_km
     return inside
+
+
+def _band_reach_deg(radius_km: float) -> float:
+    """How far in latitude `within_buffer_mask` widens a segment's band:
+    radius_km in degrees, plus a relative 1e-9 and 1e-12 degrees."""
+    return math.degrees(radius_km * (1.0 + 1e-9) / EARTH_RADIUS_KM) + 1e-12
 
 
 def _local_xy_arrays(
@@ -352,53 +420,14 @@ def _check_coords(lat: float, lon: float, where: str) -> None:
         raise CoordinateOutOfRange(f"{where}: longitude {lon} outside [-180, 180]")
 
 
-def _build_settlement(
-    values: Sequence[str | float | int | None], where: str, seen: dict[str, str]
-) -> Settlement:
-    raw_id, raw_lat, raw_lon, population, raw_region, raw_subregion = values
-    # A short CSV row leaves its last fields None, as does a GeoJSON null.
-    # float() and int() reject None; str() would make it the text "None".
-    if raw_id is None or raw_region is None or raw_subregion is None:
-        missing = [k for k, value in zip(SETTLEMENT_COLUMNS, values) if value is None]
-        raise ParseError(f"{where}: no value for {', '.join(missing)}")
-    sid = str(raw_id).strip()
-    if not sid:
-        raise ParseError(f"{where}: empty settlement id")
-    if sid in seen:
-        raise DuplicateId(f"{where}: duplicate settlement id {sid!r} (first seen at {seen[sid]})")
-    seen[sid] = where
-    try:
-        lat = float(raw_lat)
-        lon = float(raw_lon)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: non-numeric coordinate: {exc}") from exc
-    _check_coords(lat, lon, where)
-    # int() would truncate a GeoJSON 12.5 or -0.5, read true as 1 and overflow on Infinity.
-    if isinstance(population, bool) or (
-        isinstance(population, float) and not population.is_integer()
-    ):
-        raise ParseError(f"{where}: non-integer population: {population!r}")
-    try:
-        population = int(population)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: non-integer population: {exc}") from exc
-    if population < 0:
-        raise NegativePopulation(f"{where}: population {population} is negative")
-    region_id = str(raw_region).strip()
-    subregion_id = str(raw_subregion).strip()
-    if not region_id or not subregion_id:
-        raise ParseError(f"{where}: empty region_id or subregion_id")
-    return Settlement(
-        id=sid,
-        location=GeoPoint(lat, lon),
-        population=population,
-        region_id=region_id,
-        subregion_id=subregion_id,
-    )
-
-
 def load_settlements(path: str, fmt: str = "csv") -> SettlementSet:
     """Load settlements from a CSV table or GeoJSON point collection.
+
+    Each row is checked in turn, and the first bad row ends the load with
+    its DataError: missing fields, an empty or duplicate id, coordinates
+    that are not numbers or out of range, a population that is not a whole
+    number or is negative, then an empty region or subregion id. Each
+    distinct region or subregion id is held as one str.
 
     Args:
         path: input file path.
@@ -406,16 +435,65 @@ def load_settlements(path: str, fmt: str = "csv") -> SettlementSet:
     """
     if fmt == "csv":
         rows = _read_csv_rows(path, SETTLEMENT_COLUMNS)
+
+        def where(lineno: int) -> str:  # built only for a message
+            return f"{path}:{lineno}"
     elif fmt == "geojson":
         rows = _read_settlement_features(path)
+        where = str  # each feature comes with its own "path:feature[i]"
     else:
         raise ValueError(f"unknown settlements format {fmt!r}")
-    seen: dict[str, str] = {}
-    settlements = [_build_settlement(values, where, seen) for where, values in rows]
-    if not settlements:
+    seen: dict[str, int | str] = {}  # id -> the place of its row
+    names: dict[str, str] = {}  # region or subregion id -> its one str
+    ids, lats, lons, populations, regions, subregions = columns = ([], [], [], [], [], [])
+    for place, values in rows:
+        raw_id, raw_lat, raw_lon, population, raw_region, raw_subregion = values
+        # A short CSV row leaves its last fields None, as does a GeoJSON null.
+        # float() and int() reject None, and the ids are text or None.
+        if raw_id is None or raw_region is None or raw_subregion is None:
+            missing = [k for k, value in zip(SETTLEMENT_COLUMNS, values) if value is None]
+            raise ParseError(f"{where(place)}: no value for {', '.join(missing)}")
+        sid = raw_id.strip()
+        if not sid:
+            raise ParseError(f"{where(place)}: empty settlement id")
+        if sid in seen:
+            raise DuplicateId(
+                f"{where(place)}: duplicate settlement id {sid!r} "
+                f"(first seen at {where(seen[sid])})"
+            )
+        seen[sid] = place
+        try:
+            lat = float(raw_lat)
+            lon = float(raw_lon)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where(place)}: non-numeric coordinate: {exc}") from exc
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            _check_coords(lat, lon, where(place))
+        # int() would truncate a GeoJSON 12.5 or -0.5, read true as 1 and overflow on Infinity.
+        if isinstance(population, bool) or (
+            isinstance(population, float) and not population.is_integer()
+        ):
+            raise ParseError(f"{where(place)}: non-integer population: {population!r}")
+        try:
+            population = int(population)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where(place)}: non-integer population: {exc}") from exc
+        if population < 0:
+            raise NegativePopulation(f"{where(place)}: population {population} is negative")
+        region_id = raw_region.strip()
+        subregion_id = raw_subregion.strip()
+        if not region_id or not subregion_id:
+            raise ParseError(f"{where(place)}: empty region_id or subregion_id")
+        ids.append(sid)
+        lats.append(lat)
+        lons.append(lon)
+        populations.append(population)
+        regions.append(names.setdefault(region_id, region_id))
+        subregions.append(names.setdefault(subregion_id, subregion_id))
+    if not ids:
         raise EmptyCollection(f"{path}: no settlements")
-    log.info("loaded %d settlements from %s", len(settlements), path)
-    return SettlementSet(settlements=tuple(settlements))
+    log.info("loaded %d settlements from %s", len(ids), path)
+    return SettlementSet(*columns)
 
 
 def _open_input(path: str, **kwargs) -> TextIO:
@@ -427,12 +505,13 @@ def _open_input(path: str, **kwargs) -> TextIO:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[str, Sequence[str | None]]]:
-    """Yield ("path:N", the fields under `columns`) for each CSV row, read as
-    `csv.DictReader` reads them: blank rows are skipped and not counted in
-    N, a column named twice is read from its last occurrence, a short row
-    reads None past its end, extra fields are ignored. MissingColumn when
-    the header lacks one of `columns`."""
+def _read_csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, Sequence[str | None]]]:
+    """Yield (N, the fields under `columns`) for each CSV row, N being the
+    row's place in messages, as "path:N". Rows are read as `csv.DictReader`
+    reads them: blank rows are skipped and not counted in N, a column named
+    twice is read from its last occurrence, a short row reads None past its
+    end, extra fields are ignored. MissingColumn when the header lacks one
+    of `columns`."""
     with _open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         index = {name: i for i, name in enumerate(next(reader, []))}
@@ -442,12 +521,14 @@ def _read_csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[str, Seq
         at = [index[c] for c in columns]
         fields, width = itemgetter(*at), max(at) + 1
         for lineno, row in enumerate(filter(None, reader), start=2):
-            row += [None] * (width - len(row))  # a short row reads None past its end
-            yield f"{path}:{lineno}", fields(row)
+            if len(row) < width:  # a short row reads None past its end
+                row += [None] * (width - len(row))
+            yield lineno, fields(row)
 
 
 def _read_settlement_features(path: str) -> Iterator[tuple[str, tuple]]:
-    """Yield (where, `SETTLEMENT_COLUMNS` values) for each GeoJSON Point feature."""
+    """Yield (where, `SETTLEMENT_COLUMNS` values) for each GeoJSON Point
+    feature; ids that are not null are read as text, as `str` gives them."""
     for where, geom, props in _read_features(path):
         if geom.get("type") != "Point":
             raise ParseError(f"{where}: expected Point geometry, got {geom.get('type')!r}")
@@ -455,7 +536,11 @@ def _read_settlement_features(path: str) -> Iterator[tuple[str, tuple]]:
         missing = [k for k in ("id", "population", "region_id", "subregion_id") if k not in props]
         if missing:
             raise MissingColumn(f"{where}: missing properties {', '.join(missing)}")
-        yield where, (props["id"], lat, lon, props["population"], props["region_id"], props["subregion_id"])
+        sid, region, subregion = (
+            None if value is None else str(value)
+            for value in (props["id"], props["region_id"], props["subregion_id"])
+        )
+        yield where, (sid, lat, lon, props["population"], region, subregion)
 
 
 def _read_features(path: str) -> Iterator[tuple[str, dict, dict]]:

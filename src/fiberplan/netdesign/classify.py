@@ -13,7 +13,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
+from typing import Sequence
 
+from ..errors import ConfigError
 from ..geodata import FiberLineSet, SettlementSet, within_buffer_mask
 
 # within_buffer is looked up here by name by the benchmark's traced run
@@ -64,56 +67,47 @@ def classify_nodes(
         main_settlement_threshold: minimum population for a regional anchor.
     """
     if not (math.isfinite(buffer_km) and buffer_km >= 0):
-        raise ValueError(f"buffer_km must be a finite number >= 0, got {buffer_km}")
+        raise ConfigError(f"buffer_km must be a finite number >= 0, got {buffer_km}")
     if main_settlement_threshold < 0:
-        raise ValueError(
+        raise ConfigError(
             f"main_settlement_threshold must be >= 0, got {main_settlement_threshold}"
         )
+    ids, population = settlements.ids, settlements.population
     core: set[str] = set()
     if fiber is not None:
-        on_core = within_buffer_mask([s.location for s in settlements], fiber, buffer_km)
-        core = {s.id for s, near in zip(settlements, on_core.tolist()) if near}
-
-    by_region: dict[str, list] = {}
-    by_subregion: dict[str, list] = {}
-    for s in settlements:
-        by_region.setdefault(s.region_id, []).append(s)
-        by_subregion.setdefault(s.subregion_id, []).append(s)
-
-    # Population-max with ties to the ascending settlement id.
-    def pop_max(members: list) -> object:
-        return min(members, key=lambda s: (-s.population, s.id))
+        on_core = within_buffer_mask(settlements.lat, settlements.lon, fiber, buffer_km)
+        core = set(compress(ids, on_core.tolist()))
 
     region_anchor: dict[str, str] = {}
     regional_nodes: dict[str, str] = {}
     flagged: list[str] = []
-    for region_id in sorted(by_region):
-        members = by_region[region_id]
-        candidates = [s for s in members if s.population >= main_settlement_threshold]
-        if not candidates:
+    region_tops = _group_tops(settlements.region_id, population, ids)
+    for region_id in sorted(region_tops):
+        # The region's population-max settlement is the population-max of
+        # its candidates too, unless no settlement is a candidate.
+        row = region_tops[region_id]
+        anchor = region_anchor[region_id] = ids[row]
+        if population[row] < main_settlement_threshold:
             flagged.append(region_id)
-            region_anchor[region_id] = pop_max(members).id
             log.warning(
                 "region %s has no settlement at the regional threshold (%d); "
                 "anchoring at its largest settlement %s",
                 region_id,
                 main_settlement_threshold,
-                region_anchor[region_id],
+                anchor,
             )
-            continue
-        anchor = pop_max(candidates)
-        region_anchor[region_id] = anchor.id
-        if anchor.id in core:
-            log.info("region %s anchors on the core at %s", region_id, anchor.id)
+        elif anchor in core:
+            log.info("region %s anchors on the core at %s", region_id, anchor)
         else:
-            regional_nodes[region_id] = anchor.id
+            regional_nodes[region_id] = anchor
 
     claimed = core | set(regional_nodes.values())
     access_nodes: dict[str, str] = {}
-    for subregion_id in sorted(by_subregion):
-        top = pop_max(by_subregion[subregion_id])
-        if top.id not in claimed:
-            access_nodes[subregion_id] = top.id
+    subregion_tops = _group_tops(settlements.subregion_id, population, ids)
+    for subregion_id in sorted(subregion_tops):
+        top = ids[subregion_tops[subregion_id]]
+        if top not in claimed:
+            access_nodes[subregion_id] = top
 
     log.info(
         "classified settlements: %d core-adjacent, %d regional, %d access",
@@ -128,3 +122,16 @@ def classify_nodes(
         access_nodes=access_nodes,
         regions_without_candidate=tuple(flagged),
     )
+
+
+def _group_tops(
+    groups: Sequence[str], population: Sequence[int], ids: Sequence[str]
+) -> dict[str, int]:
+    """group -> row of its population-max settlement, ties to the ascending
+    id, in one pass over the rows."""
+    tops: dict[str, int] = {}
+    for row, (group, pop, sid) in enumerate(zip(groups, population, ids)):
+        top = tops.setdefault(group, row)
+        if pop > population[top] or (pop == population[top] and sid < ids[top]):
+            tops[group] = row
+    return tops

@@ -14,7 +14,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +52,11 @@ from .report import (
 log = logging.getLogger(__name__)
 
 
+class UsersOverflow(DataError):
+    """A region's or the whole scenario's potential users are too many for a
+    float."""
+
+
 @dataclass(frozen=True)
 class LoadedInputs:
     settlements: SettlementSet
@@ -87,9 +92,7 @@ def load_inputs(cfg: ScenarioConfig) -> LoadedInputs:
     areas = demand_mod.load_area_table(cfg.areas_path)
     fiber = load_fiber_lines(cfg.fiber_path) if cfg.fiber_path else None
     roads = load_road_graph(cfg.roads_path) if cfg.roads_path else None
-    missing = sorted(
-        {s.subregion_id for s in settlements} - set(areas)
-    )
+    missing = sorted(set(settlements.subregion_id) - set(areas))
     if missing:
         raise DataError(
             f"settled subregions missing from the area table: {', '.join(missing)}"
@@ -106,21 +109,22 @@ def load_inputs(cfg: ScenarioConfig) -> LoadedInputs:
 
 
 def _check_subregion_regions(settlements: SettlementSet) -> None:
+    """DataError naming the first row whose subregion was already seen in
+    another region."""
     seen: dict[str, str] = {}
-    for s in settlements:
-        prior = seen.setdefault(s.subregion_id, s.region_id)
-        if prior != s.region_id:
-            raise DataError(
-                f"subregion {s.subregion_id!r} spans regions {prior!r} and {s.region_id!r}"
-            )
+    for subregion, region in zip(settlements.subregion_id, settlements.region_id):
+        prior = seen.setdefault(subregion, region)
+        if prior != region:
+            raise DataError(f"subregion {subregion!r} spans regions {prior!r} and {region!r}")
 
 
 def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
     """Population density, deciles, and potential users per subregion and
     per region."""
     pops: dict[str, int] = {sid: 0 for sid in inputs.areas}
-    for s in inputs.settlements:
-        pops[s.subregion_id] += s.population
+    settlements = inputs.settlements
+    for subregion, population in zip(settlements.subregion_id, settlements.population):
+        pops[subregion] += population
     triples = [(sid, pops[sid], inputs.areas[sid]) for sid in sorted(inputs.areas)]
     scenario = AdoptionScenario(
         adoption_rate=cfg.adoption_rate, min_density_per_km2=cfg.min_density_per_km2
@@ -139,8 +143,8 @@ def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
     return DemandStage(
         records=records,
         users_by_subregion=users,
-        users_by_region=_region_users(inputs.settlements, users),
-        total_users=math.fsum(users.values()),
+        users_by_region=_region_users(settlements, users),
+        total_users=_users_sum(users.values(), "the whole scenario"),
         warnings=tuple(warnings),
     )
 
@@ -149,13 +153,22 @@ def _region_users(
     settlements: SettlementSet, users_by_subregion: Mapping[str, float]
 ) -> dict[str, float]:
     """Potential users per region, in region order."""
-    subregions: dict[str, set[str]] = {}
-    for s in settlements:
-        subregions.setdefault(s.region_id, set()).add(s.subregion_id)
-    return {
-        region: math.fsum(users_by_subregion[sid] for sid in sorted(subregions[region]))
-        for region in sorted(subregions)
-    }
+    users: dict[str, list[float]] = {}
+    for region, subregion in set(zip(settlements.region_id, settlements.subregion_id)):
+        users.setdefault(region, []).append(users_by_subregion[subregion])
+    return {region: _users_sum(users[region], f"region {region!r}") for region in sorted(users)}
+
+
+def _users_sum(users: Iterable[float], what: str) -> float:
+    """`math.fsum` of potential users, which are >= 0, so the exact sum does
+    not depend on their order; UsersOverflow when it is not a finite float."""
+    try:
+        total = math.fsum(users)
+    except OverflowError:  # a partial sum past the largest float
+        total = math.inf
+    if not math.isfinite(total):
+        raise UsersOverflow(f"potential users of {what} are too many for a float")
+    return total
 
 
 def _region_decile(
@@ -165,7 +178,7 @@ def _region_decile(
     demand_index: Mapping[str, SubregionDemand],
 ) -> int:
     anchor_id = classification.region_anchor[region]
-    subregion = settlements.by_id(anchor_id).subregion_id
+    subregion = settlements.subregion_id[settlements.row[anchor_id]]
     record = demand_index.get(subregion)
     if record is None:
         raise KeyMismatch(f"anchor subregion {subregion!r} has no demand record")
@@ -192,30 +205,25 @@ def _pick_backbone_root(
     """
     rnod_ids = sorted(classification.regional_nodes.values())
     core_ids = classification.core_adjacent
+    row = settlements.row
     if core_ids and rnod_ids:
-        cores = [settlements.by_id(sid).location for sid in core_ids]
-        rnods = [settlements.by_id(sid).location for sid in rnod_ids]
-        lat = np.array([p.lat for p in cores], dtype=np.float64)
-        lon = np.array([p.lon for p in cores], dtype=np.float64)
+        core_rows = [row[sid] for sid in core_ids]
+        lat, lon = settlements.lat[core_rows], settlements.lon[core_rows]
         cos_lat = np.cos(np.radians(lat))
-        nearest = np.full(len(cores), np.inf)
+        rnods = [settlements.point(row[sid]) for sid in rnod_ids]
+        nearest = np.full(len(core_ids), np.inf)
         for r in rnods:
             np.minimum(nearest, haversine_km_array(r, lat, lon, cos_lat), out=nearest)
         limit = float(nearest.min()) * (1.0 + 1e-9) + 1e-12
         root = min(
-            (
-                min(haversine_km(cores[i], r) for r in rnods),
-                core_ids[i],
-            )
+            (min(haversine_km(settlements.point(core_rows[i]), r) for r in rnods), core_ids[i])
             for i in np.flatnonzero(nearest <= limit).tolist()
         )[1]
         return root, False, []
     if core_ids:
         # nothing to connect; any core settlement can stand as the root
         return core_ids[0], False, []
-    fallback = max(
-        rnod_ids, key=lambda sid: (settlements.by_id(sid).population, sid)
-    )
+    fallback = max(rnod_ids, key=lambda sid: (settlements.population[row[sid]], sid))
     warning = (
         f"no settlement within the core buffer; backbone rooted at regional node "
         f"{fallback!r}"
@@ -240,6 +248,7 @@ def build_designs(
     those of the designs.
     """
     settlements = inputs.settlements
+    row, region_of, node = settlements.row, settlements.region_id, settlements.settlement
     region_users = stage.users_by_region
     jobs: list[tuple[str, str, list[Settlement], dict[str, float], bool]] = []
 
@@ -251,8 +260,8 @@ def build_designs(
         jobs.append((
             "regional",
             root_id,
-            [settlements.by_id(sid) for sid in sorted(set(rnod_ids) | {root_id})],
-            {sid: region_users[settlements.by_id(sid).region_id] for sid in rnod_ids},
+            [node(row[sid]) for sid in sorted(set(rnod_ids) | {root_id})],
+            {sid: region_users[region_of[row[sid]]] for sid in rnod_ids},
             root_billable,
         ))
     else:
@@ -261,16 +270,16 @@ def build_designs(
 
     access_ids_by_region: dict[str, list[str]] = {region: [] for region in region_users}
     for sid in sorted(classification.access_nodes.values()):
-        access_ids_by_region[settlements.by_id(sid).region_id].append(sid)
+        access_ids_by_region[region_of[row[sid]]].append(sid)
     for region in region_users:
         anchor_id = classification.region_anchor[region]
         access_ids = access_ids_by_region[region]
         jobs.append((
             "access",
             anchor_id,
-            [settlements.by_id(sid) for sid in sorted(set(access_ids) | {anchor_id})],
+            [node(row[sid]) for sid in sorted(set(access_ids) | {anchor_id})],
             {
-                sid: stage.users_by_subregion[settlements.by_id(sid).subregion_id]
+                sid: stage.users_by_subregion[settlements.subregion_id[row[sid]]]
                 for sid in access_ids
             },
             True,
@@ -328,7 +337,7 @@ def build_units(
         shares = dict.fromkeys(region_users, (0, 0.0, 0.0))
         for result in results:
             if level == "access":
-                regions = [settlements.by_id(result.root_id).region_id]
+                regions = [settlements.region_id[settlements.row[result.root_id]]]
                 node_count = result.design.terminal_node_count
             else:
                 regions = [

@@ -24,7 +24,11 @@ edge stored; MST designs must match them edge for edge.
 draw-by-draw pricing that the report's vectorized kernel replaced; the
 kernel must match them field for field. `within_buffer_reference` is the
 per-segment scalar buffer test that `within_buffer_mask` replaced; the mask
-must match it point for point. `pick_backbone_root_reference` is the scalar
+must match it point for point. `load_settlements_reference` is the loader
+that `load_settlements` replaced, one `Settlement` and `GeoPoint` per row,
+and `classify_nodes_reference` the classify that grouped those objects in
+dicts of lists; the columnar set must hold the same settlements, raise the
+same first error, and give the same roles. `pick_backbone_root_reference` is the scalar
 core x regional-node scan that the pipeline's short-listed root pick
 replaced, and `design_geojson_reference` the dict document and
 `json.dumps` that the text-built design GeoJSON replaced; the root pick and
@@ -33,6 +37,7 @@ the written bytes must equal theirs.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 import logging
@@ -46,11 +51,21 @@ from fiberplan.costmodel import CostBook, tco_quantities
 from fiberplan.errors import SolverError
 from fiberplan.geodata import (
     EARTH_RADIUS_KM,
+    SETTLEMENT_COLUMNS,
+    CoordinateOutOfRange,
+    DuplicateId,
+    EmptyCollection,
     FiberLineSet,
     GeoPoint,
+    MissingColumn,
+    NegativePopulation,
+    ParseError,
     RoadGraph,
     Settlement,
     SettlementSet,
+    _open_input,
+    _position,
+    _read_features,
     edge_incidence,
     haversine_km,
     point_segment_km,
@@ -796,6 +811,144 @@ def within_buffer_reference(point: GeoPoint, lines: FiberLineSet, radius_km: flo
             if point_segment_km(point, a, b) <= radius_km:
                 return True
     return False
+
+
+def load_settlements_reference(path: str, fmt: str = "csv") -> list[Settlement]:
+    """The settlements of a CSV table or GeoJSON point collection, one
+    `Settlement` and `GeoPoint` per row, each row read in full and checked
+    by `_build_settlement_reference`; the first bad row raises its
+    DataError."""
+    if fmt == "csv":
+        rows = _csv_rows_reference(path)
+    elif fmt == "geojson":
+        rows = _settlement_features_reference(path)
+    else:
+        raise ValueError(f"unknown settlements format {fmt!r}")
+    seen: dict[str, str] = {}
+    settlements = [_build_settlement_reference(values, where, seen) for where, values in rows]
+    if not settlements:
+        raise EmptyCollection(f"{path}: no settlements")
+    return settlements
+
+
+def _csv_rows_reference(path: str) -> Iterator[tuple[str, Sequence[str | None]]]:
+    """("path:N", the `SETTLEMENT_COLUMNS` fields) of each row that is not
+    blank, read as `csv.DictReader` reads them."""
+    with _open_input(path, newline="") as fh:
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in SETTLEMENT_COLUMNS if c not in index]
+        if missing:
+            raise MissingColumn(f"{path}: missing columns {', '.join(missing)}")
+        at = [index[c] for c in SETTLEMENT_COLUMNS]
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            yield f"{path}:{lineno}", [row[i] if i < len(row) else None for i in at]
+
+
+def _settlement_features_reference(path: str) -> Iterator[tuple[str, tuple]]:
+    """(where, `SETTLEMENT_COLUMNS` values) of each GeoJSON Point feature,
+    the properties as parsed."""
+    for where, geom, props in _read_features(path):
+        if geom.get("type") != "Point":
+            raise ParseError(f"{where}: expected Point geometry, got {geom.get('type')!r}")
+        lon, lat = _position(where, geom.get("coordinates"))
+        missing = [k for k in ("id", "population", "region_id", "subregion_id") if k not in props]
+        if missing:
+            raise MissingColumn(f"{where}: missing properties {', '.join(missing)}")
+        yield where, (props["id"], lat, lon, props["population"], props["region_id"],
+                      props["subregion_id"])
+
+
+def _build_settlement_reference(
+    values: Sequence[str | float | int | None], where: str, seen: dict[str, str]
+) -> Settlement:
+    raw_id, raw_lat, raw_lon, population, raw_region, raw_subregion = values
+    if raw_id is None or raw_region is None or raw_subregion is None:
+        missing = [k for k, value in zip(SETTLEMENT_COLUMNS, values) if value is None]
+        raise ParseError(f"{where}: no value for {', '.join(missing)}")
+    sid = str(raw_id).strip()
+    if not sid:
+        raise ParseError(f"{where}: empty settlement id")
+    if sid in seen:
+        raise DuplicateId(f"{where}: duplicate settlement id {sid!r} (first seen at {seen[sid]})")
+    seen[sid] = where
+    try:
+        lat = float(raw_lat)
+        lon = float(raw_lon)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: non-numeric coordinate: {exc}") from exc
+    if not (-90.0 <= lat <= 90.0):
+        raise CoordinateOutOfRange(f"{where}: latitude {lat} outside [-90, 90]")
+    if not (-180.0 <= lon <= 180.0):
+        raise CoordinateOutOfRange(f"{where}: longitude {lon} outside [-180, 180]")
+    if isinstance(population, bool) or (
+        isinstance(population, float) and not population.is_integer()
+    ):
+        raise ParseError(f"{where}: non-integer population: {population!r}")
+    try:
+        population = int(population)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: non-integer population: {exc}") from exc
+    if population < 0:
+        raise NegativePopulation(f"{where}: population {population} is negative")
+    region_id = str(raw_region).strip()
+    subregion_id = str(raw_subregion).strip()
+    if not region_id or not subregion_id:
+        raise ParseError(f"{where}: empty region_id or subregion_id")
+    return Settlement(sid, GeoPoint(lat, lon), population, region_id, subregion_id)
+
+
+def classify_nodes_reference(
+    settlements: Iterable[Settlement],
+    fiber: FiberLineSet | None,
+    *,
+    buffer_km: float,
+    main_settlement_threshold: int,
+) -> ClassificationResult:
+    """Tier roles from `Settlement` objects: each settlement tested with
+    `within_buffer_reference`, members listed per region and per subregion,
+    and each list's population-max (ties to the lowest id) found with
+    `min`."""
+    settlements = list(settlements)
+    core: set[str] = set()
+    if fiber is not None:
+        core = {s.id for s in settlements if within_buffer_reference(s.location, fiber, buffer_km)}
+    by_region: dict[str, list[Settlement]] = {}
+    by_subregion: dict[str, list[Settlement]] = {}
+    for s in settlements:
+        by_region.setdefault(s.region_id, []).append(s)
+        by_subregion.setdefault(s.subregion_id, []).append(s)
+
+    def pop_max(members: list[Settlement]) -> Settlement:
+        return min(members, key=lambda s: (-s.population, s.id))
+
+    region_anchor: dict[str, str] = {}
+    regional_nodes: dict[str, str] = {}
+    flagged: list[str] = []
+    for region_id in sorted(by_region):
+        members = by_region[region_id]
+        candidates = [s for s in members if s.population >= main_settlement_threshold]
+        if not candidates:
+            flagged.append(region_id)
+            region_anchor[region_id] = pop_max(members).id
+            continue
+        anchor = pop_max(candidates)
+        region_anchor[region_id] = anchor.id
+        if anchor.id not in core:
+            regional_nodes[region_id] = anchor.id
+    claimed = core | set(regional_nodes.values())
+    access_nodes: dict[str, str] = {}
+    for subregion_id in sorted(by_subregion):
+        top = pop_max(by_subregion[subregion_id])
+        if top.id not in claimed:
+            access_nodes[subregion_id] = top.id
+    return ClassificationResult(
+        core_adjacent=tuple(sorted(core)),
+        region_anchor=region_anchor,
+        regional_nodes=regional_nodes,
+        access_nodes=access_nodes,
+        regions_without_candidate=tuple(flagged),
+    )
 
 
 def nearest_vertex_reference(roads: RoadGraph, p: GeoPoint) -> tuple[int, float]:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from fiberplan.errors import ConfigError
 from fiberplan.geodata import FiberLineSet, GeoPoint, Settlement, SettlementSet
 from fiberplan.netdesign.classify import classify_nodes
+
+from .oracles import classify_nodes_reference
 
 # Fiber running along the equator from lon 0 to lon 1.
 FIBER = FiberLineSet(lines=((GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)),))
@@ -16,7 +21,7 @@ def _s(sid, lat, lon, pop, region, sub):
 
 
 def _set(*settlements):
-    return SettlementSet(settlements=tuple(settlements))
+    return SettlementSet.of(settlements)
 
 
 def _classify(settlements, fiber=FIBER, buffer_km=2.0, threshold=20_000):
@@ -118,16 +123,57 @@ def test_buffer_radius_respected():
 
 def test_validation():
     ss = _set(_s("a", 0.0, 0.5, 100, "R1", "R1-01"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         _classify(ss, buffer_km=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         _classify(ss, threshold=-5)
 
 
 @pytest.mark.parametrize("buffer_km", [float("nan"), float("inf")])
 def test_buffer_that_is_not_finite_is_rejected(buffer_km):
     ss = _set(_s("a", 0.0, 0.5, 100, "R1", "R1-01"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         _classify(ss, buffer_km=buffer_km)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         _classify(ss, fiber=None, buffer_km=buffer_km)
+
+
+def _classify_case(rng):
+    """Settlements in a few regions and subregions, some on the fiber, with
+    populations from a short list so that ties are common and some regions
+    have no settlement at the threshold; ids are shuffled."""
+    settlements = []
+    ids = iter(rng.sample(range(10_000), 200))
+    for r in range(rng.randint(1, 5)):
+        low = rng.random() < 0.3  # no settlement at the threshold
+        pops = (100, 900, 19_999) if low else (100, 900, 20_000, 25_000, 25_000, 60_000)
+        for sub in range(rng.randint(1, 4)):
+            for _ in range(rng.randint(1, 6)):
+                if rng.random() < 0.3:  # on or beside the fiber
+                    lat, lon = rng.uniform(-0.02, 0.02), rng.uniform(0.0, 1.0)
+                else:
+                    lat, lon = rng.uniform(0.1, 1.0), rng.uniform(-1.0, 2.0)
+                settlements.append(
+                    _s(f"s{next(ids)}", lat, lon, rng.choice(pops), f"R{r}", f"R{r}-{sub}")
+                )
+    rng.shuffle(settlements)
+    return settlements
+
+
+def test_classify_equals_the_object_based_classify():
+    rng = random.Random(16_0001)
+    seen = dict.fromkeys(("tie", "no-candidate", "core-anchor", "regional"), 0)
+    for i in range(300):
+        settlements = _classify_case(rng)
+        fiber = None if i % 10 == 0 else FIBER
+        kw = {"buffer_km": rng.choice((0.0, 0.5, 2.0)),
+              "main_settlement_threshold": rng.choice((0, 20_000, 25_000))}
+        got = classify_nodes(SettlementSet.of(settlements), fiber, **kw)
+        assert got == classify_nodes_reference(settlements, fiber, **kw)
+        for region, anchor in got.region_anchor.items():
+            top = max(s.population for s in settlements if s.region_id == region)
+            seen["tie"] += sum(s.population == top for s in settlements if s.region_id == region) > 1
+            seen["core-anchor"] += anchor in got.core_adjacent and region not in got.regions_without_candidate
+        seen["no-candidate"] += len(got.regions_without_candidate)
+        seen["regional"] += len(got.regional_nodes)
+    assert all(count >= 20 for count in seen.values()), seen

@@ -650,6 +650,30 @@ def test_density_too_large_for_a_float_exits_3(tmp_path, capsys, command, popula
     assert "subregion 'R9S1'" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["validate", "report"])
+@pytest.mark.parametrize(
+    "regions, named", [(("R9", "R9"), "region 'R9'"), (("R8", "R9"), "the whole scenario")]
+)
+def test_users_too_many_for_a_float_exit_3(tmp_path, capsys, command, regions, named):
+    # Each subregion's users, 1e308, is a float; two of them in one region,
+    # or in the whole scenario, are not.
+    rows = "".join(
+        f"big{i},0.5,{31 + i}.5,{10**308},{region},{region}S{i}\n"
+        for i, region in enumerate(regions)
+    )
+    settlements = _golden_csv_plus(tmp_path, "settlements", rows)
+    areas = _golden_csv_plus(
+        tmp_path, "areas", "".join(f"{region}S{i},1.0\n" for i, region in enumerate(regions))
+    )
+    out = tmp_path / "out"
+    cfg = _golden_variant(
+        tmp_path, inputs={"settlements": settlements, "areas": areas}, adoption_rate=1.0
+    )
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    error = _assert_error_after_run(capsys, out, 3, "UsersOverflow")
+    assert error["message"] == f"potential users of {named} are too many for a float"
+
+
 @pytest.mark.parametrize("command", ["design", "report"])
 def test_prize_scale_past_what_moat_growing_can_add_exits_2_at_once(tmp_path, capsys, command):
     # 1e307 makes a backbone prize inf: its heap keys in moat growing would

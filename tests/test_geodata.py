@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import json
 import math
 import os
 import random
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from fiberplan.errors import DataError
 from fiberplan.geodata import (
+    EARTH_RADIUS_KM,
     SETTLEMENT_COLUMNS,
     CoordinateOutOfRange,
     DegenerateGeometry,
@@ -38,11 +40,17 @@ from fiberplan.geodata import (
     load_road_graph,
     load_settlements,
     point_segment_km,
+    _band_reach_deg,
     within_buffer,
     within_buffer_mask,
 )
 
-from .oracles import nearest_vertex_reference, road_graph, within_buffer_reference
+from .oracles import (
+    load_settlements_reference,
+    nearest_vertex_reference,
+    road_graph,
+    within_buffer_reference,
+)
 
 # --- haversine -------------------------------------------------------------
 
@@ -135,11 +143,11 @@ def test_within_buffer_negative_radius_rejected():
 def test_within_buffer_mask_rejects_a_radius_that_is_not_finite(radius):
     lines = FiberLineSet(lines=(EQUATOR_SEG,))
     with pytest.raises(ValueError):
-        within_buffer_mask([GeoPoint(0, 0)], lines, radius)
+        within_buffer_mask([0.0], [0.0], lines, radius)
 
 
 def test_within_buffer_mask_of_no_points_is_empty():
-    mask = within_buffer_mask([], FiberLineSet(lines=(EQUATOR_SEG,)), 1.0)
+    mask = within_buffer_mask([], [], FiberLineSet(lines=(EQUATOR_SEG,)), 1.0)
     assert mask.dtype == bool and mask.shape == (0,)
 
 
@@ -182,7 +190,8 @@ def _buffer_instance(rng: random.Random, kind: str) -> tuple[FiberLineSet, list[
 
 def _assert_mask_is_reference(points, lines, radius) -> list[bool]:
     want = [within_buffer_reference(p, lines, radius) for p in points]
-    assert within_buffer_mask(points, lines, radius).tolist() == want
+    lat, lon = [p.lat for p in points], [p.lon for p in points]
+    assert within_buffer_mask(lat, lon, lines, radius).tolist() == want
     return want
 
 
@@ -217,6 +226,69 @@ def test_within_buffer_mask_equals_the_per_segment_scalar_test():
                     (hit,) = _assert_mask_is_reference([p], lines, r)
                     seen["boundary-in" if r >= edge else "boundary-out"] += hit == (r >= edge)
     assert all(count >= 20 for count in seen.values()), seen
+
+    # Each segment is only measured against the points in its latitude band:
+    # points a few ulps either side of the band's edges, and of the latitudes
+    # radius_km due north and south of each endpoint, where the scalar test
+    # flips, on horizontal, zero-length, antimeridian and polar segments.
+    seen = dict.fromkeys(("out-of-band", "edge-in", "edge-out"), 0)
+    for i in range(120):
+        kind = BAND_KINDS[i % len(BAND_KINDS)]
+        lines = _band_instance(rng, kind)
+        radius = rng.choice((0.0, rng.uniform(0.0, 4.0)))
+        reach = _band_reach_deg(radius)
+        points = []
+        for line in lines.lines:
+            for a, b in zip(line, line[1:]):
+                lo, hi = min(a.lat, b.lat) - reach, max(a.lat, b.lat) + reach
+                due = math.degrees(radius / EARTH_RADIUS_KM)
+                edges = (lo, hi, a.lat - due, a.lat + due, b.lat - due, b.lat + due)
+                for lat in _ulps_around(edges, 3):
+                    points += [GeoPoint(lat, a.lon), GeoPoint(lat, b.lon)]
+                    seen["out-of-band"] += not lo <= lat <= hi
+        inside = _assert_mask_is_reference(points, lines, radius)
+        for p, hit in zip(points, inside):
+            edge = min(point_segment_km(p, a, b) for line in lines.lines
+                       for a, b in zip(line, line[1:]))
+            if abs(edge - radius) <= 1e-9 * (radius + 1.0):
+                seen["edge-in" if hit else "edge-out"] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+BAND_KINDS = ("horizontal", "zero-length", "antimeridian", "polar", "equator", "plain")
+
+
+def _band_instance(rng: random.Random, kind: str) -> FiberLineSet:
+    """One fiber polyline of two to four segments, each of `kind`."""
+    if kind == "polar":
+        lat = rng.choice((-1, 1)) * rng.uniform(88.0, 90.0)
+    else:  # on the equator the band's edges are fine enough to show its margins
+        lat = 0.0 if kind == "equator" else rng.uniform(-60, 60)
+    lon = rng.choice((-1, 1)) * rng.uniform(179.9, 180.0) if kind == "antimeridian" else rng.uniform(-179, 179)
+    line = [GeoPoint(lat, lon)]
+    for _ in range(rng.randint(2, 4)):
+        if kind == "zero-length":
+            line.append(line[-1])
+        dlat = 0.0 if kind in ("horizontal", "equator") else rng.uniform(-0.05, 0.05)
+        lat = max(-90.0, min(90.0, lat + dlat))
+        if kind == "antimeridian":
+            lon = -math.copysign(rng.uniform(179.9, 180.0), lon)  # every segment crosses it
+        else:
+            lon = _wrap_lon(lon + rng.uniform(-0.05, 0.05))
+        line.append(GeoPoint(lat, lon))
+    return FiberLineSet(lines=(tuple(line),))
+
+
+def _ulps_around(values, k: int) -> list[float]:
+    """Each value and the k floats either side of it, inside [-90, 90]."""
+    out = []
+    for v in values:
+        below = above = v
+        out.append(v)
+        for _ in range(k):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return [v for v in out if -90.0 <= v <= 90.0]
 
 
 # --- settlements CSV -------------------------------------------------------
@@ -397,6 +469,149 @@ def test_load_settlements_geojson_reads_an_integral_population(tmp_path, populat
     path = _write(tmp_path, "s.geojson", _point_doc_text(population))
     got = load_settlements(path, fmt="geojson").by_id("s1").population
     assert (got, type(got)) == (want, int)
+
+
+# --- settlements as columns -------------------------------------------------
+
+def _settlement_rows(rng: random.Random, n: int) -> list[list]:
+    """n random settlement rows: padded ids and region ids, coordinates at
+    and inside the range limits, signed zeros and subnormals, populations
+    with ties and above 2**63."""
+    coords = [90.0, -90.0, 180.0, -180.0, -0.0, 0.0, 5e-324, 0.1 + 0.2]
+    rows = []
+    for i in rng.sample(range(10 * n), n):
+        region = f"R{rng.randrange(4)}"
+        lat = rng.choice(coords[:2] + coords[4:]) if rng.random() < 0.1 else rng.uniform(-90, 90)
+        lon = rng.choice(coords[2:]) if rng.random() < 0.1 else rng.uniform(-180, 180)
+        population = rng.choice((0, 7, 20_000, rng.randrange(10**6), 2**63 + rng.randrange(9),
+                                 10**30 + rng.randrange(9)))
+        pad = " " * rng.randrange(2)
+        rows.append([f"{pad}s{i}", lat, lon, population, f"{region}{pad}",
+                     f"{pad}{region}-{rng.randrange(3)}"])
+    return rows
+
+
+def _write_settlements(tmp_path, rows, fmt: str) -> str:
+    """rows as a CSV table (floats by repr) or a GeoJSON point collection."""
+    if fmt == "csv":
+        path = tmp_path / "s.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SETTLEMENT_COLUMNS)
+            writer.writerows(
+                [repr(v) if type(v) is float else v for v in row] for row in rows
+            )
+        return str(path)
+    features = [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [lon, lat]},
+         "properties": {"id": sid, "population": pop, "region_id": region, "subregion_id": sub}}
+        for sid, lat, lon, pop, region, sub in rows
+    ]
+    path = tmp_path / "s.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    return str(path)
+
+
+def _load_outcome(load, path: str, fmt: str):
+    """The settlements `load` reads, with their coordinates' bits and
+    population types, or the type and message of the DataError it raises."""
+    try:
+        return [
+            (s, s.location.lat.hex(), s.location.lon.hex(), type(s.population))
+            for s in load(path, fmt)
+        ]
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "geojson"])
+def test_load_settlements_equals_the_dataclass_loader(tmp_path, fmt):
+    rng = random.Random(16_2026)
+    for _ in range(30):
+        rows = _settlement_rows(rng, rng.randint(1, 40))
+        path = _write_settlements(tmp_path, rows, fmt)
+        got = _load_outcome(load_settlements, path, fmt)
+        assert got == _load_outcome(load_settlements_reference, path, fmt)
+        assert len(got) == len(rows)
+
+
+# Values a malformed row may hold in one field, for each format; None drops
+# the field from a CSV row (a short row) and is a null in GeoJSON.
+CSV_FAULTS = ["", " ", "x", "nan", "inf", "-inf", "1e400", "91", "-91", "180.5", "-180.5",
+              "12.5", "-3", "-0", "1e3", "0x10", "True", None]
+JSON_FAULTS = ["", " ", None, True, False, 12.5, -0.5, 12.0, -1, -1.0, "12", "x", [], {},
+               math.inf, math.nan, 10**400, 91.0, -91.0, 180.5, -200.0, "-180.5", 7]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "geojson"])
+def test_load_settlements_raises_the_dataclass_loaders_first_error(tmp_path, fmt):
+    """A corpus of malformed tables: one to three rows with a bad field, or
+    an id repeated, in any order. The first error's type and message are
+    the reference loader's, or both load the same settlements."""
+    rng = random.Random(16_16)
+    faults = CSV_FAULTS if fmt == "csv" else JSON_FAULTS
+    kinds = dict.fromkeys(("ok", "ParseError", "DuplicateId", "CoordinateOutOfRange",
+                           "NegativePopulation"), 0)
+    for _ in range(600):
+        rows = _settlement_rows(rng, rng.randint(2, 12))
+        for _ in range(rng.randint(1, 3)):
+            row = rng.choice(rows)
+            if rng.random() < 0.15:
+                row[0] = rng.choice(rows)[0]  # an id read twice
+            else:
+                row[rng.randrange(len(row))] = rng.choice(faults)
+        for row in rows:
+            if fmt == "csv" and None in row:
+                del row[row.index(None):]
+        path = _write_settlements(tmp_path, rows, fmt)
+        got = _load_outcome(load_settlements, path, fmt)
+        assert got == _load_outcome(load_settlements_reference, path, fmt), rows
+        kinds["ok" if isinstance(got, list) else got[0].__name__] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
+
+
+def test_settlement_set_holds_columns_and_builds_settlements_on_demand(tmp_path):
+    rows = _settlement_rows(random.Random(3), 25)
+    ss = load_settlements(_write_settlements(tmp_path, rows, "csv"))
+    assert (ss.lat.dtype, ss.lon.dtype) == (np.float64, np.float64)
+    assert not ss.lat.flags.writeable and not ss.lon.flags.writeable
+    assert all(type(p) is int for p in ss.population)
+    assert [ss.lat[i].hex() for i in range(len(ss))] == [float(r[1]).hex() for r in rows]
+    assert ss.population == tuple(r[3] for r in rows)  # exact, past 2**63 too
+    assert ss.region_id == tuple(r[4].strip() for r in rows)
+    assert all(ss.row[sid] == i for i, sid in enumerate(ss.ids))
+    assert list(ss) == [ss.settlement(i) for i in range(len(ss))] == [ss.by_id(s) for s in ss.ids]
+    assert SettlementSet.of(ss).ids == ss.ids and list(SettlementSet.of(ss)) == list(ss)
+    assert len(SettlementSet.of([])) == 0
+    with pytest.raises(ValueError, match="duplicate"):
+        SettlementSet.of([ss.settlement(0), ss.settlement(0)])
+
+
+def test_settlement_table_retains_only_its_columns(tmp_path):
+    """A 12,000-row table (120 regions, 4,320 subregions) keeps its id
+    tuple, lat and lon arrays, population ints, one str per distinct region
+    and subregion id, and the id -> row dict: about 2.5 MiB. Two dataclasses
+    per row held about 5.15 MiB, and 5.54 MiB with their id index."""
+    rng = random.Random(12_000)
+    path = tmp_path / "s.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SETTLEMENT_COLUMNS)
+        for i in range(12_000):
+            region, sub = divmod(i % 4320, 36)
+            writer.writerow([f"s{i:05d}", f"{rng.uniform(-1, 1):.6f}", f"{rng.uniform(29, 31):.6f}",
+                             rng.randrange(60_000), f"R{region:03d}", f"R{region:03d}S{sub:03d}"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ss = load_settlements(str(path))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert (len(ss), len(set(ss.region_id)), len(set(ss.subregion_id))) == (12_000, 120, 4320)
+    assert retained <= 3.4 * 1024 * 1024, f"{retained / 2**20:.2f} MiB retained"
 
 
 # --- fiber lines -----------------------------------------------------------

@@ -22,7 +22,7 @@ from fiberplan.pipeline import (
 )
 from fiberplan.report import KeyMismatch
 
-from .oracles import pick_backbone_root_reference
+from .oracles import load_settlements_reference, pick_backbone_root_reference
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DIR = os.path.join(DATA, "golden")
@@ -290,13 +290,44 @@ def test_area_only_subregions_carry_zero_users(tmp_path):
     assert stage.total_users == pytest.approx(160.0, rel=1e-12)
 
 
+def test_demand_sums_populations_past_2_63_exactly(tmp_path):
+    """Populations past any fixed-width integer load as Python ints and are
+    summed per subregion exactly; the reference loader's settlements give
+    the same sums."""
+    import json
+
+    rng = random.Random(2**63)
+    rows = []
+    for i in range(60):
+        sub = f"S{i % 12:02d}"
+        population = rng.choice((0, 1, 2**63 - 1, 2**63, 2**64 + rng.randrange(10**6)))
+        rows.append(f"s{i},{rng.uniform(-1, 1)!r},{rng.uniform(30, 32)!r},{population},R{i % 3},{sub}\n")
+    settlements = tmp_path / "settlements.csv"
+    settlements.write_text("id,lat,lon,population,region_id,subregion_id\n" + "".join(rows))
+    areas = tmp_path / "areas.csv"
+    areas.write_text("subregion_id,area_km2\n" + "".join(f"S{i:02d},1e9\n" for i in range(12)))
+    doc = {
+        "inputs": {"settlements": str(settlements), "areas": str(areas)},
+        "adoption_rate": 0.005,
+        "algorithms": ["mst"],
+    }
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_scenario(str(cfg_path))
+    stage = build_demand(cfg, load_inputs(cfg))
+    want: dict[str, int] = {}
+    for s in load_settlements_reference(str(settlements)):
+        want[s.subregion_id] = want.get(s.subregion_id, 0) + s.population
+    assert {r.subregion_id: r.population for r in stage.records} == want
+    assert max(want.values()) > 2**64
+    assert all(type(r.population) is int for r in stage.records)
+
+
 def test_region_decile_requires_a_demand_record():
     from fiberplan.pipeline import _region_decile
     from fiberplan.geodata import GeoPoint, Settlement, SettlementSet
 
-    settlements = SettlementSet(
-        (Settlement("a", GeoPoint(0.0, 36.0), 1000, "R1", "S1"),)
-    )
+    settlements = SettlementSet.of([Settlement("a", GeoPoint(0.0, 36.0), 1000, "R1", "S1")])
     classification = ClassificationResult(
         core_adjacent=(),
         region_anchor={"R1": "a"},
@@ -349,7 +380,7 @@ def _root_pick_case(rng, kind):
         access_nodes={},
         regions_without_candidate=(),
     )
-    return classification, SettlementSet(tuple(settlements))
+    return classification, SettlementSet.of(settlements)
 
 
 def test_backbone_root_equals_the_scalar_scan():
