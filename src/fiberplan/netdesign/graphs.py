@@ -12,12 +12,13 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import SolverError
-from ..geodata import EARTH_RADIUS_KM, GeoPoint, RoadGraph, Settlement
+from ..geodata import EARTH_RADIUS_KM, GeoPoint, RoadGraph, Settlement, haversine_km
 
 log = logging.getLogger(__name__)
 
@@ -42,19 +43,25 @@ class GreatCircleGraph:
     """Complete graph over located vertices that stores only their points:
     weight(u, v) is computed on demand as haversine_km(p[min], p[max]).
 
-    Each point's lat, lon and cos(radians(lat)) are kept once, in flat
-    lists, and `weights_from` evaluates `haversine_km`'s expression on
-    them with the lower id's point first. Only the cosines are hoisted, and
-    their product is commutative, so every weight is the float that
-    `haversine_km` returns.
+    Each point's lat, lon and cos(radians(lat)) are kept once, as flat
+    arrays built when the pairs are first read, so the graph holds O(n)
+    floats however many pairs it has. `weights` evaluates `haversine_km`'s
+    expression on them with the lower id's point first; only the cosines
+    are hoisted, and their product is commutative, so every weight is the
+    float that `haversine_km` returns.
+
+    `prim_mst` reads the pairs in blocks: `pairs(start, stop)` gives the
+    pairs start..stop - 1 of all n (n - 1) / 2 in row order ((0, 1), (0, 2),
+    ..., (1, 2), ...), and `pair_keys` numpy keys that order them to within
+    `key_margin`.
     """
+
+    # (relative, absolute) margin of `pair_keys`; see there.
+    key_margin = (1e-9, 1e-300)
 
     def __init__(self, points: Sequence[GeoPoint]):
         self._points = tuple(points)
         self.n = len(self._points)
-        self._lat = [p.lat for p in self._points]
-        self._lon = [p.lon for p in self._points]
-        self._cos_lat = [math.cos(math.radians(lat)) for lat in self._lat]
 
     def point(self, v: int) -> GeoPoint:
         return self._points[v]
@@ -63,32 +70,90 @@ class GreatCircleGraph:
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each point's lat, lon and cos(radians(lat)), and for each u <= n
+        the index of the pair (u, u + 1); built when the pairs are first
+        read."""
+        lat = np.array([p.lat for p in self._points], dtype=np.float64)
+        lon = np.array([p.lon for p in self._points], dtype=np.float64)
+        cos_lat = np.array([math.cos(math.radians(p.lat)) for p in self._points])
+        rows = np.arange(self.n + 1)
+        return lat, lon, cos_lat, rows * (2 * self.n - rows - 1) // 2
+
     def weight(self, u: int, v: int) -> float:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise KeyError((u, v))
-        return self.weights_from(u, (v,))[0]
+        return haversine_km(self._points[min(u, v)], self._points[max(u, v)])
 
-    def weights_from(self, u: int, targets: Iterable[int]) -> list[float]:
-        """Weight of the edge from u to each target (every target != u)."""
-        lat, lon, cos_lat = self._lat, self._lon, self._cos_lat
-        lat_u, lon_u, cos_u = lat[u], lon[u], cos_lat[u]
+    def weights(self, us: Iterable[int], vs: Iterable[int]) -> list[float]:
+        """Weight of each pair (us[i], vs[i]), us[i] != vs[i]."""
+        lat, lon, cos_lat = (a.tolist() for a in self._columns[:3])
         radians, sin, sqrt, asin = math.radians, math.sin, math.sqrt, math.asin
         diameter = 2.0 * EARTH_RADIUS_KM
         out = []
-        for v in targets:
-            if u < v:
-                h = (
-                    sin(radians(lat[v] - lat_u) / 2.0) ** 2
-                    + cos_u * cos_lat[v] * sin(radians(lon[v] - lon_u) / 2.0) ** 2
-                )
-            else:
-                h = (
-                    sin(radians(lat_u - lat[v]) / 2.0) ** 2
-                    + cos_lat[v] * cos_u * sin(radians(lon_u - lon[v]) / 2.0) ** 2
-                )
+        for u, v in zip(us, vs):
+            if u > v:
+                u, v = v, u
+            h = (
+                sin(radians(lat[v] - lat[u]) / 2.0) ** 2
+                + cos_lat[u] * cos_lat[v] * sin(radians(lon[v] - lon[u]) / 2.0) ** 2
+            )
             s = sqrt(h)
             out.append(diameter * asin(s if s < 1.0 else 1.0))
         return out
+
+    def pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) arrays of the pairs start..stop - 1 in row order."""
+        row_start = self._columns[3]
+        first, last = row_start.searchsorted((start, stop - 1), side="right") - 1
+        rows = np.arange(first, last + 1)
+        counts = (self.n - 1) - rows  # pairs per row, less those outside start..stop - 1
+        counts[0] -= start - row_start[first]
+        counts[-1] -= row_start[last + 1] - stop
+        shift = row_start[first : last + 1] - rows - 1  # v = pair index - shift
+        v = np.arange(start, stop)
+        v -= shift.repeat(counts)
+        return rows.repeat(counts), v
+
+    def pair_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The haversine h = sin²(dphi / 2) + cos(phi_u) cos(phi_v) sin²(dlam / 2)
+        of each pair u < v, by numpy. A weight is 2R asin(min(1, sqrt(h)))
+        of the h that `weights` computes.
+
+        The margin. Both sides subtract the same coordinates, take
+        radians by the same multiplication by pi / 180, halve exactly and
+        multiply by the same cosines, so numpy's h differs from `weights`'
+        only through sin, which numpy may compute a few ulps off math's, and
+        the roundings of the squares (math's ** 2 is pow, which may round
+        x * x an ulp apart), the product and the sum. In the normal range
+        that leaves the two within a relative 2^-47 (2 e + 6 u, for e = 2^-49
+        between the two sines and u = 2^-53 per rounding; a sum of two
+        non-negative terms keeps the larger relative error), and
+        underflowing squares and products add at most a few 2^-1074. So
+        with the margin m(x) = 1e-9 x + 1e-300, keys x1 < x2 more than
+        m(x1) + m(x2) apart are the h of pairs whose exact h differ by a
+        relative 1.9e-9 or more, or by 1.9e-300 from about 0. sqrt keeps
+        half of that gap, asin (slope >= 1, asin(s) <= s pi / 2) a third,
+        and the roundings of sqrt, asin and the product by 2R, each at most
+        an ulp, cannot close it, even where min(1, .) clips, since an exact
+        h is at most 1 plus a few ulps. So their weights are strictly in
+        the keys' order. The margin is 10^5 times the error it covers, which
+        also absorbs the rounding of the test `x2 - x1 > m(x1) + m(x2)`.
+        """
+        lat, lon, cos_lat, _ = self._columns
+        h = lat[v]
+        h -= lat[u]
+        dlam = lon[v]
+        dlam -= lon[u]
+        for d in (h, dlam):
+            np.radians(d, out=d)
+            d /= 2.0
+            np.sin(d, out=d)
+            np.square(d, out=d)
+        dlam *= cos_lat[u] * cos_lat[v]
+        h += dlam
+        return h
 
 
 class RoadOverlay:

@@ -3,6 +3,12 @@
 Both solvers are deterministic: every tie (equal edge weights, equal
 event times, equal objectives) is broken by fixed lexicographic rules, so a
 given graph always yields bit-identical designs.
+
+`prim_mst` is a filter-Kruskal over a graph's pairs, read in bounded blocks
+with numpy keys and put in exact order only where the keys leave it in
+doubt. `pcst_gw` grows moats event by event, prunes, and reconnects the kept
+vertices by Kruskal over the induced road edges. Both Kruskals run one
+union-find step, `_kruskal`.
 """
 
 from __future__ import annotations
@@ -31,16 +37,37 @@ def _sorted_edges(edges: list[tuple[int, int, float]]) -> tuple[tuple[int, int, 
     return tuple(sorted(normalized))
 
 
-def prim_mst(graph: GreatCircleGraph, root: int = 0) -> NetworkDesign:
-    """Minimum spanning tree grown from `root`, by Prim's dense O(n²) scan.
+# Pairs per block that a pass reads from the graph, and pairs a pass keeps.
+_BLOCK_PAIRS = 1 << 14
+_KEEP_PAIRS = 1 << 13
 
-    Prim reads only `graph.n` and `graph.weights_from(u, targets)`, inf
-    where there is no edge, so any graph with those two will do; a run
-    passes a `GreatCircleGraph`. Each step keeps every outside vertex's
-    best (weight, min endpoint, max endpoint) key and takes the smallest,
-    so ties go to the smaller (min, max) pair and the tree is unique. The
-    keys are flat lists in step with `outside`: the weights are compared
-    alone, and the endpoints only where weights are equal. Memory is O(n).
+
+def prim_mst(graph: GreatCircleGraph, root: int = 0) -> NetworkDesign:
+    """Minimum spanning tree of `graph` (spanning from `root`), by a
+    certified filter-Kruskal (Osipov, Sanders & Singler, ALENEX 2009).
+
+    The tree is the unique MST under the order (weight, min endpoint, max
+    endpoint): the tree that Prim's algorithm grows from any root when it
+    breaks ties that way. The graph is read through `n`, `edge_count`,
+    `pairs(start, stop)`, `pair_keys(u, v)`, `key_margin` and
+    `weights(us, vs)` (see `GreatCircleGraph`); a run passes a
+    `GreatCircleGraph`.
+
+    Each pass reads the graph's pairs in blocks of at most `_BLOCK_PAIRS`,
+    drops for good every pair inside one component of the forest so far,
+    and keeps the `_KEEP_PAIRS` smallest keys of the rest. Keys order the
+    weights only to within the margin m(x) = rel x + abs of `key_margin`:
+    two keys more than m(x1) + m(x2) apart are certainly in their weights'
+    order, and keys closer than that form a chain whose order is in doubt.
+    The kept pairs are merged in key order up to the last such gap that
+    also lies below the smallest key dropped, so every pair merged comes
+    before every pair deferred; inside a chain the order is decided by the
+    exact weights, then (min, max). Exact weights are computed only for
+    chains and for the n - 1 tree edges. When there is no such gap (a chain
+    runs from the smallest kept key into the dropped ones), an exact pass
+    follows (`_exact_window`). Memory is O(n) plus one block and the kept
+    pairs. Each design logs one DEBUG line: pairs whose keys were computed,
+    passes, chains decided exactly and exact evaluations.
 
     Raises:
         EmptyNodeSet: the graph has no vertices.
@@ -52,43 +79,171 @@ def prim_mst(graph: GreatCircleGraph, root: int = 0) -> NetworkDesign:
         raise EmptyNodeSet("cannot span an empty graph")
     if not (0 <= root < n):
         raise RootMissing(f"root {root} not in graph of {n} vertices")
-    outside = [v for v in range(n) if v != root]  # ascending
-    # key of outside[i]: (key_w[i], key_a[i], key_b[i])
-    key_w = [math.inf] * (n - 1)
-    key_a = [n] * (n - 1)
-    key_b = [n] * (n - 1)
-    chosen: list[tuple[int, int, float]] = []
-    u = root
-    while outside:
-        weights = graph.weights_from(u, outside)
-        for i in [i for i, w, k in zip(range(n), weights, key_w) if w <= k]:
-            v = outside[i]
-            a, b = (u, v) if u < v else (v, u)
-            if weights[i] < key_w[i] or (a, b) < (key_a[i], key_b[i]):
-                key_w[i], key_a[i], key_b[i] = weights[i], a, b
-        w = min(key_w)
-        if w == math.inf:
-            raise DisconnectedGraph(
-                f"{len(outside)} of {n} vertices unreachable from root {root} "
-                f"(first few: {outside[:5]})"
-            )
-        i = key_w.index(w)
-        if key_w.count(w) > 1:
-            i = min(
-                (j for j, k in enumerate(key_w) if k == w),
-                key=lambda j: (key_a[j], key_b[j]),
-            )
-        u = outside.pop(i)
-        chosen.append((key_a.pop(i), key_b.pop(i), key_w.pop(i)))
+    parent = list(range(n))
+    tree: list[tuple[int, int]] = []
+    stats = dict.fromkeys(("pairs", "passes", "chains", "evaluations"), 0)
+    labels = None  # each vertex's component, from the second pass on
+    while len(tree) < n - 1:
+        if stats["passes"]:
+            labels = np.array([_find(parent, x) for x in range(n)])
+        stats["passes"] += 1
+        u, v, keys, low = _smallest_keys(_cross_blocks(graph, labels, stats))
+        if not len(keys):
+            break
+        certified = _certified_order(graph, u, v, keys, low, stats)
+        if certified is None:
+            stats["passes"] += 1
+            blocks = _cross_blocks(graph, labels, stats)
+            certified = _exact_window(graph, blocks, float(keys.min()), stats)
+        # As lists a few n pairs at a time: a tree is mostly complete within
+        # its first 2n pairs, and the rest need never become Python ints.
+        for start in range(0, len(certified[0]), 4 * n):
+            us, vs = (a[start : start + 4 * n].tolist() for a in certified)
+            tree.extend((us[i], vs[i]) for i in _kruskal(parent, us, vs, n - 1 - len(tree)))
+            if len(tree) == n - 1:
+                break
+    if len(tree) < n - 1:
+        top = _find(parent, root)
+        outside = [x for x in range(n) if _find(parent, x) != top]
+        raise DisconnectedGraph(
+            f"{len(outside)} of {n} vertices unreachable from root {root} "
+            f"(first few: {outside[:5]})"
+        )
+    us, vs = [a for a, _ in tree], [b for _, b in tree]
+    chosen = sorted(zip(us, vs, graph.weights(us, vs)))
+    log.debug(
+        "prim_mst: %d vertices, %d pairs computed, %d passes, %d chains decided "
+        "exactly, %d exact evaluations",
+        n,
+        stats["pairs"],
+        stats["passes"],
+        stats["chains"],
+        stats["evaluations"] + len(chosen),
+    )
     return NetworkDesign(
         algorithm="MST",
-        edges=_sorted_edges(chosen),
+        edges=tuple(chosen),
         connected_vertices=frozenset(range(n)),
         excluded_terminals=frozenset(),
         total_length_km=math.fsum(w for _, _, w in chosen),
         total_penalty=0.0,
         terminal_node_count=n,
     )
+
+
+def _apart(a, b, rel: float, absolute: float):
+    """Whether keys b > a are more than the margin m(a) + m(b) apart, so the
+    pair of key b is certainly the heavier (elementwise for arrays)."""
+    return b - a > rel * (a + b) + 2.0 * absolute
+
+
+def _cross_blocks(graph, labels: np.ndarray | None, stats: dict[str, int]):
+    """The graph's pairs that join two components of `labels` (all pairs
+    when it is None), block by block, as (u, v, keys)."""
+    total = graph.edge_count
+    for start in range(0, total, _BLOCK_PAIRS):
+        u, v = graph.pairs(start, min(start + _BLOCK_PAIRS, total))
+        if labels is not None:
+            cross = labels[u] != labels[v]
+            u, v = u[cross], v[cross]
+        stats["pairs"] += len(u)
+        yield u, v, graph.pair_keys(u, v)
+
+
+def _smallest_keys(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(u, v, keys) of the `_KEEP_PAIRS` smallest keys over `blocks`, in no
+    order, and the smallest key dropped (inf when none was)."""
+    kept = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    low = math.inf
+    for block in blocks:
+        u, v, keys = map(np.concatenate, zip(kept, block)) if len(kept[0]) else block
+        if len(keys) > _KEEP_PAIRS:
+            part = np.argpartition(keys, _KEEP_PAIRS)
+            low = min(low, float(keys[part[_KEEP_PAIRS]]))
+            part = part[:_KEEP_PAIRS]
+            u, v, keys = u[part], v[part], keys[part]
+        kept = u, v, keys
+    return (*kept, low)
+
+
+def _certified_order(graph, u, v, keys, low: float, stats: dict[str, int]):
+    """(u, v) of the pairs in the order of their exact (weight, u, v), as
+    far as they certainly come before every pair of key `low` or more; None
+    when not even the first does. Each chain of keys is put in order by
+    its exact weights."""
+    rel, absolute = graph.key_margin
+    order = keys.argsort()
+    x = keys[order]
+    gap = np.empty(len(x), dtype=bool)  # gap[i]: pair i certainly precedes pair i + 1
+    np.greater(np.diff(x), (x[:-1] + x[1:]) * rel + 2.0 * absolute, out=gap[:-1])
+    gap[-1] = low == math.inf or _apart(float(x[-1]), low, rel, absolute)
+    if gap.all():
+        return u[order], v[order]
+    last = gap.nonzero()[0]  # the last pair of each chain
+    if not len(last):
+        return None
+    order = order[: last[-1] + 1]
+    first = np.append(0, last[:-1] + 1)
+    for a, b in zip(first[last > first].tolist(), last[last > first].tolist()):
+        chain = order[a : b + 1]
+        w = graph.weights(u[chain].tolist(), v[chain].tolist())
+        order[a : b + 1] = chain[np.lexsort((v[chain], u[chain], w))]
+        stats["chains"] += 1
+        stats["evaluations"] += len(w)
+    return u[order], v[order]
+
+
+def _exact_window(graph, blocks, x0: float, stats: dict[str, int]):
+    """(u, v) of pairs in the order of their exact (weight, u, v), as far
+    as they certainly come before every other pair of `blocks`, after a pass
+    that found no certain gap above its smallest key x0.
+
+    A pair no heavier than x0's has a key x with x - x0 <= m(x0) + m(x), so
+    x <= t = x0 + 3 m(x0) (for a margin of rel <= 1/3). Every pair whose key is not certainly above t is
+    evaluated, and the `_KEEP_PAIRS` smallest by (weight, u, v) are kept:
+    they precede every pair evaluated and dropped. They are returned in that
+    order up to the first whose key exceeds t: those precede every pair not
+    evaluated, too. The lightest pair of all is among them."""
+    rel, absolute = graph.key_margin
+    t = x0 + 3.0 * (rel * x0 + absolute)
+    kept = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0)
+    for u, v, keys in blocks:
+        near = ~_apart(t, keys, rel, absolute)
+        u, v, keys = u[near], v[near], keys[near]
+        w = np.array(graph.weights(u.tolist(), v.tolist()), dtype=np.float64)
+        stats["evaluations"] += len(w)
+        u, v, keys, w = map(np.concatenate, zip(kept, (u, v, keys, w)))
+        order = np.lexsort((v, u, w))[:_KEEP_PAIRS]
+        kept = u[order], v[order], keys[order], w[order]
+    stats["chains"] += 1
+    u, v, keys, _ = kept
+    stop = int(np.argmax(np.append(keys > t, True)))
+    return u[:stop], v[:stop]
+
+
+def _find(parent, x: int) -> int:
+    """The root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _kruskal(parent, us: list[int], vs: list[int], size: int) -> list[int]:
+    """Kruskal's step over the edges (us[i], vs[i]), in ascending order:
+    each edge that joins two components of the union-find forest `parent`
+    joins them, until `size` have. Returns their indices i."""
+    joined: list[int] = []
+    for i, (u, v) in enumerate(zip(us, vs)):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joined.append(i)
+            if len(joined) == size:
+                break
+    return joined
 
 
 # --- Goemans-Williamson PCST ------------------------------------------------
@@ -440,11 +595,11 @@ def _reconnect_minimally(
     inside = np.zeros(n, dtype=bool)
     inside[list(kept)] = True
     eu, ev, ew = edges
-    induced = inside[eu] & inside[ev]
-    return _kruskal_tree(
-        sorted(kept),
-        sorted(zip(ew[induced].tolist(), eu[induced].tolist(), ev[induced].tolist())),
-    )
+    induced = np.flatnonzero(inside[eu] & inside[ev])
+    induced = induced[np.lexsort((ev[induced], eu[induced], ew[induced]))]
+    us, vs, ws = (a[induced].tolist() for a in edges)
+    joined = _kruskal({x: x for x in kept}, us, vs, len(kept) - 1)
+    return [(us[i], vs[i], ws[i]) for i in joined]
 
 
 def _strong_prune(
@@ -499,29 +654,3 @@ def _prized_design(
         terminal_node_count=sum(1 for t in prized.terminals if t in vertices),
         dual_bound=dual_bound,
     )
-
-
-def _kruskal_tree(
-    vertices: list[int], edges: list[tuple[float, int, int]]
-) -> list[tuple[int, int, float]]:
-    """Kruskal spanning forest of the subgraph induced on `vertices`, a tree
-    when that subgraph is connected. `edges` are all (w, u, v), u < v,
-    ascending: ties go to the smaller (u, v)."""
-    parent = {v: v for v in vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen: list[tuple[int, int, float]] = []
-    for w, u, v in edges:
-        if len(chosen) == len(vertices) - 1:
-            break
-        if u in parent and v in parent:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.append((u, v, w))
-    return chosen

@@ -1,8 +1,8 @@
 """Independent reference implementations and generators used by the tests.
 
 `WeightedGraph` is a sparse graph built edge by edge, the test graph that
-both solvers accept: `prim_mst` reads its `weights_from`, `pcst_gw` its
-`edge_arrays` and `incidence`. `pcst_exact` is the optimal prize-collecting Steiner tree by
+both solvers accept: `prim_mst` reads its edges as its pairs, with their
+exact weights as keys, `pcst_gw` its `edge_arrays` and `incidence`. `pcst_exact` is the optimal prize-collecting Steiner tree by
 subset enumeration (at most `EXACT_PCST_MAX_VERTICES` vertices, else
 `InstanceTooLarge`), the oracle of the GW sandwich and dual-bound tests;
 it reads every graph through `edge_arrays()`, as the oracles below do.
@@ -17,7 +17,8 @@ their forests and dual increments must be equal bit for bit.
 `RoadGraph.nearest_vertex` replaced; like every oracle here, it reads a
 road vertex through `point(v)`, which rebuilds one `GeoPoint` from the
 graph's arrays, never through the whole `vertices` tuple; `road_graph` builds a road graph from `GeoPoint`s and edge tuples.
-`prim_mst_reference` is the heap Prim that the dense `prim_mst` replaced,
+`prim_mst_reference` is the heap Prim that the dense Prim and then the
+filter-Kruskal `prim_mst` replaced,
 and `euclidean_graph_reference` the complete graph it ran on, with every
 edge stored; MST designs must match them edge for edge.
 `build_report_reference` and `monte_carlo_reference` are the unit-by-unit,
@@ -81,7 +82,6 @@ from fiberplan.netdesign.graphs import (
     RootMissing,
 )
 from fiberplan.netdesign.solvers import (
-    _kruskal_tree,
     _prized_design,
     _sorted_edges,
     _strong_prune,
@@ -132,10 +132,21 @@ class WeightedGraph:
             self._adj[u][v] = weight
             self._adj[v][u] = weight
 
-    def weights_from(self, u: int, targets: Iterable[int]) -> list[float]:
-        """Weight of the edge from u to each target, inf where there is none."""
-        adj = self._adj[u]
-        return [adj.get(v, math.inf) for v in targets]
+    # `prim_mst` reads the edges as its pairs, and their weights as their
+    # keys: exact, so with no margin.
+    key_margin = (0.0, 0.0)
+
+    def pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) arrays of the edges start..stop - 1 of `edge_arrays()`."""
+        u, v, _ = self.edge_arrays()
+        return u[start:stop], v[start:stop]
+
+    def pair_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.array(self.weights(u.tolist(), v.tolist()), dtype=np.float64)
+
+    def weights(self, us: Iterable[int], vs: Iterable[int]) -> list[float]:
+        """Weight of each edge (us[i], vs[i]); a KeyError for a non-edge."""
+        return [self._adj[u][v] for u, v in zip(us, vs)]
 
     def weight(self, u: int, v: int) -> float:
         return self._adj[u][v]
@@ -590,7 +601,7 @@ def pcst_exact(prized: PrizedGraph) -> NetworkDesign:
     for mask in range(1 << len(others)):
         subset = [root] + [others[i] for i in range(len(others)) if mask >> i & 1]
         subset.sort()
-        tree = _kruskal_tree(subset, edges)
+        tree = _induced_tree(subset, edges)
         if len(tree) != len(subset) - 1:
             continue  # the induced subgraph is not connected
         weight = math.fsum(w for _, _, w in tree)
@@ -603,6 +614,32 @@ def pcst_exact(prized: PrizedGraph) -> NetworkDesign:
     # The root-only subset always qualifies.
     assert best is not None and best_edges is not None
     return _prized_design("PCST_EXACT", prized, set(best[1]), best_edges)
+
+
+def _induced_tree(
+    vertices: list[int], edges: list[tuple[float, int, int]]
+) -> list[tuple[int, int, float]]:
+    """Kruskal spanning forest of the subgraph induced on `vertices`, a tree
+    when that subgraph is connected. `edges` are all (w, u, v), u < v,
+    ascending."""
+    parent = {v: v for v in vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen: list[tuple[int, int, float]] = []
+    for w, u, v in edges:
+        if len(chosen) == len(vertices) - 1:
+            break
+        if u in parent and v in parent:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append((u, v, w))
+    return chosen
 
 
 # --- MST: the heap Prim over a stored complete graph --------------------------

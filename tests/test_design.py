@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import math
 import os
 import random
 import subprocess
@@ -12,11 +14,12 @@ import tracemalloc
 import pytest
 
 from fiberplan.geodata import GeoPoint, Settlement, haversine_km
+from fiberplan.netdesign import solvers
 from fiberplan.netdesign.design import design_network
-from fiberplan.netdesign.graphs import EmptyNodeSet, build_euclidean_graph
+from fiberplan.netdesign.graphs import EmptyNodeSet, NetworkDesign, build_euclidean_graph
 from fiberplan.netdesign.solvers import prim_mst
 
-from .oracles import euclidean_graph_reference, prim_mst_reference, road_graph
+from .oracles import euclidean_graph_reference, kruskal_mst, prim_mst_reference, road_graph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
@@ -116,8 +119,129 @@ def test_mst_designs_equal_the_heap_prim_over_a_stored_complete_graph():
     assert min(seen.values()) >= 50, seen
 
 
+def _tie_set(rng: random.Random, kind: str) -> list[Settlement]:
+    """3-40 distinct settlements whose keys tie or nearly tie: a lattice of
+    exact distance ties, clusters of points 1-3 ulps apart (also at 0.0,
+    where the differences are subnormal), or points on the equator spaced
+    0.1 degrees apart, which differ from equal only in the last bits."""
+    n = rng.randint(3, 40)
+    points: set[tuple[float, float]] = set()
+    while len(points) < n:
+        if kind == "lattice":
+            lat0, lon0 = rng.choice([(0.0, 30.0), (45.25, -120.5), (-30.0, 179.0)])
+            point = (lat0 + 0.5 * rng.randrange(6), lon0 + 0.5 * rng.randrange(6))
+        elif kind == "ulps":
+            lat, lon = rng.choice([(0.0, 0.0), (12.5, 40.0), (-60.0, 179.75)])
+            if rng.random() < 0.2:
+                lat, lon = lat + rng.uniform(-1.0, 1.0), lon + rng.uniform(-1.0, 1.0)
+            for _ in range(rng.randint(0, 3)):
+                lat = math.nextafter(lat, rng.choice((-math.inf, math.inf)))
+            for _ in range(rng.randint(0, 3)):
+                lon = math.nextafter(lon, rng.choice((-math.inf, math.inf)))
+            point = (lat, lon)
+        else:
+            point = (0.0, 0.1 * rng.randrange(-30, 30))
+        points.add(point)
+    return [_s(f"s{i:02d}", lat, lon) for i, (lat, lon) in enumerate(sorted(points))]
+
+
+def _mst_reference(nodes: list[Settlement], root: int) -> NetworkDesign:
+    """The heap Prim's design over the stored complete graph; where two
+    points are 0 km apart, which that graph cannot hold, the design of the
+    raw-edge Kruskal, whose order (w, min, max) picks the same tree."""
+    points = [s.location for s in nodes]
+    edges = [
+        (u, v, haversine_km(points[u], points[v]))
+        for u in range(len(points))
+        for v in range(u + 1, len(points))
+    ]
+    if min(w for _, _, w in edges) > 0.0:
+        return prim_mst_reference(euclidean_graph_reference(nodes), root=root)
+    total, chosen = kruskal_mst(len(points), edges)
+    return NetworkDesign(
+        algorithm="MST",
+        edges=tuple(sorted(chosen)),
+        connected_vertices=frozenset(range(len(points))),
+        excluded_terminals=frozenset(),
+        total_length_km=total,
+        total_penalty=0.0,
+        terminal_node_count=len(points),
+    )
+
+
+def _small_passes(monkeypatch, caplog) -> dict[str, int]:
+    """Make each pass of `prim_mst` read 7 pairs per block and keep 5, and
+    count its exact windows; its DEBUG lines go to `caplog`."""
+    monkeypatch.setattr(solvers, "_BLOCK_PAIRS", 7)
+    monkeypatch.setattr(solvers, "_KEEP_PAIRS", 5)
+    caplog.set_level(logging.DEBUG, logger=solvers.__name__)
+    calls = {"exact windows": 0}
+    exact_window = solvers._exact_window
+
+    def counted(*args):
+        calls["exact windows"] += 1
+        return exact_window(*args)
+
+    monkeypatch.setattr(solvers, "_exact_window", counted)
+    return calls
+
+
+def _mst_stats(caplog) -> list[tuple[int, ...]]:
+    """(n, pairs, passes, chains, evaluations) of each `prim_mst` DEBUG line."""
+    return [r.args for r in caplog.records if r.msg.startswith("prim_mst:")]
+
+
+def test_mst_designs_in_many_blocks_and_passes_equal_the_heap_prim(monkeypatch, caplog):
+    calls = _small_passes(monkeypatch, caplog)
+    rng = random.Random(17_2026)
+    kinds = ("spread", "grid", "antimeridian", "polar", "lattice", "ulps", "equator")
+    zero_km = 0
+    for i in range(210):
+        kind = kinds[i % len(kinds)]
+        nodes = _point_set(rng, kind) if kind in kinds[:4] else _tie_set(rng, kind)
+        root = rng.randrange(len(nodes))
+        design = prim_mst(build_euclidean_graph(nodes), root=root)
+        assert design == _mst_reference(nodes, root), kind
+        zero_km += any(w == 0.0 for _, _, w in design.edges)
+    assert zero_km >= 10
+    stats = _mst_stats(caplog)
+    assert len(stats) == 210
+    assert sum(passes > 5 for _, _, passes, _, _ in stats) >= 100
+    assert sum(chains for _, _, _, chains, _ in stats) >= 300
+    assert calls["exact windows"] >= 100
+
+
+def test_a_chain_that_straddles_a_pass_boundary_is_decided_in_the_next_pass(
+    monkeypatch, caplog
+):
+    # Three pairs 0.01-0.03 degrees long, then four near-equal ones 0.1
+    # degrees long: a pass keeps the three and two of the four, merges the
+    # three, and leaves the chain of four to the next pass.
+    calls = _small_passes(monkeypatch, caplog)
+    certified = []
+    certified_order = solvers._certified_order
+
+    def recorded(*args):
+        result = certified_order(*args)
+        certified.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(solvers, "_certified_order", recorded)
+    lons = [0.0, 0.01, 10.0, 10.02, 20.0, 20.03, 30.0, 30.1, 30.2, 30.3, 30.4]
+    nodes = [_s(f"s{i:02d}", 0.0, lon) for i, lon in enumerate(lons)]
+    graph = build_euclidean_graph(nodes)
+    chain = [graph.weight(i, i + 1) for i in range(6, 10)]
+    assert len(set(chain)) > 1 and max(chain) - min(chain) < 1e-9 * min(chain)
+    for root in range(len(nodes)):
+        design = prim_mst(graph, root=root)
+        assert design == prim_mst_reference(euclidean_graph_reference(nodes), root=root)
+    assert certified[:2] == [3, 4]
+    assert calls["exact windows"] == 0
+    assert _mst_stats(caplog)[0][3] == 1  # the chain, decided exactly
+
+
 def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
-    # weights_from and weight evaluate haversine_km's expression on hoisted
+    # weights and weight evaluate haversine_km's expression on hoisted
     # per-point cosines; every weight must still be its float, bit for bit.
     rng = random.Random(9_2026)
     for i in range(40):
@@ -129,7 +253,7 @@ def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
         rng.shuffle(ids)
         for u in range(len(points)):
             targets = [v for v in ids if v != u]
-            row = graph.weights_from(u, targets)
+            row = graph.weights([u] * len(targets), targets)
             for v, w in zip(targets, row):
                 expected = haversine_km(points[min(u, v)], points[max(u, v)])
                 assert w == expected == graph.weight(u, v) == graph.weight(v, u), (kind, u, v)
@@ -146,6 +270,21 @@ def test_a_1000_node_mst_design_stores_no_complete_graph():
         tracemalloc.stop()
     assert len(result.design.edges) == 999
     assert result.graph.edge_count == 999 * 1000 // 2
+    assert peak < 5 * 2**20
+
+
+def test_a_2000_node_mst_design_needs_no_more_memory_than_a_1000_node_one():
+    # Four times the pairs, read in the same bounded blocks: the peak stays
+    # under the 1,000-node test's bound.
+    rng = random.Random(2000)
+    nodes = [_s(f"s{i:04d}", rng.uniform(-5.0, 5.0), rng.uniform(30.0, 40.0)) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        result = design_network("access", "mst", nodes, "s0000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.design.edges) == 1999
     assert peak < 5 * 2**20
 
 

@@ -34,7 +34,7 @@ class TestWeightedGraph:
         g = WeightedGraph(3)
         g.add_edge(0, 1, 2.0)
         g.add_edge(1, 2, 3.0)
-        assert g.weights_from(1, [0, 2]) == [2.0, 3.0]
+        assert g.weights([1, 1], [0, 2]) == [2.0, 3.0]
         assert list(g.edges()) == [(0, 1, 2.0), (1, 2, 3.0)]
         assert g.edge_count == 2
         assert g.weight(2, 1) == 3.0

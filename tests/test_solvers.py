@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fiberplan.geodata import load_road_graph, load_settlements
+from fiberplan.netdesign import solvers
 from fiberplan.netdesign.graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
@@ -34,6 +35,7 @@ from .oracles import (
     nudged_instance,
     pcst_exact,
     pcst_gw_reference,
+    prim_mst_reference,
     random_connected_edges,
     random_grid_instance,
     random_prized_instance,
@@ -106,6 +108,76 @@ class TestPrimMst:
         g.add_edge(2, 3, 1.0)
         with pytest.raises(DisconnectedGraph):
             prim_mst(g, root=0)
+
+
+class LooseKeys(WeightedGraph):
+    """A `WeightedGraph` whose keys are its weights off by up to 24%, each
+    pair by its own seeded amount, with the margin (25%) that covers that:
+    the keys order the weights only where they are far apart."""
+
+    key_margin = (0.25, 0.0)
+
+    def __init__(self, n: int, seed: int):
+        super().__init__(n)
+        self.seed = seed
+
+    def pair_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        w = super().pair_keys(u, v)
+        noise = [random.Random(self.seed * 1_000_003 + a * 1009 + b).uniform(-0.24, 0.24)
+                 for a, b in zip(u.tolist(), v.tolist())]
+        return w * (1.0 + np.array(noise))
+
+
+def _design_or_message(graph, root):
+    """The design of `prim_mst`, or the message of the error it raises."""
+    try:
+        return prim_mst(graph, root=root)
+    except DisconnectedGraph as exc:
+        return str(exc)
+
+
+def test_prim_mst_orders_loose_keys_exactly_in_many_blocks_and_passes(monkeypatch):
+    # Tiny blocks and passes over graphs whose keys are far off their
+    # weights, with many equal weights: every order the keys leave in doubt
+    # is decided exactly, in passes, chains and exact windows alike.
+    monkeypatch.setattr(solvers, "_BLOCK_PAIRS", 7)
+    monkeypatch.setattr(solvers, "_KEEP_PAIRS", 5)
+    rng = random.Random(3_2027)
+    disconnected = 0
+    for case in range(300):
+        n = rng.randint(2, 30)
+        edges = random_connected_edges(rng, n, extra=rng.choice((0.5, 3.0)))
+        if case % 3 == 0:  # a second part the root cannot reach
+            k = rng.randint(1, 8)
+            edges += [(n + i, n + rng.randrange(i + 1, k), 1.0) for i in range(k - 1)]
+            n += k
+        g = LooseKeys(n, seed=case)
+        for u, v, _ in edges:
+            g.add_edge(u, v, float(rng.randint(1, 4)))
+        root = rng.randrange(n)
+        got = _design_or_message(g, root)
+        try:
+            reference = prim_mst_reference(g, root=root)
+        except DisconnectedGraph as exc:
+            reference = str(exc)
+            disconnected += 1
+        assert got == reference
+        exact = WeightedGraph(n)
+        for u, v, w in g.edges():
+            exact.add_edge(u, v, w)
+        assert _design_or_message(exact, root) == reference
+    assert disconnected >= 100
+
+
+def test_disconnected_message_lists_the_first_five_outside_in_ascending_order():
+    g = WeightedGraph(12)
+    for u, v in [(0, 5), (5, 9), (9, 11), (1, 2), (2, 3), (4, 6), (7, 8), (8, 10)]:
+        g.add_edge(u, v, 1.0)
+    with pytest.raises(DisconnectedGraph) as exc:
+        prim_mst(g, root=5)
+    assert str(exc.value) == (
+        "8 of 12 vertices unreachable from root 5 (first few: [1, 2, 3, 4, 6])"
+    )
 
 
 def _two_vertex_instance(prize: float, cost: float) -> PrizedGraph:
