@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -63,15 +63,6 @@ class GeoPoint:
     lon: float
 
 
-@dataclass(frozen=True)
-class Settlement:
-    id: str
-    location: GeoPoint
-    population: int
-    region_id: str
-    subregion_id: str
-
-
 class SettlementSet:
     """Validated settlements held once as columns, one row per settlement in
     input order.
@@ -81,10 +72,9 @@ class SettlementSet:
     tuples of str, `lat` and `lon` as read-only float64 arrays holding the
     given floats bit for bit, and `population` as a tuple of exact Python
     ints (a population may exceed any fixed-width integer). `row` maps each
-    id to its row. No `Settlement` is held: `settlement(i)`, iteration and
-    `by_id` build one on demand, and `point(i)` a `GeoPoint`, as
-    `RoadGraph.point(v)` does; `of(settlements)` builds the columns from
-    them.
+    id to its row. `point(i)` builds a `GeoPoint` on demand, as
+    `RoadGraph.point(v)` does; the design layer takes ids and a fancy index
+    of `lat` and `lon`, so no per-settlement object is built in a run.
     """
 
     def __init__(self, ids: Sequence[str], lat: Sequence[float], lon: Sequence[float],
@@ -105,37 +95,12 @@ class SettlementSet:
             raise ValueError("duplicate settlement ids")
         self.lat.flags.writeable = self.lon.flags.writeable = False
 
-    @classmethod
-    def of(cls, settlements: Iterable[Settlement]) -> SettlementSet:
-        """The set of the given settlements, in their order."""
-        rows = [
-            (s.id, s.location.lat, s.location.lon, s.population, s.region_id, s.subregion_id)
-            for s in settlements
-        ]
-        return cls(*(zip(*rows) if rows else [()] * len(SETTLEMENT_COLUMNS)))
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[Settlement]:
-        return map(self.settlement, range(len(self.ids)))
 
     def point(self, i: int) -> GeoPoint:
         """The location of the settlement in row i."""
         return GeoPoint(self.lat.item(i), self.lon.item(i))
-
-    def settlement(self, i: int) -> Settlement:
-        """The settlement in row i, built from the columns."""
-        return Settlement(
-            self.ids[i],
-            self.point(i),
-            self.population[i],
-            self.region_id[i],
-            self.subregion_id[i],
-        )
-
-    def by_id(self, settlement_id: str) -> Settlement:
-        return self.settlement(self.row[settlement_id])
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,22 @@
 
 MST designs span every node over a complete great-circle graph. PCST designs
 route along the road network, weighing each terminal's user mass against the
-trench length needed to reach it, and may leave low-value terminals out.
+trench length needed to reach it, and may leave low-value terminals out. A
+design takes its nodes as settlement ids and their `lat`/`lon` columns, and
+reads them in ascending id order.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..errors import ConfigError
-from ..geodata import RoadGraph, Settlement
+from ..geodata import RoadGraph
 from .graphs import (
     DuplicateCoordinate,
     EmptyNodeSet,
@@ -33,6 +38,8 @@ class PrizeOverflow(ConfigError):
 
 
 LEVELS = ("regional", "access")
+# (ids ascending, lat, lon) of a design's nodes: ids[i] is at (lat[i], lon[i])
+Nodes = tuple[list[str], np.ndarray, np.ndarray]
 # algorithm selection -> the solver tag its designs and report rows carry
 ALGORITHMS = {"mst": "MST", "pcst": "PCST_GW"}
 
@@ -60,7 +67,9 @@ class DesignResult:
 def design_network(
     level: str,
     algorithm: str,
-    nodes: Sequence[Settlement],
+    ids: Sequence[str],
+    lat: Sequence[float],
+    lon: Sequence[float],
     root_id: str,
     *,
     roads: RoadGraph | None = None,
@@ -76,7 +85,8 @@ def design_network(
             same way).
         algorithm: "mst" spans every node; "pcst" trades road-routed length
             against per-node user prizes and may exclude nodes.
-        nodes: settlements to connect, including the root.
+        ids, lat, lon: the settlements to connect, including the root:
+            ids[i] is at (lat[i], lon[i]). Vertices follow ascending ids.
         root_id: settlement the design grows from.
         roads: road network (required for pcst).
         node_users: users per settlement id; prizes for pcst.
@@ -90,23 +100,27 @@ def design_network(
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}")
-    if not nodes:
+    if not len(ids):
         raise EmptyNodeSet(f"{level} design requested over no nodes")
-    unique = {s.id: s for s in nodes}
-    if len(unique) != len(nodes):
+    if len(lat) != len(ids) or len(lon) != len(ids):
+        raise ValueError("ids, lat and lon must have one entry per design node")
+    row = dict(zip(ids, range(len(ids))))
+    if len(row) != len(ids):
         raise ValueError("duplicate settlement ids in design nodes")
-    if root_id not in unique:
+    if root_id not in row:
         raise ValueError(f"root {root_id!r} is not among the design nodes")
-    ordered = [unique[k] for k in sorted(unique)]
+    ids = sorted(row)
+    rows = [row[sid] for sid in ids]
+    nodes = (ids, np.asarray(lat, dtype=np.float64)[rows], np.asarray(lon, dtype=np.float64)[rows])
 
-    if len(ordered) == 1:
-        result = _single_node_result(level, algorithm, ordered[0])
+    if len(ids) == 1:
+        result = _single_node_result(level, algorithm, nodes)
     elif algorithm == "mst":
-        result = _design_mst(level, ordered, root_id)
+        result = _design_mst(level, nodes, root_id)
     else:
         result = _design_pcst(
             level,
-            ordered,
+            nodes,
             root_id,
             roads=roads,
             node_users=node_users or {},
@@ -120,8 +134,9 @@ def design_network(
     return replace(result, design=design)
 
 
-def _single_node_result(level: str, algorithm: str, node: Settlement) -> DesignResult:
-    graph = GreatCircleGraph([node.location])
+def _single_node_result(level: str, algorithm: str, nodes: Nodes) -> DesignResult:
+    (sid,), lat, lon = nodes
+    graph = GreatCircleGraph(lat, lon)
     design = NetworkDesign(
         algorithm=ALGORITHMS[algorithm],
         edges=(),
@@ -132,19 +147,18 @@ def _single_node_result(level: str, algorithm: str, node: Settlement) -> DesignR
         terminal_node_count=1,
     )
     return DesignResult(
-        level=level, design=design, graph=graph, terminal_vertex={node.id: 0}, root_id=node.id
+        level=level, design=design, graph=graph, terminal_vertex={sid: 0}, root_id=sid
     )
 
 
-def _design_mst(level: str, ordered: Sequence[Settlement], root_id: str) -> DesignResult:
-    graph = build_euclidean_graph(ordered)
-    terminal_vertex = {s.id: i for i, s in enumerate(ordered)}
+def _design_mst(level: str, nodes: Nodes, root_id: str) -> DesignResult:
+    ids = nodes[0]
+    graph = build_euclidean_graph(*nodes)
+    terminal_vertex = dict(zip(ids, range(len(ids))))
     design = prim_mst(graph, root=terminal_vertex[root_id])
     for u, v, w in design.edges:  # settlements 0 km apart always give a 0 km tree edge
         if w == 0.0:
-            raise DuplicateCoordinate(
-                f"settlements {ordered[u].id!r} and {ordered[v].id!r} are 0 km apart"
-            )
+            raise DuplicateCoordinate(f"settlements {ids[u]!r} and {ids[v]!r} are 0 km apart")
     return DesignResult(
         level=level,
         design=design,
@@ -156,7 +170,7 @@ def _design_mst(level: str, ordered: Sequence[Settlement], root_id: str) -> Desi
 
 def _design_pcst(
     level: str,
-    ordered: Sequence[Settlement],
+    nodes: Nodes,
     root_id: str,
     *,
     roads: RoadGraph | None,
@@ -166,21 +180,21 @@ def _design_pcst(
 ) -> DesignResult:
     if roads is None:
         raise ValueError("pcst designs require a road network")
-    if prize_scale <= 0:
-        raise ValueError(f"prize_scale must be positive, got {prize_scale}")
-    attachment = attach_terminals_to_roads(ordered, roads, snap_radius_km)
+    if not (math.isfinite(prize_scale) and prize_scale > 0):
+        raise ValueError(f"prize_scale must be a finite number > 0, got {prize_scale}")
+    attachment = attach_terminals_to_roads(*nodes, roads, snap_radius_km)
     graph = attachment.graph
     terminal_vertex = attachment.terminal_vertex
     root_vertex = terminal_vertex[root_id]
     prizes: dict[int, float] = {}
-    for s in ordered:
-        if s.id == root_id:
+    for sid in nodes[0]:
+        if sid == root_id:
             continue  # the root is always in the tree; a prize would be inert
-        users = float(node_users.get(s.id, 0.0))
-        if users < 0:
-            raise ValueError(f"negative users for settlement {s.id!r}")
-        prizes[terminal_vertex[s.id]] = users * prize_scale
-    terminals = frozenset(terminal_vertex[s.id] for s in ordered)
+        users = float(node_users.get(sid, 0.0))
+        if not (math.isfinite(users) and users >= 0):
+            raise ValueError(f"users of settlement {sid!r} must be finite and >= 0, got {users}")
+        prizes[terminal_vertex[sid]] = users * prize_scale
+    terminals = frozenset(terminal_vertex.values())
     try:
         prized = PrizedGraph(graph=graph, prizes=prizes, root=root_vertex, terminals=terminals)
     except ValueError as exc:  # the only one it can raise here: prizes past a float

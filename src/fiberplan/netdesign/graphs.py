@@ -1,9 +1,11 @@
 """Graph types for network design and their construction from geodata.
 
-Vertices are dense integer ids. The graphs a design is built on know each
-vertex's coordinate (`point(v)`), so designs can be rendered back into
-geographic outputs; which settlement a vertex stands for is the design's
-`terminal_vertex` map.
+The constructors take settlements as columns: ids plus parallel `lat` and
+`lon`, the form `SettlementSet` holds them in. Vertices are dense integer
+ids. The graphs a design is built on know each vertex's coordinate
+(`point(v)`, built on demand from the floats given), so designs can be
+rendered back into geographic outputs; which settlement a vertex stands
+for is the design's `terminal_vertex` map.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import SolverError
-from ..geodata import EARTH_RADIUS_KM, GeoPoint, RoadGraph, Settlement, haversine_km
+from ..geodata import EARTH_RADIUS_KM, GeoPoint, RoadGraph, haversine_km
 
 log = logging.getLogger(__name__)
 
@@ -43,12 +44,13 @@ class GreatCircleGraph:
     """Complete graph over located vertices that stores only their points:
     weight(u, v) is computed on demand as haversine_km(p[min], p[max]).
 
-    Each point's lat, lon and cos(radians(lat)) are kept once, as flat
-    arrays built when the pairs are first read, so the graph holds O(n)
-    floats however many pairs it has. `weights` evaluates `haversine_km`'s
-    expression on them with the lower id's point first; only the cosines
-    are hoisted, and their product is commutative, so every weight is the
-    float that `haversine_km` returns.
+    `GreatCircleGraph(lat, lon)` copies each point's lat and lon, and keeps
+    cos(radians(lat)) by `math`, once as read-only float64 arrays, so the
+    graph holds O(n) floats however many pairs it has, and `point(v)`
+    returns the given floats bit for bit. `weights` evaluates
+    `haversine_km`'s expression on them with the lower id's point first;
+    only the cosines are hoisted, and their product is commutative, so
+    every weight is the float that `haversine_km` returns.
 
     `prim_mst` reads the pairs in blocks: `pairs(start, stop)` gives the
     pairs start..stop - 1 of all n (n - 1) / 2 in row order ((0, 1), (0, 2),
@@ -59,36 +61,31 @@ class GreatCircleGraph:
     # (relative, absolute) margin of `pair_keys`; see there.
     key_margin = (1e-9, 1e-300)
 
-    def __init__(self, points: Sequence[GeoPoint]):
-        self._points = tuple(points)
-        self.n = len(self._points)
+    def __init__(self, lat: Sequence[float], lon: Sequence[float]):
+        self.lat = np.array(lat, dtype=np.float64)
+        self.lon = np.array(lon, dtype=np.float64)
+        self.n = n = len(self.lat)
+        self.cos_lat = np.array([math.cos(math.radians(x)) for x in self.lat.tolist()])
+        rows = np.arange(n + 1)
+        self._row_start = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1)
+        for held in (self.lat, self.lon, self.cos_lat, self._row_start):
+            held.flags.writeable = False
 
     def point(self, v: int) -> GeoPoint:
-        return self._points[v]
+        return GeoPoint(self.lat.item(v), self.lon.item(v))
 
     @property
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each point's lat, lon and cos(radians(lat)), and for each u <= n
-        the index of the pair (u, u + 1); built when the pairs are first
-        read."""
-        lat = np.array([p.lat for p in self._points], dtype=np.float64)
-        lon = np.array([p.lon for p in self._points], dtype=np.float64)
-        cos_lat = np.array([math.cos(math.radians(p.lat)) for p in self._points])
-        rows = np.arange(self.n + 1)
-        return lat, lon, cos_lat, rows * (2 * self.n - rows - 1) // 2
-
     def weight(self, u: int, v: int) -> float:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise KeyError((u, v))
-        return haversine_km(self._points[min(u, v)], self._points[max(u, v)])
+        return haversine_km(self.point(min(u, v)), self.point(max(u, v)))
 
     def weights(self, us: Iterable[int], vs: Iterable[int]) -> list[float]:
         """Weight of each pair (us[i], vs[i]), us[i] != vs[i]."""
-        lat, lon, cos_lat = (a.tolist() for a in self._columns[:3])
+        lat, lon, cos_lat = (a.tolist() for a in (self.lat, self.lon, self.cos_lat))
         radians, sin, sqrt, asin = math.radians, math.sin, math.sqrt, math.asin
         diameter = 2.0 * EARTH_RADIUS_KM
         out = []
@@ -105,7 +102,7 @@ class GreatCircleGraph:
 
     def pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """(u, v) arrays of the pairs start..stop - 1 in row order."""
-        row_start = self._columns[3]
+        row_start = self._row_start
         first, last = row_start.searchsorted((start, stop - 1), side="right") - 1
         rows = np.arange(first, last + 1)
         counts = (self.n - 1) - rows  # pairs per row, less those outside start..stop - 1
@@ -141,7 +138,7 @@ class GreatCircleGraph:
         the keys' order. The margin is 10^5 times the error it covers, which
         also absorbs the rounding of the test `x2 - x1 > m(x1) + m(x2)`.
         """
-        lat, lon, cos_lat, _ = self._columns
+        lat, lon, cos_lat = self.lat, self.lon, self.cos_lat
         h = lat[v]
         h -= lat[u]
         dlam = lon[v]
@@ -290,18 +287,22 @@ class NetworkDesign:
         return self.total_length_km + self.total_penalty
 
 
-def build_euclidean_graph(nodes: Sequence[Settlement]) -> GreatCircleGraph:
-    """Complete graph over settlements, weighted by great-circle distance."""
-    if len(nodes) < 2:
-        raise EmptyNodeSet(f"need at least 2 nodes for a graph, got {len(nodes)}")
-    seen: dict[GeoPoint, str] = {}
-    for s in nodes:
-        if s.location in seen:
+def build_euclidean_graph(
+    ids: Sequence[str], lat: Sequence[float], lon: Sequence[float]
+) -> GreatCircleGraph:
+    """Complete graph over settlements (ids[i] at lat[i], lon[i]), weighted
+    by great-circle distance."""
+    if len(ids) < 2:
+        raise EmptyNodeSet(f"need at least 2 nodes for a graph, got {len(ids)}")
+    graph = GreatCircleGraph(lat, lon)
+    seen: dict[tuple[float, float], str] = {}  # floats equal as floats coincide
+    for sid, key in zip(ids, zip(graph.lat.tolist(), graph.lon.tolist())):
+        if key in seen:
             raise DuplicateCoordinate(
-                f"settlements {seen[s.location]!r} and {s.id!r} share coordinate {s.location}"
+                f"settlements {seen[key]!r} and {sid!r} share coordinate {GeoPoint(*key)}"
             )
-        seen[s.location] = s.id
-    return GreatCircleGraph([s.location for s in nodes])
+        seen[key] = sid
+    return graph
 
 
 @dataclass(frozen=True)
@@ -319,9 +320,14 @@ class RoadAttachment:
 
 
 def attach_terminals_to_roads(
-    nodes: Sequence[Settlement], roads: RoadGraph, snap_radius_km: float
+    ids: Sequence[str],
+    lat: Sequence[float],
+    lon: Sequence[float],
+    roads: RoadGraph,
+    snap_radius_km: float,
 ) -> RoadAttachment:
-    """Embed settlements into the road graph as terminal vertices.
+    """Embed settlements (ids[i] at lat[i], lon[i]) into the road graph as
+    terminal vertices.
 
     A settlement coincident with a road vertex merges onto it; otherwise it
     becomes a new vertex with a spur edge to the nearest road vertex
@@ -331,37 +337,39 @@ def attach_terminals_to_roads(
     Raises:
         DuplicateCoordinate: two settlements merge onto one road vertex.
     """
-    if not nodes:
+    if not len(ids):
         raise EmptyNodeSet("no settlements to attach")
-    if snap_radius_km < 0:
-        raise ValueError(f"snap_radius_km must be >= 0, got {snap_radius_km}")
+    if not (math.isfinite(snap_radius_km) and snap_radius_km >= 0):
+        raise ValueError(f"snap_radius_km must be a finite number >= 0, got {snap_radius_km}")
     if not roads.n:
         raise EmptyNodeSet("road graph has no vertices to attach to")
     g = RoadOverlay(roads)
     terminal_vertex: dict[str, int] = {}
     merged: dict[int, str] = {}  # road vertex -> the settlement merged onto it
     beyond: list[tuple[str, float]] = []
-    for s in nodes:
-        if s.id in terminal_vertex:
-            raise ValueError(f"duplicate settlement id {s.id!r}")
-        best_v, best_d = roads.nearest_vertex(s.location)
+    points = map(GeoPoint, np.asarray(lat, dtype=np.float64).tolist(),
+                 np.asarray(lon, dtype=np.float64).tolist())
+    for sid, point in zip(ids, points):
+        if sid in terminal_vertex:
+            raise ValueError(f"duplicate settlement id {sid!r}")
+        best_v, best_d = roads.nearest_vertex(point)
         if best_d == 0.0:
             if best_v in merged:
                 raise DuplicateCoordinate(
-                    f"settlements {merged[best_v]!r} and {s.id!r} are both at road vertex "
-                    f"{best_v} ({s.location})"
+                    f"settlements {merged[best_v]!r} and {sid!r} are both at road vertex "
+                    f"{best_v} ({point})"
                 )
-            merged[best_v] = s.id
-            terminal_vertex[s.id] = best_v
+            merged[best_v] = sid
+            terminal_vertex[sid] = best_v
             continue
-        vid = g.add_spur(s.location, best_v, best_d)
-        terminal_vertex[s.id] = vid
+        vid = g.add_spur(point, best_v, best_d)
+        terminal_vertex[sid] = vid
         if best_d > snap_radius_km:
-            beyond.append((s.id, best_d))
+            beyond.append((sid, best_d))
             log.warning(
                 "settlement %s is %.2f km from the nearest road vertex "
                 "(snap radius %.2f km); attached by direct spur",
-                s.id,
+                sid,
                 best_d,
                 snap_radius_km,
             )

@@ -25,7 +25,6 @@ from .errors import ConfigError, DataError
 from .geodata import (
     FiberLineSet,
     RoadGraph,
-    Settlement,
     SettlementSet,
     haversine_km,
     haversine_km_array,
@@ -34,7 +33,7 @@ from .geodata import (
     load_settlements,
 )
 from .netdesign.classify import ClassificationResult, classify_nodes
-from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, design_network
+from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, Nodes, design_network
 from .report import (
     DecileReportRow,
     IoError,
@@ -240,17 +239,25 @@ def build_designs(
 ) -> tuple[dict[tuple[str, str], list[DesignResult]], list[str]]:
     """Solve every selected algorithm at both network levels.
 
-    The designs are one list of jobs, each (level, root id, nodes, users per
-    prized node, root billable): the backbone over the regional nodes first,
-    when there are any, then one access network per region in region order.
-    Every selected algorithm solves every job. The backbone's own warnings
-    (its fallback root, or its absence) are listed once per run, before
-    those of the designs.
+    The designs are one list of jobs, each (level, root id, (node ids
+    ascending, their lat, their lon), users per prized node, root billable):
+    the backbone over the regional nodes first, when there are any, then
+    one access network per region in region order. A job's coordinates are
+    one fancy index into the settlement columns, taken once however many
+    algorithms are selected, and every selected algorithm solves every job.
+    The backbone's own warnings (its fallback root, or its absence) are
+    listed once per run, before those of the designs.
     """
     settlements = inputs.settlements
-    row, region_of, node = settlements.row, settlements.region_id, settlements.settlement
+    row, region_of = settlements.row, settlements.region_id
     region_users = stage.users_by_region
-    jobs: list[tuple[str, str, list[Settlement], dict[str, float], bool]] = []
+    jobs: list[tuple[str, str, Nodes, dict[str, float], bool]] = []
+
+    def columns(root_id: str, members: Iterable[str]) -> Nodes:
+        """The ids of the root and members, ascending, with their lat and lon."""
+        ids = sorted(set(members) | {root_id})
+        rows = [row[sid] for sid in ids]
+        return ids, settlements.lat[rows], settlements.lon[rows]
 
     rnod_ids = sorted(classification.regional_nodes.values())
     if rnod_ids:
@@ -260,7 +267,7 @@ def build_designs(
         jobs.append((
             "regional",
             root_id,
-            [node(row[sid]) for sid in sorted(set(rnod_ids) | {root_id})],
+            columns(root_id, rnod_ids),
             {sid: region_users[region_of[row[sid]]] for sid in rnod_ids},
             root_billable,
         ))
@@ -277,7 +284,7 @@ def build_designs(
         jobs.append((
             "access",
             anchor_id,
-            [node(row[sid]) for sid in sorted(set(access_ids) | {anchor_id})],
+            columns(anchor_id, access_ids),
             {
                 sid: stage.users_by_subregion[settlements.subregion_id[row[sid]]]
                 for sid in access_ids
@@ -294,7 +301,7 @@ def build_designs(
             result = design_network(
                 level,
                 selection,
-                nodes,
+                *nodes,
                 root_id,
                 roads=inputs.roads,
                 node_users=node_users,

@@ -29,9 +29,12 @@ must match it point for point. `load_settlements_reference` is the loader
 that `load_settlements` replaced, one `Settlement` and `GeoPoint` per row,
 and `classify_nodes_reference` the classify that grouped those objects in
 dicts of lists; the columnar set must hold the same settlements, raise the
-same first error, and give the same roles. `pick_backbone_root_reference` is the scalar
-core x regional-node scan that the pipeline's short-listed root pick
-replaced, and `design_geojson_reference` the dict document and
+same first error, and give the same roles. `Settlement` and the object
+views of a set (`settlement_set`, `settlements_of`, `settlement_by_id`)
+live here, as no run builds them; `node_columns` turns settlements into
+the (ids, lat, lon) columns that a design takes.
+`pick_backbone_root_reference` is the scalar core x regional-node scan
+that the pipeline's short-listed root pick replaced, and `design_geojson_reference` the dict document and
 `json.dumps` that the text-built design GeoJSON replaced; the root pick and
 the written bytes must equal theirs.
 """
@@ -44,6 +47,7 @@ import json
 import logging
 import math
 import random
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -62,7 +66,6 @@ from fiberplan.geodata import (
     NegativePopulation,
     ParseError,
     RoadGraph,
-    Settlement,
     SettlementSet,
     _open_input,
     _position,
@@ -850,6 +853,50 @@ def within_buffer_reference(point: GeoPoint, lines: FiberLineSet, radius_km: flo
     return False
 
 
+@dataclass(frozen=True)
+class Settlement:
+    """One settlement as an object: the row form that `SettlementSet`'s
+    columns replaced, which the reference loader and classify read."""
+
+    id: str
+    location: GeoPoint
+    population: int
+    region_id: str
+    subregion_id: str
+
+
+def settlement_set(settlements: Iterable[Settlement]) -> SettlementSet:
+    """The columnar set of the given settlements, in their order."""
+    rows = [
+        (s.id, s.location.lat, s.location.lon, s.population, s.region_id, s.subregion_id)
+        for s in settlements
+    ]
+    return SettlementSet(*(zip(*rows) if rows else [()] * len(SETTLEMENT_COLUMNS)))
+
+
+def settlements_of(ss: SettlementSet) -> list[Settlement]:
+    """Every settlement of a set, in row order, built from its columns."""
+    return [
+        Settlement(sid, ss.point(i), population, region_id, subregion_id)
+        for i, (sid, population, region_id, subregion_id) in enumerate(
+            zip(ss.ids, ss.population, ss.region_id, ss.subregion_id)
+        )
+    ]
+
+
+def settlement_by_id(ss: SettlementSet, settlement_id: str) -> Settlement:
+    """The settlement of a set with the given id, built from its columns."""
+    i = ss.row[settlement_id]
+    return Settlement(
+        settlement_id, ss.point(i), ss.population[i], ss.region_id[i], ss.subregion_id[i]
+    )
+
+
+def node_columns(nodes: Sequence[Settlement]) -> tuple[list[str], list[float], list[float]]:
+    """(ids, lat, lon) of the given settlements, the columns a design takes."""
+    return [s.id for s in nodes], [s.location.lat for s in nodes], [s.location.lon for s in nodes]
+
+
 def load_settlements_reference(path: str, fmt: str = "csv") -> list[Settlement]:
     """The settlements of a CSV table or GeoJSON point collection, one
     `Settlement` and `GeoPoint` per row, each row read in full and checked
@@ -1018,10 +1065,10 @@ def pick_backbone_root_reference(
     rnod_ids = sorted(classification.regional_nodes.values())
     core_ids = sorted(classification.core_adjacent)
     if core_ids and rnod_ids:
-        rnods = [settlements.by_id(sid) for sid in rnod_ids]
+        rnods = [settlement_by_id(settlements, sid) for sid in rnod_ids]
 
         def nearest_rnod_km(core_id: str) -> float:
-            core = settlements.by_id(core_id)
+            core = settlement_by_id(settlements, core_id)
             return min(haversine_km(core.location, r.location) for r in rnods)
 
         root = min(core_ids, key=lambda sid: (nearest_rnod_km(sid), sid))
@@ -1030,7 +1077,7 @@ def pick_backbone_root_reference(
         # nothing to connect; any core settlement can stand as the root
         return core_ids[0], False, []
     fallback = max(
-        rnod_ids, key=lambda sid: (settlements.by_id(sid).population, sid)
+        rnod_ids, key=lambda sid: (settlement_by_id(settlements, sid).population, sid)
     )
     warning = (
         f"no settlement within the core buffer; backbone rooted at regional node "

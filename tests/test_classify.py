@@ -7,10 +7,10 @@ import random
 import pytest
 
 from fiberplan.errors import ConfigError
-from fiberplan.geodata import FiberLineSet, GeoPoint, Settlement, SettlementSet
+from fiberplan.geodata import FiberLineSet, GeoPoint
 from fiberplan.netdesign.classify import classify_nodes
 
-from .oracles import classify_nodes_reference
+from .oracles import Settlement, classify_nodes_reference, settlement_set
 
 # Fiber running along the equator from lon 0 to lon 1.
 FIBER = FiberLineSet(lines=((GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)),))
@@ -21,7 +21,7 @@ def _s(sid, lat, lon, pop, region, sub):
 
 
 def _set(*settlements):
-    return SettlementSet.of(settlements)
+    return settlement_set(settlements)
 
 
 def _classify(settlements, fiber=FIBER, buffer_km=2.0, threshold=20_000):
@@ -168,7 +168,7 @@ def test_classify_equals_the_object_based_classify():
         fiber = None if i % 10 == 0 else FIBER
         kw = {"buffer_km": rng.choice((0.0, 0.5, 2.0)),
               "main_settlement_threshold": rng.choice((0, 20_000, 25_000))}
-        got = classify_nodes(SettlementSet.of(settlements), fiber, **kw)
+        got = classify_nodes(settlement_set(settlements), fiber, **kw)
         assert got == classify_nodes_reference(settlements, fiber, **kw)
         for region, anchor in got.region_anchor.items():
             top = max(s.population for s in settlements if s.region_id == region)

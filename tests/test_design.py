@@ -13,13 +13,20 @@ import tracemalloc
 
 import pytest
 
-from fiberplan.geodata import GeoPoint, Settlement, haversine_km
+from fiberplan.geodata import GeoPoint, haversine_km
 from fiberplan.netdesign import solvers
 from fiberplan.netdesign.design import design_network
 from fiberplan.netdesign.graphs import EmptyNodeSet, NetworkDesign, build_euclidean_graph
 from fiberplan.netdesign.solvers import prim_mst
 
-from .oracles import euclidean_graph_reference, kruskal_mst, prim_mst_reference, road_graph
+from .oracles import (
+    Settlement,
+    euclidean_graph_reference,
+    kruskal_mst,
+    node_columns,
+    prim_mst_reference,
+    road_graph,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
@@ -42,7 +49,7 @@ ROAD = road_graph(
 class TestMstDesign:
     def test_three_nodes(self):
         nodes = [_s("root", 0.0, 0.0), _s("a", 0.0, 0.3), _s("b", 0.0, 0.6)]
-        result = design_network("access", "mst", nodes, "root")
+        result = design_network("access", "mst", *node_columns(nodes), "root")
         assert result.design.algorithm == "MST"
         assert len(result.design.edges) == 2
         assert result.design.terminal_node_count == 3
@@ -53,27 +60,27 @@ class TestMstDesign:
     def test_root_not_counted_when_core(self):
         nodes = [_s("core", 0.0, 0.0), _s("a", 0.0, 0.3)]
         result = design_network(
-            "regional", "mst", nodes, "core", count_root_as_terminal=False
+            "regional", "mst", *node_columns(nodes), "core", count_root_as_terminal=False
         )
         assert result.design.terminal_node_count == 1
 
     def test_single_node_degenerates(self):
-        result = design_network("access", "mst", [_s("only", 0.0, 0.0)], "only")
+        result = design_network("access", "mst", *node_columns([_s("only", 0.0, 0.0)]), "only")
         assert result.design.edges == ()
         assert result.design.total_length_km == 0.0
         assert result.design.terminal_node_count == 1
 
     def test_errors(self):
         with pytest.raises(EmptyNodeSet):
-            design_network("access", "mst", [], "root")
+            design_network("access", "mst", [], [], [], "root")
         with pytest.raises(ValueError, match="root"):
-            design_network("access", "mst", [_s("a", 0, 0), _s("b", 1, 1)], "zzz")
+            design_network("access", "mst", *node_columns([_s("a", 0, 0), _s("b", 1, 1)]), "zzz")
         with pytest.raises(ValueError, match="level"):
-            design_network("backbone", "mst", [_s("a", 0, 0), _s("b", 1, 1)], "a")
+            design_network("backbone", "mst", *node_columns([_s("a", 0, 0), _s("b", 1, 1)]), "a")
         with pytest.raises(ValueError, match="algorithm"):
-            design_network("access", "spanner", [_s("a", 0, 0), _s("b", 1, 1)], "a")
+            design_network("access", "spanner", *node_columns([_s("a", 0, 0), _s("b", 1, 1)]), "a")
         with pytest.raises(ValueError, match="duplicate"):
-            design_network("access", "mst", [_s("a", 0, 0), _s("a", 1, 1)], "a")
+            design_network("access", "mst", *node_columns([_s("a", 0, 0), _s("a", 1, 1)]), "a")
 
 
 def _point_set(rng: random.Random, kind: str) -> list[Settlement]:
@@ -102,7 +109,7 @@ def test_mst_designs_equal_the_heap_prim_over_a_stored_complete_graph():
         kind = ("spread", "grid", "antimeridian", "polar")[i % 4]
         nodes = _point_set(rng, kind)
         root = rng.randrange(len(nodes))
-        graph = build_euclidean_graph(nodes)
+        graph = build_euclidean_graph(*node_columns(nodes))
         reference = euclidean_graph_reference(nodes)
         design = prim_mst(graph, root=root)
         assert design == prim_mst_reference(reference, root=root)
@@ -200,7 +207,7 @@ def test_mst_designs_in_many_blocks_and_passes_equal_the_heap_prim(monkeypatch, 
         kind = kinds[i % len(kinds)]
         nodes = _point_set(rng, kind) if kind in kinds[:4] else _tie_set(rng, kind)
         root = rng.randrange(len(nodes))
-        design = prim_mst(build_euclidean_graph(nodes), root=root)
+        design = prim_mst(build_euclidean_graph(*node_columns(nodes)), root=root)
         assert design == _mst_reference(nodes, root), kind
         zero_km += any(w == 0.0 for _, _, w in design.edges)
     assert zero_km >= 10
@@ -229,7 +236,7 @@ def test_a_chain_that_straddles_a_pass_boundary_is_decided_in_the_next_pass(
     monkeypatch.setattr(solvers, "_certified_order", recorded)
     lons = [0.0, 0.01, 10.0, 10.02, 20.0, 20.03, 30.0, 30.1, 30.2, 30.3, 30.4]
     nodes = [_s(f"s{i:02d}", 0.0, lon) for i, lon in enumerate(lons)]
-    graph = build_euclidean_graph(nodes)
+    graph = build_euclidean_graph(*node_columns(nodes))
     chain = [graph.weight(i, i + 1) for i in range(6, 10)]
     assert len(set(chain)) > 1 and max(chain) - min(chain) < 1e-9 * min(chain)
     for root in range(len(nodes)):
@@ -248,7 +255,7 @@ def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
         kind = ("spread", "grid", "antimeridian", "polar")[i % 4]
         nodes = _point_set(rng, kind)
         points = [s.location for s in nodes]
-        graph = build_euclidean_graph(nodes)
+        graph = build_euclidean_graph(*node_columns(nodes))
         ids = list(range(len(points)))
         rng.shuffle(ids)
         for u in range(len(points)):
@@ -264,7 +271,7 @@ def test_a_1000_node_mst_design_stores_no_complete_graph():
     nodes = [_s(f"s{i:04d}", rng.uniform(-5.0, 5.0), rng.uniform(30.0, 40.0)) for i in range(1000)]
     tracemalloc.start()
     try:
-        result = design_network("access", "mst", nodes, "s0000")
+        result = design_network("access", "mst", *node_columns(nodes), "s0000")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -280,7 +287,7 @@ def test_a_2000_node_mst_design_needs_no_more_memory_than_a_1000_node_one():
     nodes = [_s(f"s{i:04d}", rng.uniform(-5.0, 5.0), rng.uniform(30.0, 40.0)) for i in range(2000)]
     tracemalloc.start()
     try:
-        result = design_network("access", "mst", nodes, "s0000")
+        result = design_network("access", "mst", *node_columns(nodes), "s0000")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -289,8 +296,10 @@ def test_a_2000_node_mst_design_needs_no_more_memory_than_a_1000_node_one():
 
 
 def test_traced_benchmark_child_counts_the_golden_run_as_before(tmp_path):
-    # The traced benchmark wraps build_euclidean_graph and prim_mst at
-    # netdesign.design and reads edge_count, n and weight from each graph.
+    # The traced benchmark wraps build_euclidean_graph, attach_terminals_to_roads,
+    # prim_mst and pcst_gw at netdesign.design and counts what they return
+    # (and the edges of each PCST graph), so a call that bypasses a wrapper
+    # changes a count.
     proc = subprocess.run(
         [
             sys.executable,
@@ -307,8 +316,13 @@ def test_traced_benchmark_child_counts_the_golden_run_as_before(tmp_path):
     )
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record["errors"] == []
-    assert record["layers"]["netdesign.graphs.euclid_edges"] == 36
-    assert record["layers"]["netdesign.solvers.prim_mst_calls"] == 4
+    layers = record["layers"]
+    assert layers["netdesign.graphs.euclid_edges"] == 36
+    assert layers["netdesign.solvers.prim_mst_calls"] == 4
+    assert layers["netdesign.graphs.attach_calls"] == 4
+    assert layers["netdesign.graphs.attached_vertices"] == 129
+    assert layers["netdesign.solvers.pcst_gw_calls"] == 4
+    assert layers["netdesign.solvers.pcst_graph_edges"] == 125
 
 
 class TestPcstDesign:
@@ -325,7 +339,7 @@ class TestPcstDesign:
         result = design_network(
             "access",
             "pcst",
-            nodes,
+            *node_columns(nodes),
             "root",
             roads=ROAD,
             node_users=users,
@@ -344,14 +358,14 @@ class TestPcstDesign:
     def test_requires_roads(self):
         nodes = [_s("a", 0, 0), _s("b", 0, 0.5)]
         with pytest.raises(ValueError, match="road"):
-            design_network("access", "pcst", nodes, "a", node_users={"b": 5.0})
+            design_network("access", "pcst", *node_columns(nodes), "a", node_users={"b": 5.0})
 
     def test_warns_beyond_snap(self):
         nodes = [_s("root", 0.0, 0.0), _s("far", 0.5, 0.5, pop=10)]
         result = design_network(
             "access",
             "pcst",
-            nodes,
+            *node_columns(nodes),
             "root",
             roads=ROAD,
             node_users={"far": 1e6},
@@ -363,13 +377,13 @@ class TestPcstDesign:
     def test_root_counting_flag(self):
         nodes = [_s("core", 0.0, 0.0), _s("t", 0.0, 1.0)]
         counted = design_network(
-            "regional", "pcst", nodes, "core", roads=ROAD, node_users={"t": 1e4}
+            "regional", "pcst", *node_columns(nodes), "core", roads=ROAD, node_users={"t": 1e4}
         )
         assert counted.design.terminal_node_count == 2
         uncounted = design_network(
             "regional",
             "pcst",
-            nodes,
+            *node_columns(nodes),
             "core",
             roads=ROAD,
             node_users={"t": 1e4},
@@ -380,6 +394,25 @@ class TestPcstDesign:
     def test_determinism(self):
         nodes = [_s("root", 0.0, 0.0), _s("a", 0.0, 0.5), _s("b", 0.0, 1.0)]
         kw = dict(roads=ROAD, node_users={"a": 30.0, "b": 50.0})
-        r1 = design_network("access", "pcst", nodes, "root", **kw)
-        r2 = design_network("access", "pcst", nodes, "root", **kw)
+        r1 = design_network("access", "pcst", *node_columns(nodes), "root", **kw)
+        r2 = design_network("access", "pcst", *node_columns(nodes), "root", **kw)
         assert r1.design == r2.design
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"node_users": {"b": math.nan}}, "users of settlement 'b' .* got nan"),
+        ({"node_users": {"b": math.inf}}, "users of settlement 'b' .* got inf"),
+        ({"prize_scale": math.nan}, "prize_scale .* got nan"),
+        ({"snap_radius_km": math.nan}, "snap_radius_km .* got nan"),
+    ],
+    ids=["users-nan", "users-inf", "prize-scale-nan", "snap-radius-nan"],
+)
+def test_non_finite_numbers_raise_the_checks_of_negative_ones(kw, match):
+    # Each is a ValueError naming the value, as a negative one is; a nan
+    # prize must not pass as a prize overflow, nor a nan snap radius drop
+    # every beyond-snap warning.
+    nodes = [_s("a", 0.0, 0.0), _s("b", 0.0, 0.5)]
+    with pytest.raises(ValueError, match=match):
+        design_network("access", "pcst", *node_columns(nodes), "a", roads=ROAD, **kw)

@@ -49,6 +49,9 @@ from .oracles import (
     load_settlements_reference,
     nearest_vertex_reference,
     road_graph,
+    settlement_by_id,
+    settlement_set,
+    settlements_of,
     within_buffer_reference,
 )
 
@@ -310,7 +313,7 @@ def test_load_settlements_csv(tmp_path):
     path = _write(tmp_path, "s.csv", VALID_CSV)
     ss = load_settlements(path)
     assert len(ss) == 3
-    s1 = ss.by_id("s1")
+    s1 = settlement_by_id(ss, "s1")
     assert s1.location == GeoPoint(-1.2921, 36.8219)
     assert s1.population == 4397073
     assert s1.region_id == "R1"
@@ -371,7 +374,9 @@ def test_load_settlements_csv_reads_rows_as_dict_reader_does(tmp_path):
         "b,3.0,4.0,9,R1,S2,15\n"
     )
     ss = load_settlements(_write(tmp_path, "s.csv", text))
-    assert [(s.id, s.population, s.subregion_id) for s in ss] == [("a", 12, "S1"), ("b", 15, "S2")]
+    assert [(s.id, s.population, s.subregion_id) for s in settlements_of(ss)] == [
+        ("a", 12, "S1"), ("b", 15, "S2")
+    ]
 
 
 def test_load_settlements_csv_short_row_reads_none_past_its_end(tmp_path):
@@ -392,7 +397,7 @@ def write_settlements_csv(settlements: SettlementSet, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SETTLEMENT_COLUMNS)
-        for s in settlements:
+        for s in settlements_of(settlements):
             writer.writerow(
                 [s.id, repr(s.location.lat), repr(s.location.lon), s.population, s.region_id, s.subregion_id]
             )
@@ -425,7 +430,7 @@ def test_load_settlements_geojson(tmp_path):
     path = _write(tmp_path, "s.geojson", json.dumps(doc))
     ss = load_settlements(path, fmt="geojson")
     assert len(ss) == 1
-    assert ss.by_id("s1").location == GeoPoint(-1.2921, 36.8219)
+    assert settlement_by_id(ss, "s1").location == GeoPoint(-1.2921, 36.8219)
 
 
 @pytest.mark.parametrize("key", ["id", "region_id"])
@@ -467,7 +472,7 @@ def test_load_settlements_geojson_rejects_a_population_that_is_not_a_whole_numbe
 @pytest.mark.parametrize("population, want", [("12.0", 12), ("12", 12), ("-0.0", 0), ("0", 0)])
 def test_load_settlements_geojson_reads_an_integral_population(tmp_path, population, want):
     path = _write(tmp_path, "s.geojson", _point_doc_text(population))
-    got = load_settlements(path, fmt="geojson").by_id("s1").population
+    got = settlement_by_id(load_settlements(path, fmt="geojson"), "s1").population
     assert (got, type(got)) == (want, int)
 
 
@@ -516,9 +521,12 @@ def _load_outcome(load, path: str, fmt: str):
     """The settlements `load` reads, with their coordinates' bits and
     population types, or the type and message of the DataError it raises."""
     try:
+        loaded = load(path, fmt)
+        if isinstance(loaded, SettlementSet):
+            loaded = settlements_of(loaded)
         return [
             (s, s.location.lat.hex(), s.location.lon.hex(), type(s.population))
-            for s in load(path, fmt)
+            for s in loaded
         ]
     except DataError as exc:
         return type(exc), str(exc)
@@ -580,11 +588,14 @@ def test_settlement_set_holds_columns_and_builds_settlements_on_demand(tmp_path)
     assert ss.population == tuple(r[3] for r in rows)  # exact, past 2**63 too
     assert ss.region_id == tuple(r[4].strip() for r in rows)
     assert all(ss.row[sid] == i for i, sid in enumerate(ss.ids))
-    assert list(ss) == [ss.settlement(i) for i in range(len(ss))] == [ss.by_id(s) for s in ss.ids]
-    assert SettlementSet.of(ss).ids == ss.ids and list(SettlementSet.of(ss)) == list(ss)
-    assert len(SettlementSet.of([])) == 0
+    built = settlements_of(ss)
+    assert [s.location for s in built] == [ss.point(i) for i in range(len(ss))]
+    assert built == [settlement_by_id(ss, s) for s in ss.ids]
+    assert settlement_set(built).ids == ss.ids and settlements_of(settlement_set(built)) == built
+    assert len(settlement_set([])) == 0
+    columns = (ss.ids, ss.lat, ss.lon, ss.population, ss.region_id, ss.subregion_id)
     with pytest.raises(ValueError, match="duplicate"):
-        SettlementSet.of([ss.settlement(0), ss.settlement(0)])
+        SettlementSet(*([column[0]] * 2 for column in columns))
 
 
 def test_settlement_table_retains_only_its_columns(tmp_path):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fiberplan.geodata import GeoPoint, Settlement, haversine_km
+from fiberplan.geodata import GeoPoint, haversine_km
 from fiberplan.netdesign.graphs import (
     DuplicateCoordinate,
     EmptyNodeSet,
@@ -17,7 +17,7 @@ from fiberplan.netdesign.graphs import (
     build_euclidean_graph,
 )
 
-from .oracles import WeightedGraph, edge_list, road_graph
+from .oracles import Settlement, WeightedGraph, edge_list, node_columns, road_graph
 
 
 def _settlement(sid, lat, lon, pop=100, region="R1", sub="R1-01"):
@@ -72,22 +72,32 @@ class TestBuildEuclideanGraph:
             _settlement("b", 1.0, 0.0),
             _settlement("c", 0.0, 1.0),
         ]
-        g = build_euclidean_graph(nodes)
+        g = build_euclidean_graph(*node_columns(nodes))
         assert g.n == 3
         assert g.edge_count == 3
         assert g.weight(0, 1) == pytest.approx(
             haversine_km(nodes[0].location, nodes[1].location)
         )
         assert g.point(2) == nodes[2].location
+        # point(v) returns the given floats bit for bit.
+        lat, lon = [-0.0, 5e-324, 0.0, 1.0], [180.0, -180.0, -0.0, 5e-324]
+        g = build_euclidean_graph(["a", "b", "c", "d"], lat, lon)
+        assert [(g.point(v).lat.hex(), g.point(v).lon.hex()) for v in range(4)] == [
+            (x.hex(), y.hex()) for x, y in zip(lat, lon)
+        ]
 
     def test_duplicate_coordinate(self):
         nodes = [_settlement("a", 1.0, 2.0), _settlement("b", 1.0, 2.0)]
         with pytest.raises(DuplicateCoordinate, match="'a'.*'b'"):
-            build_euclidean_graph(nodes)
+            build_euclidean_graph(*node_columns(nodes))
+        # Coordinates equal as floats are one coordinate, -0.0 and 0.0 too.
+        message = r"settlements 'a' and 'b' share coordinate GeoPoint\(lat=-0.0, lon=1.0\)"
+        with pytest.raises(DuplicateCoordinate, match=message):
+            build_euclidean_graph(["a", "b"], [0.0, -0.0], [1.0, 1.0])
 
     def test_too_few_nodes(self):
         with pytest.raises(EmptyNodeSet):
-            build_euclidean_graph([_settlement("a", 0, 0)])
+            build_euclidean_graph(*node_columns([_settlement("a", 0, 0)]))
 
 
 class TestAttachTerminals:
@@ -103,7 +113,7 @@ class TestAttachTerminals:
 
     def test_coincident_settlement_merges(self):
         att = attach_terminals_to_roads(
-            [_settlement("a", 0.0, 0.5)], self._roads(), snap_radius_km=5.0
+            *node_columns([_settlement("a", 0.0, 0.5)]), self._roads(), snap_radius_km=5.0
         )
         assert att.terminal_vertex == {"a": 1}
         assert att.graph.n == 3  # no new vertex
@@ -113,7 +123,7 @@ class TestAttachTerminals:
     def test_nearby_settlement_gets_spur(self):
         # ~1 km north of the middle road vertex.
         s = _settlement("a", 0.00899320363724538, 0.5)
-        att = attach_terminals_to_roads([s], self._roads(), snap_radius_km=5.0)
+        att = attach_terminals_to_roads(*node_columns([s]), self._roads(), snap_radius_km=5.0)
         vid = att.terminal_vertex["a"]
         assert vid == 3  # appended after the 3 road vertices
         assert _weights(att.graph)[(1, vid)] == pytest.approx(1.0, abs=1e-6)
@@ -121,7 +131,7 @@ class TestAttachTerminals:
 
     def test_distant_settlement_flagged(self):
         s = _settlement("far", 0.5, 0.5)  # ~55 km north of the road
-        att = attach_terminals_to_roads([s], self._roads(), snap_radius_km=5.0)
+        att = attach_terminals_to_roads(*node_columns([s]), self._roads(), snap_radius_km=5.0)
         assert att.terminal_vertex["far"] == 3
         assert len(att.beyond_snap) == 1
         sid, dist = att.beyond_snap[0]
@@ -130,16 +140,16 @@ class TestAttachTerminals:
 
     def test_empty_nodes_rejected(self):
         with pytest.raises(EmptyNodeSet):
-            attach_terminals_to_roads([], self._roads(), snap_radius_km=5.0)
+            attach_terminals_to_roads([], [], [], self._roads(), snap_radius_km=5.0)
 
     def test_two_settlements_on_one_road_vertex_rejected(self):
         nodes = [_settlement("a", 0.0, 0.5), _settlement("b", 0.0, 0.5)]
         with pytest.raises(DuplicateCoordinate, match="'a' and 'b'"):
-            attach_terminals_to_roads(nodes, self._roads(), snap_radius_km=5.0)
+            attach_terminals_to_roads(*node_columns(nodes), self._roads(), snap_radius_km=5.0)
 
     def test_settlements_at_one_point_off_the_road_keep_separate_spurs(self):
         nodes = [_settlement("a", 0.1, 0.5), _settlement("b", 0.1, 0.5)]
-        att = attach_terminals_to_roads(nodes, self._roads(), snap_radius_km=50.0)
+        att = attach_terminals_to_roads(*node_columns(nodes), self._roads(), snap_radius_km=50.0)
         assert att.terminal_vertex == {"a": 3, "b": 4}
         weights = _weights(att.graph)
         assert weights[(1, 3)] == weights[(1, 4)] > 0.0
@@ -203,7 +213,7 @@ class TestRoadOverlay:
         roads = TestAttachTerminals()._roads()
         near = _settlement("near", 0.00899320363724538, 0.5)  # spur to vertex 1
         on_road = _settlement("on", 0.0, 1.0)  # merges onto vertex 2
-        att = attach_terminals_to_roads([near, on_road], roads, snap_radius_km=5.0)
+        att = attach_terminals_to_roads(*node_columns([near, on_road]), roads, snap_radius_km=5.0)
         g = att.graph
         assert g.roads is roads
         copy = WeightedGraph(roads.n)
@@ -221,9 +231,15 @@ class TestRoadOverlay:
         assert [g.point(v) for v in range(4)] == [*map(roads.point, range(3)), near.location]
         with pytest.raises(IndexError):
             g.point(4)
+        # A spur's point(v) returns the given floats bit for bit.
+        lat, lon = [-0.0, 5e-324, 0.5], [180.0, -180.0, -0.0]
+        g = attach_terminals_to_roads(["a", "b", "c"], lat, lon, roads, 2e4).graph
+        assert [(g.point(v).lat.hex(), g.point(v).lon.hex()) for v in range(3, 6)] == [
+            (x.hex(), y.hex()) for x, y in zip(lat, lon)
+        ]
 
     def test_road_graph_without_vertices_rejected(self):
         with pytest.raises(EmptyNodeSet):
             attach_terminals_to_roads(
-                [_settlement("a", 0.0, 0.0)], road_graph(vertices=(), edges=()), 5.0
+                *node_columns([_settlement("a", 0.0, 0.0)]), road_graph(vertices=(), edges=()), 5.0
             )

@@ -10,7 +10,7 @@ import pytest
 from fiberplan.config import load_scenario
 from fiberplan.demand import SubregionDemand
 from fiberplan.errors import ConfigError, DataError
-from fiberplan.geodata import GeoPoint, Settlement, SettlementSet, haversine_km
+from fiberplan.geodata import GeoPoint, haversine_km
 from fiberplan.netdesign.classify import ClassificationResult
 from fiberplan.pipeline import (
     _pick_backbone_root,
@@ -22,7 +22,13 @@ from fiberplan.pipeline import (
 )
 from fiberplan.report import KeyMismatch
 
-from .oracles import load_settlements_reference, pick_backbone_root_reference
+from .oracles import (
+    Settlement,
+    load_settlements_reference,
+    pick_backbone_root_reference,
+    settlement_by_id,
+    settlement_set,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DIR = os.path.join(DATA, "golden")
@@ -325,9 +331,7 @@ def test_demand_sums_populations_past_2_63_exactly(tmp_path):
 
 def test_region_decile_requires_a_demand_record():
     from fiberplan.pipeline import _region_decile
-    from fiberplan.geodata import GeoPoint, Settlement, SettlementSet
-
-    settlements = SettlementSet.of([Settlement("a", GeoPoint(0.0, 36.0), 1000, "R1", "S1")])
+    settlements = settlement_set([Settlement("a", GeoPoint(0.0, 36.0), 1000, "R1", "S1")])
     classification = ClassificationResult(
         core_adjacent=(),
         region_anchor={"R1": "a"},
@@ -380,7 +384,7 @@ def _root_pick_case(rng, kind):
         access_nodes={},
         regions_without_candidate=(),
     )
-    return classification, SettlementSet.of(settlements)
+    return classification, settlement_set(settlements)
 
 
 def test_backbone_root_equals_the_scalar_scan():
@@ -393,9 +397,12 @@ def test_backbone_root_equals_the_scalar_scan():
         picked = _pick_backbone_root(classification, settlements)
         assert picked == pick_backbone_root_reference(classification, settlements), kind
         seen[kind] += 1
-        rnods = [settlements.by_id(s).location for s in classification.regional_nodes.values()]
+        rnods = [
+            settlement_by_id(settlements, s).location
+            for s in classification.regional_nodes.values()
+        ]
         nearest = sorted(
-            min(haversine_km(settlements.by_id(sid).location, r) for r in rnods)
+            min(haversine_km(settlement_by_id(settlements, sid).location, r) for r in rnods)
             for sid in classification.core_adjacent
             if rnods
         )

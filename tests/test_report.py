@@ -10,7 +10,7 @@ import pytest
 from fiberplan.costmodel import CostBook, tco_quantities
 from fiberplan.errors import ConfigError, OutputError
 from fiberplan.config import load_scenario
-from fiberplan.geodata import GeoPoint, Settlement, haversine_km
+from fiberplan.geodata import GeoPoint, haversine_km
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign.design import design_network
 from fiberplan.pipeline import run_pipeline
@@ -410,12 +410,8 @@ def test_emit_mc_csv_shape(tmp_path):
 
 
 def _tiny_design():
-    nodes = [
-        Settlement("root", GeoPoint(0.0, 0.0), 5000, "R1", "R1S1"),
-        Settlement("east", GeoPoint(0.0, 0.3), 400, "R1", "R1S2"),
-        Settlement("north", GeoPoint(0.3, 0.0), 300, "R1", "R1S3"),
-    ]
-    return design_network("access", "mst", nodes, "root")
+    ids, lat, lon = ["root", "east", "north"], [0.0, 0.0, 0.3], [0.0, 0.3, 0.0]
+    return design_network("access", "mst", ids, lat, lon, "root")
 
 
 def test_emit_design_geojson_structure(tmp_path):
@@ -482,11 +478,9 @@ def test_design_geojson_equals_the_json_document_on_hand_made_designs(tmp_path):
     pcst = design_network(
         "regional",
         "pcst",
-        [
-            Settlement(escaped_ids[0], GeoPoint(0.0, 0.0), 10, "R1", "R1S1"),
-            Settlement(escaped_ids[1], GeoPoint(0.0, 1.0), 10, "R1", "R1S2"),
-            Settlement(escaped_ids[2], GeoPoint(0.045, 0.5), 10, "R1", "R1S3"),
-        ],
+        escaped_ids[:3],
+        [0.0, 0.0, 0.045],
+        [0.0, 1.0, 0.5],
         escaped_ids[0],
         roads=roads,
         node_users={escaped_ids[1]: 200.0, escaped_ids[2]: 1.0},
@@ -496,18 +490,12 @@ def test_design_geojson_equals_the_json_document_on_hand_made_designs(tmp_path):
     mst = design_network(
         "access",
         "mst",
-        [
-            Settlement(escaped_ids[3], GeoPoint(-1e-9, -4e-7), 10, "R2", "R2S1"),  # -0.0, -0.0
-            Settlement("east", GeoPoint(0.5, 180.0), 10, "R2", "R2S2"),
-            Settlement("west", GeoPoint(-0.5, -180.0), 10, "R2", "R2S3"),
-            Settlement("near-east", GeoPoint(10.0, 179.9999996), 10, "R2", "R2S4"),
-            Settlement("tiny-step", GeoPoint(10.0 + 1e-10, 179.9999996), 10, "R2", "R2S5"),
-        ],
+        [escaped_ids[3], "east", "west", "near-east", "tiny-step"],
+        [-1e-9, 0.5, -0.5, 10.0, 10.0 + 1e-10],  # the first point is written -0.0, -0.0
+        [-4e-7, 180.0, -180.0, 179.9999996, 179.9999996],
         escaped_ids[3],
     )
-    single = design_network(
-        "access", "mst", [Settlement("alone", GeoPoint(-3.25, 36.5), 10, "R3", "R3S1")], "alone"
-    )
+    single = design_network("access", "mst", ["alone"], [-3.25], [36.5], "alone")
     text = _emit_and_compare(tmp_path, [pcst], "pcst.geojson")
     assert '"connected":false' in text and '"role":"steiner"' in text
     assert all(json.dumps(sid) in text for sid in escaped_ids[:3])

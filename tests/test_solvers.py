@@ -349,8 +349,8 @@ class TestGwAgainstReference:
 
     def test_identical_designs_on_the_golden_road_graph(self):
         roads = load_road_graph(os.path.join(GOLDEN, "roads.geojson"))
-        settlements = list(load_settlements(os.path.join(GOLDEN, "settlements.csv")))
-        attachment = attach_terminals_to_roads(settlements, roads, snap_radius_km=5.0)
+        ss = load_settlements(os.path.join(GOLDEN, "settlements.csv"))
+        attachment = attach_terminals_to_roads(ss.ids, ss.lat, ss.lon, roads, snap_radius_km=5.0)
         # The overlay's incidence lists each vertex's edges in edge_arrays() order.
         g = attachment.graph
         at: list[list[int]] = [[] for _ in range(g.n)]
@@ -376,8 +376,8 @@ class TestGwAgainstReference:
         PrizedGraph accepts: every prize sum, dual and event time stays
         finite, and the heap loop takes the dense loop's events."""
         roads = load_road_graph(os.path.join(GOLDEN, "roads.geojson"))
-        settlements = list(load_settlements(os.path.join(GOLDEN, "settlements.csv")))
-        attachment = attach_terminals_to_roads(settlements, roads, snap_radius_km=5.0)
+        ss = load_settlements(os.path.join(GOLDEN, "settlements.csv"))
+        attachment = attach_terminals_to_roads(ss.ids, ss.lat, ss.lon, roads, snap_radius_km=5.0)
         root, *prized = sorted(attachment.terminal_vertex.values())
         bound = sys.float_info.max / 2 * (1 - 1e-9)
         rng = random.Random(307)

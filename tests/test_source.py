@@ -127,27 +127,65 @@ def _public_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     return [(name, line) for name, line in found if not name.startswith("_")]
 
 
-def test_every_public_name_in_src_has_a_reader():
-    """A public function, class or method that nothing in the package, the
-    README or the benchmark names is API kept only for tests: it belongs in
-    the tests, or nowhere."""
-    sources = sorted(PACKAGE.rglob("*.py"))
-    readers = [
-        (path, path.read_text(encoding="utf-8").splitlines())
-        for path in sources + [ROOT / "README.md"] + sorted((ROOT / "perfbench").glob("*.py"))
-    ]
-    unread = []
-    for path in sources:
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring nodes of a module and of its classes and
+    functions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def _readers() -> set[str]:
+    """The names read where a run or a reader of the package meets them:
+    the `Name`, `Attribute` and imported names of the code under `src/` and
+    `perfbench/`, the words of the string constants in `perfbench/` (the
+    span targets), docstrings left out, and the words of the README's code
+    spans and blocks. Comments, docstrings and prose read nothing."""
+    words = re.compile(r"\w+")
+    read: set[str] = set()
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for name, def_line in _public_definitions(tree):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(
-                word.search(line)
-                for reader, lines in readers
-                for lineno, line in enumerate(lines, start=1)
-                if (reader, lineno) != (path, def_line)
+        in_perfbench = path.parent.name == "perfbench"
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
+            elif (
+                in_perfbench
+                and isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
             ):
-                unread.append(f"{path.relative_to(PACKAGE)}:{def_line} {name}")
+                read.update(words.findall(node.value))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", readme, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    for code in blocks + spans:
+        read.update(words.findall(code))
+    return read
+
+
+def test_every_public_name_in_src_has_a_reader():
+    """A public function, class or method that no code in the package or
+    the benchmark, no benchmark span target and no README code span names
+    is API kept only for tests: it belongs in the tests, or nowhere."""
+    read = _readers()
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unread += [
+            f"{path.relative_to(PACKAGE)}:{def_line} {name}"
+            for name, def_line in _public_definitions(tree)
+            if name not in read
+        ]
     assert not unread, "public names nothing outside the tests reads: " + ", ".join(unread)
 
 
