@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Mapping, Sequence
@@ -387,9 +388,15 @@ def _check_values(
 
 def check_distributions(
     mc: McConfig, cost_book: CostBook, factor_book: EmissionFactorBook
-) -> None:
+) -> dict[str, tuple[float, float]]:
     """Raise a ConfigError unless every distribution names a tunable
-    parameter and can draw only values its book accepts."""
+    parameter and can draw only values its book accepts.
+
+    Returns each key's checked support, the interval [lo, hi] its draws
+    lie in (a fixed rule's value, or its book's own, at both ends); every
+    value inside it is one the book accepts.
+    """
+    support = {}
     for key in sorted(mc.distributions):
         dist = mc.distributions[key]
         if dist.kind != "fixed":
@@ -397,6 +404,37 @@ def check_distributions(
         else:  # a fixed rule without a value keeps the book's own
             ends = () if dist.value is None else (dist.value,)
         _check_values(key, ends, cost_book, factor_book)
+        if not ends:
+            book = cost_book if resolve_parameter_key(key) == "cost" else factor_book
+            ends = (float(getattr(book, key)),)
+        support[key] = (ends[0], ends[-1])
+    return support
+
+
+# One generator per thread, so that callers on two threads never share a
+# stream; each draw re-keys it.
+_streams = threading.local()
+
+
+def _stream(key: np.ndarray) -> np.random.Generator:
+    """This thread's generator at the start of the Philox stream `key`.
+
+    Philox is counter-based, so the key alone names the stream: the draws
+    equal those of `Generator(Philox(key=key))`, without the SeedSequence
+    that a new Philox builds from OS entropy first.
+    """
+    rng = getattr(_streams, "rng", None)
+    if rng is None:
+        rng = _streams.rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the buffer's length: nothing buffered
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def draw_parameters(
@@ -411,7 +449,7 @@ def draw_parameters(
     can be computed independently of the others. Parameters are sampled in
     sorted key order; fixed entries consume no randomness.
     """
-    rng = np.random.Generator(np.random.Philox(key=[mc.seed & _SEED_MASK, draw_index]))
+    rng = _stream(np.asarray([mc.seed & _SEED_MASK, draw_index]).astype(np.uint64))
     out: dict[str, float] = {}
     for key in sorted(mc.distributions):
         dist = mc.distributions[key]
@@ -422,6 +460,37 @@ def draw_parameters(
             out[key] = float(rng.uniform(dist.lo, dist.hi))
         else:
             out[key] = float(rng.triangular(dist.lo, dist.mode, dist.hi))
+    return out
+
+
+_PERCENTILES = np.array([5.0, 50.0, 95.0])
+
+
+def _percentiles(samples: np.ndarray) -> np.ndarray:
+    """`np.percentile(column, [5, 50, 95])` of every column along axis 0,
+    shape (3,) + samples.shape[1:], with numpy's own arithmetic.
+
+    That is numpy's default linear method (Hyndman & Fan's type 7): the
+    value at virtual index (n - 1) * q / 100 of the ordered column,
+    interpolated as numpy's `_lerp` does. The columns are ordered by one
+    `np.partition` at the indices numpy partitions at, so that equal
+    values that differ in sign (-0.0 and 0.0) land where numpy's own
+    selection puts them; a full sort may order those two either way.
+    """
+    n = len(samples)
+    virtual = (n - 1) * (_PERCENTILES / 100)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above = virtual >= n - 1  # both neighbours are then the largest value
+    prev[above] = nxt[above] = -1
+    gamma = (virtual - prev).reshape((-1,) + (1,) * (samples.ndim - 1))
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    kth = sorted({0, -1, *prev.tolist(), *nxt.tolist()})
+    ordered = np.partition(samples, kth, axis=0)
+    a, b = ordered[prev], ordered[nxt]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
     return out
 
 
@@ -451,7 +520,7 @@ def monte_carlo(
     `build_report` uses, so each draw's figures are those `build_report`
     gives at that draw's book values.
     """
-    check_distributions(mc, cost_book, factor_book)
+    support = check_distributions(mc, cost_book, factor_book)
     priced = _PricedUnits(units)
     if not priced.rows:
         return []
@@ -463,19 +532,23 @@ def monte_carlo(
         columns = {}
         for key in mc.distributions:
             column = np.array([values[key] for values in drawn], dtype=float)
-            _check_values(key, (float(column.min()), float(column.max())), cost_book, factor_book)
+            # Values inside the checked support are valid; ask the book
+            # about the others only.
+            lo, hi = support[key]
+            ends = (float(column.min()), float(column.max()))
+            _check_values(key, [v for v in ends if not lo <= v <= hi], cost_book, factor_book)
             columns[key] = column[:, None]
         book = SimpleNamespace(**{**base, **columns})
         samples[block.start : block.stop] = priced.price(book, len(block))
     log.info("monte carlo: %d draws over %d rows", mc.draws, len(priced.rows))
 
+    percentiles = _percentiles(samples).tolist()
     summaries: list[McSummaryRow] = []
     for j, metric in enumerate(MC_METRICS):
         for i, (decile, level, algorithm) in enumerate(priced.rows):
             if priced.defined[i][j]:
-                values = samples[:, i, j]
-                mean = float(np.mean(values))
-                p5, p50, p95 = (float(p) for p in np.percentile(values, [5.0, 50.0, 95.0]))
+                mean = float(np.mean(samples[:, i, j]))
+                p5, p50, p95 = (p[i][j] for p in percentiles)
             else:
                 mean = p5 = p50 = p95 = None
             summaries.append(
