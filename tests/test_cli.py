@@ -364,6 +364,27 @@ def test_module_entry_point_matches(tmp_path):
     assert "total users: 160" in proc.stdout
 
 
+def test_a_fresh_mc_run_never_imports_numpy_ma(tmp_path):
+    """Monte Carlo's percentiles are numpy's arithmetic, not np.percentile,
+    whose first call imports numpy.ma (tens of ms in a fresh process)."""
+    script = (
+        "import sys\n"
+        "from fiberplan import cli\n"
+        f"assert cli.main(['mc', '--config', {GOLDEN!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def _golden_variant(
     tmp_path, *, cost=None, emissions=None, distributions=None, inputs=None, **fields
 ) -> str:

@@ -219,6 +219,34 @@ def test_drawn_columns_are_checked_against_the_book(monkeypatch):
         monte_carlo(units, CostBook(), EmissionFactorBook(), mc)
 
 
+def test_drawn_columns_inside_the_checked_support_ask_no_book(monkeypatch):
+    """The support check asks the book about lo and hi once; a drawn value
+    inside [lo, hi] is valid without asking again."""
+    calls = []
+    for book in (CostBook, EmissionFactorBook):
+        def counting(self, original=book.replace, **overrides):
+            calls.append(overrides)
+            return original(self, **overrides)
+
+        monkeypatch.setattr(book, "replace", counting)
+    distributions = {
+        "c_olt": Distribution(kind="triangular", lo=1.0, mode=2.0, hi=4.0),
+        "trench_fraction": Distribution(kind="uniform", lo=0.25, hi=0.75),
+        "alpha": Distribution(kind="fixed", value=0.5),
+        "c_civil": Distribution(kind="fixed"),
+    }
+    mc = McConfig(draws=3 * _BLOCK_DRAWS, seed=1, distributions=distributions)
+    units = _random_units(random.Random(0), big_group=False)
+    monte_carlo(units, CostBook(), EmissionFactorBook(), mc)
+    assert calls == [
+        {"alpha": 0.5},
+        {"c_olt": 1.0},
+        {"c_olt": 4.0},
+        {"trench_fraction": 0.25},
+        {"trench_fraction": 0.75},
+    ]
+
+
 @pytest.mark.parametrize(
     "key, dist",
     [

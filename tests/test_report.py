@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign.design import design_network
 from fiberplan.pipeline import run_pipeline
 from fiberplan.report import (
+    _percentiles,
     MC_COLUMNS,
     MC_METRICS,
     REPORT_COLUMNS,
@@ -316,6 +318,37 @@ def test_mc_percentiles_are_ordered_and_bracket_the_mean_support():
         if r.mean is None:
             continue
         assert r.p5 <= r.p50 <= r.p95
+
+
+def _percentile_columns(n: int, rng: random.Random) -> list[list[float]]:
+    """Columns of n values: spread, all tied, tied in runs, signed zeros
+    (alone and among ones) and magnitudes near 1e+300 and 1e-300."""
+    return [
+        [rng.uniform(-1.0, 1.0) for _ in range(n)],
+        [2.5] * n,
+        [float(rng.randint(0, 3)) for _ in range(n)],
+        [-0.0] * n,
+        [rng.choice((0.0, -0.0)) for _ in range(n)],
+        [rng.choice((0.0, -0.0, 1.0, -1.0)) for _ in range(n)],
+        [rng.uniform(-1.0, 1.0) * 1e300 for _ in range(n)],
+        [rng.uniform(1.0, 1.7) * 1e300 for _ in range(n)],
+        [rng.uniform(-1.0, 1.0) * 1e-300 for _ in range(n)],
+    ]
+
+
+def test_percentiles_equal_numpy_percentile_to_the_sign_of_zero():
+    rng = random.Random(19)
+    for n in [*range(1, 71), 99, 100, 101, 999, 1000, 1001]:
+        columns = np.array(_percentile_columns(n, rng)).T
+        # Strided columns of a 3-D array, as Monte Carlo's samples are.
+        samples = np.stack([columns, columns[::-1]], axis=-1)
+        got = _percentiles(samples)
+        for i in range(samples.shape[1]):
+            for j in range(samples.shape[2]):
+                want = np.percentile(samples[:, i, j], [5.0, 50.0, 95.0])
+                assert [repr(float(p)) for p in got[:, i, j]] == [
+                    repr(float(p)) for p in want
+                ], (n, i, j)
 
 
 def test_mc_rejects_unknown_parameter_before_sampling():
