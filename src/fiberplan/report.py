@@ -445,11 +445,12 @@ def draw_parameters(
 ) -> dict[str, float]:
     """Parameter values for one draw, keyed like the distributions.
 
-    Uses a counter-based generator keyed by (seed, draw index), so any draw
-    can be computed independently of the others. Parameters are sampled in
-    sorted key order; fixed entries consume no randomness.
+    Uses a counter-based generator keyed by the exact 64-bit pair (seed mod
+    2**64, draw index), so any draw can be computed independently of the
+    others. Parameters are sampled in sorted key order; fixed entries
+    consume no randomness.
     """
-    rng = _stream(np.asarray([mc.seed & _SEED_MASK, draw_index]).astype(np.uint64))
+    rng = _stream(np.array([mc.seed & _SEED_MASK, draw_index], dtype=np.uint64))
     out: dict[str, float] = {}
     for key in sorted(mc.distributions):
         dist = mc.distributions[key]

@@ -23,7 +23,10 @@ and `euclidean_graph_reference` the complete graph it ran on, with every
 edge stored; MST designs must match them edge for edge.
 `build_report_reference` and `monte_carlo_reference` are the unit-by-unit,
 draw-by-draw pricing that the report's vectorized kernel replaced; the
-kernel must match them field for field. `within_buffer_reference` is the
+kernel must match them field for field. `draw_parameters_reference` builds
+a fresh `Generator(Philox(key=(seed mod 2**64, draw index)))` for each
+draw, the stream that `draw_parameters` re-keys one generator per thread
+to; the two must draw the same values. `within_buffer_reference` is the
 per-segment scalar buffer test that `within_buffer_mask` replaced; the mask
 must match it point for point. `load_settlements_reference` is the loader
 that `load_settlements` replaced, one `Settlement` and `GeoPoint` per row,
@@ -95,7 +98,6 @@ from fiberplan.report import (
     McConfig,
     McSummaryRow,
     ReportUnit,
-    draw_parameters,
     resolve_parameter_key,
     scc,
 )
@@ -787,6 +789,30 @@ def _apply_overrides(
     )
 
 
+def draw_parameters_reference(
+    mc: McConfig,
+    draw_index: int,
+    cost_book: CostBook,
+    factor_book: EmissionFactorBook,
+) -> dict[str, float]:
+    """Parameter values for one draw, from a new generator whose Philox key
+    is the exact pair (seed mod 2**64, draw index), sampling in sorted key
+    order; fixed entries consume no randomness."""
+    key = np.array([mc.seed % 2**64, draw_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    out: dict[str, float] = {}
+    for name in sorted(mc.distributions):
+        dist = mc.distributions[name]
+        if dist.kind == "fixed":
+            book = cost_book if resolve_parameter_key(name) == "cost" else factor_book
+            out[name] = float(getattr(book, name)) if dist.value is None else dist.value
+        elif dist.kind == "uniform":
+            out[name] = float(rng.uniform(dist.lo, dist.hi))
+        else:
+            out[name] = float(rng.triangular(dist.lo, dist.mode, dist.hi))
+    return out
+
+
 def monte_carlo_reference(
     units: Sequence[ReportUnit],
     cost_book: CostBook,
@@ -810,7 +836,7 @@ def monte_carlo_reference(
         [getattr(r, metric) is not None for metric in MC_METRICS] for r in base_rows
     ]
     for d in range(mc.draws):
-        overrides = draw_parameters(mc, d, cost_book, factor_book)
+        overrides = draw_parameters_reference(mc, d, cost_book, factor_book)
         cb, fb = _apply_overrides(overrides, cost_book, factor_book)
         rows = build_report_reference(units, cb, fb)
         for i, row in enumerate(rows):

@@ -149,7 +149,10 @@ def test_kernel_matches_unit_by_unit_pricing_exactly():
 # by the scalar code before the kernel existed. The kernel and the scalar
 # functions share their arithmetic, so the identity test above cannot see a
 # change to it; this pins it. Changing _random_case changes the digest.
-PRICES_SHA256 = "a918984b994c8aa3d2ccc04a0baffae5c7fcfbbbf51e6e74f38dc2f7b32d854a"
+# Re-pinned once when the Philox key became the exact 64-bit seed: the 29
+# monte_carlo reprs that moved are exactly the cases whose seed is >= 2**63
+# and that vary a parameter; no build_report or per-unit repr moved.
+PRICES_SHA256 = "4dc6eb28efb8ce217742067dd58a343196844b02384b4a41d33170f610e322b2"
 
 
 def test_pricing_arithmetic_is_unchanged():

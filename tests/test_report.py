@@ -4,10 +4,14 @@ import json
 import math
 import os
 import random
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from fiberplan import report
 from fiberplan.costmodel import CostBook, tco_quantities
 from fiberplan.errors import ConfigError, OutputError
 from fiberplan.config import load_scenario
@@ -36,7 +40,7 @@ from fiberplan.report import (
     scc,
 )
 
-from .oracles import design_geojson_reference, road_graph
+from .oracles import design_geojson_reference, draw_parameters_reference, road_graph
 
 COST = CostBook()
 LCA = EmissionFactorBook()
@@ -226,6 +230,78 @@ def test_draws_match_counter_based_generator_directly():
         got = draw_parameters(mc, d, COST, LCA)
         assert got["c_olt"] == expect_olt
         assert got["cf_diesel_per_liter"] == expect_diesel
+
+
+# Every distribution kind, fixed both with and without a value.
+EVERY_KIND = {
+    "alpha": Distribution(kind="fixed", value=0.5),
+    "c_civil": Distribution(kind="fixed"),
+    "c_olt": Distribution(kind="uniform", lo=20_000.0, hi=36_000.0),
+    "cf_diesel_per_liter": Distribution(kind="triangular", lo=2.0, mode=2.68, hi=3.2),
+}
+STREAM_SEEDS = (0, 1, 2**63 - 1, 2**63, 2**64 - 1, -1, 2**64 + 5)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_draws_equal_a_fresh_generator_per_draw(seed):
+    mc = McConfig(draws=8, seed=seed, distributions=EVERY_KIND)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (5, 3, 5, 0, 7):  # out of order, and one draw twice
+            assert draw_parameters(mc, d, COST, LCA) == draw_parameters_reference(
+                mc, d, COST, LCA
+            ), d
+
+
+def test_two_threads_drawing_interleaved_keep_their_own_streams():
+    # Every tunable key varied, so that a draw spans many switch points.
+    varied = {
+        key: Distribution(kind="uniform", lo=0.0, hi=0.5)
+        if i % 2
+        else Distribution(kind="triangular", lo=0.0, mode=0.25, hi=0.5)
+        for i, key in enumerate(sorted(report._COST_FIELDS | report._LCA_FIELDS))
+    }
+    distributions = {**varied, **EVERY_KIND}
+    draws = [(seed, d) for seed in STREAM_SEEDS for d in range(40)]
+    results: dict[int, list] = {0: [], 1: []}
+    barrier = threading.Barrier(2, timeout=30)
+
+    def work(me: int) -> None:
+        barrier.wait()
+        for seed, d in draws if me == 0 else reversed(draws):
+            mc = McConfig(draws=8, seed=seed, distributions=distributions)
+            results[me].append(((seed, d), draw_parameters(mc, d, COST, LCA)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(me,)) for me in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for me in (0, 1):
+        assert len(results[me]) == len(draws)
+        for (seed, d), got in results[me]:
+            mc = McConfig(draws=8, seed=seed, distributions=distributions)
+            assert got == draw_parameters_reference(mc, d, COST, LCA), (me, seed, d)
+
+
+@pytest.mark.parametrize("a, b", [(2**63 + 1, 2**63 + 2), (-1, 0), (2**63, 0)])
+def test_seeds_at_or_above_2_63_name_their_own_streams(a, b):
+    """The key is the exact 64-bit seed: no float rounding merges two
+    seeds, and a negative seed is its value mod 2**64, with no warning."""
+    def c_olt(seed):
+        mc = _mc(seed=seed, c_olt=Distribution(kind="uniform", lo=20_000.0, hi=36_000.0))
+        return draw_parameters(mc, 0, COST, LCA)["c_olt"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert c_olt(a) != c_olt(b)
+        assert c_olt(-1) == c_olt(2**64 - 1)
 
 
 def test_fixed_entries_consume_no_randomness():
