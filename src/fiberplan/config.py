@@ -117,6 +117,8 @@ def load_scenario(
             if required:
                 raise ConfigError(f"inputs.{key} is required")
             return None
+        if not isinstance(value, str):
+            raise ConfigError(f"inputs.{key} must be a path string, got {value!r}")
         resolved = value if os.path.isabs(value) else os.path.join(base_dir, value)
         if not os.path.exists(resolved):
             raise ConfigError(f"inputs.{key} does not exist: {resolved}")
@@ -157,8 +159,10 @@ def load_scenario(
         check_distributions(mc, cost_book, factor_book)
 
     output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
+    if not isinstance(output_dir, str) or not output_dir or "\0" in output_dir:
+        raise ConfigError(
+            f"output_dir must be a non-empty string without NUL bytes, got {output_dir!r}"
+        )
     if not os.path.isabs(output_dir):
         output_dir = os.path.join(base_dir, output_dir)
 
@@ -201,7 +205,7 @@ def _parse_algorithms(value: Any) -> tuple[str, ...]:
         raise ConfigError(f"algorithms must be a non-empty list, got {value!r}")
     seen: list[str] = []
     for item in value:
-        if item not in ALGORITHMS:
+        if not isinstance(item, str) or item not in ALGORITHMS:
             raise ConfigError(
                 f"algorithms entries must be {' or '.join(ALGORITHMS)}, got {item!r}"
             )

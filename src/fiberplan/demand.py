@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import DataError
@@ -20,15 +20,6 @@ from .report import write_csv
 log = logging.getLogger(__name__)
 
 AREA_COLUMNS = ("subregion_id", "area_km2")
-
-DEMAND_COLUMNS = (
-    "subregion_id",
-    "area_km2",
-    "population",
-    "density_per_km2",
-    "decile",
-    "users_per_km2",
-)
 
 # Density floors (per km2) of deciles 1..9 for the band-based fallback used
 # when a scenario has too few subregions for an equal-count split; anything
@@ -70,6 +61,9 @@ class SubregionDemand:
     density_per_km2: float
     decile: int
     users_per_km2: float
+
+
+DEMAND_COLUMNS = tuple(f.name for f in fields(SubregionDemand))
 
 
 def population_density(population: int, area_km2: float) -> float:

@@ -89,13 +89,6 @@ def classify_nodes(
         anchor = region_anchor[region_id] = ids[row]
         if population[row] < main_settlement_threshold:
             flagged.append(region_id)
-            log.warning(
-                "region %s has no settlement at the regional threshold (%d); "
-                "anchoring at its largest settlement %s",
-                region_id,
-                main_settlement_threshold,
-                anchor,
-            )
         elif anchor in core:
             log.info("region %s anchors on the core at %s", region_id, anchor)
         else:

@@ -10,7 +10,6 @@ for is the design's `terminal_vertex` map.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -20,8 +19,6 @@ import numpy as np
 
 from ..errors import SolverError
 from ..geodata import EARTH_RADIUS_KM, GeoPoint, RoadGraph, haversine_km
-
-log = logging.getLogger(__name__)
 
 
 class DuplicateCoordinate(SolverError):
@@ -366,13 +363,6 @@ def attach_terminals_to_roads(
         terminal_vertex[sid] = vid
         if best_d > snap_radius_km:
             beyond.append((sid, best_d))
-            log.warning(
-                "settlement %s is %.2f km from the nearest road vertex "
-                "(snap radius %.2f km); attached by direct spur",
-                sid,
-                best_d,
-                snap_radius_km,
-            )
     return RoadAttachment(
         graph=g, terminal_vertex=terminal_vertex, beyond_snap=tuple(beyond)
     )

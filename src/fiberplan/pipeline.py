@@ -137,7 +137,6 @@ def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
             f"only {len(triples)} subregions: deciles assigned from density bands, "
             "not an equal-count split"
         )
-        log.warning(warnings[-1])
     users = {r.subregion_id: users_for_node(r) for r in records}
     return DemandStage(
         records=records,
@@ -223,12 +222,9 @@ def _pick_backbone_root(
         # nothing to connect; any core settlement can stand as the root
         return core_ids[0], False, []
     fallback = max(rnod_ids, key=lambda sid: (settlements.population[row[sid]], sid))
-    warning = (
-        f"no settlement within the core buffer; backbone rooted at regional node "
-        f"{fallback!r}"
-    )
-    log.warning(warning)
-    return fallback, True, [warning]
+    return fallback, True, [
+        f"no settlement within the core buffer; backbone rooted at regional node {fallback!r}"
+    ]
 
 
 def build_designs(
@@ -273,7 +269,6 @@ def build_designs(
         ))
     else:
         backbone_warnings = ["no regional nodes: the backbone level is empty"]
-        log.warning(backbone_warnings[0])
 
     access_ids_by_region: dict[str, list[str]] = {region: [] for region in region_users}
     for sid in sorted(classification.access_nodes.values()):

@@ -43,28 +43,6 @@ from .netdesign.design import DesignResult
 
 log = logging.getLogger(__name__)
 
-REPORT_COLUMNS = (
-    "decile",
-    "level",
-    "algorithm",
-    "users",
-    "total_length_km",
-    "tco_usd",
-    "annualized_tco_per_user_usd",
-    "monthly_tco_per_user_usd",
-    "total_kg_co2e",
-    "per_user_kg_co2e",
-    "annualized_per_user_kg_co2e",
-    "scc_usd",
-    "scc_per_user_usd",
-    "annualized_scc_per_user_usd",
-)
-
-MC_COLUMNS = ("metric", "decile", "level", "algorithm", "mean", "p5", "p50", "p95")
-
-# Row fields summarized by Monte Carlo, in report-column order.
-MC_METRICS = REPORT_COLUMNS[3:]
-
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -127,6 +105,12 @@ class DecileReportRow:
     scc_usd: float
     scc_per_user_usd: float | None
     annualized_scc_per_user_usd: float | None
+
+
+REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(DecileReportRow))
+
+# Row fields summarized by Monte Carlo, in report-column order.
+MC_METRICS = REPORT_COLUMNS[3:]
 
 
 def _scc(total_kg_co2e, carbon_price_usd_per_tonne):
@@ -505,6 +489,9 @@ class McSummaryRow:
     p5: float | None
     p50: float | None
     p95: float | None
+
+
+MC_COLUMNS = tuple(f.name for f in dataclasses.fields(McSummaryRow))
 
 
 def monte_carlo(

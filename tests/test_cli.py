@@ -322,10 +322,13 @@ algorithms: mst, pcst
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
-def test_golden_stdout_of_each_command(tmp_path, capsys, command):
+def test_golden_stdout_of_each_command(tmp_path, capsys, caplog, command):
+    caplog.set_level(logging.WARNING, logger="fiberplan")
     out = tmp_path / "out"
     assert main([command, "--config", GOLDEN, "--out", str(out)]) == 0
     assert capsys.readouterr().out.replace(str(out), "<out>") == GOLDEN_STDOUT[command]
+    # each warning is printed once, on stdout, and never logged as well
+    assert [r.getMessage() for r in caplog.records if r.name.startswith("fiberplan")] == []
 
 
 def test_validate_prints_the_demand_and_classification_warnings(tmp_path, capsys):
@@ -628,6 +631,13 @@ def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
     cfg = _golden_variant(tmp_path, inputs={"fiber": str(tmp_path)})
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
     _assert_config_error(capsys, out)
+
+
+@pytest.mark.parametrize("command", ["validate", "design", "report", "mc"])
+def test_output_dir_with_a_nul_byte_exits_2_before_any_stage(tmp_path, capsys, command):
+    cfg = _golden_variant(tmp_path, output_dir="a\u0000b")
+    assert main([command, "--config", cfg]) == 2
+    _assert_config_error(capsys, tmp_path / "a")
 
 
 def test_unexpected_exception_exits_1_with_one_json_line(tmp_path, capsys, caplog, monkeypatch):

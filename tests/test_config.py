@@ -1,13 +1,19 @@
 """Tests for scenario configuration loading and validation."""
 
+import contextlib
+import dataclasses
 import json
+import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fiberplan.config import ScenarioConfig, load_scenario, parameters_payload
-from fiberplan.costmodel import _per_node_cost
-from fiberplan.errors import ConfigError
+from fiberplan.costmodel import CostBook, _per_node_cost
+from fiberplan.errors import ConfigError, FiberPlanError
+from fiberplan.lca import EmissionFactorBook
 from fiberplan.report import config_hash
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -102,13 +108,25 @@ def test_unknown_input_key(tmp_path):
         load_scenario(path)
 
 
+# Every JSON value that is not a string or null, as json.load gives it back.
+NOT_PATHS = [0, 1, -1, 2.5, 1e308, math.nan, math.inf, 10**400, True, False, [], [[]], {},
+             {"a": 1}]
+
+
 def test_missing_required_input(tmp_path):
     path = _write_config(tmp_path)
     doc = json.loads(open(path).read())
+    valid_inputs = dict(doc["inputs"])
     del doc["inputs"]["areas"]
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(ConfigError, match="inputs.areas"):
         load_scenario(path)
+    # an input that is not a path string is a config error too, at every key
+    for key in ("settlements", "areas", "fiber", "roads"):
+        for value in NOT_PATHS:
+            inputs = {**valid_inputs, key: value}
+            with pytest.raises(ConfigError, match=f"inputs.{key} must be a path string"):
+                load_scenario(_write_config(tmp_path, inputs=inputs))
 
 
 def test_nonexistent_input_path(tmp_path):
@@ -156,6 +174,9 @@ def test_bad_adoption_rate(tmp_path, rate):
         ("algorithms", ["dijkstra"]),
         ("output_dir", ""),
         ("main_settlement_threshold", True),
+        ("algorithms", ["mst", ["x"]]),
+        ("algorithms", [{}]),
+        ("output_dir", "a\u0000b"),
     ],
 )
 def test_bad_scalar_settings(tmp_path, key, value):
@@ -237,6 +258,53 @@ def test_seed_without_mc_section_is_an_error(tmp_path):
 def test_bad_monte_carlo_sections(tmp_path, mc):
     with pytest.raises(ConfigError):
         load_scenario(_write_config(tmp_path, monte_carlo=mc))
+
+
+def _golden_doc() -> dict:
+    """The golden scenario, its input paths made absolute."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    base = os.path.dirname(GOLDEN)
+    doc["inputs"] = {key: os.path.join(base, name) for key, name in doc["inputs"].items()}
+    return doc
+
+
+GOLDEN_DOC = _golden_doc()
+# Each key path whose value the fuzz test replaces: every top-level key,
+# every input, every book entry, every monte_carlo key, and every field of
+# each golden distribution.
+FUZZ_PATHS = (
+    [(key,) for key in sorted({*GOLDEN_DOC, "settlements_format", "cost", "emissions"})]
+    + [("inputs", key) for key in sorted(GOLDEN_DOC["inputs"])]
+    + [("cost", f.name) for f in dataclasses.fields(CostBook)]
+    + [("emissions", f.name) for f in dataclasses.fields(EmissionFactorBook)]
+    + [("monte_carlo", key) for key in ("draws", "seed", "distributions")]
+    + [
+        ("monte_carlo", "distributions", name, field)
+        for name in sorted(GOLDEN_DOC["monte_carlo"]["distributions"])
+        for field in ("dist", "lo", "mode", "hi", "value")
+    ]
+)
+FUZZ_VALUES = [None, "", "x", "a\u0000b", *NOT_PATHS]
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # one file, rewritten
+)
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES))
+def test_any_one_scenario_value_loads_or_raises_a_fiberplan_error(tmp_path, path, value):
+    doc = _golden_doc()
+    section = doc
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.suppress(FiberPlanError):
+        load_scenario(str(config))
 
 
 def test_parameters_payload_excludes_paths_and_hashes_stably(tmp_path):
