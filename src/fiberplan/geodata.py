@@ -1,5 +1,7 @@
 """Geospatial inputs: settlements, existing fiber routes, road networks.
 
+A point is two floats, (lat, lon) in WGS84 degrees: separate arguments to
+the geometry functions, float64 columns or (lat, lon) pairs in containers.
 Distances are great-circle kilometres on a spherical Earth. Point-to-polyline
 proximity uses a local tangent-plane approximation, which is accurate to well
 under a metre at the few-kilometre scales the buffer predicate operates on.
@@ -55,14 +57,6 @@ class DegenerateGeometry(DataError):
     """A line feature has fewer than two distinct vertices or zero length."""
 
 
-@dataclass(frozen=True, order=True)
-class GeoPoint:
-    """A WGS84 coordinate pair in decimal degrees."""
-
-    lat: float
-    lon: float
-
-
 class SettlementSet:
     """Validated settlements held once as columns, one row per settlement in
     input order.
@@ -72,9 +66,8 @@ class SettlementSet:
     tuples of str, `lat` and `lon` as read-only float64 arrays holding the
     given floats bit for bit, and `population` as a tuple of exact Python
     ints (a population may exceed any fixed-width integer). `row` maps each
-    id to its row. `point(i)` builds a `GeoPoint` on demand, as
-    `RoadGraph.point(v)` does; the design layer takes ids and a fancy index
-    of `lat` and `lon`, so no per-settlement object is built in a run.
+    id to its row. The design layer takes ids and a fancy index of `lat`
+    and `lon`, so no per-settlement object is built in a run.
     """
 
     def __init__(self, ids: Sequence[str], lat: Sequence[float], lon: Sequence[float],
@@ -98,16 +91,12 @@ class SettlementSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def point(self, i: int) -> GeoPoint:
-        """The location of the settlement in row i."""
-        return GeoPoint(self.lat.item(i), self.lon.item(i))
-
 
 @dataclass(frozen=True)
 class FiberLineSet:
-    """Existing long-haul fiber routes as polylines."""
+    """Existing long-haul fiber routes as polylines of (lat, lon) pairs."""
 
-    lines: tuple[tuple[GeoPoint, ...], ...]
+    lines: tuple[tuple[tuple[float, float], ...], ...]
 
 
 class RoadGraph:
@@ -122,8 +111,8 @@ class RoadGraph:
     self-loops, out-of-range ids and weights that are not positive.
     Coordinates stay in degrees, so a coordinate difference rounds exactly
     as it does in `haversine_km`, and `point(v)` returns the given floats
-    bit for bit. Every array is read-only: one road graph is shared by
-    every design of a run.
+    bit for bit as a (lat, lon) pair. Every array is read-only: one road
+    graph is shared by every design of a run.
     """
 
     def __init__(self, lat: Sequence[float], lon: Sequence[float],
@@ -153,14 +142,14 @@ class RoadGraph:
             held.flags.writeable = False
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
 
-    def point(self, v: int) -> GeoPoint:
-        return GeoPoint(self.lat.item(v), self.lon.item(v))
+    def point(self, v: int) -> tuple[float, float]:
+        return self.lat.item(v), self.lon.item(v)
 
     @property
-    def vertices(self) -> tuple[GeoPoint, ...]:
-        """Every vertex's point in id order, built on each access (the
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        """Every vertex's (lat, lon) in id order, built on each access (the
         benchmark's traced run counts them); read one with `point(v)`."""
-        return tuple(map(GeoPoint, self.lat.tolist(), self.lon.tolist()))
+        return tuple(zip(self.lat.tolist(), self.lon.tolist()))
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -181,9 +170,9 @@ class RoadGraph:
             self._incidence = edge_incidence(self.n, *self._edges[:2])
         return self._incidence
 
-    def nearest_vertex(self, p: GeoPoint) -> tuple[int, float]:
-        """Nearest vertex to p and its `haversine_km` distance; ties go to
-        the lowest id.
+    def nearest_vertex(self, lat: float, lon: float) -> tuple[int, float]:
+        """Nearest vertex to p = (lat, lon) and its `haversine_km` distance;
+        ties go to the lowest id.
 
         A vertex is at least R * |dphi| from p (the haversine adds a
         non-negative longitude term to sin^2(dphi / 2)), so only a latitude
@@ -192,7 +181,7 @@ class RoadGraph:
         their best numpy distance d. The window is then widened to every
         vertex with R * |dphi| <= d * (1 + 1e-6), plus 1e-12 degrees: the
         relative margin covers the rounding of the distances, and the
-        absolute one the rounding of p.lat +- the reach and the latitude
+        absolute one the rounding of lat +- the reach and the latitude
         differences whose sine underflows. The window's vectorised pass
         short-lists the vertices within a 1e-9 relative margin of its
         minimum (numpy's sin and asin may differ from math's in the last
@@ -201,21 +190,21 @@ class RoadGraph:
         the result is bit-for-bit that of a full scan.
         """
         n = self.n
-        k = int(np.searchsorted(self._sorted_lat, p.lat))
+        k = int(np.searchsorted(self._sorted_lat, lat))
         half = max(16, math.isqrt(n))
         lo, hi = max(0, k - half), min(n, k + half)
         ids = self._by_lat[lo:hi]
-        d = haversine_km_array(p, self.lat[ids], self.lon[ids], self.cos_lat[ids])
+        d = haversine_km_array(lat, lon, self.lat[ids], self.lon[ids], self.cos_lat[ids])
         reach = math.degrees(float(d.min()) * (1.0 + 1e-6) / EARTH_RADIUS_KM) + 1e-12
-        wide_lo = int(np.searchsorted(self._sorted_lat, p.lat - reach, side="left"))
-        wide_hi = int(np.searchsorted(self._sorted_lat, p.lat + reach, side="right"))
+        wide_lo = int(np.searchsorted(self._sorted_lat, lat - reach, side="left"))
+        wide_hi = int(np.searchsorted(self._sorted_lat, lat + reach, side="right"))
         if wide_lo < lo or wide_hi > hi:
             ids = self._by_lat[wide_lo:wide_hi]
-            d = haversine_km_array(p, self.lat[ids], self.lon[ids], self.cos_lat[ids])
+            d = haversine_km_array(lat, lon, self.lat[ids], self.lon[ids], self.cos_lat[ids])
         limit = float(d.min()) * (1.0 + 1e-9)
         best_v, best_d = -1, math.inf
         for vid in np.sort(ids[d <= limit]).tolist():
-            dist = haversine_km(p, self.point(vid))
+            dist = haversine_km(lat, lon, *self.point(vid))
             if dist < best_d:
                 best_v, best_d = vid, dist
         return best_v, best_d
@@ -234,50 +223,52 @@ def edge_incidence(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np
     return ptr, ids
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
+def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance between two points in kilometres."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
 def haversine_km_array(
-    p: GeoPoint, lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray
+    plat: float, plon: float, lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray
 ) -> np.ndarray:
-    """`haversine_km(p, q)` for every point q = (lat[i], lon[i]) at once;
-    cos_lat is the cosine of their latitudes in radians.
+    """`haversine_km(plat, plon, lat[i], lon[i])` for every i at once;
+    cos_lat is the cosine of lat in radians.
 
     numpy's sin and arcsin may differ from math's in the last bits, so a
     caller that needs the exact float short-lists with a margin and
     confirms with `haversine_km`.
     """
-    dphi = np.radians(lat - p.lat)
-    dlam = np.radians(lon - p.lon)
-    cos_p = math.cos(math.radians(p.lat))
+    dphi = np.radians(lat - plat)
+    dlam = np.radians(lon - plon)
+    cos_p = math.cos(math.radians(plat))
     h = np.sin(dphi / 2.0) ** 2 + cos_p * cos_lat * np.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
 
 
-def _local_xy(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
-    """Project p onto a tangent plane centered at origin (km east, km north)."""
-    dlon = p.lon - origin.lon
+def _local_xy(olat: float, olon: float, plat: float, plon: float) -> tuple[float, float]:
+    """Project p onto a tangent plane centered at o (km east, km north)."""
+    dlon = plon - olon
     # Wrap so a segment crossing the antimeridian projects near the origin.
     if dlon > 180.0:
         dlon -= 360.0
     elif dlon < -180.0:
         dlon += 360.0
-    x = math.radians(dlon) * math.cos(math.radians(origin.lat)) * EARTH_RADIUS_KM
-    y = math.radians(p.lat - origin.lat) * EARTH_RADIUS_KM
+    x = math.radians(dlon) * math.cos(math.radians(olat)) * EARTH_RADIUS_KM
+    y = math.radians(plat - olat) * EARTH_RADIUS_KM
     return x, y
 
 
-def point_segment_km(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
-    """Distance from p to the segment a-b in kilometres."""
-    ax, ay = _local_xy(p, a)
-    bx, by = _local_xy(p, b)
+def point_segment_km(
+    plat: float, plon: float, alat: float, alon: float, blat: float, blon: float
+) -> float:
+    """Distance from p = (plat, plon) to the segment a-b in kilometres."""
+    ax, ay = _local_xy(plat, plon, alat, alon)
+    bx, by = _local_xy(plat, plon, blat, blon)
     dx, dy = bx - ax, by - ay
     seg_sq = dx * dx + dy * dy
     if seg_sq == 0.0:
@@ -288,18 +279,18 @@ def point_segment_km(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
     return math.hypot(ax + t * dx, ay + t * dy)
 
 
-def within_buffer(point: GeoPoint, lines: FiberLineSet, radius_km: float) -> bool:
-    """True when the point lies within radius_km of any polyline (the
+def within_buffer(lat: float, lon: float, lines: FiberLineSet, radius_km: float) -> bool:
+    """True when (lat, lon) lies within radius_km of any polyline (the
     one-point case of `within_buffer_mask`)."""
-    return bool(within_buffer_mask((point.lat,), (point.lon,), lines, radius_km)[0])
+    return bool(within_buffer_mask((lat,), (lon,), lines, radius_km)[0])
 
 
 def within_buffer_mask(
     lat: Sequence[float], lon: Sequence[float], lines: FiberLineSet, radius_km: float
 ) -> np.ndarray:
     """Whether each point p = (lat[i], lon[i]) lies within radius_km of any
-    polyline, as a bool array: p is inside when `point_segment_km(p, a, b)
-    <= radius_km` for some segment a-b.
+    polyline, as a bool array: p is inside when
+    `point_segment_km(*p, *a, *b) <= radius_km` for some segment a-b.
 
     Each segment is measured only against the points in its latitude band,
     the latitudes between its endpoints' widened by `_band_reach_deg`. A
@@ -336,16 +327,16 @@ def within_buffer_mask(
     sorted_lat = lat[by_lat]
     inside = np.zeros(len(lat), dtype=bool)
     for line in lines.lines:
-        for a, b in zip(line, line[1:]):
-            lo = int(np.searchsorted(sorted_lat, min(a.lat, b.lat) - reach, side="left"))
-            hi = int(np.searchsorted(sorted_lat, max(a.lat, b.lat) + reach, side="right"))
+        for (alat, alon), (blat, blon) in zip(line, line[1:]):
+            lo = int(np.searchsorted(sorted_lat, min(alat, blat) - reach, side="left"))
+            hi = int(np.searchsorted(sorted_lat, max(alat, blat) + reach, side="right"))
             ids = by_lat[lo:hi]
             ids = ids[~inside[ids]]
             if not len(ids):
                 continue
             band = (lat[ids], lon[ids], cos_lat[ids])
-            ax, ay = _local_xy_arrays(*band, a)
-            bx, by = _local_xy_arrays(*band, b)
+            ax, ay = _local_xy_arrays(*band, alat, alon)
+            bx, by = _local_xy_arrays(*band, blat, blon)
             dx, dy = bx - ax, by - ay
             seg_sq = dx * dx + dy * dy
             t = -(ax * dx + ay * dy) / np.where(seg_sq == 0.0, 1.0, seg_sq)
@@ -355,8 +346,8 @@ def within_buffer_mask(
             hit = d <= radius_km - margin
             inside[ids[hit]] = True
             for i in ids[(np.abs(d - radius_km) <= margin) & ~hit].tolist():
-                p = GeoPoint(lat.item(i), lon.item(i))
-                inside[i] = point_segment_km(p, a, b) <= radius_km
+                dist = point_segment_km(lat.item(i), lon.item(i), alat, alon, blat, blon)
+                inside[i] = dist <= radius_km
     return inside
 
 
@@ -367,14 +358,14 @@ def _band_reach_deg(radius_km: float) -> float:
 
 
 def _local_xy_arrays(
-    lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray, p: GeoPoint
+    lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray, plat: float, plon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_local_xy(origin, p)` for every origin (lat[i], lon[i]) at once;
+    """`_local_xy(lat[i], lon[i], plat, plon)` for every origin i at once;
     cos_lat is the cosine of the origins' latitudes."""
-    dlon = p.lon - lon
+    dlon = plon - lon
     dlon = np.where(dlon > 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
     x = np.radians(dlon) * cos_lat * EARTH_RADIUS_KM
-    y = np.radians(p.lat - lat) * EARTH_RADIUS_KM
+    y = np.radians(plat - lat) * EARTH_RADIUS_KM
     return x, y
 
 
@@ -563,8 +554,10 @@ def _iter_polylines(path: str) -> Iterator[tuple[str, object]]:
             raise ParseError(f"{where}: expected LineString/MultiLineString, got {gtype!r}")
 
 
-def _parse_polyline(where: str, coords: object) -> tuple[tuple[GeoPoint, ...], list[float]]:
-    """A polyline's points and the `haversine_km` length of each segment."""
+def _parse_polyline(
+    where: str, coords: object
+) -> tuple[tuple[tuple[float, float], ...], list[float]]:
+    """A polyline's (lat, lon) points and the `haversine_km` length of each segment."""
     if not isinstance(coords, list):
         raise ParseError(f"{where}: coordinates must be a list of positions, got {coords!r:.80}")
     if len(coords) < 2:
@@ -573,8 +566,8 @@ def _parse_polyline(where: str, coords: object) -> tuple[tuple[GeoPoint, ...], l
     for c in coords:
         lon, lat = _position(where, c)
         _check_coords(lat, lon, where)
-        points.append(GeoPoint(lat, lon))
-    lengths = [haversine_km(a, b) for a, b in zip(points, points[1:])]
+        points.append((lat, lon))
+    lengths = [haversine_km(*a, *b) for a, b in zip(points, points[1:])]
     if math.fsum(lengths) == 0.0:
         raise DegenerateGeometry(f"{where}: polyline has zero length")
     return tuple(points), lengths
@@ -607,9 +600,10 @@ def load_road_graph(path: str) -> RoadGraph:
             if a == b:
                 continue  # zero-length segment contributes nothing
             if length == 0.0:
-                raise DegenerateGeometry(f"{where}: segment from {a} to {b} has zero length")
-            u.append(vertex_ids.setdefault((a.lat, a.lon), len(vertex_ids)))
-            v.append(vertex_ids.setdefault((b.lat, b.lon), len(vertex_ids)))
+                segment = "segment from (lat=%r, lon=%r) to (lat=%r, lon=%r)" % (*a, *b)
+                raise DegenerateGeometry(f"{where}: {segment} has zero length")
+            u.append(vertex_ids.setdefault(a, len(vertex_ids)))
+            v.append(vertex_ids.setdefault(b, len(vertex_ids)))
             w.append(length)
     if not vertex_ids:  # each line that loads has two distinct positions
         raise EmptyCollection(f"{path}: no line features")

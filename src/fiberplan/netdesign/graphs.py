@@ -3,9 +3,9 @@
 The constructors take settlements as columns: ids plus parallel `lat` and
 `lon`, the form `SettlementSet` holds them in. Vertices are dense integer
 ids. The graphs a design is built on know each vertex's coordinate
-(`point(v)`, built on demand from the floats given), so designs can be
-rendered back into geographic outputs; which settlement a vertex stands
-for is the design's `terminal_vertex` map.
+(`point(v)`, the (lat, lon) floats given), so designs can be rendered back
+into geographic outputs; which settlement a vertex stands for is the
+design's `terminal_vertex` map.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import SolverError
-from ..geodata import EARTH_RADIUS_KM, GeoPoint, RoadGraph, haversine_km
+from ..geodata import EARTH_RADIUS_KM, RoadGraph, haversine_km
 
 
 class DuplicateCoordinate(SolverError):
@@ -39,12 +39,12 @@ class RootMissing(SolverError):
 
 class GreatCircleGraph:
     """Complete graph over located vertices that stores only their points:
-    weight(u, v) is computed on demand as haversine_km(p[min], p[max]).
+    weight(u, v) is computed on demand as haversine_km(*point(min), *point(max)).
 
     `GreatCircleGraph(lat, lon)` copies each point's lat and lon, and keeps
     cos(radians(lat)) by `math`, once as read-only float64 arrays, so the
     graph holds O(n) floats however many pairs it has, and `point(v)`
-    returns the given floats bit for bit. `weights` evaluates
+    returns the given (lat, lon) floats bit for bit. `weights` evaluates
     `haversine_km`'s expression on them with the lower id's point first;
     only the cosines are hoisted, and their product is commutative, so
     every weight is the float that `haversine_km` returns.
@@ -68,8 +68,8 @@ class GreatCircleGraph:
         for held in (self.lat, self.lon, self.cos_lat, self._row_start):
             held.flags.writeable = False
 
-    def point(self, v: int) -> GeoPoint:
-        return GeoPoint(self.lat.item(v), self.lon.item(v))
+    def point(self, v: int) -> tuple[float, float]:
+        return self.lat.item(v), self.lon.item(v)
 
     @property
     def edge_count(self) -> int:
@@ -78,7 +78,7 @@ class GreatCircleGraph:
     def weight(self, u: int, v: int) -> float:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise KeyError((u, v))
-        return haversine_km(self.point(min(u, v)), self.point(max(u, v)))
+        return haversine_km(*self.point(min(u, v)), *self.point(max(u, v)))
 
     def weights(self, us: Iterable[int], vs: Iterable[int]) -> list[float]:
         """Weight of each pair (us[i], vs[i]), us[i] != vs[i]."""
@@ -154,28 +154,28 @@ class RoadOverlay:
     """A shared road graph plus one design's spurs.
 
     Answers `n`, `edge_count`, `edge_arrays()`, `incidence()` and
-    `point(v)` for the road graph with the spurs added, but stores only what
-    the design adds:
-    vertices 0..R-1 are the road vertices, read from the road graph's arrays;
-    spur vertices follow in attachment order, each joined by one edge to
-    one road vertex.
+    `point(v)`, a (lat, lon) pair, for the road graph with the spurs added,
+    but stores only what the design adds: vertices 0..R-1 are the road
+    vertices, read from the road graph's arrays; spur vertices follow in
+    attachment order, each at the floats given to `add_spur` and joined by
+    one edge to one road vertex.
     """
 
     def __init__(self, roads: RoadGraph):
         self.roads = roads
         self._road_n = roads.n
-        # (point, road vertex, spur length), one per spur vertex
-        self._spurs: list[tuple[GeoPoint, int, float]] = []
+        # ((lat, lon), road vertex, spur length), one per spur vertex
+        self._spurs: list[tuple[tuple[float, float], int, float]] = []
 
     @property
     def n(self) -> int:
         return self._road_n + len(self._spurs)
 
-    def add_spur(self, point: GeoPoint, road_vertex: int, length: float) -> int:
-        self._spurs.append((point, road_vertex, length))
+    def add_spur(self, lat: float, lon: float, road_vertex: int, length: float) -> int:
+        self._spurs.append(((lat, lon), road_vertex, length))
         return self.n - 1
 
-    def point(self, v: int) -> GeoPoint:
+    def point(self, v: int) -> tuple[float, float]:
         if 0 <= v < self._road_n:
             return self.roads.point(v)
         if self._road_n <= v < self.n:
@@ -296,7 +296,8 @@ def build_euclidean_graph(
     for sid, key in zip(ids, zip(graph.lat.tolist(), graph.lon.tolist())):
         if key in seen:
             raise DuplicateCoordinate(
-                f"settlements {seen[key]!r} and {sid!r} share coordinate {GeoPoint(*key)}"
+                f"settlements {seen[key]!r} and {sid!r} share coordinate "
+                f"(lat={key[0]!r}, lon={key[1]!r})"
             )
         seen[key] = sid
     return graph
@@ -344,22 +345,22 @@ def attach_terminals_to_roads(
     terminal_vertex: dict[str, int] = {}
     merged: dict[int, str] = {}  # road vertex -> the settlement merged onto it
     beyond: list[tuple[str, float]] = []
-    points = map(GeoPoint, np.asarray(lat, dtype=np.float64).tolist(),
-                 np.asarray(lon, dtype=np.float64).tolist())
-    for sid, point in zip(ids, points):
+    lats = np.asarray(lat, dtype=np.float64).tolist()
+    lons = np.asarray(lon, dtype=np.float64).tolist()
+    for sid, s_lat, s_lon in zip(ids, lats, lons):
         if sid in terminal_vertex:
             raise ValueError(f"duplicate settlement id {sid!r}")
-        best_v, best_d = roads.nearest_vertex(point)
+        best_v, best_d = roads.nearest_vertex(s_lat, s_lon)
         if best_d == 0.0:
             if best_v in merged:
                 raise DuplicateCoordinate(
                     f"settlements {merged[best_v]!r} and {sid!r} are both at road vertex "
-                    f"{best_v} ({point})"
+                    f"{best_v} (lat={s_lat!r}, lon={s_lon!r})"
                 )
             merged[best_v] = sid
             terminal_vertex[sid] = best_v
             continue
-        vid = g.add_spur(point, best_v, best_d)
+        vid = g.add_spur(s_lat, s_lon, best_v, best_d)
         terminal_vertex[sid] = vid
         if best_d > snap_radius_km:
             beyond.append((sid, best_d))

@@ -208,13 +208,13 @@ def _pick_backbone_root(
         core_rows = [row[sid] for sid in core_ids]
         lat, lon = settlements.lat[core_rows], settlements.lon[core_rows]
         cos_lat = np.cos(np.radians(lat))
-        rnods = [settlements.point(row[sid]) for sid in rnod_ids]
+        rnods = [(settlements.lat.item(row[s]), settlements.lon.item(row[s])) for s in rnod_ids]
         nearest = np.full(len(core_ids), np.inf)
         for r in rnods:
-            np.minimum(nearest, haversine_km_array(r, lat, lon, cos_lat), out=nearest)
+            np.minimum(nearest, haversine_km_array(*r, lat, lon, cos_lat), out=nearest)
         limit = float(nearest.min()) * (1.0 + 1e-9) + 1e-12
         root = min(
-            (min(haversine_km(settlements.point(core_rows[i]), r) for r in rnods), core_ids[i])
+            (min(haversine_km(lat.item(i), lon.item(i), *r) for r in rnods), core_ids[i])
             for i in np.flatnonzero(nearest <= limit).tolist()
         )[1]
         return root, False, []

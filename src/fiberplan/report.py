@@ -45,6 +45,11 @@ log = logging.getLogger(__name__)
 
 _SEED_MASK = (1 << 64) - 1
 
+# The most Monte Carlo draws a scenario may ask for: `monte_carlo` holds every
+# draw's figures in one (draws, rows, len(MC_METRICS)) float64 array, so this
+# bounds that allocation. Ten times the largest run measured; not a setting.
+MAX_DRAWS = 1_000_000
+
 
 class KeyMismatch(DataError):
     """A design references a demand key that does not exist."""
@@ -321,9 +326,10 @@ class McConfig:
     distributions: Mapping[str, Distribution]
 
     def __post_init__(self) -> None:
-        if isinstance(self.draws, bool) or not isinstance(self.draws, int) or self.draws < 1:
+        if (isinstance(self.draws, bool) or not isinstance(self.draws, int)
+                or not 1 <= self.draws <= MAX_DRAWS):
             raise InvalidDistributionBounds(
-                f"monte_carlo.draws must be a positive integer, got {self.draws!r}"
+                f"monte_carlo.draws must be an integer in [1, {MAX_DRAWS}], got {self.draws!r}"
             )
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidDistributionBounds(f"monte_carlo.seed must be an integer, got {self.seed!r}")
@@ -607,13 +613,11 @@ def emit_csv(rows: Sequence[DecileReportRow], path: str, *, parameters_hash: str
     if not rows:
         raise ValueError("refusing to emit an empty report")
     write_csv(path, REPORT_COLUMNS, rows, parameters_hash=parameters_hash)
-    log.info("wrote %d report rows to %s", len(rows), path)
 
 
 def emit_mc_csv(rows: Sequence[McSummaryRow], path: str, *, parameters_hash: str) -> None:
     """Write Monte Carlo summaries as CSV with a parameters-hash header."""
     write_csv(path, MC_COLUMNS, rows, parameters_hash=parameters_hash)
-    log.info("wrote %d mc summary rows to %s", len(rows), path)
 
 
 def emit_design_geojson(
@@ -646,8 +650,8 @@ def emit_design_geojson(
         point_vertices = sorted(used_vertices | set(terminal_ids))
         coords = {}
         for vid in point_vertices:
-            point = graph.point(vid)
-            coords[vid] = f"[{round(point.lon, 6)!r},{round(point.lat, 6)!r}]"
+            lat, lon = graph.point(vid)
+            coords[vid] = f"[{round(lon, 6)!r},{round(lat, 6)!r}]"
         for u, v, w in design.edges:
             features.append(
                 f'{{"geometry":{{"coordinates":[{coords[u]},{coords[v]}],"type":"LineString"}},'
@@ -674,4 +678,3 @@ def emit_design_geojson(
         f'"parameters_hash":{json.dumps(parameters_hash)},"type":"FeatureCollection"}}\n'
     )
     _atomic_write_text(path, text)
-    log.info("wrote %d geojson features to %s", len(features), path)

@@ -15,8 +15,14 @@ event-driven `_grow_moats` replaced (by way of a frontier-only array loop);
 their forests and dual increments must be equal bit for bit.
 `nearest_vertex_reference` is the full scan that the latitude window of
 `RoadGraph.nearest_vertex` replaced; like every oracle here, it reads a
-road vertex through `point(v)`, which rebuilds one `GeoPoint` from the
-graph's arrays, never through the whole `vertices` tuple; `road_graph` builds a road graph from `GeoPoint`s and edge tuples.
+road vertex through `point(v)`, the (lat, lon) pair of the graph's arrays,
+never through the whole `vertices` tuple; `road_graph` builds a road graph
+from `GeoPoint`s and edge tuples. `GeoPoint` is a (lat, lon) named tuple,
+the point object that the package's geometry took before it took two
+floats; it lives here, as no run builds one. It equals the plain pair that
+`point(v)` returns, and `haversine_km(*a, *b)` measures two of them, so
+the oracles keep their object signatures and are the identity tests of
+the float API.
 `prim_mst_reference` is the heap Prim that the dense Prim and then the
 filter-Kruskal `prim_mst` replaced,
 and `euclidean_graph_reference` the complete graph it ran on, with every
@@ -33,8 +39,8 @@ that `load_settlements` replaced, one `Settlement` and `GeoPoint` per row,
 and `classify_nodes_reference` the classify that grouped those objects in
 dicts of lists; the columnar set must hold the same settlements, raise the
 same first error, and give the same roles. `Settlement` and the object
-views of a set (`settlement_set`, `settlements_of`, `settlement_by_id`)
-live here, as no run builds them; `node_columns` turns settlements into
+views of a set (`settlement_set`, `location`, `settlements_of`,
+`settlement_by_id`) live here, as no run builds them; `node_columns` turns settlements into
 the (ids, lat, lon) columns that a design takes.
 `pick_backbone_root_reference` is the scalar core x regional-node scan
 that the pipeline's short-listed root pick replaced, and `design_geojson_reference` the dict document and
@@ -51,7 +57,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,7 +70,6 @@ from fiberplan.geodata import (
     DuplicateId,
     EmptyCollection,
     FiberLineSet,
-    GeoPoint,
     MissingColumn,
     NegativePopulation,
     ParseError,
@@ -179,6 +184,13 @@ class WeightedGraph:
         """The `edge_incidence` of `edge_arrays()`."""
         u, v, _ = self.edge_arrays()
         return edge_incidence(self.n, u, v)
+
+
+class GeoPoint(NamedTuple):
+    """A WGS84 coordinate pair in decimal degrees."""
+
+    lat: float
+    lon: float
 
 
 def road_graph(
@@ -656,7 +668,7 @@ def euclidean_graph_reference(nodes: Sequence[Settlement]) -> WeightedGraph:
     g = WeightedGraph(len(nodes))
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
-            g.add_edge(i, j, haversine_km(a.location, nodes[j].location))
+            g.add_edge(i, j, haversine_km(*a.location, *nodes[j].location))
     return g
 
 
@@ -874,7 +886,7 @@ def within_buffer_reference(point: GeoPoint, lines: FiberLineSet, radius_km: flo
         raise ValueError(f"radius_km must be >= 0, got {radius_km}")
     for line in lines.lines:
         for a, b in zip(line, line[1:]):
-            if point_segment_km(point, a, b) <= radius_km:
+            if point_segment_km(*point, *a, *b) <= radius_km:
                 return True
     return False
 
@@ -900,10 +912,15 @@ def settlement_set(settlements: Iterable[Settlement]) -> SettlementSet:
     return SettlementSet(*(zip(*rows) if rows else [()] * len(SETTLEMENT_COLUMNS)))
 
 
+def location(ss: SettlementSet, i: int) -> GeoPoint:
+    """The location of the settlement in row i of a set."""
+    return GeoPoint(ss.lat.item(i), ss.lon.item(i))
+
+
 def settlements_of(ss: SettlementSet) -> list[Settlement]:
     """Every settlement of a set, in row order, built from its columns."""
     return [
-        Settlement(sid, ss.point(i), population, region_id, subregion_id)
+        Settlement(sid, location(ss, i), population, region_id, subregion_id)
         for i, (sid, population, region_id, subregion_id) in enumerate(
             zip(ss.ids, ss.population, ss.region_id, ss.subregion_id)
         )
@@ -914,7 +931,7 @@ def settlement_by_id(ss: SettlementSet, settlement_id: str) -> Settlement:
     """The settlement of a set with the given id, built from its columns."""
     i = ss.row[settlement_id]
     return Settlement(
-        settlement_id, ss.point(i), ss.population[i], ss.region_id[i], ss.subregion_id[i]
+        settlement_id, location(ss, i), ss.population[i], ss.region_id[i], ss.subregion_id[i]
     )
 
 
@@ -1073,7 +1090,7 @@ def nearest_vertex_reference(roads: RoadGraph, p: GeoPoint) -> tuple[int, float]
     limit = float(d.min()) * (1.0 + 1e-9)
     best_v, best_d = -1, math.inf
     for vid in np.flatnonzero(d <= limit).tolist():
-        dist = haversine_km(p, roads.point(vid))
+        dist = haversine_km(*p, *roads.point(vid))
         if dist < best_d:
             best_v, best_d = vid, dist
     return best_v, best_d
@@ -1095,7 +1112,7 @@ def pick_backbone_root_reference(
 
         def nearest_rnod_km(core_id: str) -> float:
             core = settlement_by_id(settlements, core_id)
-            return min(haversine_km(core.location, r.location) for r in rnods)
+            return min(haversine_km(*core.location, *r.location) for r in rnods)
 
         root = min(core_ids, key=lambda sid: (nearest_rnod_km(sid), sid))
         return root, False, []
@@ -1125,7 +1142,7 @@ def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: s
         used_vertices: set[int] = set()
         for u, v, w in design.edges:
             used_vertices.update((u, v))
-            pu, pv = graph.point(u), graph.point(v)
+            pu, pv = GeoPoint(*graph.point(u)), GeoPoint(*graph.point(v))
             features.append(
                 {
                     "type": "Feature",
@@ -1145,7 +1162,7 @@ def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: s
             )
         point_vertices = sorted(used_vertices | set(terminal_ids))
         for vid in point_vertices:
-            point = graph.point(vid)
+            point = GeoPoint(*graph.point(vid))
             sid = terminal_ids.get(vid)
             if sid == result.root_id:
                 role = "root"

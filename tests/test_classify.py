@@ -7,10 +7,10 @@ import random
 import pytest
 
 from fiberplan.errors import ConfigError
-from fiberplan.geodata import FiberLineSet, GeoPoint
+from fiberplan.geodata import FiberLineSet
 from fiberplan.netdesign.classify import classify_nodes
 
-from .oracles import Settlement, classify_nodes_reference, settlement_set
+from .oracles import GeoPoint, Settlement, classify_nodes_reference, settlement_set
 
 # Fiber running along the equator from lon 0 to lon 1.
 FIBER = FiberLineSet(lines=((GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)),))

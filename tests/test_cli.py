@@ -12,6 +12,7 @@ import time
 import pytest
 
 from fiberplan.cli import main
+from fiberplan.report import MAX_DRAWS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden", "scenario.json")
@@ -119,7 +120,9 @@ def test_pcst_with_two_settlements_on_one_road_vertex_exits_4(tmp_path, capsys):
     )
     assert main(["design", "--config", str(cfg)]) == 4
     error = _assert_error_after_run(capsys, out, 4, "DuplicateCoordinate")
-    assert "'a' and 'b'" in error["message"]
+    assert error["message"] == (
+        "settlements 'a' and 'b' are both at road vertex 1 (lat=0.1, lon=36.1)"
+    )
 
 
 @pytest.mark.parametrize("name", ["settlements", "areas", "fiber", "roads", "scenario"])
@@ -331,6 +334,27 @@ def test_golden_stdout_of_each_command(tmp_path, capsys, caplog, command):
     assert [r.getMessage() for r in caplog.records if r.name.startswith("fiberplan")] == []
 
 
+def test_stderr_names_no_file_that_stdout_reports_written(tmp_path):
+    """Each output file is stated once, by the `wrote <path>` lines on
+    stdout; the run's log on stderr does not repeat them."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiberplan.cli", "mc", "--config", GOLDEN,
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = [line[len("wrote "):] for line in proc.stdout.splitlines()
+               if line.startswith("wrote ")]
+    assert len(written) == 7
+    assert proc.stderr  # the run logs its progress
+    repeated = [line for line in proc.stderr.splitlines() if any(p in line for p in written)]
+    assert repeated == []
+
+
 def test_validate_prints_the_demand_and_classification_warnings(tmp_path, capsys):
     with open(TINY, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -540,6 +564,31 @@ def test_book_values_that_overflow_a_report_figure_exit_2(tmp_path, capsys, cost
     assert named in error["message"]
 
 
+@pytest.mark.parametrize("draws", [10**400, MAX_DRAWS + 1], ids=["10**400", "max-plus-one"])
+@pytest.mark.parametrize("source", ["scenario", "flag"])
+def test_mc_draws_past_the_bound_exit_2_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                         draws, source):
+    # The sample array is allocated after the pipeline runs, so a run that
+    # reaches no stage allocates nothing for the draws.
+    def boom(cfg):
+        raise RuntimeError("a stage ran")
+
+    monkeypatch.setattr("fiberplan.cli.run_pipeline", boom)
+    out = tmp_path / "out"
+    if source == "scenario":
+        with open(GOLDEN, encoding="utf-8") as fh:
+            mc = json.load(fh)["monte_carlo"]
+        argv = ["--config", _golden_variant(tmp_path, monte_carlo={**mc, "draws": draws})]
+    else:
+        argv = ["--config", GOLDEN, "--draws", str(draws)]
+    assert main(["mc", *argv, "--out", str(out)]) == 2
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    error = json.loads(line)
+    assert (error["error"], error["exit_code"]) == ("InvalidDistributionBounds", 2)
+    assert f"monte_carlo.draws must be an integer in [1, {MAX_DRAWS}]" in error["message"]
+    assert not out.exists()
+
+
 def test_mc_draws_that_overflow_a_report_figure_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     huge = {"dist": "fixed", "value": 1e308}
@@ -585,7 +634,10 @@ def test_road_segment_of_zero_km_exits_3(tmp_path, capsys, command):
     cfg = _golden_variant(tmp_path, inputs={"roads": str(roads)})
     assert main([*command, "--config", cfg, "--out", str(out)]) == 3
     error = _assert_error_after_run(capsys, out, 3, "DegenerateGeometry")
-    assert "feature[0]" in error["message"]
+    assert error["message"] == (
+        f"{roads}:feature[0]: segment from (lat=0.0, lon=0.0) to (lat=0.0, lon=1e-200) "
+        "has zero length"
+    )
 
 
 def test_a_backbone_warning_is_printed_once_for_both_algorithms(tmp_path, capsys):

@@ -14,7 +14,7 @@ from fiberplan.config import ScenarioConfig, load_scenario, parameters_payload
 from fiberplan.costmodel import CostBook, _per_node_cost
 from fiberplan.errors import ConfigError, FiberPlanError
 from fiberplan.lca import EmissionFactorBook
-from fiberplan.report import config_hash
+from fiberplan.report import MAX_DRAWS, config_hash
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden", "scenario.json")
@@ -68,6 +68,7 @@ def test_cli_overrides_win():
     assert cfg.algorithms == ("mst",)
     assert cfg.output_dir == "/tmp/elsewhere"
     assert cfg.mc.seed == 7 and cfg.mc.draws == 3
+    assert load_scenario(GOLDEN, draws=MAX_DRAWS).mc.draws == MAX_DRAWS  # the bound itself
 
 
 def test_algorithm_both_selects_both():
@@ -245,6 +246,7 @@ def test_seed_without_mc_section_is_an_error(tmp_path):
     [
         {"draws": 0},
         {"draws": "many"},
+        {"draws": MAX_DRAWS + 1},
         {"seed": 1.5},
         {"unknown": 1},
         {"distributions": {"bogus": {"dist": "uniform", "lo": 0, "hi": 1}}},

@@ -13,13 +13,14 @@ import tracemalloc
 
 import pytest
 
-from fiberplan.geodata import GeoPoint, haversine_km
+from fiberplan.geodata import haversine_km
 from fiberplan.netdesign import solvers
 from fiberplan.netdesign.design import design_network
 from fiberplan.netdesign.graphs import EmptyNodeSet, NetworkDesign, build_euclidean_graph
 from fiberplan.netdesign.solvers import prim_mst
 
 from .oracles import (
+    GeoPoint,
     Settlement,
     euclidean_graph_reference,
     kruskal_mst,
@@ -40,7 +41,7 @@ def _s(sid, lat, lon, pop=1000, region="R1", sub="R1-01"):
 ROAD = road_graph(
     vertices=tuple(GeoPoint(0.0, 0.25 * i) for i in range(5)),
     edges=tuple(
-        (i, i + 1, haversine_km(GeoPoint(0.0, 0.25 * i), GeoPoint(0.0, 0.25 * (i + 1))))
+        (i, i + 1, haversine_km(0.0, 0.25 * i, 0.0, 0.25 * (i + 1)))
         for i in range(4)
     ),
 )
@@ -158,7 +159,7 @@ def _mst_reference(nodes: list[Settlement], root: int) -> NetworkDesign:
     raw-edge Kruskal, whose order (w, min, max) picks the same tree."""
     points = [s.location for s in nodes]
     edges = [
-        (u, v, haversine_km(points[u], points[v]))
+        (u, v, haversine_km(*points[u], *points[v]))
         for u in range(len(points))
         for v in range(u + 1, len(points))
     ]
@@ -262,7 +263,7 @@ def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
             targets = [v for v in ids if v != u]
             row = graph.weights([u] * len(targets), targets)
             for v, w in zip(targets, row):
-                expected = haversine_km(points[min(u, v)], points[max(u, v)])
+                expected = haversine_km(*points[min(u, v)], *points[max(u, v)])
                 assert w == expected == graph.weight(u, v) == graph.weight(v, u), (kind, u, v)
 
 

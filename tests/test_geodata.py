@@ -29,7 +29,6 @@ from fiberplan.geodata import (
     DuplicateId,
     EmptyCollection,
     FiberLineSet,
-    GeoPoint,
     MissingColumn,
     NegativePopulation,
     ParseError,
@@ -46,6 +45,7 @@ from fiberplan.geodata import (
 )
 
 from .oracles import (
+    GeoPoint,
     load_settlements_reference,
     nearest_vertex_reference,
     road_graph,
@@ -68,14 +68,14 @@ KNOWN_DISTANCES = [
 
 @pytest.mark.parametrize("a,b,expected", KNOWN_DISTANCES)
 def test_haversine_known_values(a, b, expected):
-    got = haversine_km(GeoPoint(*a), GeoPoint(*b))
+    got = haversine_km(*a, *b)
     assert got == pytest.approx(expected, rel=1e-9)
 
 
 def test_haversine_zero_iff_same_point():
     p = GeoPoint(12.5, -7.25)
-    assert haversine_km(p, p) == 0.0
-    assert haversine_km(p, GeoPoint(12.5, -7.24)) > 0.0
+    assert haversine_km(*p, *p) == 0.0
+    assert haversine_km(*p, 12.5, -7.24) > 0.0
 
 
 finite_lat = st.floats(min_value=-89.0, max_value=89.0)
@@ -85,61 +85,62 @@ points = st.builds(GeoPoint, finite_lat, finite_lon)
 
 @given(points, points)
 def test_haversine_symmetric(a, b):
-    assert haversine_km(a, b) == pytest.approx(haversine_km(b, a), rel=1e-12, abs=1e-12)
+    assert haversine_km(*a, *b) == pytest.approx(haversine_km(*b, *a), rel=1e-12, abs=1e-12)
 
 
 @given(points, points, points)
 @settings(max_examples=200)
 def test_haversine_triangle_inequality(a, b, c):
-    direct = haversine_km(a, c)
-    via = haversine_km(a, b) + haversine_km(b, c)
+    direct = haversine_km(*a, *c)
+    via = haversine_km(*a, *b) + haversine_km(*b, *c)
     assert direct <= via * (1 + 1e-9) + 1e-9
 
 
 # --- point-to-segment / buffer --------------------------------------------
 
 EQUATOR_SEG = (GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.5))
+EQUATOR_ENDS = (*EQUATOR_SEG[0], *EQUATOR_SEG[1])
 
 
 def test_point_segment_perpendicular_offset():
     # 1 km due north of the segment midpoint (destination-point construction).
     p = GeoPoint(0.00899320363724538, 0.25)
-    assert point_segment_km(p, *EQUATOR_SEG) == pytest.approx(1.0, abs=1e-6)
+    assert point_segment_km(*p, *EQUATOR_ENDS) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_point_segment_beyond_endpoint_clamps():
     # 2 km due east of the (0, 0.5) endpoint: nearest point is the endpoint.
     p = GeoPoint(1.1013497867541619e-18, 0.5179864072744907)
-    assert point_segment_km(p, *EQUATOR_SEG) == pytest.approx(2.0, abs=1e-6)
+    assert point_segment_km(*p, *EQUATOR_ENDS) == pytest.approx(2.0, abs=1e-6)
     # 2 km northeast of the endpoint likewise clamps to the endpoint.
     q = GeoPoint(0.012718310448529476, 0.5127183107618675)
-    assert point_segment_km(q, *EQUATOR_SEG) == pytest.approx(2.0, abs=1e-4)
+    assert point_segment_km(*q, *EQUATOR_ENDS) == pytest.approx(2.0, abs=1e-4)
 
 
 def test_point_segment_on_vertex_is_zero():
-    assert point_segment_km(EQUATOR_SEG[0], *EQUATOR_SEG) == 0.0
+    assert point_segment_km(*EQUATOR_SEG[0], *EQUATOR_ENDS) == 0.0
 
 
 def test_point_segment_degenerate_segment():
     a = GeoPoint(0.0, 0.0)
     p = GeoPoint(0.00899320363724538, 0.0)
-    assert point_segment_km(p, a, a) == pytest.approx(1.0, abs=1e-6)
+    assert point_segment_km(*p, *a, *a) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_within_buffer_thresholds():
     lines = FiberLineSet(lines=(EQUATOR_SEG,))
     p1 = GeoPoint(0.00899320363724538, 0.25)  # 1 km off
     p3 = GeoPoint(0.026979610911736143, 0.25)  # 3 km off
-    assert within_buffer(p1, lines, 2.0)
-    assert not within_buffer(p3, lines, 2.0)
-    assert not within_buffer(p1, lines, 0.5)
-    assert within_buffer(EQUATOR_SEG[1], lines, 0.0)
+    assert within_buffer(*p1, lines, 2.0)
+    assert not within_buffer(*p3, lines, 2.0)
+    assert not within_buffer(*p1, lines, 0.5)
+    assert within_buffer(*EQUATOR_SEG[1], lines, 0.0)
 
 
 def test_within_buffer_negative_radius_rejected():
     lines = FiberLineSet(lines=(EQUATOR_SEG,))
     with pytest.raises(ValueError):
-        within_buffer(GeoPoint(0, 0), lines, -1.0)
+        within_buffer(0.0, 0.0, lines, -1.0)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
@@ -223,7 +224,7 @@ def test_within_buffer_mask_equals_the_per_segment_scalar_test():
         if kind != "boundary":
             continue
         for p in points:
-            edge = min(point_segment_km(p, a, b) for a, b in segments)
+            edge = min(point_segment_km(*p, *a, *b) for a, b in segments)
             for r in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)):
                 if r >= 0.0:
                     (hit,) = _assert_mask_is_reference([p], lines, r)
@@ -251,7 +252,7 @@ def test_within_buffer_mask_equals_the_per_segment_scalar_test():
                     seen["out-of-band"] += not lo <= lat <= hi
         inside = _assert_mask_is_reference(points, lines, radius)
         for p, hit in zip(points, inside):
-            edge = min(point_segment_km(p, a, b) for line in lines.lines
+            edge = min(point_segment_km(*p, *a, *b) for line in lines.lines
                        for a, b in zip(line, line[1:]))
             if abs(edge - radius) <= 1e-9 * (radius + 1.0):
                 seen["edge-in" if hit else "edge-out"] += 1
@@ -589,7 +590,7 @@ def test_settlement_set_holds_columns_and_builds_settlements_on_demand(tmp_path)
     assert ss.region_id == tuple(r[4].strip() for r in rows)
     assert all(ss.row[sid] == i for i, sid in enumerate(ss.ids))
     built = settlements_of(ss)
-    assert [s.location for s in built] == [ss.point(i) for i in range(len(ss))]
+    assert [s.location for s in built] == list(zip(ss.lat.tolist(), ss.lon.tolist()))
     assert built == [settlement_by_id(ss, s) for s in ss.ids]
     assert settlement_set(built).ids == ss.ids and settlements_of(settlement_set(built)) == built
     assert len(settlement_set([])) == 0
@@ -642,7 +643,8 @@ def test_load_fiber_lines(tmp_path):
     assert len(fl.lines) == 1
     assert len(fl.lines[0]) == 3
     line = fl.lines[0]
-    assert math.fsum(map(haversine_km, line, line[1:])) > 0
+    assert line == ((-1.0, 36.0), (-1.2, 36.5), (-1.1, 37.0))  # (lat, lon) pairs
+    assert math.fsum(haversine_km(*a, *b) for a, b in zip(line, line[1:])) > 0
 
 
 def test_load_fiber_lines_multilinestring(tmp_path):
@@ -688,7 +690,18 @@ def test_load_road_graph_shares_vertices(tmp_path):
     assert len(rg.edges) == 2
     for u, v, w in rg.edges:
         assert u < v
-        assert w == pytest.approx(haversine_km(rg.point(u), rg.point(v)))
+        assert w == pytest.approx(haversine_km(*rg.point(u), *rg.point(v)))
+
+
+def test_a_road_segment_whose_length_underflows_is_degenerate(tmp_path):
+    # The positions differ, but the haversine of 1e-320 degrees is 0.0 km.
+    doc = _line_doc([[0.0, 0.0], [1e-320, 0.0]])
+    with pytest.raises(DegenerateGeometry, match=r"feature\[0\]: polyline has zero length$"):
+        load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
+    doc = _line_doc([[0.0, 0.0], [1e-320, 0.0], [1.0, 0.0]])
+    message = r"feature\[0\]: segment from \(lat=0.0, lon=0.0\) to \(lat=0.0, lon=1e-320\) has"
+    with pytest.raises(DegenerateGeometry, match=message + " zero length$"):
+        load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
 
 
 def test_load_road_graph_dedupes_parallel_edges(tmp_path):
@@ -757,9 +770,9 @@ def test_road_graph_point_returns_the_loaders_floats_bit_for_bit():
     given = (GeoPoint(-0.0, 0.1 + 0.2), GeoPoint(5e-324, -0.0), GeoPoint(-89.99999999999999, 180.0))
     roads = road_graph(vertices=given, edges=((0, 1, 1.0), (1, 2, 1.0)))
     for v, p in enumerate(given):
-        got = roads.point(v)
-        assert (type(got.lat), type(got.lon)) == (float, float)
-        assert (got.lat.hex(), got.lon.hex()) == (p.lat.hex(), p.lon.hex())  # -0.0 stays -0.0
+        lat, lon = roads.point(v)
+        assert (type(lat), type(lon)) == (float, float)
+        assert (lat.hex(), lon.hex()) == (p.lat.hex(), p.lon.hex())  # -0.0 stays -0.0
     assert roads.n == 3
     assert roads.vertices == given
 
@@ -793,7 +806,7 @@ def test_load_road_graph_merges_signed_zeros_at_the_first_segment_endpoint(tmp_p
     # vertex 0 takes its coordinates from the second segment's start.
     doc = _line_doc([[-0.0, -0.0], [0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [-0.0, 0.0]])
     roads = load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
-    assert [(roads.point(v).lat.hex(), roads.point(v).lon.hex()) for v in range(roads.n)] == [
+    assert [tuple(x.hex() for x in roads.point(v)) for v in range(roads.n)] == [
         ("0x0.0p+0", "0x0.0p+0"), ("0x1.0000000000000p+0", "0x1.0000000000000p+0")
     ]
     assert [(u, v) for u, v, _ in roads.edges] == [(0, 1)]
@@ -802,8 +815,8 @@ def test_load_road_graph_merges_signed_zeros_at_the_first_segment_endpoint(tmp_p
 def test_load_road_graph_peaks_below_a_point_and_segment_list(tmp_path):
     """Loading a 200 x 200 road grid (40,000 vertices, 79,600 edges) from
     GeoJSON fills flat buffers: the traced peak is about 18.2 MiB, the
-    parsed document included. Holding a `GeoPoint` list, a `GeoPoint`-keyed
-    dict and a tuple per segment on the way peaked at about 24.6 MiB."""
+    parsed document included. Holding a point object list, a dict keyed by
+    them and a tuple per segment on the way peaked at about 24.6 MiB."""
     import json
 
     side = 200
@@ -835,7 +848,7 @@ def test_road_arrays_reject_bad_edges(edges):
 
 def test_nearest_vertex_equals_a_full_haversine_scan():
     roads = load_road_graph(GOLDEN_ROADS)
-    vertices = [roads.point(v) for v in range(roads.n)]
+    vertices = [GeoPoint(*roads.point(v)) for v in range(roads.n)]
     lats = [p.lat for p in vertices]
     lons = [p.lon for p in vertices]
     rng = random.Random(5)
@@ -843,8 +856,8 @@ def test_nearest_vertex_equals_a_full_haversine_scan():
               for _ in range(200)]
     points += vertices[:20]  # coincident: distance exactly 0
     for p in points:
-        want = min((haversine_km(p, q), v) for v, q in enumerate(vertices))
-        assert roads.nearest_vertex(p) == (want[1], want[0])
+        want = min((haversine_km(*p, *q), v) for v, q in enumerate(vertices))
+        assert roads.nearest_vertex(*p) == (want[1], want[0])
 
 
 def test_nearest_vertex_ties_go_to_the_lowest_id():
@@ -854,8 +867,8 @@ def test_nearest_vertex_ties_go_to_the_lowest_id():
         edges=((0, 1, 111.0), (1, 2, 55.6)),
     )
     p = GeoPoint(0.0, 0.25)
-    assert haversine_km(p, roads.point(1)) == haversine_km(p, roads.point(2))
-    assert roads.nearest_vertex(p) == (1, haversine_km(p, roads.point(1)))
+    assert haversine_km(*p, *roads.point(1)) == haversine_km(*p, *roads.point(2))
+    assert roads.nearest_vertex(*p) == (1, haversine_km(*p, *roads.point(1)))
 
 
 def _shuffled_grid(rng: random.Random, side: int, lat0: float, lon0: float, spacing: float,
@@ -877,7 +890,7 @@ def _shuffled_grid(rng: random.Random, side: int, lat0: float, lon0: float, spac
         for cell in ((r + 1, c), (r, c + 1)):
             if cell in where:
                 j = where[cell]
-                edges.append((i, j, haversine_km(vertices[i], vertices[j])))
+                edges.append((i, j, haversine_km(*vertices[i], *vertices[j])))
     return road_graph(vertices, edges)
 
 
@@ -908,9 +921,9 @@ def test_nearest_vertex_equals_the_full_scan_reference(side, lat0, jitter):
     points += [GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)) for _ in range(100)]
     points += [GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)]
     # coincident: distance exactly 0
-    points += [roads.point(v) for v in rng.sample(range(roads.n), 30)]
+    points += [GeoPoint(*roads.point(v)) for v in rng.sample(range(roads.n), 30)]
     for p in points:
-        assert roads.nearest_vertex(p) == nearest_vertex_reference(roads, p), p
+        assert roads.nearest_vertex(*p) == nearest_vertex_reference(roads, p), p
 
 
 def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
@@ -923,7 +936,7 @@ def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
         vertices = [GeoPoint(10.5 + offsets[k][0], 30.5 + offsets[k][1]) for k in order]
         roads = road_graph(vertices, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         north, south = order.index(0), order.index(1)
-        assert haversine_km(p, vertices[north]) == haversine_km(p, vertices[south])
-        want = (min(north, south), haversine_km(p, vertices[north]))
+        assert haversine_km(*p, *vertices[north]) == haversine_km(*p, *vertices[south])
+        want = (min(north, south), haversine_km(*p, *vertices[north]))
         assert nearest_vertex_reference(roads, p) == want
-        assert roads.nearest_vertex(p) == want
+        assert roads.nearest_vertex(*p) == want

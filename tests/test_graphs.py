@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fiberplan.geodata import GeoPoint, haversine_km
+from fiberplan.geodata import haversine_km
 from fiberplan.netdesign.graphs import (
     DuplicateCoordinate,
     EmptyNodeSet,
@@ -17,7 +17,7 @@ from fiberplan.netdesign.graphs import (
     build_euclidean_graph,
 )
 
-from .oracles import Settlement, WeightedGraph, edge_list, node_columns, road_graph
+from .oracles import GeoPoint, Settlement, WeightedGraph, edge_list, node_columns, road_graph
 
 
 def _settlement(sid, lat, lon, pop=100, region="R1", sub="R1-01"):
@@ -76,13 +76,13 @@ class TestBuildEuclideanGraph:
         assert g.n == 3
         assert g.edge_count == 3
         assert g.weight(0, 1) == pytest.approx(
-            haversine_km(nodes[0].location, nodes[1].location)
+            haversine_km(*nodes[0].location, *nodes[1].location)
         )
         assert g.point(2) == nodes[2].location
         # point(v) returns the given floats bit for bit.
         lat, lon = [-0.0, 5e-324, 0.0, 1.0], [180.0, -180.0, -0.0, 5e-324]
         g = build_euclidean_graph(["a", "b", "c", "d"], lat, lon)
-        assert [(g.point(v).lat.hex(), g.point(v).lon.hex()) for v in range(4)] == [
+        assert [tuple(x.hex() for x in g.point(v)) for v in range(4)] == [
             (x.hex(), y.hex()) for x, y in zip(lat, lon)
         ]
 
@@ -91,7 +91,7 @@ class TestBuildEuclideanGraph:
         with pytest.raises(DuplicateCoordinate, match="'a'.*'b'"):
             build_euclidean_graph(*node_columns(nodes))
         # Coordinates equal as floats are one coordinate, -0.0 and 0.0 too.
-        message = r"settlements 'a' and 'b' share coordinate GeoPoint\(lat=-0.0, lon=1.0\)"
+        message = r"settlements 'a' and 'b' share coordinate \(lat=-0.0, lon=1.0\)$"
         with pytest.raises(DuplicateCoordinate, match=message):
             build_euclidean_graph(["a", "b"], [0.0, -0.0], [1.0, 1.0])
 
@@ -106,8 +106,8 @@ class TestAttachTerminals:
         return road_graph(
             vertices=(GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.5), GeoPoint(0.0, 1.0)),
             edges=(
-                (0, 1, haversine_km(GeoPoint(0, 0), GeoPoint(0, 0.5))),
-                (1, 2, haversine_km(GeoPoint(0, 0.5), GeoPoint(0, 1.0))),
+                (0, 1, haversine_km(0.0, 0.0, 0.0, 0.5)),
+                (1, 2, haversine_km(0.0, 0.5, 0.0, 1.0)),
             ),
         )
 
@@ -119,6 +119,12 @@ class TestAttachTerminals:
         assert att.graph.n == 3  # no new vertex
         assert att.graph.point(1) == GeoPoint(0.0, 0.5)
         assert att.beyond_snap == ()
+
+    def test_two_settlements_on_one_road_vertex_are_rejected(self):
+        # -0.0 equals 0.0, so both merge onto vertex 1; the message gives the second's floats.
+        message = r"settlements 'a' and 'b' are both at road vertex 1 \(lat=-0.0, lon=0.5\)$"
+        with pytest.raises(DuplicateCoordinate, match=message):
+            attach_terminals_to_roads(["a", "b"], [0.0, -0.0], [0.5, 0.5], self._roads(), 5.0)
 
     def test_nearby_settlement_gets_spur(self):
         # ~1 km north of the middle road vertex.
@@ -220,7 +226,7 @@ class TestRoadOverlay:
         for u, v, w in roads.edges:
             copy.add_edge(u, v, w)
         spur = copy.add_vertex()
-        copy.add_edge(1, spur, haversine_km(near.location, roads.point(1)))
+        copy.add_edge(1, spur, haversine_km(*near.location, *roads.point(1)))
         assert g.n == copy.n == 4
         assert g.edge_count == copy.edge_count == 3
         assert [a.tolist() for a in g.edge_arrays()] == [a.tolist() for a in copy.edge_arrays()]
@@ -234,7 +240,7 @@ class TestRoadOverlay:
         # A spur's point(v) returns the given floats bit for bit.
         lat, lon = [-0.0, 5e-324, 0.5], [180.0, -180.0, -0.0]
         g = attach_terminals_to_roads(["a", "b", "c"], lat, lon, roads, 2e4).graph
-        assert [(g.point(v).lat.hex(), g.point(v).lon.hex()) for v in range(3, 6)] == [
+        assert [tuple(x.hex() for x in g.point(v)) for v in range(3, 6)] == [
             (x.hex(), y.hex()) for x, y in zip(lat, lon)
         ]
 

@@ -10,7 +10,7 @@ import pytest
 from fiberplan.config import load_scenario
 from fiberplan.demand import SubregionDemand
 from fiberplan.errors import ConfigError, DataError
-from fiberplan.geodata import GeoPoint, haversine_km
+from fiberplan.geodata import haversine_km
 from fiberplan.netdesign.classify import ClassificationResult
 from fiberplan.pipeline import (
     _pick_backbone_root,
@@ -23,6 +23,7 @@ from fiberplan.pipeline import (
 from fiberplan.report import KeyMismatch
 
 from .oracles import (
+    GeoPoint,
     Settlement,
     load_settlements_reference,
     pick_backbone_root_reference,
@@ -402,7 +403,7 @@ def test_backbone_root_equals_the_scalar_scan():
             for s in classification.regional_nodes.values()
         ]
         nearest = sorted(
-            min(haversine_km(settlement_by_id(settlements, sid).location, r) for r in rnods)
+            min(haversine_km(*settlement_by_id(settlements, sid).location, *r) for r in rnods)
             for sid in classification.core_adjacent
             if rnods
         )

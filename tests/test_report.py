@@ -15,7 +15,7 @@ from fiberplan import report
 from fiberplan.costmodel import CostBook, tco_quantities
 from fiberplan.errors import ConfigError, OutputError
 from fiberplan.config import load_scenario
-from fiberplan.geodata import GeoPoint, haversine_km
+from fiberplan.geodata import haversine_km
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign.design import design_network
 from fiberplan.pipeline import run_pipeline
@@ -40,7 +40,7 @@ from fiberplan.report import (
     scc,
 )
 
-from .oracles import design_geojson_reference, draw_parameters_reference, road_graph
+from .oracles import GeoPoint, design_geojson_reference, draw_parameters_reference, road_graph
 
 COST = CostBook()
 LCA = EmissionFactorBook()
@@ -581,7 +581,7 @@ def test_design_geojson_equals_the_json_document_on_hand_made_designs(tmp_path):
     road_points = [GeoPoint(0.0, 0.25 * i) for i in range(5)]
     roads = road_graph(
         road_points,
-        [(i, i + 1, haversine_km(road_points[i], road_points[i + 1])) for i in range(4)],
+        [(i, i + 1, haversine_km(*road_points[i], *road_points[i + 1])) for i in range(4)],
     )
     escaped_ids = ['q"uote', "back\\slash", "café", "tab\there"]
     pcst = design_network(

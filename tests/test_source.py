@@ -50,6 +50,23 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert not found, "imports outside the standard library and numpy: " + ", ".join(found)
 
 
+def test_no_module_names_a_point_class():
+    """A coordinate is two floats throughout the package: no module names
+    `GeoPoint`, as a class, a name, an attribute or an import."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                names = (node.name.rpartition(".")[2], node.asname)
+            else:
+                names = (getattr(node, "id", None), getattr(node, "attr", None),
+                         node.name if isinstance(node, ast.ClassDef) else None)
+            if "GeoPoint" in names:
+                found.append(f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', '?')}")
+    assert not found, "GeoPoint named in the package: " + ", ".join(found)
+
+
 def test_readme_library_use_block_runs(tmp_path, monkeypatch, capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]
