@@ -189,6 +189,7 @@ def load_area_table(path: str) -> dict[str, float]:
         out[sid] = area
     if not out:
         raise DataError(f"{path}: area table has no rows")
+    log.info("loaded %d subregion areas from %s", len(out), path)
     return out
 
 

@@ -112,7 +112,8 @@ class RoadGraph:
     Coordinates stay in degrees, so a coordinate difference rounds exactly
     as it does in `haversine_km`, and `point(v)` returns the given floats
     bit for bit as a (lat, lon) pair. Every array is read-only: one road
-    graph is shared by every design of a run.
+    graph is shared by every design of a run. A graph without edges is a
+    point set for `nearest_vertex`.
     """
 
     def __init__(self, lat: Sequence[float], lon: Sequence[float],

@@ -6,6 +6,8 @@ its regional anchor; it is the region's regional node unless it is already
 core-adjacent (in which case the region is anchored directly on the core).
 Each subregion's population-maximal settlement is its access node unless a
 higher role already claimed it. Every settlement holds at most one role.
+The country backbone joins the regional nodes to the core, rooted at the
+core-adjacent settlement nearest any of them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import compress
 from typing import Sequence
 
 from ..errors import ConfigError
-from ..geodata import FiberLineSet, SettlementSet, within_buffer_mask
+from ..geodata import FiberLineSet, RoadGraph, SettlementSet, within_buffer_mask
 
 # within_buffer is looked up here by name by the benchmark's traced run
 # (perfbench/spans.py), which counts per-settlement buffer tests.
@@ -40,6 +42,10 @@ class ClassificationResult:
     access_nodes: subregion id -> settlement id, only where the subregion
         maximum holds no other role.
     regions_without_candidate: regions with no settlement at the threshold.
+    backbone_root: the root of the backbone over the regional nodes: the
+        core-adjacent settlement nearest any regional node (existing plant),
+        ties to the lowest id; the most populous regional node when no
+        settlement is core-adjacent; None when there are no regional nodes.
     """
 
     core_adjacent: tuple[str, ...]
@@ -47,6 +53,7 @@ class ClassificationResult:
     regional_nodes: dict[str, str]
     access_nodes: dict[str, str]
     regions_without_candidate: tuple[str, ...]
+    backbone_root: str | None
 
 
 def classify_nodes(
@@ -108,13 +115,42 @@ def classify_nodes(
         len(regional_nodes),
         len(access_nodes),
     )
+    core_adjacent = tuple(sorted(core))
     return ClassificationResult(
-        core_adjacent=tuple(sorted(core)),
+        core_adjacent=core_adjacent,
         region_anchor=region_anchor,
         regional_nodes=regional_nodes,
         access_nodes=access_nodes,
         regions_without_candidate=tuple(flagged),
+        backbone_root=_backbone_root(settlements, core_adjacent, list(regional_nodes.values())),
     )
+
+
+def _backbone_root(
+    settlements: SettlementSet, core: Sequence[str], regional: Sequence[str]
+) -> str | None:
+    """The backbone's root (see `ClassificationResult`), given the
+    core-adjacent ids ascending and the regional node ids.
+
+    The core settlements, in id order, are the vertices of a `RoadGraph`
+    without edges, whose `nearest_vertex` gives each regional node's
+    nearest core with its `haversine_km` distance, ties to the lowest id.
+    The least (km, id) over the regional nodes is the pick of a full scan
+    over every core x regional pair (`haversine_km` is the same float with
+    its points swapped).
+    """
+    if not regional:
+        return None
+    row = settlements.row
+    if not core:
+        return max(regional, key=lambda sid: (settlements.population[row[sid]], sid))
+    rows = [row[sid] for sid in core]
+    cores = RoadGraph(settlements.lat[rows], settlements.lon[rows], (), (), ())
+    lat, lon = settlements.lat, settlements.lon
+    _, nearest = min(
+        cores.nearest_vertex(lat.item(row[sid]), lon.item(row[sid]))[::-1] for sid in regional
+    )
+    return core[nearest]
 
 
 def _group_tops(

@@ -10,13 +10,10 @@ per region and attributed whole.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import demand as demand_mod
 from .config import ScenarioConfig, parameters_payload
@@ -26,8 +23,6 @@ from .geodata import (
     FiberLineSet,
     RoadGraph,
     SettlementSet,
-    haversine_km,
-    haversine_km_array,
     load_fiber_lines,
     load_road_graph,
     load_settlements,
@@ -47,8 +42,6 @@ from .report import (
     emit_mc_csv,
     monte_carlo,
 )
-
-log = logging.getLogger(__name__)
 
 
 class UsersOverflow(DataError):
@@ -97,13 +90,6 @@ def load_inputs(cfg: ScenarioConfig) -> LoadedInputs:
             f"settled subregions missing from the area table: {', '.join(missing)}"
         )
     _check_subregion_regions(settlements)
-    log.info(
-        "loaded %d settlements, %d subregion areas, fiber=%s, roads=%s",
-        len(settlements),
-        len(areas),
-        "yes" if fiber else "no",
-        "yes" if roads else "no",
-    )
     return LoadedInputs(settlements=settlements, areas=areas, fiber=fiber, roads=roads)
 
 
@@ -183,66 +169,23 @@ def _region_decile(
     return record.decile
 
 
-def _pick_backbone_root(
-    classification: ClassificationResult, settlements: SettlementSet
-) -> tuple[str, bool, list[str]]:
-    """Root settlement for the country backbone.
-
-    Prefers the core-adjacent settlement nearest any regional node (existing
-    plant, not billed), by `haversine_km` with ties to the lowest id; falls
-    back to the most populous regional node when nothing touches the core.
-    Returns (root id, root is billable, warnings).
-
-    numpy distances from each regional node to every core settlement give
-    each core's nearest-node distance. The cores within a 1e-9 relative
-    and 1e-12 km absolute margin of the smallest are short-listed: numpy's
-    sin and arcsin, and the swapped argument order, move a distance by a
-    few ulps at most, far inside the margin. Only they are measured with
-    `haversine_km` against every regional node, so the pick is that of the
-    full scalar scan.
-    """
-    rnod_ids = sorted(classification.regional_nodes.values())
-    core_ids = classification.core_adjacent
-    row = settlements.row
-    if core_ids and rnod_ids:
-        core_rows = [row[sid] for sid in core_ids]
-        lat, lon = settlements.lat[core_rows], settlements.lon[core_rows]
-        cos_lat = np.cos(np.radians(lat))
-        rnods = [(settlements.lat.item(row[s]), settlements.lon.item(row[s])) for s in rnod_ids]
-        nearest = np.full(len(core_ids), np.inf)
-        for r in rnods:
-            np.minimum(nearest, haversine_km_array(*r, lat, lon, cos_lat), out=nearest)
-        limit = float(nearest.min()) * (1.0 + 1e-9) + 1e-12
-        root = min(
-            (min(haversine_km(lat.item(i), lon.item(i), *r) for r in rnods), core_ids[i])
-            for i in np.flatnonzero(nearest <= limit).tolist()
-        )[1]
-        return root, False, []
-    if core_ids:
-        # nothing to connect; any core settlement can stand as the root
-        return core_ids[0], False, []
-    fallback = max(rnod_ids, key=lambda sid: (settlements.population[row[sid]], sid))
-    return fallback, True, [
-        f"no settlement within the core buffer; backbone rooted at regional node {fallback!r}"
-    ]
-
-
 def build_designs(
     cfg: ScenarioConfig,
     inputs: LoadedInputs,
     stage: DemandStage,
     classification: ClassificationResult,
-) -> tuple[dict[tuple[str, str], list[DesignResult]], list[str]]:
+) -> dict[tuple[str, str], list[DesignResult]]:
     """Solve every selected algorithm at both network levels.
 
     The designs are one list of jobs, each (level, root id, (node ids
     ascending, their lat, their lon), users per prized node, root billable):
-    the backbone over the regional nodes first, when there are any, then
-    one access network per region in region order. A job's coordinates are
-    one fancy index into the settlement columns, taken once however many
-    algorithms are selected, and every selected algorithm solves every job.
-    The backbone's own warnings (its fallback root, or its absence) are
-    listed once per run, before those of the designs.
+    the backbone over the regional nodes first, from the classification's
+    root (billed only when nothing is core-adjacent), when there are any,
+    then one access network per region in region order. A job's coordinates
+    are one fancy index into the settlement columns, taken once however
+    many algorithms are selected, and every selected algorithm solves every
+    job. The designs of each selection are listed by level in `LEVELS`
+    order.
     """
     settlements = inputs.settlements
     row, region_of = settlements.row, settlements.region_id
@@ -255,20 +198,16 @@ def build_designs(
         rows = [row[sid] for sid in ids]
         return ids, settlements.lat[rows], settlements.lon[rows]
 
-    rnod_ids = sorted(classification.regional_nodes.values())
-    if rnod_ids:
-        root_id, root_billable, backbone_warnings = _pick_backbone_root(
-            classification, settlements
-        )
+    root_id = classification.backbone_root
+    if root_id is not None:
+        rnod_ids = sorted(classification.regional_nodes.values())
         jobs.append((
             "regional",
             root_id,
             columns(root_id, rnod_ids),
             {sid: region_users[region_of[row[sid]]] for sid in rnod_ids},
-            root_billable,
+            not classification.core_adjacent,
         ))
-    else:
-        backbone_warnings = ["no regional nodes: the backbone level is empty"]
 
     access_ids_by_region: dict[str, list[str]] = {region: [] for region in region_users}
     for sid in sorted(classification.access_nodes.values()):
@@ -288,12 +227,11 @@ def build_designs(
         ))
 
     designs: dict[tuple[str, str], list[DesignResult]] = {}
-    warnings = list(backbone_warnings)
     for selection in cfg.algorithms:
         for level in LEVELS:
             designs[(selection, level)] = []
         for level, root_id, nodes, node_users, root_billable in jobs:
-            result = design_network(
+            designs[(selection, level)].append(design_network(
                 level,
                 selection,
                 *nodes,
@@ -303,10 +241,8 @@ def build_designs(
                 snap_radius_km=cfg.snap_radius_km,
                 prize_scale=cfg.prize_scale,
                 count_root_as_terminal=root_billable,
-            )
-            warnings.extend(result.warnings)
-            designs[(selection, level)].append(result)
-    return designs, warnings
+            ))
+    return designs
 
 
 def build_units(
@@ -374,7 +310,8 @@ def load_and_classify(
     cfg: ScenarioConfig,
 ) -> tuple[LoadedInputs, DemandStage, ClassificationResult, list[str]]:
     """Execute load, demand, and classify: every stage before the designs.
-    Returns their results and the warnings they raised."""
+    Returns their results and the warnings they raised, the backbone's
+    (its absence, or its fallback root) last."""
     inputs = load_inputs(cfg)
     stage = build_demand(cfg, inputs)
     classification = classify_nodes(
@@ -387,14 +324,23 @@ def load_and_classify(
     if classification.regions_without_candidate:
         flagged = ", ".join(classification.regions_without_candidate)
         warnings.append(f"regions without a main-settlement candidate: {flagged}")
+    if classification.backbone_root is None:
+        warnings.append("no regional nodes: the backbone level is empty")
+    elif not classification.core_adjacent:
+        warnings.append(
+            "no settlement within the core buffer; backbone rooted at regional node "
+            f"{classification.backbone_root!r}"
+        )
     return inputs, stage, classification, warnings
 
 
 def run_pipeline(cfg: ScenarioConfig) -> PipelineResult:
     """Execute load, demand, classify, design, and pricing."""
     inputs, stage, classification, warnings = load_and_classify(cfg)
-    designs, design_warnings = build_designs(cfg, inputs, stage, classification)
-    warnings.extend(design_warnings)
+    designs = build_designs(cfg, inputs, stage, classification)
+    for results in designs.values():
+        for design in results:
+            warnings.extend(design.warnings)
     units = build_units(inputs, stage, classification, designs)
     rows = build_report(units, cfg.cost_book, cfg.factor_book)
     return PipelineResult(

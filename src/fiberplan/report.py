@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import logging
 import math
 import os
 import threading
@@ -40,8 +39,6 @@ from .errors import ConfigError, DataError, OutputError, is_finite_number
 from .lca import EmissionFactorBook, _operations, _per_user_views, _phases
 from .lca import emissions_quantities  # noqa: F401
 from .netdesign.design import DesignResult
-
-log = logging.getLogger(__name__)
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -534,7 +531,6 @@ def monte_carlo(
             columns[key] = column[:, None]
         book = SimpleNamespace(**{**base, **columns})
         samples[block.start : block.stop] = priced.price(book, len(block))
-    log.info("monte carlo: %d draws over %d rows", mc.draws, len(priced.rows))
 
     percentiles = _percentiles(samples).tolist()
     summaries: list[McSummaryRow] = []

@@ -43,7 +43,9 @@ views of a set (`settlement_set`, `location`, `settlements_of`,
 `settlement_by_id`) live here, as no run builds them; `node_columns` turns settlements into
 the (ids, lat, lon) columns that a design takes.
 `pick_backbone_root_reference` is the scalar core x regional-node scan
-that the pipeline's short-listed root pick replaced, and `design_geojson_reference` the dict document and
+that classify's root pick replaces by one `RoadGraph.nearest_vertex` per
+regional node over an edgeless graph of the core settlements, and
+`design_geojson_reference` the dict document and
 `json.dumps` that the text-built design GeoJSON replaced; the root pick and
 the written bytes must equal theirs.
 """
@@ -53,7 +55,6 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -106,8 +107,6 @@ from fiberplan.report import (
     resolve_parameter_key,
     scc,
 )
-
-log = logging.getLogger(__name__)
 
 EXACT_PCST_MAX_VERTICES = 16
 
@@ -1075,6 +1074,7 @@ def classify_nodes_reference(
         regional_nodes=regional_nodes,
         access_nodes=access_nodes,
         regions_without_candidate=tuple(flagged),
+        backbone_root=pick_backbone_root_reference(settlements, core, regional_nodes.values()),
     )
 
 
@@ -1097,37 +1097,25 @@ def nearest_vertex_reference(roads: RoadGraph, p: GeoPoint) -> tuple[int, float]
 
 
 def pick_backbone_root_reference(
-    classification: ClassificationResult, settlements: SettlementSet
-) -> tuple[str, bool, list[str]]:
-    """Root settlement for the country backbone.
+    settlements: Iterable[Settlement], core_adjacent: Iterable[str], regional: Iterable[str]
+) -> str | None:
+    """Root settlement for the country backbone: the core-adjacent
+    settlement nearest any regional node, by `haversine_km` from the core
+    settlement with ties to the lowest id; the most populous regional node
+    when nothing is core-adjacent; None without regional nodes."""
+    by_id = {s.id: s for s in settlements}
+    rnods = [by_id[sid] for sid in regional]
+    core_ids = sorted(core_adjacent)
+    if not rnods:
+        return None
+    if not core_ids:
+        return max(rnods, key=lambda s: (s.population, s.id)).id
 
-    Prefers the core-adjacent settlement nearest any regional node (existing
-    plant, not billed); falls back to the most populous regional node when
-    nothing touches the core. Returns (root id, root is billable, warnings).
-    """
-    rnod_ids = sorted(classification.regional_nodes.values())
-    core_ids = sorted(classification.core_adjacent)
-    if core_ids and rnod_ids:
-        rnods = [settlement_by_id(settlements, sid) for sid in rnod_ids]
+    def nearest_rnod_km(core_id: str) -> float:
+        core = by_id[core_id]
+        return min(haversine_km(*core.location, *r.location) for r in rnods)
 
-        def nearest_rnod_km(core_id: str) -> float:
-            core = settlement_by_id(settlements, core_id)
-            return min(haversine_km(*core.location, *r.location) for r in rnods)
-
-        root = min(core_ids, key=lambda sid: (nearest_rnod_km(sid), sid))
-        return root, False, []
-    if core_ids:
-        # nothing to connect; any core settlement can stand as the root
-        return core_ids[0], False, []
-    fallback = max(
-        rnod_ids, key=lambda sid: (settlement_by_id(settlements, sid).population, sid)
-    )
-    warning = (
-        f"no settlement within the core buffer; backbone rooted at regional node "
-        f"{fallback!r}"
-    )
-    log.warning(warning)
-    return fallback, True, [warning]
+    return min(core_ids, key=lambda sid: (nearest_rnod_km(sid), sid))
 
 
 def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: str) -> str:

@@ -336,7 +336,9 @@ def test_golden_stdout_of_each_command(tmp_path, capsys, caplog, command):
 
 def test_stderr_names_no_file_that_stdout_reports_written(tmp_path):
     """Each output file is stated once, by the `wrote <path>` lines on
-    stdout; the run's log on stderr does not repeat them."""
+    stdout; the run's log on stderr does not repeat them, nor the `monte
+    carlo:` line. Each input is stated once too, by its loader's `loaded`
+    line."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "fiberplan.cli", "mc", "--config", GOLDEN,
@@ -353,6 +355,17 @@ def test_stderr_names_no_file_that_stdout_reports_written(tmp_path):
     assert proc.stderr  # the run logs its progress
     repeated = [line for line in proc.stderr.splitlines() if any(p in line for p in written)]
     assert repeated == []
+    assert "monte carlo:" in proc.stdout
+    assert [line for line in proc.stderr.splitlines() if "monte carlo" in line] == []
+    with open(GOLDEN, encoding="utf-8") as fh:
+        base = os.path.dirname(os.path.abspath(GOLDEN))
+        inputs = [os.path.join(base, name) for name in json.load(fh)["inputs"].values()]
+    loaded = [
+        [path for path in inputs if path in line]
+        for line in proc.stderr.splitlines()
+        if "loaded" in line
+    ]
+    assert sorted(loaded) == sorted([path] for path in inputs)
 
 
 def test_validate_prints_the_demand_and_classification_warnings(tmp_path, capsys):
@@ -371,6 +384,7 @@ def test_validate_prints_the_demand_and_classification_warnings(tmp_path, capsys
         "warning: only 3 subregions: deciles assigned from density bands, "
         "not an equal-count split\n"
         "warning: regions without a main-settlement candidate: R1\n"
+        "warning: no regional nodes: the backbone level is empty\n"
     )
 
 
@@ -596,6 +610,41 @@ def test_mc_draws_that_overflow_a_report_figure_exit_2(tmp_path, capsys):
     assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
     error = _assert_error_after_run(capsys, out, 2, "PriceOverflow")
     assert "tco_usd" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "name, exit_code, error",
+    [("scenario", 2, "ConfigError"), ("roads", 3, "ParseError"), ("settlements", 3, "ParseError")],
+)
+def test_an_integer_past_the_digit_limit_is_a_config_or_parse_error(
+    tmp_path, capsys, name, exit_code, error
+):
+    big = "1" + "0" * 5000  # past the 4,300 digits that int() converts from a string
+    inputs = {}
+    if name == "roads":
+        inputs["roads"] = tmp_path / "roads.geojson"
+        inputs["roads"].write_text(
+            json.dumps(_feature_collection([[0, 0], [0.1, 0]])).replace("0.1", big)
+        )
+    elif name == "settlements":
+        inputs["settlements"] = _golden_csv_plus(
+            tmp_path, "settlements", f"r9a,0.0,0.0,{big},R9,R9S1\n"
+        )
+    cfg = _golden_variant(tmp_path, inputs={k: str(v) for k, v in inputs.items()})
+    if name == "scenario":
+        with open(cfg, encoding="utf-8") as fh:
+            text = fh.read()
+        assert '"draws": 64' in text
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text.replace('"draws": 64', f'"draws": {big}'))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == exit_code
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if line.startswith("{")]
+    payload = json.loads(line)
+    assert (payload["error"], payload["exit_code"]) == (error, exit_code)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _golden_csv_plus(tmp_path, name: str, rows: str) -> str:

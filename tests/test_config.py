@@ -83,9 +83,10 @@ def test_missing_config_file():
 
 def test_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_scenario(str(path))
+    for text in (b"{not json", b'{"a": "\xff"}'):  # not JSON; not UTF-8
+        path.write_bytes(text)
+        with pytest.raises(ConfigError):
+            load_scenario(str(path))
 
 
 def test_non_object_config(tmp_path):

@@ -11,9 +11,8 @@ from fiberplan.config import load_scenario
 from fiberplan.demand import SubregionDemand
 from fiberplan.errors import ConfigError, DataError
 from fiberplan.geodata import haversine_km
-from fiberplan.netdesign.classify import ClassificationResult
+from fiberplan.netdesign.classify import ClassificationResult, _backbone_root
 from fiberplan.pipeline import (
-    _pick_backbone_root,
     build_demand,
     emit_outputs,
     load_inputs,
@@ -27,7 +26,6 @@ from .oracles import (
     Settlement,
     load_settlements_reference,
     pick_backbone_root_reference,
-    settlement_by_id,
     settlement_set,
 )
 
@@ -339,6 +337,7 @@ def test_region_decile_requires_a_demand_record():
         regional_nodes={"R1": "a"},
         access_nodes={},
         regions_without_candidate=(),
+        backbone_root="a",
     )
     demand_index: dict[str, SubregionDemand] = {}
     with pytest.raises(KeyMismatch):
@@ -346,17 +345,23 @@ def test_region_decile_requires_a_demand_record():
 
 
 def _root_pick_case(rng, kind):
-    """Settlements and a classification for one backbone root pick: core
-    settlements, regional nodes and a few settlements with neither role, laid out
-    as `kind` says; ids are shuffled so their order is not the layout's."""
+    """Settlements, the core-adjacent ids ascending and the regional node ids
+    for one backbone root pick, laid out as `kind` says, plus a few
+    settlements with neither role; ids are shuffled so their order is not
+    the layout's."""
     def spot():
         if kind == "antimeridian":
             return rng.uniform(-30.0, 30.0), rng.choice((1, -1)) * rng.uniform(179.0, 180.0)
         if kind == "polar":
             return rng.choice((1, -1)) * rng.uniform(80.0, 90.0), rng.uniform(-180.0, 180.0)
+        if kind == "many_core":  # latitude neighbours far apart in longitude
+            return rng.uniform(-20.0, 20.0), rng.uniform(-180.0, 180.0)
         return rng.uniform(-20.0, 20.0), rng.uniform(10.0, 50.0)
 
-    n_core = 0 if kind == "no_core" else rng.randint(1, 25)
+    if kind == "no_core":
+        n_core = 0
+    else:
+        n_core = rng.randint(200, 600) if kind == "many_core" else rng.randint(1, 25)
     n_rnod = 0 if kind == "no_rnod" else rng.randint(1, 8)
     cores = [spot() for _ in range(n_core)]
     rnods = [spot() for _ in range(n_rnod)]
@@ -367,49 +372,46 @@ def _root_pick_case(rng, kind):
     elif kind == "zero":  # a core settlement on a regional node
         cores[0] = rnods[rng.randrange(n_rnod)]
     ids = [f"s{i:03d}" for i in rng.sample(range(1000), n_core + n_rnod + 3)]
-    settlements, core_adjacent, regional_nodes = [], [], {}
-    for i, (lat, lon) in enumerate(cores + rnods + [spot() for _ in range(3)]):
-        sid = ids[i]
-        region = f"R{i}"
-        settlements.append(
-            Settlement(sid, GeoPoint(lat, lon), rng.choice((100, 200, 300)), region, f"{region}-1")
-        )
-        if i < n_core:
-            core_adjacent.append(sid)
-        elif i < n_core + n_rnod:
-            regional_nodes[region] = sid
-    classification = ClassificationResult(
-        core_adjacent=tuple(sorted(core_adjacent)),
-        region_anchor={s.region_id: s.id for s in settlements},
-        regional_nodes=regional_nodes,
-        access_nodes={},
-        regions_without_candidate=(),
-    )
-    return classification, settlement_set(settlements)
+    settlements = [
+        Settlement(sid, GeoPoint(lat, lon), rng.choice((100, 200, 300)), f"R{i}", f"R{i}-1")
+        for i, (sid, (lat, lon)) in enumerate(zip(ids, cores + rnods + [spot() for _ in range(3)]))
+    ]
+    return settlements, tuple(sorted(ids[:n_core])), ids[n_core : n_core + n_rnod]
+
+
+def _beyond_first_window(cores, p):
+    """Whether the nearest of the core points to p lies outside the first
+    latitude window of `RoadGraph.nearest_vertex` (the 2 * max(16, sqrt(n))
+    points next to p in latitude order), so that the pick has to widen it."""
+    by_lat = sorted(range(len(cores)), key=lambda i: cores[i].lat)
+    k = sum(cores[i].lat < p.lat for i in by_lat)
+    half = max(16, math.isqrt(len(cores)))
+    nearest = min(range(len(cores)), key=lambda i: haversine_km(*p, *cores[i]))
+    return nearest not in by_lat[max(0, k - half) : k + half]
 
 
 def test_backbone_root_equals_the_scalar_scan():
     rng = random.Random(2_2026)
-    kinds = ("spread", "mirror", "zero", "antimeridian", "polar", "no_core", "no_rnod")
-    seen = dict.fromkeys(kinds + ("tie",), 0)
-    for i in range(210):
+    kinds = ("spread", "mirror", "zero", "antimeridian", "polar", "no_core", "no_rnod", "many_core")
+    seen = dict.fromkeys(kinds + ("tie", "widened"), 0)
+    for i in range(240):
         kind = kinds[i % len(kinds)]
-        classification, settlements = _root_pick_case(rng, kind)
-        picked = _pick_backbone_root(classification, settlements)
-        assert picked == pick_backbone_root_reference(classification, settlements), kind
+        settlements, core, regional = _root_pick_case(rng, kind)
+        picked = _backbone_root(settlement_set(settlements), core, regional)
+        assert picked == pick_backbone_root_reference(settlements, core, regional), kind
         seen[kind] += 1
-        rnods = [
-            settlement_by_id(settlements, s).location
-            for s in classification.regional_nodes.values()
-        ]
+        by_id = {s.id: s.location for s in settlements}
+        rnods = [by_id[sid] for sid in regional]
         nearest = sorted(
-            min(haversine_km(*settlement_by_id(settlements, sid).location, *r) for r in rnods)
-            for sid in classification.core_adjacent
-            if rnods
+            min(haversine_km(*by_id[sid], *r) for r in rnods) for sid in core if rnods
         )
         seen["tie"] += len(nearest) > 1 and nearest[0] == nearest[1]
+        if kind == "many_core":
+            seen["widened"] += sum(_beyond_first_window([by_id[s] for s in core], r) for r in rnods)
         if kind == "zero":
             assert nearest[0] == 0.0
         if kind == "no_core":
-            assert picked[1] and len(picked[2]) == 1
-    assert seen["tie"] >= 25, seen
+            assert picked in regional
+        if kind == "no_rnod":
+            assert picked is None
+    assert seen["tie"] >= 25 and seen["widened"] >= 30, seen

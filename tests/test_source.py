@@ -238,3 +238,35 @@ def test_cli_reaches_the_stages_only_through_pipeline_and_config():
                 if allowed is not None and a.name not in allowed
             ]
     assert not found, "cli.py imports stage code directly: " + ", ".join(found)
+
+
+def test_geometry_stays_out_of_the_pipeline():
+    """`pipeline.py` orchestrates the stages: it imports neither numpy nor a
+    `haversine_*` distance, and only `geodata.py` calls the vectorised
+    `haversine_km_array`; a nearest-point search is `RoadGraph.nearest_vertex`."""
+    found = []
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        found += [
+            f"pipeline.py:{node.lineno} {name}"
+            for name in names
+            if name.partition(".")[0] == "numpy" or name.startswith("haversine_")
+        ]
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "geodata.py" and path.parent == PACKAGE:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno} haversine_km_array()"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "haversine_km_array" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))
+        ]
+    assert not found, "geometry outside geodata: " + ", ".join(found)
