@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from typing import Sequence
 
@@ -53,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=(*ALGORITHMS, "both"),
             help="override the scenario's algorithm selection",
         )
-        cmd.add_argument("--out", help="override the scenario's output directory")
+        cmd.add_argument("--out", help="override the scenario's output directory "
+                         "(relative to the working directory)")
         cmd.add_argument("--seed", type=int, help="override the Monte Carlo seed")
         cmd.add_argument("--draws", type=int, help="override the Monte Carlo draw count")
     return parser
@@ -68,7 +70,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_scenario(
             args.config,
             algorithm=args.algorithm,
-            out_dir=args.out,
+            out_dir=os.path.abspath(args.out) if args.out else args.out,  # "" stays an error
             seed=args.seed,
             draws=args.draws,
         )

@@ -250,12 +250,11 @@ def _parse_mc(value: Any) -> McConfig | None:
 def _parse_distribution(key: str, entry: Any) -> Distribution:
     if not isinstance(entry, dict) or "dist" not in entry:
         raise ConfigError(f"distribution for {key!r} must be an object with a 'dist' key")
-    _reject_unknown(entry, {"dist", "lo", "mode", "hi", "value"}, f"distribution keys for {key!r}")
     kind = entry["dist"]
     # Distribution rejects a kind that DIST_BOUNDS does not list.
     names = DIST_BOUNDS.get(kind, ()) if isinstance(kind, str) else ()
     try:
-        return Distribution(
+        dist = Distribution(
             kind=kind,
             value=entry.get("value") if kind == "fixed" else None,
             **{name: entry[name] for name in names},
@@ -264,6 +263,9 @@ def _parse_distribution(key: str, entry: Any) -> Distribution:
         raise ConfigError(f"distribution for {key!r} is missing {exc}") from exc
     except InvalidDistributionBounds as exc:
         raise InvalidDistributionBounds(f"distribution for {key!r}: {exc}") from exc
+    read = {"dist", *names, *(("value",) if kind == "fixed" else ())}
+    _reject_unknown(entry, read, f"{kind} distribution keys for {key!r}")
+    return dist
 
 
 def parameters_payload(cfg: ScenarioConfig) -> dict:

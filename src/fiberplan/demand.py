@@ -153,9 +153,7 @@ def assign_deciles(
         raise TooFewSubregions(f"need at least 10 subregions for deciles, got {len(rows)}")
     q, r = divmod(len(rows), 10)
     deciles = [d for d in range(1, 11) for _ in range(q + (1 if d <= r else 0))]
-    out = [_record(t, d, scenario) for t, d in zip(_ranked(rows), deciles)]
-    log.info("assigned deciles for %d subregions", len(out))
-    return out
+    return [_record(t, d, scenario) for t, d in zip(_ranked(rows), deciles)]
 
 
 def band_demand(

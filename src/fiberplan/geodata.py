@@ -244,11 +244,33 @@ def haversine_km_array(
     caller that needs the exact float short-lists with a margin and
     confirms with `haversine_km`.
     """
-    dphi = np.radians(lat - plat)
-    dlam = np.radians(lon - plon)
-    cos_p = math.cos(math.radians(plat))
-    h = np.sin(dphi / 2.0) ** 2 + cos_p * cos_lat * np.sin(dlam / 2.0) ** 2
+    h = haversine_h_array(lat - plat, lon - plon, math.cos(math.radians(plat)) * cos_lat)
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+
+
+def haversine_h_array(
+    dlat: np.ndarray, dlon: np.ndarray, cos_product: np.ndarray
+) -> np.ndarray:
+    """The haversine h = sin²(radians(dlat) / 2) + cos_product sin²(radians(dlon) / 2)
+    of coordinate differences in degrees (second point minus first), by
+    numpy, with `haversine_km`'s operations in its order; cos_product is
+    the product of the two points' latitude cosines. Works in place on the
+    caller's float64 temporaries dlat and dlon, and returns dlat.
+    """
+    for d in (dlat, dlon):
+        np.radians(d, out=d)
+        d /= 2.0
+        np.sin(d, out=d)
+        np.square(d, out=d)
+    dlon *= cos_product
+    dlat += dlon
+    return dlat
+
+
+def lat_cosines(lat: np.ndarray) -> np.ndarray:
+    """math's cos(radians(x)) of each latitude x of a float64 array: the
+    cosines `haversine_km` takes."""
+    return np.array([math.cos(math.radians(x)) for x in lat.tolist()], dtype=np.float64)
 
 
 def _local_xy(olat: float, olon: float, plat: float, plon: float) -> tuple[float, float]:

@@ -109,12 +109,6 @@ def classify_nodes(
         if top not in claimed:
             access_nodes[subregion_id] = top
 
-    log.info(
-        "classified settlements: %d core-adjacent, %d regional, %d access",
-        len(core),
-        len(regional_nodes),
-        len(access_nodes),
-    )
     core_adjacent = tuple(sorted(core))
     return ClassificationResult(
         core_adjacent=core_adjacent,

@@ -9,7 +9,6 @@ reads them in ascending id order.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -29,8 +28,6 @@ from .graphs import (
     build_euclidean_graph,
 )
 from .solvers import pcst_gw, prim_mst
-
-log = logging.getLogger(__name__)
 
 
 class PrizeOverflow(ConfigError):

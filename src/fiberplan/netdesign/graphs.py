@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import SolverError
-from ..geodata import EARTH_RADIUS_KM, RoadGraph, haversine_km
+from ..geodata import RoadGraph, haversine_h_array, haversine_km, lat_cosines
 
 
 class DuplicateCoordinate(SolverError):
@@ -42,12 +42,10 @@ class GreatCircleGraph:
     weight(u, v) is computed on demand as haversine_km(*point(min), *point(max)).
 
     `GreatCircleGraph(lat, lon)` copies each point's lat and lon, and keeps
-    cos(radians(lat)) by `math`, once as read-only float64 arrays, so the
-    graph holds O(n) floats however many pairs it has, and `point(v)`
-    returns the given (lat, lon) floats bit for bit. `weights` evaluates
-    `haversine_km`'s expression on them with the lower id's point first;
-    only the cosines are hoisted, and their product is commutative, so
-    every weight is the float that `haversine_km` returns.
+    `lat_cosines(lat)`, the cosines `haversine_km` takes, once as read-only
+    float64 arrays, so the graph holds O(n) floats however many pairs it
+    has, and `point(v)` returns the given (lat, lon) floats bit for bit.
+    `weights` calls `haversine_km` with the lower id's point first.
 
     `prim_mst` reads the pairs in blocks: `pairs(start, stop)` gives the
     pairs start..stop - 1 of all n (n - 1) / 2 in row order ((0, 1), (0, 2),
@@ -62,7 +60,7 @@ class GreatCircleGraph:
         self.lat = np.array(lat, dtype=np.float64)
         self.lon = np.array(lon, dtype=np.float64)
         self.n = n = len(self.lat)
-        self.cos_lat = np.array([math.cos(math.radians(x)) for x in self.lat.tolist()])
+        self.cos_lat = lat_cosines(self.lat)
         rows = np.arange(n + 1)
         self._row_start = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1)
         for held in (self.lat, self.lon, self.cos_lat, self._row_start):
@@ -82,19 +80,12 @@ class GreatCircleGraph:
 
     def weights(self, us: Iterable[int], vs: Iterable[int]) -> list[float]:
         """Weight of each pair (us[i], vs[i]), us[i] != vs[i]."""
-        lat, lon, cos_lat = (a.tolist() for a in (self.lat, self.lon, self.cos_lat))
-        radians, sin, sqrt, asin = math.radians, math.sin, math.sqrt, math.asin
-        diameter = 2.0 * EARTH_RADIUS_KM
+        lat, lon = self.lat.tolist(), self.lon.tolist()
         out = []
         for u, v in zip(us, vs):
             if u > v:
                 u, v = v, u
-            h = (
-                sin(radians(lat[v] - lat[u]) / 2.0) ** 2
-                + cos_lat[u] * cos_lat[v] * sin(radians(lon[v] - lon[u]) / 2.0) ** 2
-            )
-            s = sqrt(h)
-            out.append(diameter * asin(s if s < 1.0 else 1.0))
+            out.append(haversine_km(lat[u], lon[u], lat[v], lon[v]))
         return out
 
     def pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,19 +102,20 @@ class GreatCircleGraph:
         return rows.repeat(counts), v
 
     def pair_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The haversine h = sin²(dphi / 2) + cos(phi_u) cos(phi_v) sin²(dlam / 2)
-        of each pair u < v, by numpy. A weight is 2R asin(min(1, sqrt(h)))
-        of the h that `weights` computes.
+        """`haversine_h_array`'s h = sin²(dphi / 2) + cos(phi_u) cos(phi_v)
+        sin²(dlam / 2) of each pair u < v. A weight is 2R asin(min(1, sqrt(h)))
+        of the h that `haversine_km` computes for the pair.
 
-        The margin. Both sides subtract the same coordinates, take
-        radians by the same multiplication by pi / 180, halve exactly and
-        multiply by the same cosines, so numpy's h differs from `weights`'
-        only through sin, which numpy may compute a few ulps off math's, and
-        the roundings of the squares (math's ** 2 is pow, which may round
-        x * x an ulp apart), the product and the sum. In the normal range
-        that leaves the two within a relative 2^-47 (2 e + 6 u, for e = 2^-49
-        between the two sines and u = 2^-53 per rounding; a sum of two
-        non-negative terms keeps the larger relative error), and
+        The margin. Both sides subtract the same coordinates (v's minus
+        u's), take radians by the same multiplication by pi / 180, halve
+        exactly and multiply by the same cosines, math's, so numpy's h
+        differs from `haversine_km`'s only through sin, which numpy may
+        compute a few ulps off math's, and the roundings of the squares
+        (math's ** 2 is pow, which may round x * x an ulp apart), the
+        product and the sum. In the normal range that leaves the two within
+        a relative 2^-47 (2 e + 6 u, for e = 2^-49 between the two sines and
+        u = 2^-53 per rounding; a sum of two non-negative terms keeps the
+        larger relative error), and
         underflowing squares and products add at most a few 2^-1074. So
         with the margin m(x) = 1e-9 x + 1e-300, keys x1 < x2 more than
         m(x1) + m(x2) apart are the h of pairs whose exact h differ by a
@@ -136,18 +128,7 @@ class GreatCircleGraph:
         also absorbs the rounding of the test `x2 - x1 > m(x1) + m(x2)`.
         """
         lat, lon, cos_lat = self.lat, self.lon, self.cos_lat
-        h = lat[v]
-        h -= lat[u]
-        dlam = lon[v]
-        dlam -= lon[u]
-        for d in (h, dlam):
-            np.radians(d, out=d)
-            d /= 2.0
-            np.sin(d, out=d)
-            np.square(d, out=d)
-        dlam *= cos_lat[u] * cos_lat[v]
-        h += dlam
-        return h
+        return haversine_h_array(lat[v] - lat[u], lon[v] - lon[u], cos_lat[u] * cos_lat[v])
 
 
 class RoadOverlay:

@@ -1,10 +1,13 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
 import codecs
+import csv
 import json
 import logging
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -334,38 +337,52 @@ def test_golden_stdout_of_each_command(tmp_path, capsys, caplog, command):
     assert [r.getMessage() for r in caplog.records if r.name.startswith("fiberplan")] == []
 
 
+LOADED = re.compile(r"INFO fiberplan\.[\w.]+: loaded ")
+
+
 def test_stderr_names_no_file_that_stdout_reports_written(tmp_path):
     """Each output file is stated once, by the `wrote <path>` lines on
     stdout; the run's log on stderr does not repeat them, nor the `monte
     carlo:` line. Each input is stated once too, by its loader's `loaded`
-    line."""
+    line, and on the golden `validate` and `mc` runs those are the only
+    lines on stderr, so it repeats no line of stdout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "fiberplan.cli", "mc", "--config", GOLDEN,
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    written = [line[len("wrote "):] for line in proc.stdout.splitlines()
-               if line.startswith("wrote ")]
-    assert len(written) == 7
-    assert proc.stderr  # the run logs its progress
-    repeated = [line for line in proc.stderr.splitlines() if any(p in line for p in written)]
-    assert repeated == []
-    assert "monte carlo:" in proc.stdout
-    assert [line for line in proc.stderr.splitlines() if "monte carlo" in line] == []
     with open(GOLDEN, encoding="utf-8") as fh:
         base = os.path.dirname(os.path.abspath(GOLDEN))
         inputs = [os.path.join(base, name) for name in json.load(fh)["inputs"].values()]
-    loaded = [
-        [path for path in inputs if path in line]
-        for line in proc.stderr.splitlines()
-        if "loaded" in line
-    ]
-    assert sorted(loaded) == sorted([path] for path in inputs)
+    for command, files in (("validate", 0), ("mc", 7)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiberplan.cli", command, "--config", GOLDEN,
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = [line[len("wrote "):] for line in proc.stdout.splitlines()
+                   if line.startswith("wrote ")]
+        assert len(written) == files
+        err = proc.stderr.splitlines()
+        assert err  # the run logs its progress
+        assert [line for line in err if any(p in line for p in written)] == []
+        assert ("monte carlo:" in proc.stdout) == (command == "mc")
+        assert [line for line in err if "monte carlo" in line] == []
+        loaded = [[path for path in inputs if path in line] for line in err if "loaded" in line]
+        assert sorted(loaded) == sorted([path] for path in inputs)
+        assert [line for line in err if not LOADED.match(line)] == [], command
+
+
+def test_relative_out_resolves_against_the_working_directory(tmp_path, monkeypatch, capsys):
+    shutil.copytree(os.path.join(DATA, "tiny"), tmp_path / "scn")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["report", "--config", str(tmp_path / "scn" / "scenario.json"),
+                 "--out", "rel"]) == 0
+    assert f"wrote {os.path.join(os.getcwd(), 'rel', 'report.csv')}\n" in capsys.readouterr().out
+    assert (cwd / "rel" / "report.csv").is_file()
+    assert not (tmp_path / "scn" / "rel").exists()
 
 
 def test_validate_prints_the_demand_and_classification_warnings(tmp_path, capsys):
@@ -560,6 +577,98 @@ def test_malformed_line_geojson_exits_3(tmp_path, capsys, name, text):
     cfg = _golden_variant(tmp_path, inputs={name: str(path)})
     assert main(["report", "--config", cfg, "--out", str(out)]) == 3
     _assert_error_after_run(capsys, out, 3, "ParseError")
+
+
+def _features(*features) -> str:
+    return json.dumps({"type": "FeatureCollection", "features": list(features)})
+
+
+POINT = {"type": "Point", "coordinates": [36.0, 0.0]}
+LINE = {"type": "LineString", "coordinates": [[36.0, 0.0], [36.1, 0.0]]}
+
+
+# (input, file text, error, message after "<path>"); settlements are GeoJSON.
+BAD_INPUT_ROWS = {
+    "area-empty-id": ("areas", "subregion_id,area_km2\n,10\n", "DataError",
+                      ":2: empty subregion_id"),
+    "area-zero": ("areas", "subregion_id,area_km2\nS1,0\n", "ZeroArea",
+                  ":2: area_km2 must be positive, got 0.0"),
+    "area-negative": ("areas", "subregion_id,area_km2\nS1,-1\n", "ZeroArea",
+                      ":2: area_km2 must be positive, got -1.0"),
+    "area-nan": ("areas", "subregion_id,area_km2\nS1,nan\n", "ZeroArea",
+                 ":2: area_km2 must be positive, got nan"),
+    "area-header-only": ("areas", "subregion_id,area_km2\n", "DataError",
+                         ": area table has no rows"),
+    "settlement-line": ("settlements", _features({"geometry": LINE, "properties": {}}),
+                        "ParseError", ":feature[0]: expected Point geometry, got 'LineString'"),
+    "settlement-no-properties": (
+        "settlements", _features({"geometry": POINT, "properties": {"id": "a"}}),
+        "MissingColumn", ":feature[0]: missing properties population, region_id, subregion_id"),
+    "settlement-properties-text": (
+        "settlements", _features({"geometry": POINT, "properties": "x"}),
+        "ParseError", ":feature[0]: geometry and properties must be objects"),
+    "fiber-geometry-list": ("fiber", _features({"geometry": [1, 2]}), "ParseError",
+                            ":feature[0]: geometry and properties must be objects"),
+    "roads-multiline-not-list": (
+        "roads", _features({"geometry": {"type": "MultiLineString", "coordinates": 5}}),
+        "ParseError", ":feature[0]: MultiLineString coordinates must be a list, got 5"),
+    "fiber-polygon": ("fiber", _features({"geometry": {"type": "Polygon"}}), "ParseError",
+                      ":feature[0]: expected LineString/MultiLineString, got 'Polygon'"),
+    "roads-polygon": ("roads", _features({"geometry": {"type": "Polygon"}}), "ParseError",
+                      ":feature[0]: expected LineString/MultiLineString, got 'Polygon'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_ROWS))
+def test_malformed_input_row_or_feature_exits_3(tmp_path, capsys, case):
+    name, text, error, message = BAD_INPUT_ROWS[case]
+    path = tmp_path / f"bad-{name}"
+    path.write_text(text)
+    out = tmp_path / "out"
+    fmt = "geojson" if name == "settlements" else "csv"
+    cfg = _golden_variant(tmp_path, inputs={name: str(path)}, settlements_format=fmt)
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 3
+    payload = _assert_error_after_run(capsys, out, 3, error)
+    assert payload["message"] == f"{path}{message}"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (5, "distribution for 'c_olt' must be an object with a 'dist' key"),
+        ({"lo": 20000, "hi": 36000},
+         "distribution for 'c_olt' must be an object with a 'dist' key"),
+        ({"dist": "uniform", "lo": 20000, "hi": 36000, "value": 99},
+         "unknown uniform distribution keys for 'c_olt': value"),
+        ({"dist": "fixed", "lo": -1, "hi": "x", "value": 30000},
+         "unknown fixed distribution keys for 'c_olt': hi, lo"),
+    ],
+    ids=["not-an-object", "no-dist", "uniform-value", "fixed-bounds"],
+)
+def test_distribution_entry_of_the_wrong_shape_exits_2(tmp_path, capsys, entry, message):
+    out = tmp_path / "out"
+    cfg = _golden_variant(tmp_path, distributions={"c_olt": entry})
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    payload = _assert_error_after_run(capsys, out, 2, "ConfigError")
+    assert payload["message"] == message
+
+
+def test_a_level_without_a_design_writes_no_geojson_but_keeps_its_rows(tmp_path, capsys):
+    with open(TINY, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["inputs"] = {k: os.path.join(DATA, "tiny", v) for k, v in doc["inputs"].items()}
+    doc["main_settlement_threshold"] = 10**9  # no regional node, so no backbone design
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "demand.csv", "design_access_mst.geojson", "report.csv"
+    ]
+    with open(out / "report.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    regional = [row for row in rows if row["level"] == "regional"]
+    assert regional and all(row["total_length_km"] == "0" for row in regional)
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,12 @@ def test_seed_without_mc_section_is_an_error(tmp_path):
         {"distributions": {"c_olt": {"dist": "uniform", "lo": 0}}},
         {"distributions": {"c_olt": {"dist": "triangular", "lo": 0, "mode": 5, "hi": 1}}},
         {"distributions": {"c_olt": {"dist": "uniform", "lo": 0, "hi": 1, "sigma": 2}}},
+        # a key that the kind does not read
+        {"distributions": {"c_olt": {"dist": "uniform", "lo": 20000, "hi": 36000, "value": 99}}},
+        {"distributions": {"c_olt": {"dist": "uniform", "lo": 20000, "hi": 36000, "mode": -5}}},
+        {"distributions": {"c_olt": {"dist": "fixed", "lo": -1, "hi": "x", "value": 30000}}},
+        {"distributions": {"c_olt": {"dist": "triangular", "lo": 20000, "mode": 30000,
+                                     "hi": 36000, "value": 30000}}},
     ],
 )
 def test_bad_monte_carlo_sections(tmp_path, mc):

@@ -11,9 +11,10 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fiberplan.geodata import haversine_km
+from fiberplan.geodata import EARTH_RADIUS_KM, haversine_km, haversine_km_array, lat_cosines
 from fiberplan.netdesign import solvers
 from fiberplan.netdesign.design import design_network
 from fiberplan.netdesign.graphs import EmptyNodeSet, NetworkDesign, build_euclidean_graph
@@ -249,8 +250,8 @@ def test_a_chain_that_straddles_a_pass_boundary_is_decided_in_the_next_pass(
 
 
 def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
-    # weights and weight evaluate haversine_km's expression on hoisted
-    # per-point cosines; every weight must still be its float, bit for bit.
+    # weights and weight call haversine_km with the lower id's point first,
+    # whichever order the pair is given in.
     rng = random.Random(9_2026)
     for i in range(40):
         kind = ("spread", "grid", "antimeridian", "polar")[i % 4]
@@ -265,6 +266,30 @@ def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
             for v, w in zip(targets, row):
                 expected = haversine_km(*points[min(u, v)], *points[max(u, v)])
                 assert w == expected == graph.weight(u, v) == graph.weight(v, u), (kind, u, v)
+
+
+def test_numpy_haversines_keep_the_operation_order_of_haversine_km():
+    # haversine_km_array and pair_keys share one in-place kernel; both give
+    # the floats of numpy's expression in haversine_km's order: second point
+    # minus first, and the cosine product times the squared sine.
+    rng = np.random.default_rng(2026)
+    lat, lon = rng.uniform(-89.0, 89.0, 300), rng.uniform(-180.0, 180.0, 300)
+    cos_lat = lat_cosines(lat)
+    assert cos_lat.tolist() == [math.cos(math.radians(x)) for x in lat.tolist()]
+
+    def h(lat1, lon1, cos1, lat2, lon2, cos2):
+        dphi, dlam = np.radians(lat2 - lat1), np.radians(lon2 - lon1)
+        return np.sin(dphi / 2.0) ** 2 + cos1 * cos2 * np.sin(dlam / 2.0) ** 2
+
+    for i in range(0, 300, 37):
+        p = lat.item(i), lon.item(i)
+        want = h(*p, math.cos(math.radians(p[0])), lat, lon, cos_lat)
+        want = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, want)))
+        assert haversine_km_array(*p, lat, lon, cos_lat).tobytes() == want.tobytes()
+    graph = build_euclidean_graph([f"s{i}" for i in range(300)], lat, lon)
+    u, v = graph.pairs(0, graph.edge_count)
+    want = h(lat[u], lon[u], cos_lat[u], lat[v], lon[v], cos_lat[v])
+    assert graph.pair_keys(u, v).tobytes() == want.tobytes()
 
 
 def test_a_1000_node_mst_design_stores_no_complete_graph():

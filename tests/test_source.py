@@ -270,3 +270,33 @@ def test_geometry_stays_out_of_the_pipeline():
                                          getattr(node.func, "attr", None))
         ]
     assert not found, "geometry outside geodata: " + ", ".join(found)
+
+
+TRIGONOMETRY = {"sin", "cos", "asin", "arcsin", "radians", "degrees"}
+
+
+def test_only_geodata_measures_the_earth():
+    """The spherical Earth model lives in `geodata.py`: no other module
+    reads a trigonometric or angle function of `math` or numpy (called or
+    hoisted) or names `EARTH_RADIUS_KM`, so every great-circle distance is
+    `haversine_km` or the numpy kernel beside it."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "geodata.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                base = getattr(node.value, "id", None)
+                names = [node.attr] if base in ("math", "np", "numpy") else []
+            elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            names = [name for name in names if name in TRIGONOMETRY]
+            if "EARTH_RADIUS_KM" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     node.name if isinstance(node, ast.alias) else None):
+                names.append("EARTH_RADIUS_KM")
+            found += [f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', '?')} {name}"
+                      for name in names]
+    assert not found, "great-circle geometry outside geodata: " + ", ".join(found)
