@@ -4,7 +4,9 @@ MST designs span every node over a complete great-circle graph. PCST designs
 route along the road network, weighing each terminal's user mass against the
 trench length needed to reach it, and may leave low-value terminals out. A
 design takes its nodes as settlement ids and their `lat`/`lon` columns, and
-reads them in ascending id order.
+reads them in ascending id order. Every design, a lone settlement too, is
+one `prim_mst` or `pcst_gw` run on its own graph, and `design_network`
+turns that solve into its `DesignResult`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ LEVELS = ("regional", "access")
 Nodes = tuple[list[str], np.ndarray, np.ndarray]
 # algorithm selection -> the solver tag its designs and report rows carry
 ALGORITHMS = {"mst": "MST", "pcst": "PCST_GW"}
+# what a solve gives `design_network`: (design, graph, terminal_vertex, warnings)
+_Solve = tuple[NetworkDesign, GreatCircleGraph | RoadOverlay, dict[str, int], tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class DesignResult:
     graph: GreatCircleGraph | RoadOverlay
     terminal_vertex: dict[str, int]  # settlement id -> vertex id, one to one
     root_id: str
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
     def connected_settlements(self) -> list[str]:
         """Settlement ids reachable in the design, ascending."""
@@ -110,12 +114,10 @@ def design_network(
     rows = [row[sid] for sid in ids]
     nodes = (ids, np.asarray(lat, dtype=np.float64)[rows], np.asarray(lon, dtype=np.float64)[rows])
 
-    if len(ids) == 1:
-        result = _single_node_result(level, algorithm, nodes)
-    elif algorithm == "mst":
-        result = _design_mst(level, nodes, root_id)
+    if algorithm == "mst":
+        design, graph, terminal_vertex, warnings = _design_mst(nodes, root_id)
     else:
-        result = _design_pcst(
+        design, graph, terminal_vertex, warnings = _design_pcst(
             level,
             nodes,
             root_id,
@@ -124,31 +126,20 @@ def design_network(
             snap_radius_km=snap_radius_km,
             prize_scale=prize_scale,
         )
-    if count_root_as_terminal:
-        return result
-    # Every design keeps its root (PCST's strong pruning never drops it).
-    design = replace(result.design, terminal_node_count=result.design.terminal_node_count - 1)
-    return replace(result, design=design)
-
-
-def _single_node_result(level: str, algorithm: str, nodes: Nodes) -> DesignResult:
-    (sid,), lat, lon = nodes
-    graph = GreatCircleGraph(lat, lon)
-    design = NetworkDesign(
-        algorithm=ALGORITHMS[algorithm],
-        edges=(),
-        connected_vertices=frozenset({0}),
-        excluded_terminals=frozenset(),
-        total_length_km=0.0,
-        total_penalty=0.0,
-        terminal_node_count=1,
-    )
+    if not count_root_as_terminal:
+        # Every design keeps its root (PCST's strong pruning never drops it).
+        design = replace(design, terminal_node_count=design.terminal_node_count - 1)
     return DesignResult(
-        level=level, design=design, graph=graph, terminal_vertex={sid: 0}, root_id=sid
+        level=level,
+        design=design,
+        graph=graph,
+        terminal_vertex=terminal_vertex,
+        root_id=root_id,
+        warnings=warnings,
     )
 
 
-def _design_mst(level: str, nodes: Nodes, root_id: str) -> DesignResult:
+def _design_mst(nodes: Nodes, root_id: str) -> _Solve:
     ids = nodes[0]
     graph = build_euclidean_graph(*nodes)
     terminal_vertex = dict(zip(ids, range(len(ids))))
@@ -156,13 +147,7 @@ def _design_mst(level: str, nodes: Nodes, root_id: str) -> DesignResult:
     for u, v, w in design.edges:  # settlements 0 km apart always give a 0 km tree edge
         if w == 0.0:
             raise DuplicateCoordinate(f"settlements {ids[u]!r} and {ids[v]!r} are 0 km apart")
-    return DesignResult(
-        level=level,
-        design=design,
-        graph=graph,
-        terminal_vertex=terminal_vertex,
-        root_id=root_id,
-    )
+    return design, graph, terminal_vertex, ()
 
 
 def _design_pcst(
@@ -174,7 +159,7 @@ def _design_pcst(
     node_users: Mapping[str, float],
     snap_radius_km: float,
     prize_scale: float,
-) -> DesignResult:
+) -> _Solve:
     if roads is None:
         raise ValueError("pcst designs require a road network")
     if not (math.isfinite(prize_scale) and prize_scale > 0):
@@ -203,12 +188,4 @@ def _design_pcst(
         f"settlement {sid} attached {dist:.2f} km beyond the {snap_radius_km:.2f} km snap radius"
         for sid, dist in attachment.beyond_snap
     )
-    return DesignResult(
-        level=level,
-        design=design,
-        graph=graph,
-        terminal_vertex=dict(terminal_vertex),
-        root_id=root_id,
-        warnings=warnings,
-    )
-
+    return design, graph, terminal_vertex, warnings

@@ -22,7 +22,7 @@ from ..geodata import RoadGraph, haversine_h_array, haversine_km, lat_cosines
 
 
 class DuplicateCoordinate(SolverError):
-    """Two distinct nodes share an exact coordinate."""
+    """Two distinct settlements are 0 km apart, or merge onto one road vertex."""
 
 
 class EmptyNodeSet(SolverError):
@@ -45,7 +45,8 @@ class GreatCircleGraph:
     `lat_cosines(lat)`, the cosines `haversine_km` takes, once as read-only
     float64 arrays, so the graph holds O(n) floats however many pairs it
     has, and `point(v)` returns the given (lat, lon) floats bit for bit.
-    `weights` calls `haversine_km` with the lower id's point first.
+    `weights` calls `haversine_km` with the lower id's point first. Points
+    may coincide, at weight 0.0, and one point is the graph of no pairs.
 
     `prim_mst` reads the pairs in blocks: `pairs(start, stop)` gives the
     pairs start..stop - 1 of all n (n - 1) / 2 in row order ((0, 1), (0, 2),
@@ -269,19 +270,14 @@ def build_euclidean_graph(
     ids: Sequence[str], lat: Sequence[float], lon: Sequence[float]
 ) -> GreatCircleGraph:
     """Complete graph over settlements (ids[i] at lat[i], lon[i]), weighted
-    by great-circle distance."""
-    if len(ids) < 2:
-        raise EmptyNodeSet(f"need at least 2 nodes for a graph, got {len(ids)}")
-    graph = GreatCircleGraph(lat, lon)
-    seen: dict[tuple[float, float], str] = {}  # floats equal as floats coincide
-    for sid, key in zip(ids, zip(graph.lat.tolist(), graph.lon.tolist())):
-        if key in seen:
-            raise DuplicateCoordinate(
-                f"settlements {seen[key]!r} and {sid!r} share coordinate "
-                f"(lat={key[0]!r}, lon={key[1]!r})"
-            )
-        seen[key] = sid
-    return graph
+    by great-circle distance; one settlement gives the one-vertex graph.
+
+    Settlements may share a coordinate here: an MST design rejects any two
+    whose tree edge is 0 km, which every shared coordinate gives.
+    """
+    if not len(ids):
+        raise EmptyNodeSet("no settlements to build a graph over")
+    return GreatCircleGraph(lat, lon)
 
 
 @dataclass(frozen=True)

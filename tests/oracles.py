@@ -47,7 +47,9 @@ that classify's root pick replaces by one `RoadGraph.nearest_vertex` per
 regional node over an edgeless graph of the core settlements, and
 `design_geojson_reference` the dict document and
 `json.dumps` that the text-built design GeoJSON replaced; the root pick and
-the written bytes must equal theirs.
+the written bytes must equal theirs. `single_node_design_reference` is the
+solver-free result that a one-settlement design took before every design
+ran its solver; `design_network` must give the same design and GeoJSON.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ from fiberplan.geodata import (
 )
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign.classify import ClassificationResult
-from fiberplan.netdesign.design import DesignResult
+from fiberplan.netdesign.design import ALGORITHMS, DesignResult
 from fiberplan.netdesign.graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
+    GreatCircleGraph,
     NetworkDesign,
     PrizedGraph,
     RootMissing,
@@ -1180,3 +1183,27 @@ def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: s
         "features": features,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def single_node_design_reference(
+    level: str, algorithm: str, sid: str, lat: float, lon: float, count_root_as_terminal: bool
+) -> DesignResult:
+    """The design of settlement `sid` alone, built without a solver: no
+    edges, 0 km, and the root a terminal unless it is core plant."""
+    design = NetworkDesign(
+        algorithm=ALGORITHMS[algorithm],
+        edges=(),
+        connected_vertices=frozenset({0}),
+        excluded_terminals=frozenset(),
+        total_length_km=0.0,
+        total_penalty=0.0,
+        terminal_node_count=1 if count_root_as_terminal else 0,
+    )
+    return DesignResult(
+        level=level,
+        design=design,
+        graph=GreatCircleGraph([lat], [lon]),
+        terminal_vertex={sid: 0},
+        root_id=sid,
+        warnings=(),
+    )

@@ -96,6 +96,37 @@ def test_solver_error_exits_4(tmp_path, capsys):
     assert _stderr_error(capsys)["exit_code"] == 4
 
 
+def test_a_lone_pcst_settlement_beyond_the_snap_radius_is_warned_about(tmp_path, capsys):
+    # R2's access design is `solo` alone, 142 km from the only road.
+    settlements = tmp_path / "settlements.csv"
+    settlements.write_text(
+        "id,lat,lon,population,region_id,subregion_id\n"
+        "town,0.0,36.0,25000,R1,T1\n"
+        "east,0.0,36.2,4000,R1,T2\n"
+        "solo,1.0,37.0,3000,R2,S9\n"
+    )
+    areas = tmp_path / "areas.csv"
+    areas.write_text("subregion_id,area_km2\nT1,50.0\nT2,80.0\nS9,90.0\n")
+    roads = tmp_path / "roads.geojson"
+    roads.write_text(json.dumps(_feature_collection([[36.0, 0.0], [36.2, 0.0]])))
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "inputs": {"settlements": str(settlements), "areas": str(areas),
+                           "roads": str(roads)},
+                "adoption_rate": 0.005,
+                "algorithms": ["pcst"],
+                "output_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main(["design", "--config", str(cfg)]) == 0
+    assert "warning: settlement solo attached 142.40 km beyond the 5.00 km snap radius\n" in (
+        capsys.readouterr().out
+    )
+
+
 def test_pcst_with_two_settlements_on_one_road_vertex_exits_4(tmp_path, capsys):
     settlements = tmp_path / "settlements.csv"
     settlements.write_text(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -16,9 +17,15 @@ import pytest
 
 from fiberplan.geodata import EARTH_RADIUS_KM, haversine_km, haversine_km_array, lat_cosines
 from fiberplan.netdesign import solvers
-from fiberplan.netdesign.design import design_network
-from fiberplan.netdesign.graphs import EmptyNodeSet, NetworkDesign, build_euclidean_graph
+from fiberplan.netdesign.design import ALGORITHMS, LEVELS, design_network
+from fiberplan.netdesign.graphs import (
+    DuplicateCoordinate,
+    EmptyNodeSet,
+    NetworkDesign,
+    build_euclidean_graph,
+)
 from fiberplan.netdesign.solvers import prim_mst
+from fiberplan.report import emit_design_geojson
 
 from .oracles import (
     GeoPoint,
@@ -28,6 +35,7 @@ from .oracles import (
     node_columns,
     prim_mst_reference,
     road_graph,
+    single_node_design_reference,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,6 +80,16 @@ class TestMstDesign:
         assert result.design.total_length_km == 0.0
         assert result.design.terminal_node_count == 1
 
+    def test_duplicate_coordinate(self):
+        # Settlements 0 km apart always give a 0 km tree edge; coordinates
+        # equal as floats, -0.0 and 0.0 too, are 0 km apart.
+        message = r"settlements 'a' and 'b' are 0 km apart$"
+        nodes = [_s("a", 1.0, 2.0), _s("b", 1.0, 2.0)]
+        with pytest.raises(DuplicateCoordinate, match=message):
+            design_network("access", "mst", *node_columns(nodes), "a")
+        with pytest.raises(DuplicateCoordinate, match=message):
+            design_network("access", "mst", ["a", "b"], [0.0, -0.0], [1.0, 1.0], "b")
+
     def test_errors(self):
         with pytest.raises(EmptyNodeSet):
             design_network("access", "mst", [], [], [], "root")
@@ -83,6 +101,51 @@ class TestMstDesign:
             design_network("access", "spanner", *node_columns([_s("a", 0, 0), _s("b", 1, 1)]), "a")
         with pytest.raises(ValueError, match="duplicate"):
             design_network("access", "mst", *node_columns([_s("a", 0, 0), _s("a", 1, 1)]), "a")
+
+
+# A lone settlement on ROAD's vertex 2 (the same floats), 5.6 km off it,
+# within the 10 km snap radius, or 112 km off it, beyond.
+LONE = {"on-road": (0.0, 0.5), "within": (0.05, 0.5), "beyond": (1.0, 0.6)}
+
+
+def _design_fields(result) -> tuple:
+    d = result.design
+    return (
+        d.algorithm,
+        d.edges,
+        result.connected_settlements(),
+        d.excluded_terminals,
+        d.total_length_km,
+        d.total_penalty,
+        d.terminal_node_count,
+    )
+
+
+@pytest.mark.parametrize("place", list(LONE))
+def test_a_lone_settlement_designs_as_the_solver_free_reference(tmp_path, place):
+    """Each solver designs a settlement alone as the one-settlement path
+    that skipped them did; only a PCST root beyond the snap radius now
+    carries its warning."""
+    lat, lon = LONE[place]
+    beyond_km = haversine_km(lat, lon, 0.0, 0.5)
+    for algorithm, level, counted in itertools.product(ALGORITHMS, LEVELS, (True, False)):
+        result = design_network(
+            level, algorithm, ["solo"], [lat], [lon], "solo",
+            roads=ROAD, snap_radius_km=10.0, count_root_as_terminal=counted,
+        )
+        reference = single_node_design_reference(level, algorithm, "solo", lat, lon, counted)
+        assert _design_fields(result) == _design_fields(reference)
+        written = []
+        for name, results in (("design", [result]), ("reference", [reference])):
+            emit_design_geojson(results, str(tmp_path / name), parameters_hash="0123456789abcdef")
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1]
+        assert reference.warnings == ()
+        assert result.warnings == (
+            (f"settlement solo attached {beyond_km:.2f} km beyond the 10.00 km snap radius",)
+            if place == "beyond" and algorithm == "pcst"
+            else ()
+        )
 
 
 def _point_set(rng: random.Random, kind: str) -> list[Settlement]:

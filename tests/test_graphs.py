@@ -86,18 +86,11 @@ class TestBuildEuclideanGraph:
             (x.hex(), y.hex()) for x, y in zip(lat, lon)
         ]
 
-    def test_duplicate_coordinate(self):
-        nodes = [_settlement("a", 1.0, 2.0), _settlement("b", 1.0, 2.0)]
-        with pytest.raises(DuplicateCoordinate, match="'a'.*'b'"):
-            build_euclidean_graph(*node_columns(nodes))
-        # Coordinates equal as floats are one coordinate, -0.0 and 0.0 too.
-        message = r"settlements 'a' and 'b' share coordinate \(lat=-0.0, lon=1.0\)$"
-        with pytest.raises(DuplicateCoordinate, match=message):
-            build_euclidean_graph(["a", "b"], [0.0, -0.0], [1.0, 1.0])
-
-    def test_too_few_nodes(self):
+    def test_one_node_and_no_nodes(self):
+        g = build_euclidean_graph(*node_columns([_settlement("a", 1.0, 2.0)]))
+        assert (g.n, g.edge_count, g.point(0)) == (1, 0, (1.0, 2.0))
         with pytest.raises(EmptyNodeSet):
-            build_euclidean_graph(*node_columns([_settlement("a", 0, 0)]))
+            build_euclidean_graph([], [], [])
 
 
 class TestAttachTerminals:

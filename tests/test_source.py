@@ -300,3 +300,22 @@ def test_only_geodata_measures_the_earth():
             found += [f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', '?')} {name}"
                       for name in names]
     assert not found, "great-circle geometry outside geodata: " + ", ".join(found)
+
+
+def test_only_the_solvers_build_a_network_design():
+    """A `NetworkDesign` is what `prim_mst` or `pcst_gw` returns: no other
+    module constructs one, so every design, a lone settlement's too, is a
+    solver run."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "netdesign" / "solvers.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "NetworkDesign" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))
+        ]
+    assert not found, "NetworkDesign built outside the solvers: " + ", ".join(found)
