@@ -250,15 +250,17 @@ def _kruskal(parent, us: list[int], vs: list[int], size: int) -> list[int]:
 
 
 def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
-    """Rooted prize-collecting Steiner tree via moat growing, then pruning.
+    """Rooted prize-collecting Steiner tree in three steps: grow, prune, route.
 
-    Grows uniform-rate duals around active clusters; an edge joins two
-    clusters when the moats meet across it, and a cluster deactivates when
-    its dual budget exhausts its prize mass. The forest component containing
-    the root is then reduced by strong pruning (exact best-subtree DP) and
-    reconnected by the induced minimum spanning tree over the kept vertices.
-    Both post-steps only improve on the classical pruning, so the returned
-    objective stays within a factor 2 of the optimum.
+    `_grow_moats` grows uniform-rate duals around active clusters; an edge
+    joins two clusters when the moats meet across it, and a cluster
+    deactivates when its dual budget exhausts its prize mass.
+    `_strong_prune` picks the sites: the vertices of the best subtree of the
+    root's forest component (exact best-subtree DP). `_reconnect_minimally`
+    routes them: the design's edges are the minimum spanning tree of the
+    graph edges among the sites. Both post-steps only improve on the
+    classical pruning, so the returned objective stays within a factor 2 of
+    the optimum.
 
     Simultaneous events resolve merges before deactivations, each in
     lexicographic vertex order. Moat growing is event-driven (see
@@ -271,22 +273,13 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
     of active clusters: the value of the GW dual, a lower bound on the
     optimal objective.
     """
-    g = prized.graph
-    n = g.n
-    if n == 0:
-        raise EmptyNodeSet("cannot design over an empty graph")
-    edges = g.edge_arrays()
+    n = prized.graph.n
+    edges = prized.graph.edge_arrays()
     stats: dict[str, int] = {}
     forest, dual_terms = _grow_moats(prized, edges, stats)
-    adj: dict[int, list[tuple[int, float]]] = {}
-    for u, v, w in forest:
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, []).append((u, w))
-    kept_vertices, kept_edges = _strong_prune(prized, adj)
-    kept_edges = _reconnect_minimally(edges, n, kept_vertices, kept_edges)
-    design = _prized_design(
-        "PCST_GW", prized, kept_vertices, kept_edges, dual_bound=math.fsum(dual_terms)
-    )
+    kept = _strong_prune(prized, forest)
+    route = _reconnect_minimally(edges, n, kept)
+    design = _prized_design("PCST_GW", prized, kept, route, dual_bound=math.fsum(dual_terms))
     log.debug(
         "pcst_gw: %d vertices, %d edges, %d events (%d merges, %d deaths), "
         "%d exact evaluations, objective %.6g, dual bound %.6g",
@@ -579,19 +572,14 @@ def _fold(value: float, dts: array, start: int, stop: int) -> float:
 
 
 def _reconnect_minimally(
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n: int,
-    kept: set[int],
-    kept_edges: list[tuple[int, int, float]],
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, kept: set[int]
 ) -> list[tuple[int, int, float]]:
-    """Replace the kept tree by the MST of the induced subgraph on `kept`.
+    """The design's edges: the MST of the subgraph induced on the sites `kept`.
 
-    The induced subgraph contains the kept tree's edges, so it is connected
-    and the swap can only shorten the design; site selection is unchanged.
-    `edges` are the (u, v, w) arrays of the whole n-vertex graph.
+    The pruned tree lies in that subgraph, so it is connected and its MST
+    is no longer than the pruned tree. `edges` are the (u, v, w) arrays of
+    the whole n-vertex graph.
     """
-    if len(kept) <= 2:
-        return kept_edges
     inside = np.zeros(n, dtype=bool)
     inside[list(kept)] = True
     eu, ev, ew = edges
@@ -602,38 +590,39 @@ def _reconnect_minimally(
     return [(us[i], vs[i], ws[i]) for i in joined]
 
 
-def _strong_prune(
-    prized: PrizedGraph, adj: dict[int, list[tuple[int, float]]]
-) -> tuple[set[int], list[tuple[int, int, float]]]:
-    """Best subtree of the forest `adj` that contains the root.
+def _strong_prune(prized: PrizedGraph, forest: list[tuple[int, int, float]]) -> set[int]:
+    """The sites: the vertices of the best subtree of `forest` that contains
+    the root. `_reconnect_minimally` routes them, so no edge is returned.
 
     A DFS from the root discovers exactly the root's component; then,
     bottom-up over that tree, a child subtree is kept only when its pruned
     value strictly exceeds the edge cost that reaches it.
     """
+    adj: dict[int, list[tuple[int, float]]] = {}
+    for u, v, w in forest:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
     root = prized.root
     order: list[tuple[int, int, float]] = []  # (vertex, parent, parent edge weight)
-    parent = {root: (-1, 0.0)}
+    seen = {root}
     stack = [root]
     while stack:
         u = stack.pop()
         for v, w in sorted(adj.get(u, [])):
-            if v not in parent:
-                parent[v] = (u, w)
+            if v not in seen:
+                seen.add(v)
                 order.append((v, u, w))
                 stack.append(v)
     prizes = prized.prizes
-    value = {v: prizes.get(v, 0.0) for v in parent}
+    value = {v: prizes.get(v, 0.0) for v in seen}
     for v, u, w in reversed(order):
         value[u] += max(0.0, value[v] - w)
 
     kept = {root}
-    kept_edges: list[tuple[int, int, float]] = []
     for v, u, w in order:  # parents precede children in DFS discovery order
         if u in kept and value[v] > w:
             kept.add(v)
-            kept_edges.append((u, v, w))
-    return kept, kept_edges
+    return kept
 
 
 def _prized_design(

@@ -10,6 +10,12 @@ The Kruskal MST here is written against raw edge lists (no shared code with
 the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw_reference` is the scalar moat-growing loop that the vectorised
 `pcst_gw` replaced, kept as the reference it must match design for design.
+It prunes with `strong_prune_reference`, the pruning that returned its
+tree's edges as well as its sites, and keeps that tree when it has at most
+two sites (`_reconnect_minimally_reference`), where `pcst_gw` prunes to the
+sites alone and always routes them by the induced MST. From the package
+solvers it takes only the result builders `_prized_design` and
+`_sorted_edges`, so it runs none of the three steps it checks.
 `grow_moats_dense_reference` is the all-edges array loop that the
 event-driven `_grow_moats` replaced (by way of a frontier-only array loop);
 their forests and dual increments must be equal bit for bit.
@@ -96,11 +102,7 @@ from fiberplan.netdesign.graphs import (
     PrizedGraph,
     RootMissing,
 )
-from fiberplan.netdesign.solvers import (
-    _prized_design,
-    _sorted_edges,
-    _strong_prune,
-)
+from fiberplan.netdesign.solvers import _prized_design, _sorted_edges
 from fiberplan.report import (
     MC_METRICS,
     DecileReportRow,
@@ -561,9 +563,44 @@ def pcst_gw_reference(prized: PrizedGraph) -> NetworkDesign:
     for u, v, w in forest:
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
-    kept_vertices, kept_edges = _strong_prune(prized, adj)
+    kept_vertices, kept_edges = strong_prune_reference(prized, adj)
     kept_edges = _reconnect_minimally_reference(g, kept_vertices, kept_edges, root)
     return _prized_design("PCST_GW", prized, kept_vertices, kept_edges)
+
+
+def strong_prune_reference(
+    prized: PrizedGraph, adj: dict[int, list[tuple[int, float]]]
+) -> tuple[set[int], list[tuple[int, int, float]]]:
+    """Best subtree of the forest `adj` that contains the root, as its
+    vertices and its edges.
+
+    A DFS from the root discovers exactly the root's component; then,
+    bottom-up over that tree, a child subtree is kept only when its pruned
+    value strictly exceeds the edge cost that reaches it.
+    """
+    root = prized.root
+    order: list[tuple[int, int, float]] = []  # (vertex, parent, parent edge weight)
+    parent = {root: (-1, 0.0)}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v, w in sorted(adj.get(u, [])):
+            if v not in parent:
+                parent[v] = (u, w)
+                order.append((v, u, w))
+                stack.append(v)
+    prizes = prized.prizes
+    value = {v: prizes.get(v, 0.0) for v in parent}
+    for v, u, w in reversed(order):
+        value[u] += max(0.0, value[v] - w)
+
+    kept = {root}
+    kept_edges: list[tuple[int, int, float]] = []
+    for v, u, w in order:  # parents precede children in DFS discovery order
+        if u in kept and value[v] > w:
+            kept.add(v)
+            kept_edges.append((u, v, w))
+    return kept, kept_edges
 
 
 def _reconnect_minimally_reference(

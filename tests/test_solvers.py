@@ -329,11 +329,15 @@ class TestGwAgainstReference:
         rng = random.Random(20_2411)
         disconnected = 0
         events = evaluations = 0
+        sites = {1: 0, 2: 0}  # designs that kept the root alone, or one more site
         for _ in range(600):
             pg = random_grid_instance(rng)
             forest, _ = self.assert_moats_match_the_dense_loop(pg)
             assert forest == grow_moats_reference(pg)
-            assert pcst_gw(pg) == pcst_gw_reference(pg)
+            design = pcst_gw(pg)
+            assert design == pcst_gw_reference(pg)
+            if len(design.connected_vertices) in sites:
+                sites[len(design.connected_vertices)] += 1
             try:
                 prim_mst(pg.graph)
             except DisconnectedGraph:
@@ -346,6 +350,8 @@ class TestGwAgainstReference:
             evaluations += stats["evaluations"]
         assert disconnected >= 50
         assert evaluations >= 2 * events
+        # The reference keeps its pruned tree for these; `pcst_gw` routes them.
+        assert sites[1] >= 1 and sites[2] >= 1
 
     def test_identical_designs_on_the_golden_road_graph(self):
         roads = load_road_graph(os.path.join(GOLDEN, "roads.geojson"))

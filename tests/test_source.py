@@ -319,3 +319,22 @@ def test_only_the_solvers_build_a_network_design():
                                     getattr(node.func, "attr", None))
         ]
     assert not found, "NetworkDesign built outside the solvers: " + ", ".join(found)
+
+
+def test_oracles_take_only_result_builders_from_the_solvers():
+    """The PCST reference prunes and routes with its own code: from
+    `netdesign.solvers`, `tests/oracles.py` imports only the two functions
+    that turn a solve into a `NetworkDesign`."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "fiberplan.netdesign.solvers"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "fiberplan.netdesign.solvers":
+                found += [
+                    a.name for a in node.names if a.name not in ("_prized_design", "_sorted_edges")
+                ]
+            elif node.module == "fiberplan.netdesign":
+                found += [a.name for a in node.names if a.name == "solvers"]
+    assert not found, "oracles.py imports solver code: " + ", ".join(found)
