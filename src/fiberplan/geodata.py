@@ -111,9 +111,11 @@ class RoadGraph:
     self-loops, out-of-range ids and weights that are not positive.
     Coordinates stay in degrees, so a coordinate difference rounds exactly
     as it does in `haversine_km`, and `point(v)` returns the given floats
-    bit for bit as a (lat, lon) pair. Every array is read-only: one road
-    graph is shared by every design of a run. A graph without edges is a
-    point set for `nearest_vertex`.
+    bit for bit as a (lat, lon) pair. The graph never changes after it is
+    built, and every array is read-only: one road graph is shared by every
+    design of a run, and a solve derives what it indexes from
+    `edge_arrays()`. A graph without edges is a point set for
+    `nearest_vertex`.
     """
 
     def __init__(self, lat: Sequence[float], lon: Sequence[float],
@@ -141,7 +143,6 @@ class RoadGraph:
         arrays = (self.lat, self.lon, self.cos_lat, self._by_lat, self._sorted_lat)
         for held in self._edges + arrays:
             held.flags.writeable = False
-        self._incidence: tuple[np.ndarray, np.ndarray] | None = None
 
     def point(self, v: int) -> tuple[float, float]:
         return self.lat.item(v), self.lon.item(v)
@@ -164,12 +165,6 @@ class RoadGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
         return self._edges
-
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """`edge_incidence` of the graph, built on the first call and kept."""
-        if self._incidence is None:
-            self._incidence = edge_incidence(self.n, *self._edges[:2])
-        return self._incidence
 
     def nearest_vertex(self, lat: float, lon: float) -> tuple[int, float]:
         """Nearest vertex to p = (lat, lon) and its `haversine_km` distance;

@@ -133,78 +133,62 @@ class GreatCircleGraph:
 
 
 class RoadOverlay:
-    """A shared road graph plus one design's spurs.
+    """A shared road graph plus one design's spurs, built once from columns.
 
-    Answers `n`, `edge_count`, `edge_arrays()`, `incidence()` and
-    `point(v)`, a (lat, lon) pair, for the road graph with the spurs added,
-    but stores only what the design adds: vertices 0..R-1 are the road
-    vertices, read from the road graph's arrays; spur vertices follow in
-    attachment order, each at the floats given to `add_spur` and joined by
-    one edge to one road vertex.
+    `RoadOverlay(roads, lat, lon, road_vertex, km)` answers `n`,
+    `edge_count`, `edge_arrays()` and `point(v)`, a (lat, lon) pair, for the
+    road graph with the spurs added, but stores only what the design adds:
+    vertices 0..R-1 are the road vertices, read from the road graph's
+    arrays, and spur vertex R + i is at (lat[i], lon[i]), the floats given,
+    joined by one edge of km[i] to road vertex road_vertex[i]. The columns
+    are copied into read-only arrays; the overlay never changes.
     """
 
-    def __init__(self, roads: RoadGraph):
+    def __init__(self, roads: RoadGraph, lat: Sequence[float], lon: Sequence[float],
+                 road_vertex: Sequence[int], km: Sequence[float]):
         self.roads = roads
-        self._road_n = roads.n
-        # ((lat, lon), road vertex, spur length), one per spur vertex
-        self._spurs: list[tuple[tuple[float, float], int, float]] = []
-
-    @property
-    def n(self) -> int:
-        return self._road_n + len(self._spurs)
-
-    def add_spur(self, lat: float, lon: float, road_vertex: int, length: float) -> int:
-        self._spurs.append(((lat, lon), road_vertex, length))
-        return self.n - 1
+        self.spur_lat = np.array(lat, dtype=np.float64)
+        self.spur_lon = np.array(lon, dtype=np.float64)
+        self.spur_road_vertex = np.array(road_vertex, dtype=np.int64)
+        self.spur_km = np.array(km, dtype=np.float64)
+        self.n = roads.n + len(self.spur_km)
+        for held in (self.spur_lat, self.spur_lon, self.spur_road_vertex, self.spur_km):
+            held.flags.writeable = False
 
     def point(self, v: int) -> tuple[float, float]:
-        if 0 <= v < self._road_n:
+        if 0 <= v < self.roads.n:
             return self.roads.point(v)
-        if self._road_n <= v < self.n:
-            return self._spurs[v - self._road_n][0]
+        if self.roads.n <= v < self.n:
+            return self.spur_lat.item(v - self.roads.n), self.spur_lon.item(v - self.roads.n)
         raise IndexError(f"vertex {v} out of range for {self.n} vertices")
 
     @property
     def edge_count(self) -> int:
-        return self.roads.edge_count + len(self._spurs)
+        return self.roads.edge_count + len(self.spur_km)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays of every edge with u < v: the road graph's edges
         in ascending (u, v) order, then one (road vertex, spur vertex) edge
-        per spur, in attachment order."""
+        per spur, in spur vertex order."""
         ru, rv, rw = self.roads.edge_arrays()
-        su = np.array([road_v for _, road_v, _ in self._spurs], dtype=np.int64)
-        sv = np.arange(self._road_n, self.n, dtype=np.int64)
-        sw = np.array([w for _, _, w in self._spurs], dtype=np.float64)
-        return np.concatenate([ru, su]), np.concatenate([rv, sv]), np.concatenate([rw, sw])
-
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """The road graph's incidence (see `geodata.edge_incidence`) with the
-        spur edges added: ids[ptr[x]:ptr[x + 1]] are the ascending indices
-        into `edge_arrays()` of the edges at vertex x. A spur's edge is one
-        more entry at its road vertex, and the only one at its spur vertex."""
-        road_ptr, road_ids = self.roads.incidence()
-        at = np.array([road_v for _, road_v, _ in self._spurs], dtype=np.int64)
-        spur_ids = np.arange(self.roads.edge_count, self.edge_count, dtype=np.int64)
-        # np.insert puts values bound for one position in their given order.
-        at_road = np.insert(road_ids, road_ptr[at + 1], spur_ids)
-        degree = np.diff(road_ptr) + np.bincount(at, minlength=self._road_n)
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([degree, np.ones(len(at), dtype=np.int64)]), out=ptr[1:])
-        return ptr, np.concatenate([at_road, spur_ids])
+        sv = np.arange(self.roads.n, self.n, dtype=np.int64)
+        return (
+            np.concatenate([ru, self.spur_road_vertex]),
+            np.concatenate([rv, sv]),
+            np.concatenate([rw, self.spur_km]),
+        )
 
 
 @dataclass(frozen=True)
 class PrizedGraph:
     """A weighted graph with vertex prizes and a designated root.
 
-    The solvers read `graph` only through `n`, `edge_arrays()` and
-    `incidence()`, so any graph with those three will do; a run passes a
-    `RoadOverlay`. Prizes are the opportunity value of connecting a vertex
-    (same unit as edge weights). Vertices absent from `prizes` carry prize
-    0. `terminals` marks the vertices that count as demand points; it
-    defaults to the positive-prize vertices, but may include zero-prize
-    demand points.
+    The solvers read `graph` only through `n` and `edge_arrays()`, so any
+    graph with those two will do; a run passes a `RoadOverlay`. Prizes are
+    the opportunity value of connecting a vertex (same unit as edge
+    weights). Vertices absent from `prizes` carry prize 0. `terminals`
+    marks the vertices that count as demand points; it defaults to the
+    positive-prize vertices, but may include zero-prize demand points.
 
     Prizes must be finite, and their `math.fsum` at most half the largest
     float: every prize sum and dual, and the time of every event, of moat
@@ -318,10 +302,10 @@ def attach_terminals_to_roads(
         raise ValueError(f"snap_radius_km must be a finite number >= 0, got {snap_radius_km}")
     if not roads.n:
         raise EmptyNodeSet("road graph has no vertices to attach to")
-    g = RoadOverlay(roads)
     terminal_vertex: dict[str, int] = {}
     merged: dict[int, str] = {}  # road vertex -> the settlement merged onto it
     beyond: list[tuple[str, float]] = []
+    spur_lat, spur_lon, spur_road_vertex, spur_km = [], [], [], []  # one entry per spur
     lats = np.asarray(lat, dtype=np.float64).tolist()
     lons = np.asarray(lon, dtype=np.float64).tolist()
     for sid, s_lat, s_lon in zip(ids, lats, lons):
@@ -337,10 +321,15 @@ def attach_terminals_to_roads(
             merged[best_v] = sid
             terminal_vertex[sid] = best_v
             continue
-        vid = g.add_spur(s_lat, s_lon, best_v, best_d)
-        terminal_vertex[sid] = vid
+        terminal_vertex[sid] = roads.n + len(spur_km)
+        spur_lat.append(s_lat)
+        spur_lon.append(s_lon)
+        spur_road_vertex.append(best_v)
+        spur_km.append(best_d)
         if best_d > snap_radius_km:
             beyond.append((sid, best_d))
     return RoadAttachment(
-        graph=g, terminal_vertex=terminal_vertex, beyond_snap=tuple(beyond)
+        graph=RoadOverlay(roads, spur_lat, spur_lon, spur_road_vertex, spur_km),
+        terminal_vertex=terminal_vertex,
+        beyond_snap=tuple(beyond),
     )

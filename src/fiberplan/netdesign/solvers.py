@@ -20,6 +20,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
+from ..geodata import edge_incidence
 from .graphs import (
     DisconnectedGraph,
     EmptyNodeSet,
@@ -301,7 +302,7 @@ def _grow_moats(
     stats: dict[str, int] | None = None,
 ) -> tuple[list[tuple[int, int, float]], list[float]]:
     """The moat-growing phase of `pcst_gw` over the graph's (u, v, w)
-    arrays, which `prized.graph.incidence()` indexes.
+    arrays, each vertex's edges found by their `edge_incidence`.
 
     It takes the decisions of the dense loop (`grow_moats_dense_reference`
     in the tests) with the same floats. At each event a live edge, which
@@ -366,7 +367,7 @@ def _grow_moats(
     n = prized.graph.n
     root = prized.root
     eu, ev, ew = (a.tolist() for a in edges)
-    inc_ptr, inc_ids = prized.graph.incidence()
+    inc_ptr, inc_ids = edge_incidence(n, *edges[:2])
     rho = 16 * 1.01 * 4 * n * 2.0**-53  # 16 e, see the docstring
     tiny = 2.0**-1074
 

@@ -2,10 +2,11 @@
 
 `WeightedGraph` is a sparse graph built edge by edge, the test graph that
 both solvers accept: `prim_mst` reads its edges as its pairs, with their
-exact weights as keys, `pcst_gw` its `edge_arrays` and `incidence`. `pcst_exact` is the optimal prize-collecting Steiner tree by
-subset enumeration (at most `EXACT_PCST_MAX_VERTICES` vertices, else
-`InstanceTooLarge`), the oracle of the GW sandwich and dual-bound tests;
-it reads every graph through `edge_arrays()`, as the oracles below do.
+exact weights as keys, `pcst_gw` its `edge_arrays`. `pcst_exact` is the
+optimal prize-collecting Steiner tree by subset enumeration (at most
+`EXACT_PCST_MAX_VERTICES` vertices, else `InstanceTooLarge`), the oracle
+of the GW sandwich and dual-bound tests; it reads every graph through
+`edge_arrays()`, as the oracles below do.
 The Kruskal MST here is written against raw edge lists (no shared code with
 the package solvers) so the two routes to a spanning tree stay independent.
 `pcst_gw_reference` is the scalar moat-growing loop that the vectorised
@@ -87,7 +88,6 @@ from fiberplan.geodata import (
     _open_input,
     _position,
     _read_features,
-    edge_incidence,
     haversine_km,
     point_segment_km,
 )
@@ -183,11 +183,6 @@ class WeightedGraph:
         v = np.array([e[1] for e in edges], dtype=np.int64)
         w = np.array([e[2] for e in edges], dtype=np.float64)
         return u, v, w
-
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """The `edge_incidence` of `edge_arrays()`."""
-        u, v, _ = self.edge_arrays()
-        return edge_incidence(self.n, u, v)
 
 
 class GeoPoint(NamedTuple):

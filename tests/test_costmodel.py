@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,6 +122,8 @@ class TestTco:
         assert result.tco_per_user_usd is None
         assert result.annualized_per_user_usd is None
         assert result.monthly_per_user_usd is None
+        with pytest.raises(ValueError, match="users must be >= 0"):
+            tco_quantities(1, 10.0, CostBook(), -1.0)
 
     def test_breakdown_identities(self):
         result = tco_quantities(2, 25.0, CostBook(), 500.0)
@@ -143,6 +147,9 @@ class TestTco:
         half = tco_quantities(1, 10.0, book, 100.0, opex_share=0.5)
         assert half.opex_npv_usd == pytest.approx(full.opex_npv_usd / 2, rel=1e-12)
         assert half.capex_usd == full.capex_usd
+        for share in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="opex_share"):
+                tco_quantities(1, 10.0, book, 100.0, opex_share=share)
 
     @given(
         st.floats(min_value=1.0, max_value=1e6),

@@ -101,6 +101,9 @@ class TestMstDesign:
             design_network("access", "spanner", *node_columns([_s("a", 0, 0), _s("b", 1, 1)]), "a")
         with pytest.raises(ValueError, match="duplicate"):
             design_network("access", "mst", *node_columns([_s("a", 0, 0), _s("a", 1, 1)]), "a")
+        for lat, lon in (([0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0])):
+            with pytest.raises(ValueError, match="one entry per design node"):
+                design_network("access", "mst", ["a", "b"], lat, lon, "a")
 
 
 # A lone settlement on ROAD's vertex 2 (the same floats), 5.6 km off it,

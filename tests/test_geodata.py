@@ -430,6 +430,8 @@ def test_load_settlements_geojson(tmp_path):
 
     path = _write(tmp_path, "s.geojson", json.dumps(doc))
     ss = load_settlements(path, fmt="geojson")
+    with pytest.raises(ValueError, match="unknown settlements format 'shp'"):
+        load_settlements(path, fmt="shp")
     assert len(ss) == 1
     assert settlement_by_id(ss, "s1").location == GeoPoint(-1.2921, 36.8219)
 
@@ -597,6 +599,8 @@ def test_settlement_set_holds_columns_and_builds_settlements_on_demand(tmp_path)
     columns = (ss.ids, ss.lat, ss.lon, ss.population, ss.region_id, ss.subregion_id)
     with pytest.raises(ValueError, match="duplicate"):
         SettlementSet(*([column[0]] * 2 for column in columns))
+    with pytest.raises(ValueError, match="one entry per id"):
+        SettlementSet(ss.ids, ss.lat[:-1], *columns[2:])
 
 
 def test_settlement_table_retains_only_its_columns(tmp_path):

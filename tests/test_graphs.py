@@ -79,6 +79,9 @@ class TestBuildEuclideanGraph:
             haversine_km(*nodes[0].location, *nodes[1].location)
         )
         assert g.point(2) == nodes[2].location
+        for u, v in ((1, 1), (0, 3), (-1, 0)):
+            with pytest.raises(KeyError):
+                g.weight(u, v)
         # point(v) returns the given floats bit for bit.
         lat, lon = [-0.0, 5e-324, 0.0, 1.0], [180.0, -180.0, -0.0, 5e-324]
         g = build_euclidean_graph(["a", "b", "c", "d"], lat, lon)
@@ -145,6 +148,9 @@ class TestAttachTerminals:
         nodes = [_settlement("a", 0.0, 0.5), _settlement("b", 0.0, 0.5)]
         with pytest.raises(DuplicateCoordinate, match="'a' and 'b'"):
             attach_terminals_to_roads(*node_columns(nodes), self._roads(), snap_radius_km=5.0)
+        # Two settlements with one id, at different points.
+        with pytest.raises(ValueError, match="duplicate settlement id 'a'"):
+            attach_terminals_to_roads(["a", "a"], [0.1, 0.2], [0.5, 0.5], self._roads(), 50.0)
 
     def test_settlements_at_one_point_off_the_road_keep_separate_spurs(self):
         nodes = [_settlement("a", 0.1, 0.5), _settlement("b", 0.1, 0.5)]
@@ -177,6 +183,10 @@ class TestPrizedGraph:
         with pytest.raises(ValueError, match="terminal"):
             PrizedGraph(
                 graph=self._graph(), prizes={1: 2.0}, root=0, terminals=frozenset({2})
+            )
+        with pytest.raises(ValueError, match="terminal 3 not in graph"):
+            PrizedGraph(
+                graph=self._graph(), prizes={1: 2.0}, root=0, terminals=frozenset({1, 3})
             )
 
     def test_rejects_bad_root_and_prizes(self):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fiberplan.geodata import load_road_graph, load_settlements
+from fiberplan.geodata import edge_incidence, load_road_graph, load_settlements
 from fiberplan.netdesign import solvers
 from fiberplan.netdesign.graphs import (
     DisconnectedGraph,
@@ -357,13 +357,14 @@ class TestGwAgainstReference:
         roads = load_road_graph(os.path.join(GOLDEN, "roads.geojson"))
         ss = load_settlements(os.path.join(GOLDEN, "settlements.csv"))
         attachment = attach_terminals_to_roads(ss.ids, ss.lat, ss.lon, roads, snap_radius_km=5.0)
-        # The overlay's incidence lists each vertex's edges in edge_arrays() order.
+        # The incidence of the overlay's edge arrays lists each vertex's edges
+        # in edge_arrays() order, spur edges included.
         g = attachment.graph
         at: list[list[int]] = [[] for _ in range(g.n)]
         for i, (u, v) in enumerate(zip(*(a.tolist() for a in g.edge_arrays()[:2]))):
             at[u].append(i)
             at[v].append(i)
-        ptr, ids = g.incidence()
+        ptr, ids = edge_incidence(g.n, *g.edge_arrays()[:2])
         assert [ids[ptr[x] : ptr[x + 1]].tolist() for x in range(g.n)] == at
         # Each spur's edge is listed once at a road vertex and once at its own.
         assert sum(i >= roads.edge_count for a in at[: roads.n] for i in a) == g.n - roads.n

@@ -338,3 +338,64 @@ def test_oracles_take_only_result_builders_from_the_solvers():
             elif node.module == "fiberplan.netdesign":
                 found += [a.name for a in node.names if a.name == "solvers"]
     assert not found, "oracles.py imports solver code: " + ", ".join(found)
+
+
+# Graph classes a design reads, by module: built once, then only read.
+DESIGN_GRAPHS = {
+    "geodata.py": ("RoadGraph",),
+    "netdesign/graphs.py": ("GreatCircleGraph", "RoadOverlay"),
+}
+
+
+def _owner(node: ast.AST) -> str | None:
+    """The name at the root of an attribute or subscript chain."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _unpacked(target: ast.AST):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _unpacked(element)
+    else:
+        yield target
+
+
+def _changes_self(node: ast.AST) -> bool:
+    """An assignment to, deletion of, or append/extend/insert on `self.…`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("append", "extend", "insert") and _owner(node.func) == "self"
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        not isinstance(t, ast.Name) and _owner(t) == "self"
+        for target in targets
+        for t in _unpacked(target)
+    )
+
+
+def test_design_graphs_never_change_after_construction():
+    """A road graph is shared by every design of a run, and each design's
+    graph by whatever reads its result: none of them fills a cache or
+    grows after `__init__`, so no method but `__init__` sets or extends an
+    attribute of `self`."""
+    found = []
+    for module, classes in DESIGN_GRAPHS.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        seen = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name in classes]
+        assert sorted(c.name for c in seen) == sorted(classes), module
+        for cls in seen:
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                    continue
+                found += [
+                    f"{module}:{node.lineno} {cls.name}.{method.name}"
+                    for node in ast.walk(method)
+                    if _changes_self(node)
+                ]
+    assert not found, "graph state changed after construction: " + ", ".join(found)
