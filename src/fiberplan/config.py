@@ -29,26 +29,24 @@ from .report import (
 
 _SETTLEMENT_FORMATS = ("csv", "geojson")
 
+# The range of a numeric setting, keyed by the words its error message uses.
+_RANGES = {">= 0": lambda v: v >= 0, "positive": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1}
+
+# Each float setting, in check order: its default (None: required) and range.
+_FLOAT_SETTINGS = {
+    "adoption_rate": (None, "in (0, 1]"),
+    "min_density_per_km2": (0.0, ">= 0"),
+    "buffer_km": (2.0, ">= 0"),
+    "snap_radius_km": (5.0, ">= 0"),
+    "prize_scale": (1.0, "positive"),
+}
+
 _TOP_LEVEL_KEYS = {
-    "inputs",
-    "settlements_format",
-    "adoption_rate",
-    "min_density_per_km2",
-    "buffer_km",
-    "main_settlement_threshold",
-    "algorithms",
-    "snap_radius_km",
-    "prize_scale",
-    "output_dir",
-    "cost",
-    "emissions",
-    "monte_carlo",
+    *_FLOAT_SETTINGS, "inputs", "settlements_format", "main_settlement_threshold",
+    "algorithms", "output_dir", "cost", "emissions", "monte_carlo",
 }
 
 _INPUT_KEYS = {"settlements", "areas", "fiber", "roads"}
-
-# The range of a numeric setting, keyed by the words its error message uses.
-_RANGES = {">= 0": lambda v: v >= 0, "positive": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1}
 
 
 @dataclass(frozen=True)
@@ -137,16 +135,15 @@ def load_scenario(
             f"settlements_format must be one of {_SETTLEMENT_FORMATS}, got {settlements_format!r}"
         )
 
-    adoption_rate = _number(raw, "adoption_rate", None, "in (0, 1]")
-    min_density = _number(raw, "min_density_per_km2", 0.0, ">= 0")
-    buffer_km = _number(raw, "buffer_km", 2.0, ">= 0")
-    threshold = raw.get("main_settlement_threshold", 20_000)
-    if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 0:
-        raise ConfigError(
-            f"main_settlement_threshold must be a non-negative integer, got {threshold!r}"
-        )
-    snap_radius_km = _number(raw, "snap_radius_km", 5.0, ">= 0")
-    prize_scale = _number(raw, "prize_scale", 1.0, "positive")
+    floats = {}
+    for key, (default, rule) in _FLOAT_SETTINGS.items():
+        if key == "snap_radius_km":  # the threshold is checked after buffer_km
+            threshold = raw.get("main_settlement_threshold", 20_000)
+            if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 0:
+                raise ConfigError(
+                    f"main_settlement_threshold must be a non-negative integer, got {threshold!r}"
+                )
+        floats[key] = _number(raw, key, default, rule)
 
     algorithms = _parse_algorithms(raw.get("algorithms", list(ALGORITHMS)))
     if "pcst" in algorithms and roads_path is None:
@@ -172,13 +169,9 @@ def load_scenario(
         fiber_path=fiber_path,
         roads_path=roads_path,
         settlements_format=settlements_format,
-        adoption_rate=adoption_rate,
-        min_density_per_km2=min_density,
-        buffer_km=buffer_km,
+        **floats,
         main_settlement_threshold=threshold,
         algorithms=algorithms,
-        snap_radius_km=snap_radius_km,
-        prize_scale=prize_scale,
         cost_book=cost_book,
         factor_book=factor_book,
         mc=mc,
@@ -271,13 +264,9 @@ def _parse_distribution(key: str, entry: Any) -> Distribution:
 def parameters_payload(cfg: ScenarioConfig) -> dict:
     """Semantic parameters for hashing: everything except file paths."""
     payload: dict[str, Any] = {
-        "adoption_rate": cfg.adoption_rate,
-        "min_density_per_km2": cfg.min_density_per_km2,
-        "buffer_km": cfg.buffer_km,
+        **{key: getattr(cfg, key) for key in _FLOAT_SETTINGS},
         "main_settlement_threshold": cfg.main_settlement_threshold,
         "algorithms": list(cfg.algorithms),
-        "snap_radius_km": cfg.snap_radius_km,
-        "prize_scale": cfg.prize_scale,
         "cost": {k: getattr(cfg.cost_book, k) for k in sorted(vars(cfg.cost_book))},
         "emissions": {k: getattr(cfg.factor_book, k) for k in sorted(vars(cfg.factor_book))},
     }

@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import is_finite_number
+from .errors import check_book_fields, check_nonnegative
 
 # The opex present value sums years + 1 discount factors for every book and
 # Monte Carlo draw; this bound keeps 1,000 draws to about a million of them.
@@ -47,12 +47,7 @@ class CostBook:
     carbon_price_usd_per_tonne: float = 75.0
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not is_finite_number(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {value}")
+        check_book_fields(self)
         if not self.discount_rate < 1.0:
             raise ValueError(f"discount_rate must be in [0, 1), got {self.discount_rate}")
         years = self.assessment_years
@@ -121,16 +116,9 @@ class CostBreakdown:
     monthly_per_user_usd: float | None
 
 
-def _check_quantities(node_count: int, length_km: float) -> None:
-    if node_count < 0:
-        raise ValueError(f"node_count must be >= 0, got {node_count}")
-    if length_km < 0:
-        raise ValueError(f"length_km must be >= 0, got {length_km}")
-
-
 def capex_quantities(node_count: int, length_km: float, book: CostBook) -> float:
     """Capex for raw quantities: node_count terminals and length_km fiber."""
-    _check_quantities(node_count, length_km)
+    check_nonnegative(node_count=node_count, length_km=length_km)
     return _capex(node_count, length_km, book)
 
 
@@ -144,11 +132,10 @@ def tco_quantities(
 ) -> CostBreakdown:
     """TCO from raw quantities; opex_share scales the opex stream for
     designs whose operating cost is split across several reporting units."""
-    if users < 0:
-        raise ValueError(f"users must be >= 0, got {users}")
+    check_nonnegative(users=users)
     if not 0.0 <= opex_share <= 1.0:
         raise ValueError(f"opex_share must be in [0, 1], got {opex_share}")
-    _check_quantities(node_count, length_km)
+    check_nonnegative(node_count=node_count, length_km=length_km)
     cap, opex, total = _tco_parts(node_count, length_km, opex_share, book, opex_npv(book))
     if users == 0:
         per_user = annualized = monthly = None

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .errors import DataError
+from .errors import DataError, check_nonnegative
 from .geodata import _read_csv_rows
 from .report import write_csv
 
@@ -49,8 +49,7 @@ class AdoptionScenario:
     def __post_init__(self) -> None:
         if not 0.0 < self.adoption_rate <= 1.0:
             raise ValueError(f"adoption_rate must be in (0, 1], got {self.adoption_rate}")
-        if self.min_density_per_km2 < 0.0:
-            raise ValueError(f"min_density_per_km2 must be >= 0, got {self.min_density_per_km2}")
+        check_nonnegative(min_density_per_km2=self.min_density_per_km2)
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,7 @@ def population_density(population: int, area_km2: float) -> float:
     """People per km2; rejects non-positive areas."""
     if area_km2 <= 0.0:
         raise ZeroArea(f"area must be positive, got {area_km2}")
-    if population < 0:
-        raise ValueError(f"population must be >= 0, got {population}")
+    check_nonnegative(population=population)
     return population / area_km2
 
 

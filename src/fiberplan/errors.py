@@ -2,13 +2,15 @@
 
 Four tiers map onto CLI exit codes: configuration problems (2), input data
 problems (3), solver failures (4), output/I-O failures (5). Concrete errors
-subclass the tier that owns their exit semantics. `is_finite_number` is
-the one numeric check that the parameter books and Monte Carlo
-distributions share.
+subclass the tier that owns their exit semantics. The shared input checks
+live here too: `is_finite_number` (books and Monte Carlo distributions),
+`check_nonnegative` (every pricing and demand quantity) and
+`check_book_fields` (both parameter books' common field rule).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 
@@ -51,3 +53,21 @@ def is_finite_number(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def check_nonnegative(**values: float) -> None:
+    """ValueError naming the first of values, in argument order, that is
+    below 0 (a nan is not)."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def check_book_fields(book: object) -> None:
+    """ValueError naming the first field of the dataclass book, in field
+    order, that is not a finite number >= 0."""
+    for f in dataclasses.fields(book):
+        value = getattr(book, f.name)
+        if not is_finite_number(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        check_nonnegative(**{f.name: value})

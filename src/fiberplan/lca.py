@@ -19,7 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import is_finite_number
+from .errors import check_book_fields, check_nonnegative
 
 HOURS_PER_YEAR = 8_760.0
 
@@ -61,12 +61,7 @@ class EmissionFactorBook:
     lifetime_years: int = 30
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not is_finite_number(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {value}")
+        check_book_fields(self)
         if self.trench_fraction > 1.0:
             raise ValueError(f"trench_fraction must be in [0, 1], got {self.trench_fraction}")
         if not isinstance(self.lifetime_years, int) or self.lifetime_years < 1:
@@ -175,12 +170,7 @@ def emissions_quantities(
     terminal power across each terminal's share of them; an empty design or
     a zero-user base contributes no operations load.
     """
-    if users < 0:
-        raise ValueError(f"users must be >= 0, got {users}")
-    if length_km < 0 or node_count < 0:
-        raise ValueError(
-            f"length_km and node_count must be >= 0, got {length_km}, {node_count}"
-        )
+    check_nonnegative(users=users, length_km=length_km, node_count=node_count)
     if users > 0 and node_count > 0:
         if users / node_count == 0.0:
             raise ValueError(f"users {users} over node_count {node_count} underflows to 0")

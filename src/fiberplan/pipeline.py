@@ -32,7 +32,6 @@ from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, Nodes, design_ne
 from .report import (
     DecileReportRow,
     IoError,
-    KeyMismatch,
     McSummaryRow,
     ReportUnit,
     build_report,
@@ -155,20 +154,6 @@ def _users_sum(users: Iterable[float], what: str) -> float:
     return total
 
 
-def _region_decile(
-    region: str,
-    classification: ClassificationResult,
-    settlements: SettlementSet,
-    demand_index: Mapping[str, SubregionDemand],
-) -> int:
-    anchor_id = classification.region_anchor[region]
-    subregion = settlements.subregion_id[settlements.row[anchor_id]]
-    record = demand_index.get(subregion)
-    if record is None:
-        raise KeyMismatch(f"anchor subregion {subregion!r} has no demand record")
-    return record.decile
-
-
 def build_designs(
     cfg: ScenarioConfig,
     inputs: LoadedInputs,
@@ -261,12 +246,13 @@ def build_units(
     no design.
     """
     settlements = inputs.settlements
-    demand_index = {r.subregion_id: r for r in stage.records}
-    region_users = stage.users_by_region
+    # load_inputs checks that every settled subregion has a demand record.
+    decile = {r.subregion_id: r.decile for r in stage.records}
     region_decile = {
-        region: _region_decile(region, classification, settlements, demand_index)
-        for region in region_users
+        region: decile[settlements.subregion_id[settlements.row[anchor_id]]]
+        for region, anchor_id in classification.region_anchor.items()
     }
+    region_users = stage.users_by_region
     rnod_region = {sid: region for region, sid in classification.regional_nodes.items()}
 
     units: list[ReportUnit] = []

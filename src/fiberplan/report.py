@@ -35,7 +35,7 @@ from .costmodel import (  # noqa: F401
     _tco_parts,
     tco_quantities,
 )
-from .errors import ConfigError, DataError, OutputError, is_finite_number
+from .errors import ConfigError, OutputError, check_nonnegative, is_finite_number
 from .lca import EmissionFactorBook, _operations, _per_user_views, _phases
 from .lca import emissions_quantities  # noqa: F401
 from .netdesign.design import DesignResult
@@ -46,10 +46,6 @@ _SEED_MASK = (1 << 64) - 1
 # draw's figures in one (draws, rows, len(MC_METRICS)) float64 array, so this
 # bounds that allocation. Ten times the largest run measured; not a setting.
 MAX_DRAWS = 1_000_000
-
-
-class KeyMismatch(DataError):
-    """A design references a demand key that does not exist."""
 
 
 class UnknownParameterKey(ConfigError):
@@ -85,8 +81,7 @@ class ReportUnit:
     def __post_init__(self) -> None:
         if not 1 <= self.decile <= 10:
             raise ValueError(f"decile must be 1..10, got {self.decile}")
-        if self.users < 0 or self.node_count < 0 or self.length_km < 0:
-            raise ValueError(f"unit quantities must be >= 0 ({self})")
+        check_nonnegative(users=self.users, node_count=self.node_count, length_km=self.length_km)
         if not 0.0 <= self.opex_share <= 1.0:
             raise ValueError(f"opex_share must be in [0, 1] ({self})")
 
@@ -121,8 +116,9 @@ def _scc(total_kg_co2e, carbon_price_usd_per_tonne):
 
 def scc(total_kg_co2e: float, carbon_price_usd_per_tonne: float) -> float:
     """Social carbon cost of emissions at a per-tonne price."""
-    if total_kg_co2e < 0 or carbon_price_usd_per_tonne < 0:
-        raise ValueError("scc inputs must be >= 0")
+    check_nonnegative(
+        total_kg_co2e=total_kg_co2e, carbon_price_usd_per_tonne=carbon_price_usd_per_tonne
+    )
     return _scc(total_kg_co2e, carbon_price_usd_per_tonne)
 
 
@@ -355,6 +351,11 @@ def resolve_parameter_key(key: str) -> str:
     )
 
 
+def _book_of(key: str, cost_book: CostBook, factor_book: EmissionFactorBook):
+    """The book that owns the tunable parameter key."""
+    return cost_book if resolve_parameter_key(key) == "cost" else factor_book
+
+
 def _check_values(
     key: str, values: Sequence[float], cost_book: CostBook, factor_book: EmissionFactorBook
 ) -> None:
@@ -363,7 +364,7 @@ def _check_values(
     Every book rule bounds one field to an interval, so checking the ends
     of a range of values checks the whole range.
     """
-    book = cost_book if resolve_parameter_key(key) == "cost" else factor_book
+    book = _book_of(key, cost_book, factor_book)
     for value in values:
         try:
             book.replace(**{key: value})
@@ -392,8 +393,7 @@ def check_distributions(
             ends = () if dist.value is None else (dist.value,)
         _check_values(key, ends, cost_book, factor_book)
         if not ends:
-            book = cost_book if resolve_parameter_key(key) == "cost" else factor_book
-            ends = (float(getattr(book, key)),)
+            ends = (float(getattr(_book_of(key, cost_book, factor_book), key)),)
         support[key] = (ends[0], ends[-1])
     return support
 
@@ -441,8 +441,8 @@ def draw_parameters(
     out: dict[str, float] = {}
     for key in sorted(mc.distributions):
         dist = mc.distributions[key]
-        book = cost_book if resolve_parameter_key(key) == "cost" else factor_book
         if dist.kind == "fixed":
+            book = _book_of(key, cost_book, factor_book)
             out[key] = float(getattr(book, key)) if dist.value is None else dist.value
         elif dist.kind == "uniform":
             out[key] = float(rng.uniform(dist.lo, dist.hi))

@@ -202,6 +202,12 @@ def test_a_numeric_setting_out_of_range_names_its_whole_range(tmp_path, key, val
     assert str(exc.value) == f"{key} must be {rule}, got {float(value)}"
 
 
+def test_of_two_bad_settings_the_threshold_is_reported_before_the_snap_radius(tmp_path):
+    path = _write_config(tmp_path, main_settlement_threshold=-1, snap_radius_km=-1)
+    with pytest.raises(ConfigError, match="^main_settlement_threshold must be"):
+        load_scenario(path)
+
+
 def test_pcst_requires_roads(tmp_path):
     with pytest.raises(ConfigError, match="roads"):
         load_scenario(_write_config(tmp_path, algorithms=["pcst"]))

@@ -62,9 +62,9 @@ class TestCapex:
         assert capex_quantities(3, 100.0, book) == base + 50.0 * 6_600.0
 
     def test_quantities_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^node_count must be >= 0, got -1$"):
             capex_quantities(-1, 0.0, CostBook())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^length_km must be >= 0, got -1.0$"):
             capex_quantities(0, -1.0, CostBook())
 
 
@@ -150,6 +150,13 @@ class TestTco:
         for share in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match="opex_share"):
                 tco_quantities(1, 10.0, book, 100.0, opex_share=share)
+        # users, then opex_share, then node_count and length_km
+        with pytest.raises(ValueError, match="^opex_share must be in"):
+            tco_quantities(-1, 10.0, book, 100.0, opex_share=1.5)
+        with pytest.raises(ValueError, match="^node_count must be >= 0, got -1$"):
+            tco_quantities(-1, -1.0, book, 100.0)
+        with pytest.raises(ValueError, match="^users must be >= 0"):
+            tco_quantities(-1, 10.0, book, -1.0, opex_share=1.5)
 
     @given(
         st.floats(min_value=1.0, max_value=1e6),

@@ -143,8 +143,14 @@ class TestTotal:
         assert b.per_user_kg is None
 
     def test_quantities_validation(self):
-        for args in ((-1.0, 0, 0.0), (0.0, -1, 0.0), (0.0, 0, -1.0)):
-            with pytest.raises(ValueError):
+        cases = (
+            ((-1.0, 0, 0.0), "length_km must be >= 0, got -1.0"),
+            ((0.0, -1, 0.0), "node_count must be >= 0, got -1"),
+            ((0.0, 0, -1.0), "users must be >= 0, got -1.0"),
+            ((-1.0, -1, -1.0), "users must be >= 0, got -1.0"),
+        )
+        for args, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 emissions_quantities(*args, BOOK)
 
     def test_a_user_base_that_underflows_per_node_is_rejected(self):

@@ -8,10 +8,9 @@ import random
 import pytest
 
 from fiberplan.config import load_scenario
-from fiberplan.demand import SubregionDemand
 from fiberplan.errors import ConfigError, DataError
 from fiberplan.geodata import haversine_km
-from fiberplan.netdesign.classify import ClassificationResult, _backbone_root
+from fiberplan.netdesign.classify import _backbone_root
 from fiberplan.pipeline import (
     build_demand,
     emit_outputs,
@@ -19,7 +18,6 @@ from fiberplan.pipeline import (
     run_monte_carlo,
     run_pipeline,
 )
-from fiberplan.report import KeyMismatch
 
 from .oracles import (
     GeoPoint,
@@ -326,22 +324,6 @@ def test_demand_sums_populations_past_2_63_exactly(tmp_path):
     assert {r.subregion_id: r.population for r in stage.records} == want
     assert max(want.values()) > 2**64
     assert all(type(r.population) is int for r in stage.records)
-
-
-def test_region_decile_requires_a_demand_record():
-    from fiberplan.pipeline import _region_decile
-    settlements = settlement_set([Settlement("a", GeoPoint(0.0, 36.0), 1000, "R1", "S1")])
-    classification = ClassificationResult(
-        core_adjacent=(),
-        region_anchor={"R1": "a"},
-        regional_nodes={"R1": "a"},
-        access_nodes={},
-        regions_without_candidate=(),
-        backbone_root="a",
-    )
-    demand_index: dict[str, SubregionDemand] = {}
-    with pytest.raises(KeyMismatch):
-        _region_decile("R1", classification, settlements, demand_index)
 
 
 def _root_pick_case(rng, kind):

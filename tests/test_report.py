@@ -60,9 +60,9 @@ def test_scc_is_linear_in_both_arguments():
 
 
 def test_scc_rejects_negative_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="total_kg_co2e must be >= 0, got -1.0"):
         scc(-1.0, 75.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="carbon_price_usd_per_tonne must be >= 0, got -75.0"):
         scc(1.0, -75.0)
 
 
@@ -88,10 +88,12 @@ def test_unit_validates_decile_and_quantities():
         _unit(decile=0)
     with pytest.raises(ValueError):
         _unit(decile=11)
-    with pytest.raises(ValueError):
-        _unit(users=-1.0)
-    with pytest.raises(ValueError):
-        _unit(length_km=-0.5)
+    # the first negative quantity is named, in users, node_count, length_km order
+    for field, value in (("users", -1.0), ("node_count", -1), ("length_km", -1.0)):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got {value}$"):
+            _unit(**{field: value})
+    with pytest.raises(ValueError, match="^node_count must be"):
+        _unit(node_count=-1, length_km=-1.0)
 
 
 def test_single_unit_row_matches_direct_pricing():

@@ -399,3 +399,32 @@ def test_design_graphs_never_change_after_construction():
                     if _changes_self(node)
                 ]
     assert not found, "graph state changed after construction: " + ", ".join(found)
+
+
+NONNEGATIVE_MESSAGE = " must be >= 0, got "
+
+
+def test_only_errors_writes_the_nonnegative_check():
+    """The "<name> must be >= 0" rule of the books and of every pricing and
+    demand quantity is `errors.check_nonnegative`: no other module raises a
+    `ValueError` whose f-string spells that message."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            if getattr(node.exc.func, "id", None) != "ValueError":
+                continue
+            texts = [
+                part.value
+                for arg in node.exc.args
+                if isinstance(arg, ast.JoinedStr)
+                for part in arg.values
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            ]
+            if any(NONNEGATIVE_MESSAGE in text for text in texts):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found, "non-negativity checks outside errors.py: " + ", ".join(found)
