@@ -57,8 +57,10 @@ def is_finite_number(value: object) -> bool:
 
 def check_nonnegative(**values: float) -> None:
     """ValueError naming the first of values, in argument order, that is
-    below 0 (a nan is not)."""
+    not a finite number >= 0: a nan or an infinity, or a value below 0."""
     for name, value in values.items():
+        if value != value or abs(value) == math.inf:  # an int of any size is finite
+            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 

@@ -3,10 +3,11 @@
 A reporting unit is one region's share of one network level under one
 algorithm. Units are priced with the cost and emission-factor books, summed
 per (decile, level, algorithm), and written as CSV. Monte Carlo re-prices
-the same units under parameter draws from a counter-based generator, so
+the same units under parameter draws from a counter-based generator
+(Philox4x64-10, computed here in numpy for a whole block of draws), so
 results are independent of execution order. Both go through one pricing
-kernel over arrays of units and blocks of draws; the report is its
-one-draw case.
+kernel over arrays of units and blocks of draws, whose row totals are the
+correctly rounded sums `math.fsum` gives; the report is its one-draw case.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import io
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Mapping, Sequence
@@ -30,6 +30,7 @@ import numpy as np
 from .costmodel import (  # noqa: F401
     CostBook,
     _annual_opex,
+    _fsum_columns,
     _opex_npv,
     _per_user_tco,
     _tco_parts,
@@ -152,8 +153,10 @@ def build_report(
 
 # --- pricing kernel ---------------------------------------------------------
 
-# Draws priced together: bounds the kernel's (draws, units) temporaries.
-_BLOCK_DRAWS = 32
+# Draws priced together: bounds the kernel's (units, draws) temporaries. On
+# mc-sweep, 128 priced as fast as 256 with 2 MB less peak RSS, and faster
+# than 32 or 64, whose fixed costs per block add up.
+_BLOCK_DRAWS = 128
 
 # MC_METRICS that divide by the row's users, undefined when those are zero.
 _PER_USER_METRICS = frozenset(m for m in MC_METRICS if "per_user" in m)
@@ -172,12 +175,13 @@ class _PricedUnits:
     """Report units as arrays over units, grouped into report rows.
 
     `price` maps book parameters (a namespace of every book field: floats,
-    or (draws, 1) columns for varied fields) to every report metric of every
-    row, shape (draws, rows, len(MC_METRICS)). Units
-    are priced with the arithmetic of `costmodel` and `lca`, in the order
-    `tco_quantities` and `emissions_quantities` evaluate it, and each row
-    total is a `math.fsum` over its members, so every draw's figures equal
-    those of pricing the units one by one at that draw's book values.
+    or (draws,) arrays for varied fields) to every report metric of every
+    row, shape (draws, rows, len(MC_METRICS)). Units are priced as
+    (units, draws) arrays with the arithmetic of `costmodel` and `lca`, in
+    the order `tco_quantities` and `emissions_quantities` evaluate it, and
+    each row total is `math.fsum` over its members (by `_fsum_columns`), so
+    every draw's figures equal those of pricing the units one by one at that
+    draw's book values.
     """
 
     def __init__(self, units: Sequence[ReportUnit]) -> None:
@@ -185,24 +189,31 @@ class _PricedUnits:
         for i, unit in enumerate(units):
             groups.setdefault((unit.decile, unit.level, unit.algorithm), []).append(i)
         self.rows = sorted(groups)
-        self.members = [np.array(groups[key]) for key in self.rows]
-        users = np.array([u.users for u in units], dtype=float)
-        self.node_count = np.array([u.node_count for u in units], dtype=float)
-        self.length_km = np.array([u.length_km for u in units], dtype=float)
-        self.opex_share = np.array([u.opex_share for u in units], dtype=float)
+        # Row j's members are column j, padded with the index of an extra
+        # -0.0 unit, the additive identity, to the power of two that
+        # `_fsum_columns` would pad to.
+        longest = max(map(len, groups.values()), default=1)
+        self.members = np.full((1 << (longest - 1).bit_length(), len(self.rows)), len(units))
+        for j, key in enumerate(self.rows):
+            self.members[: len(groups[key]), j] = groups[key]
+
+        def column(field: str) -> np.ndarray:
+            return np.array([getattr(u, field) for u in units], dtype=float)[:, None]
+
+        users = column("users")
+        self.node_count = column("node_count")
+        self.length_km = column("length_km")
+        self.opex_share = column("opex_share")
         # Operations load only where a unit has users and terminals; other
         # units get placeholder counts of 1 and a masked-out figure.
         self.has_ops = (users > 0) & (self.node_count > 0)
         self.ops_users = np.where(self.has_ops, users, 1.0)
         self.ops_per_terminal = self.ops_users / np.where(self.has_ops, self.node_count, 1.0)
-        self.row_users = np.array([math.fsum(users[m].tolist()) for m in self.members])
-        self.row_length = np.array(
-            [math.fsum(self.length_km[m].tolist()) for m in self.members]
-        )
-        has_users = self.row_users > 0
+        self.row_users = self._row_sums(users, 1)
+        self.row_length = self._row_sums(self.length_km, 1)
         self.defined = [
             [bool(ok) or metric not in _PER_USER_METRICS for metric in MC_METRICS]
-            for ok in has_users
+            for ok in self.row_users[:, 0] > 0
         ]
 
     def price(self, b: SimpleNamespace, draws: int) -> np.ndarray:
@@ -226,12 +237,9 @@ class _PricedUnits:
         return values
 
     def _figures(self, b: SimpleNamespace, draws: int) -> np.ndarray:
-        annual = np.broadcast_to(_annual_opex(b), (draws, 1))[:, 0].tolist()
-        rate = np.broadcast_to(b.discount_rate, (draws, 1))[:, 0].tolist()
-        npv = np.array([_opex_npv(a, r, b.assessment_years) for a, r in zip(annual, rate)])
-        _, _, tco = _tco_parts(
-            self.node_count, self.length_km, self.opex_share, b, npv[:, None]
-        )
+        annual = np.broadcast_to(_annual_opex(b), (draws,))
+        npv = _opex_npv(annual, b.discount_rate, b.assessment_years)
+        _, _, tco = _tco_parts(self.node_count, self.length_km, self.opex_share, b, npv)
         ops = np.where(
             self.has_ops,
             self.ops_users * _operations(self.ops_users, self.ops_per_terminal, b),
@@ -245,10 +253,9 @@ class _PricedUnits:
         _, ann_tco, monthly = _per_user_tco(tco_rows, users, b.assessment_years)
         per_user_kg, ann_kg = _per_user_views(kg_rows, users, b.lifetime_years)
         scc_per_user, ann_scc = _per_user_views(scc_rows, users, b.lifetime_years)
-        shape = tco_rows.shape
         columns = {
-            "users": np.broadcast_to(self.row_users, shape),
-            "total_length_km": np.broadcast_to(self.row_length, shape),
+            "users": self.row_users,
+            "total_length_km": self.row_length,
             "tco_usd": tco_rows,
             "annualized_tco_per_user_usd": ann_tco,
             "monthly_tco_per_user_usd": monthly,
@@ -259,15 +266,17 @@ class _PricedUnits:
             "scc_per_user_usd": scc_per_user,
             "annualized_scc_per_user_usd": ann_scc,
         }
-        return np.stack([np.broadcast_to(columns[m], shape) for m in MC_METRICS], axis=-1)
+        shape = (len(self.rows), draws)
+        figures = np.stack([np.broadcast_to(columns[m], shape) for m in MC_METRICS], axis=-1)
+        return figures.transpose(1, 0, 2)
 
     def _row_sums(self, values: np.ndarray, draws: int) -> np.ndarray:
-        """Exact per-row sums, shape (draws, rows), of a per-unit figure."""
-        values = np.broadcast_to(values, (draws, values.shape[-1]))
-        out = np.empty((draws, len(self.rows)))
-        for j, members in enumerate(self.members):
-            out[:, j] = list(map(math.fsum, values[:, members].tolist()))
-        return out
+        """Exact per-row sums, shape (rows, draws), of a per-unit figure of
+        shape (units, draws) or (units, 1)."""
+        padded = np.full((len(values) + 1, draws), -0.0)
+        padded[:-1] = values
+        sums = _fsum_columns(padded[self.members].reshape(len(self.members), -1))
+        return sums.reshape(len(self.rows), draws)
 
 
 # --- Monte Carlo ------------------------------------------------------------
@@ -398,30 +407,94 @@ def check_distributions(
     return support
 
 
-# One generator per thread, so that callers on two threads never share a
-# stream; each draw re-keys it.
-_streams = threading.local()
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011) as numpy's `Philox` bit generator computes it: the round
+# multipliers and the key's Weyl increments.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 
 
-def _stream(key: np.ndarray) -> np.random.Generator:
-    """This thread's generator at the start of the Philox stream `key`.
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of each 128-bit product m * x. The
+    high word is built from the products of 32-bit halves, whose sums here
+    stay below 2**64; the low word is the product wrapped to 64 bits."""
+    m0, m1 = m & _LOW32, m >> _32
+    x0, x1 = x & _LOW32, x >> _32
+    cross0, cross1 = m0 * x1, m1 * x0
+    carry = ((m0 * x0) >> _32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return m1 * x1 + (cross0 >> _32) + (cross1 >> _32) + (carry >> _32), m * x
 
-    Philox is counter-based, so the key alone names the stream: the draws
-    equal those of `Generator(Philox(key=key))`, without the SeedSequence
-    that a new Philox builds from OS entropy first.
+
+def _philox_words(seed: int, draws: np.ndarray, k: int) -> np.ndarray:
+    """The first k words of `np.random.Philox(key=(seed, d)).random_raw(k)`
+    for each uint64 draw index d, shape (len(draws), k).
+
+    That generator starts at counter 0 and steps it before each block of
+    four words, so words 4c..4c + 3 are the ten rounds of counter
+    (c + 1, 0, 0, 0) under key (seed, d).
     """
-    rng = getattr(_streams, "rng", None)
-    if rng is None:
-        rng = _streams.rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # the buffer's length: nothing buffered
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    zero = np.zeros(len(draws), dtype=np.uint64)
+    out = np.empty((len(draws), 4 * -(-k // 4)), dtype=np.uint64)
+    for c in range(out.shape[1] // 4):
+        x0, x1, x2, x3 = zero + np.uint64(c + 1), zero, zero, zero
+        k0, k1 = zero + np.uint64(seed), draws
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        out[:, 4 * c : 4 * c + 4] = np.stack([x0, x1, x2, x3], axis=1)
+    return out[:, :k]
+
+
+def draw_table(
+    mc: McConfig,
+    first: int,
+    stop: int,
+    cost_book: CostBook,
+    factor_book: EmissionFactorBook,
+) -> dict[str, np.ndarray]:
+    """Parameter values of draws first..stop - 1, one column per
+    distribution key.
+
+    Draw d reads the Philox4x64-10 stream keyed by the exact 64-bit pair
+    (seed mod 2**64, d), so any draw can be computed independently of the
+    others. Its varied parameters take the stream's words in sorted key
+    order; fixed entries consume none. A word w gives u = (w >> 11) 2**-53,
+    and u the value by the formulas of numpy's `Generator.uniform` and
+    `Generator.triangular`, in their order of operations: + - * / and sqrt
+    are correctly rounded, so the values are the floats those methods
+    return, resting on the bit stream alone.
+    """
+    keys = sorted(mc.distributions)
+    varied = [key for key in keys if mc.distributions[key].kind != "fixed"]
+    draws = np.arange(first, stop, dtype=np.uint64)
+    words = _philox_words(mc.seed & _SEED_MASK, draws, len(varied))
+    unit_draws = dict(zip(varied, ((words >> np.uint64(11)) * 2.0**-53).T))
+    out = {}
+    for key in keys:
+        dist = mc.distributions[key]
+        u = unit_draws.get(key)
+        if dist.kind == "fixed":
+            book = _book_of(key, cost_book, factor_book)
+            value = getattr(book, key) if dist.value is None else dist.value
+            out[key] = np.full(len(draws), value, dtype=float)
+        elif dist.kind == "uniform":
+            width = dist.hi - dist.lo
+            if not math.isfinite(width):  # as Generator.uniform refuses it
+                raise OverflowError("high - low range exceeds valid bounds")
+            out[key] = dist.lo + width * u
+        else:
+            base, left = dist.hi - dist.lo, dist.mode - dist.lo
+            out[key] = np.where(
+                u <= left / base,
+                dist.lo + np.sqrt(u * (left * base)),
+                dist.hi - np.sqrt((1.0 - u) * ((dist.hi - dist.mode) * base)),
+            )
+    return out
 
 
 def draw_parameters(
@@ -430,25 +503,10 @@ def draw_parameters(
     cost_book: CostBook,
     factor_book: EmissionFactorBook,
 ) -> dict[str, float]:
-    """Parameter values for one draw, keyed like the distributions.
-
-    Uses a counter-based generator keyed by the exact 64-bit pair (seed mod
-    2**64, draw index), so any draw can be computed independently of the
-    others. Parameters are sampled in sorted key order; fixed entries
-    consume no randomness.
-    """
-    rng = _stream(np.array([mc.seed & _SEED_MASK, draw_index], dtype=np.uint64))
-    out: dict[str, float] = {}
-    for key in sorted(mc.distributions):
-        dist = mc.distributions[key]
-        if dist.kind == "fixed":
-            book = _book_of(key, cost_book, factor_book)
-            out[key] = float(getattr(book, key)) if dist.value is None else dist.value
-        elif dist.kind == "uniform":
-            out[key] = float(rng.uniform(dist.lo, dist.hi))
-        else:
-            out[key] = float(rng.triangular(dist.lo, dist.mode, dist.hi))
-    return out
+    """Parameter values for one draw, keyed like the distributions: the
+    one-draw case of `draw_table`."""
+    table = draw_table(mc, draw_index, draw_index + 1, cost_book, factor_book)
+    return {key: float(column[0]) for key, column in table.items()}
 
 
 _PERCENTILES = np.array([5.0, 50.0, 95.0])
@@ -518,19 +576,16 @@ def monte_carlo(
     base = _book_values(cost_book, factor_book)
     samples = np.empty((mc.draws, len(priced.rows), len(MC_METRICS)))
     for first in range(0, mc.draws, _BLOCK_DRAWS):
-        block = range(first, min(first + _BLOCK_DRAWS, mc.draws))
-        drawn = [draw_parameters(mc, d, cost_book, factor_book) for d in block]
-        columns = {}
+        stop = min(first + _BLOCK_DRAWS, mc.draws)
+        table = draw_table(mc, first, stop, cost_book, factor_book)
         for key in mc.distributions:
-            column = np.array([values[key] for values in drawn], dtype=float)
             # Values inside the checked support are valid; ask the book
             # about the others only.
             lo, hi = support[key]
-            ends = (float(column.min()), float(column.max()))
+            ends = (float(table[key].min()), float(table[key].max()))
             _check_values(key, [v for v in ends if not lo <= v <= hi], cost_book, factor_book)
-            columns[key] = column[:, None]
-        book = SimpleNamespace(**{**base, **columns})
-        samples[block.start : block.stop] = priced.price(book, len(block))
+        book = SimpleNamespace(**{**base, **table})
+        samples[first:stop] = priced.price(book, stop - first)
 
     percentiles = _percentiles(samples).tolist()
     summaries: list[McSummaryRow] = []

@@ -38,8 +38,9 @@ edge stored; MST designs must match them edge for edge.
 draw-by-draw pricing that the report's vectorized kernel replaced; the
 kernel must match them field for field. `draw_parameters_reference` builds
 a fresh `Generator(Philox(key=(seed mod 2**64, draw index)))` for each
-draw, the stream that `draw_parameters` re-keys one generator per thread
-to; the two must draw the same values. `within_buffer_reference` is the
+draw and samples with numpy's own distribution methods; `draw_table`,
+which computes the same Philox words in numpy and the values from them,
+must draw the same values. `within_buffer_reference` is the
 per-segment scalar buffer test that `within_buffer_mask` replaced; the mask
 must match it point for point. `load_settlements_reference` is the loader
 that `load_settlements` replaced, one `Settlement` and `GeoPoint` per row,

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fiberplan import costmodel
 from fiberplan.costmodel import (
     CostBook,
+    _fsum_columns,
     _annual_opex,
     _per_km_cost,
     _per_node_cost,
@@ -169,3 +173,121 @@ class TestTco:
         book = CostBook()
         per_user_hi = tco_quantities(3, 40.0, book, hi).tco_per_user_usd
         assert per_user_hi < tco_quantities(3, 40.0, book, lo).tco_per_user_usd
+
+
+# --- exact column sums ------------------------------------------------------
+
+
+def _fsum_each(columns: list[list[float]]) -> list[int]:
+    return np.array([math.fsum(c) for c in columns]).view(np.int64).tolist()
+
+
+def _sums(columns: list[list[float]]) -> list[int]:
+    """`_fsum_columns` of equal-length columns, as int64 bit patterns (so the
+    sign of a zero counts)."""
+    return _fsum_columns(np.array(columns, dtype=float).T).view(np.int64).tolist()
+
+
+def _counting_fsum(monkeypatch) -> list[int]:
+    calls = []
+
+    def fsum(values):
+        calls.append(len(values))
+        return math.fsum(values)
+
+    monkeypatch.setattr(costmodel, "math", types.SimpleNamespace(fsum=fsum))
+    return calls
+
+
+ULP1 = 2.0**-52  # the gap above 1.0
+EXACT_SUM_CASES = {
+    "half-ulp ties": [
+        [1.0, ULP1 / 2],  # to even: 1.0
+        [1.0 + ULP1, ULP1 / 2],  # to even: up
+        [1.0, ULP1 / 4, ULP1 / 4],
+        [2.0**53, 1.0, 0.0, 0.0],
+        [2.0**53, 1.0, 2.0**-60, 0.0],  # just past the tie
+        [2.0**53, 1.0, -(2.0**-60), 0.0],  # just short of it
+        [2.0**53 + 2, 1.0, 0.0, 0.0],
+        [1.0, -(2.0**-54), 0.0, 0.0],  # at 1.0 the gap below is half the gap above
+    ],
+    # Sums whose errors do not add up exactly in floats, within that
+    # rounding of the point halfway between two floats.
+    "near a rounding boundary": [
+        [1.0, 2.0**-159, -(2.0**-107), 2.0**-108, -(2.0**-54)],
+        [-(2.0**-54), 1.0, -(2.0**-108), -(2.0**-159)],
+        [1.0, -(2.0**-107), -(2.0**-53), 2.0**-53, -(2.0**-54)],
+    ],
+    "full cancellation": [
+        [1e16, 1.0, -1e16],
+        [3.5, -3.5, 0.0],
+        [0.1, 0.2, -0.1, -0.2, 0.3, -0.3],
+        [1e300, -1e300, 1e-300, -1e-300],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [1e308, 1e-308, -1e308],
+    ],
+    "subnormals": [
+        [5e-324, 5e-324, 5e-324],
+        [2.0**-1074, -(2.0**-1070), 2.0**-1022],
+        [2.0**-1022, -(2.0**-1074)],
+        [1e-310, 2e-310, 3e-320, -1e-315],
+        [2.0**-960, 2.0**-1074],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SUM_CASES))
+def test_exact_column_sums_equal_fsum_on_hard_cases(monkeypatch, name):
+    cases = EXACT_SUM_CASES[name]
+    calls = _counting_fsum(monkeypatch)
+    for values in cases:
+        for column in (values, values[::-1]):
+            assert _sums([column]) == _fsum_each([column]), column
+    assert calls, "no case reached math.fsum"
+
+
+def test_exact_column_sums_equal_fsum_across_600_orders_of_magnitude(monkeypatch):
+    rng = np.random.default_rng(600)
+    calls = _counting_fsum(monkeypatch)
+    for n in (1, 2, 3, 5, 31, 32, 33, 100):
+        magnitudes = 10.0 ** rng.integers(-300, 300, size=(200, n))
+        signs = rng.choice((-1.0, 1.0), size=(200, n))
+        columns = (signs * rng.uniform(1.0, 10.0, size=(200, n)) * magnitudes).tolist()
+        assert _sums(columns) == _fsum_each(columns), n
+    assert calls
+
+
+def test_exact_column_sums_of_priced_figures_rarely_reach_fsum(monkeypatch):
+    """Positive figures of a few significant digits, as the pricing kernel
+    sums: every column equals fsum, and the certified path takes nearly all."""
+    rng = np.random.default_rng(7)
+    columns = np.round(rng.uniform(1e3, 1e7, size=(2000, 100)), 2).tolist()
+    calls = _counting_fsum(monkeypatch)
+    assert _sums(columns) == _fsum_each(columns)
+    assert len(calls) < 100, len(calls)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1.7e308, 1.7e308],
+        [1.7e308, -0.85e308, 1.7e308, -1.7e308],
+        [1.7e308, 1e308, -1.7e308, -0.5e308],  # overflows in fsum's order, not the tree's
+        [1e308] * 3 + [-1e308] * 3,
+    ],
+)
+def test_an_exact_column_sum_that_overflows_raises_as_fsum_does(column):
+    with pytest.raises(OverflowError) as expected:
+        math.fsum(column)
+    with pytest.raises(OverflowError) as raised:
+        _fsum_columns(np.array([column]).T)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_exact_column_sums_keep_fsum_on_non_finite_values():
+    columns = [[math.inf, 1.0], [-math.inf, 2.0], [1.0, 2.0]]
+    assert _sums(columns) == _fsum_each(columns)
+    assert math.isnan(_fsum_columns(np.array([[math.nan, 1.0]]).T)[0])
+    with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
+        _fsum_columns(np.array([[math.inf, -math.inf]]).T)

@@ -19,7 +19,7 @@ import runpy
 import pytest
 
 from fiberplan import report
-from fiberplan.costmodel import CostBook, tco_quantities
+from fiberplan.costmodel import CostBook, capex_quantities, tco_quantities
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.report import (
     _BLOCK_DRAWS,
@@ -30,6 +30,7 @@ from fiberplan.report import (
     build_report,
     check_distributions,
     monte_carlo,
+    scc,
 )
 
 from .oracles import build_report_reference, monte_carlo_reference
@@ -107,10 +108,16 @@ def _random_case(i: int):
     if i in (7, 8):  # a long run, on few units
         draws, units = 1_000, units[:4]
     else:
-        edges = (1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1)
-        draws = rng.choice(edges + (rng.randint(2, 40),))
+        # Fixed counts, not the block size, so that PRICES_SHA256 does not
+        # depend on it: 32 was the block size when the digest was pinned.
+        draws = rng.choice((1, 31, 32, 33, rng.randint(2, 40)))
     mc = McConfig(draws=draws, seed=rng.randrange(2**64), distributions=distributions)
     return units, cost_book, factor_book, mc
+
+
+# Cases that test_kernel_matches_unit_by_unit_pricing_exactly reruns at
+# the block size's edges, on few units.
+BLOCK_EDGE_CASES = {11: _BLOCK_DRAWS - 1, 12: _BLOCK_DRAWS, 13: _BLOCK_DRAWS + 1}
 
 
 def test_kernel_matches_unit_by_unit_pricing_exactly():
@@ -120,8 +127,11 @@ def test_kernel_matches_unit_by_unit_pricing_exactly():
     }
     draw_counts = set()
     shares = set()
-    for i in range(330):
+    cases = [_random_case(i) for i in range(330)]
+    for i, draws in BLOCK_EDGE_CASES.items():
         units, cost_book, factor_book, mc = _random_case(i)
+        cases.append((units[:4], cost_book, factor_book, dataclasses.replace(mc, draws=draws)))
+    for i, (units, cost_book, factor_book, mc) in enumerate(cases):
         rows = build_report(units, cost_book, factor_book)
         assert rows == build_report_reference(units, cost_book, factor_book), i
         got = monte_carlo(units, cost_book, factor_book, mc)
@@ -140,7 +150,7 @@ def test_kernel_matches_unit_by_unit_pricing_exactly():
         draw_counts.add(mc.draws)
         shares.update(u.opex_share for u in units)
     assert min(seen.values()) > 0, seen
-    assert {1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1, 1_000} <= draw_counts
+    assert {1, 31, 32, 33, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1, 1_000} <= draw_counts
     assert shares == set(SHARES)
 
 
@@ -190,15 +200,15 @@ def test_empty_units_price_to_nothing():
     assert monte_carlo([], CostBook(), EmissionFactorBook(), mc) == []
 
 
-def test_draw_parameters_is_called_once_per_draw_by_its_module_name(monkeypatch):
+def test_draw_table_draws_each_draw_once_in_order_by_its_module_name(monkeypatch):
     calls = []
-    original = report.draw_parameters
+    original = report.draw_table
 
-    def counting(mc, d, cost_book, factor_book):
-        calls.append(d)
-        return original(mc, d, cost_book, factor_book)
+    def counting(mc, first, stop, cost_book, factor_book):
+        calls.extend(range(first, stop))
+        return original(mc, first, stop, cost_book, factor_book)
 
-    monkeypatch.setattr(report, "draw_parameters", counting)
+    monkeypatch.setattr(report, "draw_table", counting)
     units, cost_book, factor_book, mc = _random_case(4)
     mc = dataclasses.replace(mc, draws=2 * _BLOCK_DRAWS + 5)
     monte_carlo(units, cost_book, factor_book, mc)
@@ -210,13 +220,15 @@ def test_drawn_columns_are_checked_against_the_book(monkeypatch):
     distribution's support passed its check."""
     trench = Distribution(kind="uniform", lo=0.0, hi=1.0)
     mc = McConfig(draws=40, seed=1, distributions={"trench_fraction": trench})
-    original = report.draw_parameters
+    original = report.draw_table
 
-    def escaping(mc, d, cost_book, factor_book):
-        values = original(mc, d, cost_book, factor_book)
-        return {**values, "trench_fraction": 1.5} if d == 35 else values
+    def escaping(mc, first, stop, cost_book, factor_book):
+        table = original(mc, first, stop, cost_book, factor_book)
+        if first <= 35 < stop:
+            table["trench_fraction"][35 - first] = 1.5
+        return table
 
-    monkeypatch.setattr(report, "draw_parameters", escaping)
+    monkeypatch.setattr(report, "draw_table", escaping)
     units = _random_units(random.Random(0), big_group=False)
     with pytest.raises(InvalidDistributionBounds, match="trench_fraction"):
         monte_carlo(units, CostBook(), EmissionFactorBook(), mc)
@@ -264,7 +276,7 @@ def test_support_outside_the_book_is_refused_before_the_first_draw(monkeypatch, 
     def never(*args):
         raise AssertionError("drew a parameter")
 
-    monkeypatch.setattr(report, "draw_parameters", never)
+    monkeypatch.setattr(report, "draw_table", never)
     mc = McConfig(draws=5, seed=0, distributions={key: dist})
     with pytest.raises(InvalidDistributionBounds, match=key):
         check_distributions(mc, CostBook(), EmissionFactorBook())
@@ -305,6 +317,26 @@ def test_book_years_must_be_integers(book, key):
     with pytest.raises(ValueError, match=key):
         book(**{key: 2.5})
     assert getattr(book(**{key: 2}), key) == 2
+
+
+@pytest.mark.parametrize(
+    "price, name",
+    [
+        (lambda: ReportUnit("R", 1, "access", "MST", math.nan, 1, 1.0), "users"),
+        (lambda: scc(math.nan, 75.0), "total_kg_co2e"),
+        (lambda: scc(1.0, -math.inf), "carbon_price_usd_per_tonne"),
+        (lambda: tco_quantities(1, math.nan, CostBook(), 10.0), "length_km"),
+        (lambda: tco_quantities(1, 1.0, CostBook(), math.inf), "users"),
+        (lambda: emissions_quantities(math.nan, 1, 10.0, EmissionFactorBook()), "length_km"),
+        (lambda: capex_quantities(1, math.inf, CostBook()), "length_km"),
+    ],
+    ids=["unit-users", "scc-kg", "scc-price", "tco-length", "tco-users", "lca-length", "capex"],
+)
+def test_pricing_quantities_must_be_finite(price, name):
+    """A nan or an infinity is refused where it is passed, naming the
+    argument, before it can price a figure that blames the books."""
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got "):
+        price()
 
 
 def test_unit_opex_share_must_be_a_fraction():

@@ -32,6 +32,7 @@ from fiberplan.report import (
     build_report,
     config_hash,
     draw_parameters,
+    draw_table,
     emit_csv,
     emit_design_geojson,
     emit_mc_csv,
@@ -253,6 +254,52 @@ def test_draws_equal_a_fresh_generator_per_draw(seed):
             assert draw_parameters(mc, d, COST, LCA) == draw_parameters_reference(
                 mc, d, COST, LCA
             ), d
+        table = draw_table(mc, 2, 8, COST, LCA)
+    for d in range(2, 8):
+        drawn = {key: float(column[d - 2]) for key, column in table.items()}
+        assert drawn == draw_parameters_reference(mc, d, COST, LCA), d
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_draw_table_words_are_numpy_philox_words(seed):
+    """The words of every key shape: draw indices at both ends of the
+    32-bit halves and of the draw bound, and 1 to 9 words, so one to three
+    counter blocks, the last one partly used."""
+    draws = [0, 1, 2**32, report.MAX_DRAWS - 1]
+    for k in range(1, 10):
+        words = report._philox_words(seed % 2**64, np.array(draws, dtype=np.uint64), k)
+        for row, d in zip(words, draws):
+            key = np.array([seed % 2**64, d], dtype=np.uint64)
+            expected = np.random.Philox(key=key).random_raw(k)
+            assert row.tolist() == expected.tolist(), (k, d)
+
+
+def test_draw_table_equals_a_fresh_generator_on_narrow_and_wide_supports():
+    keys = sorted(report._COST_FIELDS | report._LCA_FIELDS)
+    rng = random.Random(8)
+    for case in range(40):
+        distributions = {}
+        for key in rng.sample(keys, rng.randint(1, 6)):
+            lo = rng.choice((0.0, rng.uniform(0.0, 1e3)))
+            hi = lo + 10.0 ** rng.uniform(-9, 6)
+            mode = rng.choice((lo, hi, rng.uniform(lo, hi)))
+            kind = rng.choice(("uniform", "triangular"))
+            distributions[key] = Distribution(kind=kind, lo=lo, mode=mode, hi=hi)
+        mc = McConfig(draws=50, seed=rng.randrange(2**64), distributions=distributions)
+        table = draw_table(mc, 0, 50, COST, LCA)
+        for d in range(50):
+            drawn = {key: float(column[d]) for key, column in table.items()}
+            assert drawn == draw_parameters_reference(mc, d, COST, LCA), (case, d)
+
+
+def test_a_uniform_range_past_the_largest_float_is_refused_as_numpy_refuses_it():
+    lo, hi = -1e308, 1e308
+    with pytest.raises(OverflowError) as refused:
+        np.random.Generator(np.random.Philox(key=[123, 0])).uniform(lo, hi)
+    mc = _mc(c_olt=Distribution(kind="uniform", lo=lo, hi=hi))
+    with pytest.raises(OverflowError) as raised:
+        draw_table(mc, 0, 4, COST, LCA)
+    assert str(raised.value) == str(refused.value)
 
 
 def test_two_threads_drawing_interleaved_keep_their_own_streams():
@@ -335,7 +382,7 @@ def test_same_seed_same_draw_is_identical_and_draws_differ():
 
 def test_uniform_draws_center_on_midpoint():
     mc = _mc(draws=2000, seed=11, c_olt=Distribution(kind="uniform", lo=10.0, hi=20.0))
-    values = [draw_parameters(mc, d, COST, LCA)["c_olt"] for d in range(2000)]
+    values = draw_table(mc, 0, 2000, COST, LCA)["c_olt"]
     assert abs(np.mean(values) - 15.0) / 15.0 < 0.03
 
 

@@ -9,6 +9,8 @@ import pathlib
 import re
 import sys
 
+import numpy as np
+
 import fiberplan
 
 PACKAGE = pathlib.Path(fiberplan.__file__).resolve().parent
@@ -428,3 +430,37 @@ def test_only_errors_writes_the_nonnegative_check():
             if any(NONNEGATIVE_MESSAGE in text for text in texts):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, "non-negativity checks outside errors.py: " + ", ".join(found)
+
+
+# numpy `Generator` methods that turn bits into values; NEP 19 does not
+# promise that their streams stay the same across numpy versions. `power`
+# is left out: `np.power` is a ufunc of the same name.
+GENERATOR_METHODS = frozenset(
+    name for name in dir(np.random.Generator) if not name.startswith("_")
+) - {"bit_generator", "spawn", "power"}
+
+
+def test_draws_rest_on_the_philox_bit_stream_alone():
+    """No module calls a `Generator` method (Monte Carlo values are computed
+    from Philox words by `report.draw_table`) or imports `threading` (no
+    module keeps per-thread generator state)."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in GENERATOR_METHODS:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} .{node.func.attr}(")
+                continue
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} import {name}"
+                for name in names
+                if name.partition(".")[0] == "threading"
+            ]
+    assert not found, "generator methods or threading in the package: " + ", ".join(found)
