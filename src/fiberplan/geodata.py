@@ -99,6 +99,12 @@ class FiberLineSet:
     lines: tuple[tuple[tuple[float, float], ...], ...]
 
 
+# Points that `RoadGraph.nearest_vertices` measures at once: a block of
+# points x a window of vertices is a few float64 arrays of 128 x 640 on a
+# 100k-vertex graph.
+_NEAREST_BLOCK = 128
+
+
 class RoadGraph:
     """Road network: vertex coordinates and undirected weighted edges, held
     once as flat arrays.
@@ -114,8 +120,9 @@ class RoadGraph:
     bit for bit as a (lat, lon) pair. The graph never changes after it is
     built, and every array is read-only: one road graph is shared by every
     design of a run, and a solve derives what it indexes from
-    `edge_arrays()`. A graph without edges is a point set for
-    `nearest_vertex`.
+    `edge_arrays()`. Every nearest-point search goes through
+    `nearest_vertices`, one pass per set of points; a graph without edges
+    is a point set for it.
     """
 
     def __init__(self, lat: Sequence[float], lon: Sequence[float],
@@ -167,43 +174,79 @@ class RoadGraph:
         return self._edges
 
     def nearest_vertex(self, lat: float, lon: float) -> tuple[int, float]:
-        """Nearest vertex to p = (lat, lon) and its `haversine_km` distance;
-        ties go to the lowest id.
+        """Nearest vertex to p = (lat, lon) and its `haversine_km` distance,
+        ties to the lowest id: the one-point case of `nearest_vertices`."""
+        return self.nearest_vertices((lat,), (lon,))[0]
+
+    def nearest_vertices(
+        self, lat: Sequence[float], lon: Sequence[float]
+    ) -> list[tuple[int, float]]:
+        """(nearest vertex, its `haversine_km` distance) of each point
+        p = (lat[i], lon[i]), in point order; ties go to the lowest id.
 
         A vertex is at least R * |dphi| from p (the haversine adds a
         non-negative longitude term to sin^2(dphi / 2)), so only a latitude
-        window around p can hold the nearest one. The 2 * max(16, sqrt(n))
-        vertices next to p in latitude order bound the nearest distance by
-        their best numpy distance d. The window is then widened to every
-        vertex with R * |dphi| <= d * (1 + 1e-6), plus 1e-12 degrees: the
-        relative margin covers the rounding of the distances, and the
-        absolute one the rounding of lat +- the reach and the latitude
-        differences whose sine underflows. The window's vectorised pass
-        short-lists the vertices within a 1e-9 relative margin of its
-        minimum (numpy's sin and asin may differ from math's in the last
-        bits, far inside that margin). `haversine_km` then scans the
-        short-list in id order with the same strict `<` as a full scan, so
-        the result is bit-for-bit that of a full scan.
+        window around p can hold the nearest one. Each point's window is the
+        W = min(n, 2 * max(16, sqrt(n))) vertices next to p in latitude
+        order, a fixed-width slice of the latitude order that is moved
+        inside the graph at either end, and the points are measured against
+        their windows `_NEAREST_BLOCK` at a time by one `haversine_h_array`
+        pass. A window's best numpy distance d bounds the nearest distance.
+        Every vertex with R * |dphi| <= d * (1 + 1e-6), plus 1e-12 degrees,
+        must be looked at: the relative margin covers the rounding of the
+        distances, and the absolute one the rounding of lat +- the reach and
+        the latitude differences whose sine underflows. A point whose window
+        misses some of them is measured again over all of them. The
+        vectorised pass short-lists the vertices within a 1e-9 relative
+        margin of its minimum (numpy's sin, cos and asin may differ from
+        math's in the last bits, far inside that margin); any further vertex
+        a window holds is farther than that reach, so it is not short-listed
+        either. `haversine_km` then scans each short-list in id order with
+        the same strict `<` as a full scan, so each result is bit-for-bit
+        that of a full scan.
         """
-        n = self.n
-        k = int(np.searchsorted(self._sorted_lat, lat))
-        half = max(16, math.isqrt(n))
-        lo, hi = max(0, k - half), min(n, k + half)
-        ids = self._by_lat[lo:hi]
-        d = haversine_km_array(lat, lon, self.lat[ids], self.lon[ids], self.cos_lat[ids])
-        reach = math.degrees(float(d.min()) * (1.0 + 1e-6) / EARTH_RADIUS_KM) + 1e-12
-        wide_lo = int(np.searchsorted(self._sorted_lat, lat - reach, side="left"))
-        wide_hi = int(np.searchsorted(self._sorted_lat, lat + reach, side="right"))
-        if wide_lo < lo or wide_hi > hi:
-            ids = self._by_lat[wide_lo:wide_hi]
-            d = haversine_km_array(lat, lon, self.lat[ids], self.lon[ids], self.cos_lat[ids])
-        limit = float(d.min()) * (1.0 + 1e-9)
-        best_v, best_d = -1, math.inf
-        for vid in np.sort(ids[d <= limit]).tolist():
-            dist = haversine_km(lat, lon, *self.point(vid))
-            if dist < best_d:
-                best_v, best_d = vid, dist
-        return best_v, best_d
+        lat = np.asarray(lat, dtype=np.float64)
+        lon = np.asarray(lon, dtype=np.float64)
+        n, by_lat, sorted_lat = self.n, self._by_lat, self._sorted_lat
+        width = min(n, 2 * max(16, math.isqrt(n)))
+        steps = np.arange(width)
+        found = [(-1, math.inf)] * len(lat)
+        for start in range(0, len(lat), _NEAREST_BLOCK):
+            plat = lat[start : start + _NEAREST_BLOCK]
+            plon = lon[start : start + _NEAREST_BLOCK]
+            first = np.searchsorted(sorted_lat, plat) - width // 2
+            np.clip(first, 0, n - width, out=first)
+            window = by_lat[first[:, None] + steps]  # vertex ids, one row per point
+            d = haversine_h_array(
+                self.lat[window] - plat[:, None],
+                self.lon[window] - plon[:, None],
+                np.cos(np.radians(plat))[:, None] * self.cos_lat[window],
+            )
+            np.minimum(d, 1.0, out=d)
+            np.sqrt(d, out=d)
+            np.arcsin(d, out=d)
+            d *= 2.0 * EARTH_RADIUS_KM
+            nearest = d.min(axis=1)
+            reach = np.degrees(nearest * (1.0 + 1e-6) / EARTH_RADIUS_KM) + 1e-12
+            wide_lo = np.searchsorted(sorted_lat, plat - reach, side="left")
+            wide_hi = np.searchsorted(sorted_lat, plat + reach, side="right")
+            short = d <= (nearest * (1.0 + 1e-9))[:, None]
+            widen = (wide_lo < first) | (wide_hi > first + width)
+            short[widen] = False
+            rows, cols = short.nonzero()
+            shortlist = list(zip(rows.tolist(), window[rows, cols].tolist()))
+            for row in widen.nonzero()[0].tolist():
+                ids = by_lat[wide_lo[row] : wide_hi[row]]
+                p = plat.item(row), plon.item(row)
+                dw = haversine_km_array(*p, self.lat[ids], self.lon[ids], self.cos_lat[ids])
+                shortlist += [(row, vid) for vid in ids[dw <= dw.min() * (1.0 + 1e-9)].tolist()]
+            shortlist.sort()  # by point, then id
+            plat, plon = plat.tolist(), plon.tolist()
+            for row, vid in shortlist:
+                dist = haversine_km(plat[row], plon[row], *self.point(vid))
+                if dist < found[start + row][1]:
+                    found[start + row] = vid, dist
+        return found
 
 
 def edge_incidence(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

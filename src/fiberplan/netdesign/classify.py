@@ -127,11 +127,11 @@ def _backbone_root(
     core-adjacent ids ascending and the regional node ids.
 
     The core settlements, in id order, are the vertices of a `RoadGraph`
-    without edges, whose `nearest_vertex` gives each regional node's
-    nearest core with its `haversine_km` distance, ties to the lowest id.
-    The least (km, id) over the regional nodes is the pick of a full scan
-    over every core x regional pair (`haversine_km` is the same float with
-    its points swapped).
+    without edges, whose `nearest_vertices` gives each regional node's
+    nearest core with its `haversine_km` distance, ties to the lowest id,
+    in one pass. The least (km, id) over the regional nodes is the pick of
+    a full scan over every core x regional pair (`haversine_km` is the
+    same float with its points swapped).
     """
     if not regional:
         return None
@@ -140,11 +140,10 @@ def _backbone_root(
         return max(regional, key=lambda sid: (settlements.population[row[sid]], sid))
     rows = [row[sid] for sid in core]
     cores = RoadGraph(settlements.lat[rows], settlements.lon[rows], (), (), ())
-    lat, lon = settlements.lat, settlements.lon
-    _, nearest = min(
-        cores.nearest_vertex(lat.item(row[sid]), lon.item(row[sid]))[::-1] for sid in regional
-    )
-    return core[nearest]
+    at = [row[sid] for sid in regional]
+    nearest = cores.nearest_vertices(settlements.lat[at], settlements.lon[at])
+    _, pick = min((km, vid) for vid, km in nearest)
+    return core[pick]
 
 
 def _group_tops(

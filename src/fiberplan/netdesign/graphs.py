@@ -306,12 +306,12 @@ def attach_terminals_to_roads(
     merged: dict[int, str] = {}  # road vertex -> the settlement merged onto it
     beyond: list[tuple[str, float]] = []
     spur_lat, spur_lon, spur_road_vertex, spur_km = [], [], [], []  # one entry per spur
-    lats = np.asarray(lat, dtype=np.float64).tolist()
-    lons = np.asarray(lon, dtype=np.float64).tolist()
-    for sid, s_lat, s_lon in zip(ids, lats, lons):
+    lat = np.asarray(lat, dtype=np.float64)
+    lon = np.asarray(lon, dtype=np.float64)
+    nearest = roads.nearest_vertices(lat, lon)
+    for sid, s_lat, s_lon, (best_v, best_d) in zip(ids, lat.tolist(), lon.tolist(), nearest):
         if sid in terminal_vertex:
             raise ValueError(f"duplicate settlement id {sid!r}")
-        best_v, best_d = roads.nearest_vertex(s_lat, s_lon)
         if best_d == 0.0:
             if best_v in merged:
                 raise DuplicateCoordinate(

@@ -272,24 +272,30 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
 
     The result's `dual_bound` is the sum over events of dt times the number
     of active clusters: the value of the GW dual, a lower bound on the
-    optimal objective.
+    optimal objective. Each design logs one DEBUG line: vertices, edges,
+    events (merges and deaths), exact evaluations, the sites kept and the
+    vertices pruned (those of the root's forest component that are not
+    sites), the objective and the dual bound.
     """
     n = prized.graph.n
     edges = prized.graph.edge_arrays()
     stats: dict[str, int] = {}
     forest, dual_terms = _grow_moats(prized, edges, stats)
-    kept = _strong_prune(prized, forest)
+    kept = _strong_prune(prized, forest, stats)
     route = _reconnect_minimally(edges, n, kept)
     design = _prized_design("PCST_GW", prized, kept, route, dual_bound=math.fsum(dual_terms))
     log.debug(
         "pcst_gw: %d vertices, %d edges, %d events (%d merges, %d deaths), "
-        "%d exact evaluations, objective %.6g, dual bound %.6g",
+        "%d exact evaluations, %d sites kept, %d vertices pruned, "
+        "objective %.6g, dual bound %.6g",
         n,
         len(edges[0]),
         len(dual_terms),
         len(forest),
         len(dual_terms) - len(forest),
         stats["evaluations"],
+        len(kept),
+        stats["reached"] - len(kept),
         design.objective,
         design.dual_bound,
     )
@@ -367,14 +373,15 @@ def _grow_moats(
     n = prized.graph.n
     root = prized.root
     eu, ev, ew = (a.tolist() for a in edges)
-    inc_ptr, inc_ids = edge_incidence(n, *edges[:2])
+    inc_ptr, inc_ids = (a.tolist() for a in edge_incidence(n, *edges[:2]))
     rho = 16 * 1.01 * 4 * n * 2.0**-53  # 16 e, see the docstring
     tiny = 2.0**-1074
 
     prize_sum = [0.0] * n
+    active = [False] * n
     for v, p in prized.prizes.items():
-        prize_sum[v] = float(p)
-    active = [p > 0.0 for p in prize_sum]
+        prize_sum[v] = p = float(p)
+        active[v] = p > 0.0
     active[root] = False
     dual = [0.0] * n  # of a cluster, exact through event dstamp[c]
     dstamp = [0] * n
@@ -388,6 +395,7 @@ def _grow_moats(
     death_version = [0] * n
     dts = array("d")
     times = array("d", [0.0])  # times[k]: the float time after k events
+    replay = np.empty(3 * n + 1)  # `_fold`'s buffer: there are at most 3n events
     forest: list[tuple[int, int, float]] = []
     dual_terms: list[float] = []
     evaluations = 0
@@ -397,26 +405,26 @@ def _grow_moats(
         not merged or died yet has only its incidence."""
         if c in boundary:
             return boundary.pop(c)
-        return inc_ids[inc_ptr[c] : inc_ptr[c + 1]].tolist()
+        return inc_ids[inc_ptr[c] : inc_ptr[c + 1]]
 
-    def entry(key: float, size: float, ident: int, version: int) -> tuple:
-        """The heap entry (key - d, key + d, ident, version) of an edge
-        ident >= 0 of weight `size`, or of the death of cluster ~ident with
-        prize_sum `size`."""
-        d = rho * (size + 2.0 * abs(key)) + tiny
-        return key - d, key + d, ident, version
-
+    # A heap entry is (key - d, key + d, ident, version), for an edge
+    # ident >= 0 with d = rho (w + 2 |key|) + tiny, or for the death of
+    # cluster ~ident with prize_sum in place of w; it is written out where
+    # it is pushed.
     heap = []
-    for c in range(n):
-        if not active[c]:
-            continue
-        heap.append(entry(prize_sum[c], prize_sum[c], ~c, 0))
-        for e in edges_of(c):
+    starts = [c for c in sorted(prized.prizes) if active[c]]
+    for c in starts:
+        key = prize_sum[c]
+        d = rho * (key + 2.0 * abs(key)) + tiny
+        heap.append((key - d, key + d, ~c, 0))
+        for e in inc_ids[inc_ptr[c] : inc_ptr[c + 1]]:
             x = eu[e] if ev[e] == c else ev[e]
             if not (active[x] and x < c):  # else it was keyed from x
-                heap.append(entry(ew[e] / (1 + active[x]), ew[e], e, 0))
+                key = ew[e] / (1 + active[x])
+                d = rho * (ew[e] + 2.0 * abs(key)) + tiny
+                heap.append((key - d, key + d, e, 0))
     heapify(heap)
-    n_active = sum(active)
+    n_active = len(starts)
     k = 0  # events so far
 
     def rekey(c: int, side: list[int], time: float) -> list[int]:
@@ -436,22 +444,23 @@ def _grow_moats(
             if rate_c:
                 stamp[x] = k
             elif stamp[x] < k:
-                depth[x] = _fold(depth[x], dts, stamp[x], k)
+                depth[x] = _fold(depth[x], dts, stamp[x], k, replay)
                 stamp[x] = k
             edge_version[e] += 1
             rate = rate_c + active[cy]
             if rate:
                 dy = depth[y] + (time - times[stamp[y]]) if active[cy] else depth[y]
                 key = time + ((ew[e] - depth[x]) - dy) / rate
-                heappush(heap, entry(key, ew[e], e, edge_version[e]))
+                d = rho * (ew[e] + 2.0 * abs(key)) + tiny
+                heappush(heap, (key - d, key + d, e, edge_version[e]))
         return keep
 
     while n_active:
         time = times[k]
         reach = time + rho * time  # the real time's bound
-        bound = math.inf
+        bound = limit = math.inf  # limit = max(reach, bound)
         candidates = []
-        while heap and heap[0][0] <= max(reach, bound):
+        while heap and heap[0][0] <= limit:
             top = heappop(heap)
             i = top[2]
             if i >= 0:
@@ -460,7 +469,9 @@ def _grow_moats(
             elif death_version[~i] != top[3]:
                 continue
             candidates.append(top)
-            bound = min(bound, top[1])
+            if top[1] < bound:
+                bound = top[1]
+                limit = bound if bound > reach else reach
         evaluations += len(candidates)
 
         merge_edge, edge_dt = -1, math.inf
@@ -470,7 +481,7 @@ def _grow_moats(
             if i < 0:
                 c = ~i
                 if dstamp[c] < k:
-                    dual[c] = _fold(dual[c], dts, dstamp[c], k)
+                    dual[c] = _fold(dual[c], dts, dstamp[c], k, replay)
                     dstamp[c] = k
                 gap = prize_sum[c] - dual[c]
                 if not gap > 0.0:
@@ -480,21 +491,33 @@ def _grow_moats(
                 continue
             x, y = eu[i], ev[i]
             ax, ay = active[owner[x]], active[owner[y]]
+            # Each active side's depth through event k, as `_fold` gives it,
+            # its short runs added in line.
+            dx, dy = depth[x], depth[y]
             if ax and stamp[x] < k:
-                depth[x] = _fold(depth[x], dts, stamp[x], k)
-                stamp[x] = k
+                if k - stamp[x] < _FOLD_LOOP:
+                    for t in dts[stamp[x] : k]:
+                        dx += t
+                else:
+                    dx = _fold(dx, dts, stamp[x], k, replay)
+                depth[x], stamp[x] = dx, k
             if ay and stamp[y] < k:
-                depth[y] = _fold(depth[y], dts, stamp[y], k)
-                stamp[y] = k
-            dt = ((ew[i] - depth[x]) - depth[y]) / (ax + ay)
+                if k - stamp[y] < _FOLD_LOOP:
+                    for t in dts[stamp[y] : k]:
+                        dy += t
+                else:
+                    dy = _fold(dy, dts, stamp[y], k, replay)
+                depth[y], stamp[y] = dy, k
+            dt = ((ew[i] - dx) - dy) / (ax + ay)
             if not dt > 0.0:
                 dt = 0.0
             if dt < edge_dt or (dt == edge_dt and (x, y) < (eu[merge_edge], ev[merge_edge])):
                 merge_edge, edge_dt = i, dt
         taken = merge_edge if merge_edge >= 0 and edge_dt <= death_dt else ~dying
-        for top in candidates:
-            if top[2] != taken:
-                heappush(heap, top)
+        if len(candidates) > 1:  # a lone candidate is the one taken
+            for top in candidates:
+                if top[2] != taken:
+                    heappush(heap, top)
 
         dt = edge_dt if taken >= 0 else death_dt
         dual_terms.append(dt * n_active)
@@ -505,7 +528,7 @@ def _grow_moats(
 
         if taken < 0:
             c = dying
-            dual[c] = _fold(dual[c], dts, dstamp[c], k)
+            dual[c] = _fold(dual[c], dts, dstamp[c], k, replay)
             dstamp[c] = k
             active[c] = False
             n_active -= 1
@@ -517,8 +540,53 @@ def _grow_moats(
         a, b = owner[u], owner[v]
         for c in (a, b):
             if active[c]:
-                dual[c] = _fold(dual[c], dts, dstamp[c], k)
+                dual[c] = _fold(dual[c], dts, dstamp[c], k, replay)
                 dstamp[c] = k
+        forest.append((u, v, w))
+        # The common merge: an active cluster a that keeps its id absorbs a
+        # vertex b of no prize that has not merged yet (so no dual), and stays
+        # active. Its prize, dual, death entry and activity stay as they are,
+        # and only b's incidence is re-keyed, at a's rate. This is what the
+        # general merge below does for it, step for step.
+        if active[b]:
+            a, b = b, a
+        if (
+            active[a]
+            and not active[b]
+            and prize_sum[b] == 0.0
+            and b != root
+            and b not in members
+            and (a == owner[u] or a in members)
+            and dual[a] < prize_sum[a]
+        ):
+            if b < min_member[a]:
+                min_member[a] = b
+            death_version[b] += 1
+            owner[b] = a
+            members.setdefault(a, [a]).append(b)
+            keep = []
+            for e in inc_ids[inc_ptr[b] : inc_ptr[b + 1]]:
+                y = eu[e] if ev[e] == b else ev[e]
+                cy = owner[y]
+                if cy == a:
+                    continue
+                keep.append(e)
+                stamp[b] = k
+                edge_version[e] += 1
+                if active[cy]:
+                    dy = depth[y] + (time - times[stamp[y]])
+                    key = time + ((ew[e] - depth[b]) - dy) / 2
+                else:  # rate 1
+                    key = time + ((ew[e] - depth[b]) - depth[y])
+                d = rho * (ew[e] + 2.0 * abs(key)) + tiny
+                heappush(heap, (key - d, key + d, e, edge_version[e]))
+            side = edges_of(a)
+            if len(side) < len(keep):
+                side, keep = keep, side
+            side.extend(keep)
+            boundary[a] = side
+            continue
+        a, b = owner[u], owner[v]
         big, small = members.pop(a, [a]), members.pop(b, [b])
         if len(big) < len(small):
             a, b, big, small = b, a, small, big
@@ -538,7 +606,6 @@ def _grow_moats(
             owner[x] = a
         big.extend(small)
         members[a] = big
-        forest.append((u, v, w))
         sides = [edges_of(a), edges_of(b)]
         for j in (0, 1):
             if was_active[j] != active[a]:
@@ -551,25 +618,41 @@ def _grow_moats(
             death_version[a] += 1
             if active[a]:
                 key = time + (prize_sum[a] - dual[a])
-                heappush(heap, entry(key, prize_sum[a], ~a, death_version[a]))
+                d = rho * (prize_sum[a] + 2.0 * abs(key)) + tiny
+                heappush(heap, (key - d, key + d, ~a, death_version[a]))
     if stats is not None:
         stats["evaluations"] = evaluations
     return forest, dual_terms
 
 
-def _fold(value: float, dts: array, start: int, stop: int) -> float:
+# `_fold` adds a run of fewer dts than this in a Python loop, and a longer
+# one by numpy, which takes about 3.3 us a call: as long as the loop takes
+# for 100 to 150 terms.
+_FOLD_LOOP = 100
+
+
+def _fold(
+    value: float, dts: array, start: int, stop: int, out: np.ndarray | None = None
+) -> float:
     """value + dts[start] + ... + dts[stop - 1], added one at a time in that
     order: the float the dense loop's per-event additions give.
-    `np.add.accumulate` adds sequentially, so long runs use it; `np.sum`
-    would add pairwise and round differently."""
-    if stop - start < 100:
+
+    Runs shorter than `_FOLD_LOOP` are added by a Python loop, longer ones
+    by `np.add.accumulate`, which adds sequentially too, in `out` when it is
+    given (at least stop - start + 1 floats). Neither may be replaced by a
+    sum that rounds differently: `np.sum` adds pairwise, and the builtin
+    `sum` of floats compensates its rounding from Python 3.12 on (so
+    1.0 + 1e100 + 1.0 - 1e100 would give 2.0 there, where the events give 0.0).
+    """
+    if stop - start < _FOLD_LOOP:
         for t in dts[start:stop]:
             value += t
         return value
-    run = np.empty(stop - start + 1)
+    run = np.empty(stop - start + 1) if out is None else out[: stop - start + 1]
     run[0] = value
     run[1:] = np.frombuffer(dts, count=stop)[start:]
-    return float(np.add.accumulate(run, out=run)[-1])
+    np.add.accumulate(run, out=run)
+    return run.item(-1)
 
 
 def _reconnect_minimally(
@@ -591,13 +674,18 @@ def _reconnect_minimally(
     return [(us[i], vs[i], ws[i]) for i in joined]
 
 
-def _strong_prune(prized: PrizedGraph, forest: list[tuple[int, int, float]]) -> set[int]:
+def _strong_prune(
+    prized: PrizedGraph,
+    forest: list[tuple[int, int, float]],
+    stats: dict[str, int] | None = None,
+) -> set[int]:
     """The sites: the vertices of the best subtree of `forest` that contains
     the root. `_reconnect_minimally` routes them, so no edge is returned.
 
     A DFS from the root discovers exactly the root's component; then,
     bottom-up over that tree, a child subtree is kept only when its pruned
-    value strictly exceeds the edge cost that reaches it.
+    value strictly exceeds the edge cost that reaches it. `stats`, when
+    given, receives the size of that component as "reached".
     """
     adj: dict[int, list[tuple[int, float]]] = {}
     for u, v, w in forest:
@@ -609,7 +697,10 @@ def _strong_prune(prized: PrizedGraph, forest: list[tuple[int, int, float]]) -> 
     stack = [root]
     while stack:
         u = stack.pop()
-        for v, w in sorted(adj.get(u, [])):
+        near = adj.get(u, ())
+        if len(near) > 1:
+            near.sort()  # by neighbour: a forest has one edge per pair
+        for v, w in near:
             if v not in seen:
                 seen.add(v)
                 order.append((v, u, w))
@@ -617,7 +708,11 @@ def _strong_prune(prized: PrizedGraph, forest: list[tuple[int, int, float]]) -> 
     prizes = prized.prizes
     value = {v: prizes.get(v, 0.0) for v in seen}
     for v, u, w in reversed(order):
-        value[u] += max(0.0, value[v] - w)
+        gain = value[v] - w
+        if gain > 0.0:  # a child worth no more than its edge adds nothing
+            value[u] += gain
+    if stats is not None:
+        stats["reached"] = len(seen)
 
     kept = {root}
     for v, u, w in order:  # parents precede children in DFS discovery order

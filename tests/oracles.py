@@ -20,10 +20,11 @@ solvers it takes only the result builders `_prized_design` and
 `grow_moats_dense_reference` is the all-edges array loop that the
 event-driven `_grow_moats` replaced (by way of a frontier-only array loop);
 their forests and dual increments must be equal bit for bit.
-`nearest_vertex_reference` is the full scan that the latitude window of
-`RoadGraph.nearest_vertex` replaced; like every oracle here, it reads a
-road vertex through `point(v)`, the (lat, lon) pair of the graph's arrays,
-never through the whole `vertices` tuple; `road_graph` builds a road graph
+`nearest_vertex_reference` is the full scan that the latitude windows of
+`RoadGraph.nearest_vertices` replaced, through which every nearest-point
+search goes (`nearest_vertex` is its one-point case); like every oracle
+here, it reads a road vertex through `point(v)`, the (lat, lon) pair of
+the graph's arrays, never through the whole `vertices` tuple; `road_graph` builds a road graph
 from `GeoPoint`s and edge tuples. `GeoPoint` is a (lat, lon) named tuple,
 the point object that the package's geometry took before it took two
 floats; it lives here, as no run builds one. It equals the plain pair that
@@ -51,8 +52,8 @@ views of a set (`settlement_set`, `location`, `settlements_of`,
 `settlement_by_id`) live here, as no run builds them; `node_columns` turns settlements into
 the (ids, lat, lon) columns that a design takes.
 `pick_backbone_root_reference` is the scalar core x regional-node scan
-that classify's root pick replaces by one `RoadGraph.nearest_vertex` per
-regional node over an edgeless graph of the core settlements, and
+that classify's root pick replaces by one `RoadGraph.nearest_vertices`
+pass over the regional nodes on an edgeless graph of the core settlements, and
 `design_geojson_reference` the dict document and
 `json.dumps` that the text-built design GeoJSON replaced; the root pick and
 the written bytes must equal theirs. `single_node_design_reference` is the

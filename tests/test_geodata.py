@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberplan import geodata
 from fiberplan.errors import DataError
 from fiberplan.geodata import (
     EARTH_RADIUS_KM,
@@ -34,6 +35,7 @@ from fiberplan.geodata import (
     ParseError,
     RoadGraph,
     SettlementSet,
+    _NEAREST_BLOCK,
     haversine_km,
     load_fiber_lines,
     load_road_graph,
@@ -944,3 +946,120 @@ def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
         want = (min(north, south), haversine_km(*p, *vertices[north]))
         assert nearest_vertex_reference(roads, p) == want
         assert roads.nearest_vertex(*p) == want
+
+
+def _assert_nearest_vertices_match(roads: RoadGraph, points: list[GeoPoint]) -> None:
+    """`nearest_vertices` over all points equals the full scan point by
+    point, and `nearest_vertex` is its one-point case."""
+    lat, lon = [p.lat for p in points], [p.lon for p in points]
+    found = roads.nearest_vertices(lat, lon)
+    assert found == [nearest_vertex_reference(roads, p) for p in points]
+    for p, one in zip(points, found):
+        assert roads.nearest_vertex(*p) == roads.nearest_vertices([p.lat], [p.lon])[0] == one
+
+
+def _widened(monkeypatch) -> list[int]:
+    """Count the points that `nearest_vertices` measures again beyond their
+    window (each such point makes one `haversine_km_array` call)."""
+    calls = [0]
+    kernel = geodata.haversine_km_array
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(geodata, "haversine_km_array", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "side, lat0",
+    [(20, 0.5), (12, -89.5), (20, 84.0)],
+    ids=["400-vertices", "at-the-south-pole", "above-80N"],
+)
+def test_nearest_vertices_beyond_either_latitude_end(side, lat0):
+    # The windows of points south and north of the grid lie at its ends.
+    rng = random.Random(side + int(lat0))
+    spacing = 0.03125 if lat0 < -89.0 else 0.02
+    roads = _shuffled_grid(rng, side, lat0, 30.0, spacing, 0.1)
+    south, north = float(roads.lat.min()), float(roads.lat.max())
+    points = [GeoPoint(max(-90.0, south - rng.uniform(0.0, 1.0)), rng.uniform(29.5, 31.0))
+              for _ in range(60)]
+    points += [GeoPoint(min(90.0, north + rng.uniform(0.0, 1.0)), rng.uniform(29.5, 31.0))
+               for _ in range(60)]
+    points += [GeoPoint(south, 30.0), GeoPoint(north, 30.0), GeoPoint(-90.0, 0.0),
+               GeoPoint(90.0, 0.0)]
+    _assert_nearest_vertices_match(roads, points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 32])
+def test_nearest_vertices_on_graphs_smaller_than_one_window(n):
+    # 2 * 16 vertices make the smallest window; below it, every point's
+    # window is the whole graph.
+    rng = random.Random(n)
+    vertices = [GeoPoint(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+    roads = road_graph(vertices, [(i, i + 1, 1.0) for i in range(n - 1)])
+    points = [GeoPoint(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(50)]
+    points += vertices  # on a vertex: distance exactly 0
+    _assert_nearest_vertices_match(roads, points)
+    assert roads.nearest_vertices([p.lat for p in vertices], [p.lon for p in vertices]) == [
+        (v, 0.0) for v in range(n)
+    ]
+
+
+def test_nearest_vertices_widens_only_the_windows_that_miss_the_nearest(monkeypatch):
+    # 200 vertices along the equator far to the east, and one 0.5 degrees
+    # north of the points: a point on the equator near longitude 0 sees only
+    # equator vertices in its window, yet the lone vertex is its nearest.
+    vertices = [GeoPoint(0.0, 10.0 + 0.1 * i) for i in range(200)] + [GeoPoint(0.5, 0.0)]
+    roads = road_graph(vertices, [(i, i + 1, 1.0) for i in range(200)])
+    widened = _widened(monkeypatch)
+    near_origin = [GeoPoint(0.0, 0.01 * i) for i in range(-10, 11)]
+    # Points next to the lone vertex: the only vertex within their reach.
+    near_lone = [GeoPoint(0.5, 0.001 * i) for i in range(-10, 11)]
+    points = near_origin + near_lone
+    found = roads.nearest_vertices([p.lat for p in points], [p.lon for p in points])
+    assert widened[0] == len(near_origin)
+    assert found == [nearest_vertex_reference(roads, p) for p in points]
+    assert {v for v, _ in found} == {200}
+    _assert_nearest_vertices_match(roads, points)
+
+
+def test_nearest_vertices_breaks_ties_across_latitudes_by_id():
+    # Each point is exactly as far from the vertices 0.25 degrees north and
+    # south of it; the lower id wins, whichever side of the point it lies on.
+    offsets = [(0.25, 0.0), (-0.25, 0.0), (0.0, 0.5), (0.0, -0.5)]
+    rng = random.Random(3)
+    vertices, points, want = [], [], []
+    for j in range(40):
+        centre = GeoPoint(10.5 + j, 30.5)
+        order = rng.sample(range(4), 4)
+        base = len(vertices)
+        vertices += [GeoPoint(centre.lat + offsets[k][0], centre.lon + offsets[k][1])
+                     for k in order]
+        north, south = base + order.index(0), base + order.index(1)
+        assert haversine_km(*centre, *vertices[north]) == haversine_km(*centre, *vertices[south])
+        points.append(centre)
+        want.append((min(north, south), haversine_km(*centre, *vertices[north])))
+    roads = road_graph(vertices, [(i, i + 1, 1.0) for i in range(len(vertices) - 1)])
+    assert roads.nearest_vertices([p.lat for p in points], [p.lon for p in points]) == want
+    _assert_nearest_vertices_match(roads, points)
+
+
+def test_nearest_vertices_of_no_points_is_empty():
+    roads = _shuffled_grid(random.Random(1), 10, 0.0, 0.0, 0.02, 0.1)
+    assert roads.nearest_vertices([], []) == []
+    assert roads.nearest_vertices(np.empty(0), np.empty(0)) == []
+
+
+@pytest.mark.parametrize(
+    "count", [_NEAREST_BLOCK - 1, _NEAREST_BLOCK, _NEAREST_BLOCK + 1, 2 * _NEAREST_BLOCK + 1]
+)
+def test_nearest_vertices_across_a_block_boundary(count):
+    rng = random.Random(count)
+    roads = _shuffled_grid(rng, 30, 45.0, 30.0, 0.02, 0.1)
+    points = [GeoPoint(rng.uniform(44.5, 46.0), rng.uniform(29.5, 31.0))
+              for _ in range(count - 3)]
+    points += [GeoPoint(*roads.point(v)) for v in rng.sample(range(roads.n), 3)]
+    rng.shuffle(points)
+    _assert_nearest_vertices_match(roads, points)

@@ -362,14 +362,16 @@ def _root_pick_case(rng, kind):
 
 
 def _beyond_first_window(cores, p):
-    """Whether the nearest of the core points to p lies outside the first
-    latitude window of `RoadGraph.nearest_vertex` (the 2 * max(16, sqrt(n))
-    points next to p in latitude order), so that the pick has to widen it."""
+    """Whether the nearest of the core points to p lies outside p's first
+    latitude window in `RoadGraph.nearest_vertices` (the W = min(n,
+    2 * max(16, sqrt(n))) points next to p in latitude order, moved inside
+    the graph at either end), so that the pick has to widen it."""
     by_lat = sorted(range(len(cores)), key=lambda i: cores[i].lat)
     k = sum(cores[i].lat < p.lat for i in by_lat)
-    half = max(16, math.isqrt(len(cores)))
+    width = min(len(cores), 2 * max(16, math.isqrt(len(cores))))
+    first = max(0, min(k - width // 2, len(cores) - width))
     nearest = min(range(len(cores)), key=lambda i: haversine_km(*p, *cores[i]))
-    return nearest not in by_lat[max(0, k - half) : k + half]
+    return nearest not in by_lat[first : first + width]
 
 
 def test_backbone_root_equals_the_scalar_scan():

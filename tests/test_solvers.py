@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import random
@@ -444,6 +445,34 @@ def test_fold_adds_in_event_order_as_a_python_loop_does():
         assert _fold(values[0], dts, 0, len(dts)) == expected
         mismatched_sum += float(np.sum(np.array(values))) != expected
     assert mismatched_sum > 0
+
+
+def test_fold_is_sequential_not_compensated():
+    """1.0 + 1e100 + 1.0 - 1e100 added one at a time is 0.0, as the events
+    add it; a compensated sum (the builtin `sum` from Python 3.12 on) gives
+    2.0. Both of `_fold`'s paths add sequentially: the loop, and the numpy
+    replay of a run of at least `_FOLD_LOOP` terms, with or without a
+    buffer."""
+    assert _fold(1.0, array("d", [1e100, 1.0, -1e100]), 0, 3) == 0.0
+    dts = array("d", [7.0] * 5 + [1e100, 1.0, -1e100] + [0.0] * solvers._FOLD_LOOP)
+    stop = len(dts)
+    assert stop - 5 >= solvers._FOLD_LOOP
+    assert _fold(1.0, dts, 5, stop) == 0.0
+    assert _fold(1.0, dts, 5, stop, np.full(stop, np.nan)) == 0.0
+
+
+def test_pcst_gw_logs_the_sites_kept_and_the_vertices_pruned(caplog):
+    # Vertices 1 and 2 merge at t = 0.5 and reach the root at t = 1; vertex
+    # 2's prize 0.8 does not pay for its 1 km edge, so pruning drops it.
+    caplog.set_level(logging.DEBUG, logger=solvers.__name__)
+    g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    design = pcst_gw(PrizedGraph(graph=g, prizes={1: 10.0, 2: 0.8}, root=0))
+    assert design.connected_vertices == frozenset({0, 1})
+    (record,) = [r for r in caplog.records if r.msg.startswith("pcst_gw:")]
+    message = record.getMessage()
+    assert "3 vertices, 2 edges, 2 events (2 merges, 0 deaths)" in message
+    assert "2 sites kept, 1 vertices pruned" in message
+    assert "objective 1.8, dual bound 1.5" in message
 
 
 class TestGwDualBound:

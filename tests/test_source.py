@@ -245,7 +245,8 @@ def test_cli_reaches_the_stages_only_through_pipeline_and_config():
 def test_geometry_stays_out_of_the_pipeline():
     """`pipeline.py` orchestrates the stages: it imports neither numpy nor a
     `haversine_*` distance, and only `geodata.py` calls the vectorised
-    `haversine_km_array`; a nearest-point search is `RoadGraph.nearest_vertex`."""
+    `haversine_km_array`; every nearest-point search goes through
+    `RoadGraph.nearest_vertices`."""
     found = []
     tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):

@@ -31,7 +31,7 @@ import pytest
 
 from fiberplan import config, geodata, pipeline
 from fiberplan.cli import main as cli_main
-from fiberplan.netdesign import graphs, solvers
+from fiberplan.netdesign import design, graphs, solvers
 
 from .oracles import long_moat_grid_instance, random_grid_instance
 
@@ -115,16 +115,20 @@ def test_mid_rung_moat_growing_equals_the_recorded_digest(tmp_path, monkeypatch)
 # --- perturbed inside the margins --------------------------------------------
 
 
-def _add_noise(monkeypatch, eps: float, seed: int) -> None:
+def _add_noise(monkeypatch, eps: float, seed: int) -> list[int]:
     """Multiply every output element of `haversine_h_array` (at both names
-    it is looked up by) and of `_local_xy_arrays` by 1 + eps * U(-1, 1)."""
+    it is looked up by) and of `_local_xy_arrays` by 1 + eps * U(-1, 1).
+    Returns the list that records the number of dimensions of each
+    `haversine_h_array` call's first argument."""
     rng = np.random.default_rng(seed)
     h_array, local_xy = geodata.haversine_h_array, geodata._local_xy_arrays
+    dims: list[int] = []
 
     def noisy(a):
         return a * (1.0 + eps * rng.uniform(-1.0, 1.0, np.shape(a)))
 
     def noisy_h_array(*args):
+        dims.append(np.ndim(args[0]))
         return noisy(h_array(*args))
 
     def noisy_local_xy(*args):
@@ -133,6 +137,7 @@ def _add_noise(monkeypatch, eps: float, seed: int) -> None:
     monkeypatch.setattr(geodata, "haversine_h_array", noisy_h_array)
     monkeypatch.setattr(graphs, "haversine_h_array", noisy_h_array)
     monkeypatch.setattr(geodata, "_local_xy_arrays", noisy_local_xy)
+    return dims
 
 
 def _golden_mc_moved(out: pathlib.Path) -> list[str]:
@@ -149,7 +154,10 @@ def test_haversine_and_tangent_plane_noise_inside_the_margins_keeps_the_bytes(
     """At a relative 1e-11, far inside every short-list's margin, the
     golden `mc` run and pcst-roads and wide-mst at seed 1 write their
     unperturbed bytes under three noise seeds; at 1e-4 the golden run or
-    wide-mst moves, so the noise reaches their decisions."""
+    wide-mst moves, so the noise reaches their decisions. Every road
+    attachment of the pcst-roads run measures its points by a 2-D
+    `haversine_h_array` call, the nearest-vertex pass, so that pass is
+    perturbed too."""
     scenarios = {
         name: (
             scale.generate(scale.WORKLOADS[name], 1, str(tmp_path / name)),
@@ -157,13 +165,25 @@ def test_haversine_and_tangent_plane_noise_inside_the_margins_keeps_the_bytes(
         )
         for name in ("pcst-roads", "wide-mst")
     }
+    attach = design.attach_terminals_to_roads
     for noise_seed in (1, 2, 3):
         with monkeypatch.context() as m:
-            _add_noise(m, 1e-11, noise_seed)
+            dims = _add_noise(m, 1e-11, noise_seed)
+            passes: list[int] = []  # 2-D calls made by each road attachment
+
+            def counted_attach(*args, **kwargs):
+                before = dims.count(2)
+                attachment = attach(*args, **kwargs)
+                passes.append(dims.count(2) - before)
+                return attachment
+
+            m.setattr(design, "attach_terminals_to_roads", counted_attach)
             run = tmp_path / f"run{noise_seed}"
             assert _golden_mc_moved(run / "golden") == []
+            del passes[:]
             for name, (scenario, digest) in scenarios.items():
                 assert _run_digest(scenario, run / name) == digest, (name, noise_seed)
+            assert len(passes) == 9 and min(passes) >= 1, passes  # pcst-roads' designs
     with monkeypatch.context() as m:
         _add_noise(m, 1e-4, 1)
         control = tmp_path / "control"
