@@ -9,7 +9,6 @@ and are marked undefined (None) rather than infinite when it is zero.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -58,9 +57,6 @@ class CostBook:
                 f"assessment_years must be an integer in [1, {MAX_ASSESSMENT_YEARS}], "
                 f"got {years!r}"
             )
-
-    def replace(self, **overrides: float) -> "CostBook":
-        return dataclasses.replace(self, **overrides)
 
 
 # The pricing arithmetic. `b` is a CostBook or any object with its field

@@ -173,11 +173,6 @@ class RoadGraph:
         """(u, v, w) arrays of every edge with u < v, in ascending (u, v) order."""
         return self._edges
 
-    def nearest_vertex(self, lat: float, lon: float) -> tuple[int, float]:
-        """Nearest vertex to p = (lat, lon) and its `haversine_km` distance,
-        ties to the lowest id: the one-point case of `nearest_vertices`."""
-        return self.nearest_vertices((lat,), (lon,))[0]
-
     def nearest_vertices(
         self, lat: Sequence[float], lon: Sequence[float]
     ) -> list[tuple[int, float]]:
@@ -203,8 +198,11 @@ class RoadGraph:
         a window holds is farther than that reach, so it is not short-listed
         either. `haversine_km` then scans each short-list in id order with
         the same strict `<` as a full scan, so each result is bit-for-bit
-        that of a full scan.
+        that of a full scan. No points give []; points on a graph with no
+        vertices raise ValueError, as none of them has a nearest vertex.
         """
+        if not self.n and len(lat):
+            raise ValueError("road graph has no vertices")
         lat = np.asarray(lat, dtype=np.float64)
         lon = np.asarray(lon, dtype=np.float64)
         n, by_lat, sorted_lat = self.n, self._by_lat, self._sorted_lat

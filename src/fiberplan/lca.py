@@ -15,7 +15,6 @@ pricing kernel runs the same helpers over arrays of units and draws.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -68,9 +67,6 @@ class EmissionFactorBook:
             raise ValueError(
                 f"lifetime_years must be an integer >= 1, got {self.lifetime_years!r}"
             )
-
-    def replace(self, **overrides: float) -> "EmissionFactorBook":
-        return dataclasses.replace(self, **overrides)
 
 
 @dataclass(frozen=True)

@@ -305,7 +305,7 @@ def pcst_gw(prized: PrizedGraph) -> NetworkDesign:
 def _grow_moats(
     prized: PrizedGraph,
     edges: tuple[np.ndarray, np.ndarray, np.ndarray],
-    stats: dict[str, int] | None = None,
+    stats: dict[str, int],
 ) -> tuple[list[tuple[int, int, float]], list[float]]:
     """The moat-growing phase of `pcst_gw` over the graph's (u, v, w)
     arrays, each vertex's edges found by their `edge_incidence`.
@@ -367,8 +367,8 @@ def _grow_moats(
     root.
 
     Returns the forest edges in the order they merged, and each event's
-    dual increment dt x (number of active clusters). `stats`, when given,
-    receives the number of exact evaluations.
+    dual increment dt x (number of active clusters). `stats` receives the
+    number of exact evaluations.
     """
     n = prized.graph.n
     root = prized.root
@@ -620,8 +620,7 @@ def _grow_moats(
                 key = time + (prize_sum[a] - dual[a])
                 d = rho * (prize_sum[a] + 2.0 * abs(key)) + tiny
                 heappush(heap, (key - d, key + d, ~a, death_version[a]))
-    if stats is not None:
-        stats["evaluations"] = evaluations
+    stats["evaluations"] = evaluations
     return forest, dual_terms
 
 
@@ -631,16 +630,14 @@ def _grow_moats(
 _FOLD_LOOP = 100
 
 
-def _fold(
-    value: float, dts: array, start: int, stop: int, out: np.ndarray | None = None
-) -> float:
+def _fold(value: float, dts: array, start: int, stop: int, out: np.ndarray) -> float:
     """value + dts[start] + ... + dts[stop - 1], added one at a time in that
     order: the float the dense loop's per-event additions give.
 
     Runs shorter than `_FOLD_LOOP` are added by a Python loop, longer ones
-    by `np.add.accumulate`, which adds sequentially too, in `out` when it is
-    given (at least stop - start + 1 floats). Neither may be replaced by a
-    sum that rounds differently: `np.sum` adds pairwise, and the builtin
+    by `np.add.accumulate`, which adds sequentially too, in `out` (at least
+    stop - start + 1 floats). Neither may be replaced by a sum that rounds
+    differently: `np.sum` adds pairwise, and the builtin
     `sum` of floats compensates its rounding from Python 3.12 on (so
     1.0 + 1e100 + 1.0 - 1e100 would give 2.0 there, where the events give 0.0).
     """
@@ -648,7 +645,7 @@ def _fold(
         for t in dts[start:stop]:
             value += t
         return value
-    run = np.empty(stop - start + 1) if out is None else out[: stop - start + 1]
+    run = out[: stop - start + 1]
     run[0] = value
     run[1:] = np.frombuffer(dts, count=stop)[start:]
     np.add.accumulate(run, out=run)
@@ -677,15 +674,15 @@ def _reconnect_minimally(
 def _strong_prune(
     prized: PrizedGraph,
     forest: list[tuple[int, int, float]],
-    stats: dict[str, int] | None = None,
+    stats: dict[str, int],
 ) -> set[int]:
     """The sites: the vertices of the best subtree of `forest` that contains
     the root. `_reconnect_minimally` routes them, so no edge is returned.
 
     A DFS from the root discovers exactly the root's component; then,
     bottom-up over that tree, a child subtree is kept only when its pruned
-    value strictly exceeds the edge cost that reaches it. `stats`, when
-    given, receives the size of that component as "reached".
+    value strictly exceeds the edge cost that reaches it. `stats` receives
+    the size of that component as "reached".
     """
     adj: dict[int, list[tuple[int, float]]] = {}
     for u, v, w in forest:
@@ -711,8 +708,7 @@ def _strong_prune(
         gain = value[v] - w
         if gain > 0.0:  # a child worth no more than its edge adds nothing
             value[u] += gain
-    if stats is not None:
-        stats["reached"] = len(seen)
+    stats["reached"] = len(seen)
 
     kept = {root}
     for v, u, w in order:  # parents precede children in DFS discovery order

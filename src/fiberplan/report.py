@@ -376,7 +376,7 @@ def _check_values(
     book = _book_of(key, cost_book, factor_book)
     for value in values:
         try:
-            book.replace(**{key: value})
+            dataclasses.replace(book, **{key: value})
         except ValueError as exc:
             raise InvalidDistributionBounds(
                 f"distribution for {key!r} can draw an invalid value: {exc}"

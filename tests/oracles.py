@@ -22,10 +22,10 @@ event-driven `_grow_moats` replaced (by way of a frontier-only array loop);
 their forests and dual increments must be equal bit for bit.
 `nearest_vertex_reference` is the full scan that the latitude windows of
 `RoadGraph.nearest_vertices` replaced, through which every nearest-point
-search goes (`nearest_vertex` is its one-point case); like every oracle
-here, it reads a road vertex through `point(v)`, the (lat, lon) pair of
-the graph's arrays, never through the whole `vertices` tuple; `road_graph` builds a road graph
-from `GeoPoint`s and edge tuples. `GeoPoint` is a (lat, lon) named tuple,
+search goes; like every oracle here, it reads a road vertex through
+`point(v)`, the (lat, lon) pair of the graph's arrays, never through the
+whole `vertices` tuple; `road_graph` builds a road graph from `GeoPoint`s
+and edge tuples. `GeoPoint` is a (lat, lon) named tuple,
 the point object that the package's geometry took before it took two
 floats; it lives here, as no run builds one. It equals the plain pair that
 `point(v)` returns, and `haversine_km(*a, *b)` measures two of them, so
@@ -55,15 +55,18 @@ the (ids, lat, lon) columns that a design takes.
 that classify's root pick replaces by one `RoadGraph.nearest_vertices`
 pass over the regional nodes on an edgeless graph of the core settlements, and
 `design_geojson_reference` the dict document and
-`json.dumps` that the text-built design GeoJSON replaced; the root pick and
-the written bytes must equal theirs. `single_node_design_reference` is the
-solver-free result that a one-settlement design took before every design
-ran its solver; `design_network` must give the same design and GeoJSON.
+`json.dumps` that the text-built design GeoJSON replaced, with each vertex
+placed from the settlements and the road graph rather than the design's
+own graph; the root pick and the written bytes must equal theirs.
+`single_node_design_reference` is the solver-free result that a
+one-settlement design took before every design ran its solver;
+`design_network` must give the same design and GeoJSON.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import heapq
 import json
 import math
@@ -832,8 +835,8 @@ def _apply_overrides(
     cost_kw = {k: v for k, v in overrides.items() if resolve_parameter_key(k) == "cost"}
     lca_kw = {k: v for k, v in overrides.items() if resolve_parameter_key(k) == "lca"}
     return (
-        cost_book.replace(**cost_kw) if cost_kw else cost_book,
-        factor_book.replace(**lca_kw) if lca_kw else factor_book,
+        dataclasses.replace(cost_book, **cost_kw) if cost_kw else cost_book,
+        dataclasses.replace(factor_book, **lca_kw) if lca_kw else factor_book,
     )
 
 
@@ -1155,19 +1158,33 @@ def pick_backbone_root_reference(
     return min(core_ids, key=lambda sid: (nearest_rnod_km(sid), sid))
 
 
-def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: str) -> str:
+def design_geojson_reference(
+    results: Sequence[DesignResult],
+    parameters_hash: str,
+    settlements: SettlementSet,
+    roads: RoadGraph | None,
+) -> str:
     """The text of a design GeoJSON FeatureCollection: the document as
-    dicts, written by `json.dumps` with sorted keys."""
+    dicts, written by `json.dumps` with sorted keys.
+
+    Each vertex is placed from the inputs, not from the design's graph: in
+    a PCST design a vertex v < roads.n is road vertex v, and every other
+    vertex of a design is a terminal, at its settlement's coordinates."""
     features: list[dict] = []
     for result in results:
         design = result.design
         algorithm = design.algorithm
-        graph = result.graph
         terminal_ids = {v: sid for sid, v in result.terminal_vertex.items()}
+
+        def point(v: int) -> GeoPoint:
+            if algorithm == ALGORITHMS["pcst"] and v < roads.n:
+                return GeoPoint(*roads.point(v))
+            return location(settlements, settlements.row[terminal_ids[v]])
+
         used_vertices: set[int] = set()
         for u, v, w in design.edges:
             used_vertices.update((u, v))
-            pu, pv = GeoPoint(*graph.point(u)), GeoPoint(*graph.point(v))
+            pu, pv = point(u), point(v)
             features.append(
                 {
                     "type": "Feature",
@@ -1187,7 +1204,7 @@ def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: s
             )
         point_vertices = sorted(used_vertices | set(terminal_ids))
         for vid in point_vertices:
-            point = GeoPoint(*graph.point(vid))
+            at = point(vid)
             sid = terminal_ids.get(vid)
             if sid == result.root_id:
                 role = "root"
@@ -1200,7 +1217,7 @@ def design_geojson_reference(results: Sequence[DesignResult], parameters_hash: s
                     "type": "Feature",
                     "geometry": {
                         "type": "Point",
-                        "coordinates": [round(point.lon, 6), round(point.lat, 6)],
+                        "coordinates": [round(at.lon, 6), round(at.lat, 6)],
                     },
                     "properties": {
                         "level": result.level,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import types
 
@@ -34,7 +35,7 @@ class TestCostBook:
         assert book.carbon_price_usd_per_tonne == 75.0
 
     def test_replace(self):
-        book = CostBook().replace(c_olt=30_000.0)
+        book = dataclasses.replace(CostBook(), c_olt=30_000.0)
         assert book.c_olt == 30_000.0
         assert book.c_civil == 120_000.0
 

@@ -391,7 +391,10 @@ def test_traced_benchmark_child_counts_the_golden_run_as_before(tmp_path):
     # The traced benchmark wraps build_euclidean_graph, attach_terminals_to_roads,
     # prim_mst and pcst_gw at netdesign.design and counts what they return
     # (and the edges of each PCST graph), so a call that bypasses a wrapper
-    # changes a count.
+    # changes a count. It also counts the loaded inputs (the road graph
+    # through its `vertices` and `edges`) and the calls of the names it
+    # wraps for the pricing and Monte Carlo layers, which the run no longer
+    # makes.
     proc = subprocess.run(
         [
             sys.executable,
@@ -415,6 +418,14 @@ def test_traced_benchmark_child_counts_the_golden_run_as_before(tmp_path):
     assert layers["netdesign.graphs.attached_vertices"] == 129
     assert layers["netdesign.solvers.pcst_gw_calls"] == 4
     assert layers["netdesign.solvers.pcst_graph_edges"] == 125
+    assert layers["geodata.settlements"] == 30
+    assert layers["geodata.road_vertices"] == 32
+    assert layers["geodata.road_edges"] == 31
+    assert layers["geodata.fiber_segments"] == 1
+    assert layers["demand.subregions"] == 15
+    for unreached in ("netdesign.classify.within_buffer_calls", "costmodel.tco_calls",
+                      "lca.emissions_calls", "report.mc_draws"):
+        assert layers[unreached] == 0, unreached
 
 
 class TestPcstDesign:

@@ -42,12 +42,12 @@ from fiberplan.geodata import (
     load_settlements,
     point_segment_km,
     _band_reach_deg,
-    within_buffer,
     within_buffer_mask,
 )
 
 from .oracles import (
     GeoPoint,
+    edge_list,
     load_settlements_reference,
     nearest_vertex_reference,
     road_graph,
@@ -133,16 +133,17 @@ def test_within_buffer_thresholds():
     lines = FiberLineSet(lines=(EQUATOR_SEG,))
     p1 = GeoPoint(0.00899320363724538, 0.25)  # 1 km off
     p3 = GeoPoint(0.026979610911736143, 0.25)  # 3 km off
-    assert within_buffer(*p1, lines, 2.0)
-    assert not within_buffer(*p3, lines, 2.0)
-    assert not within_buffer(*p1, lines, 0.5)
-    assert within_buffer(*EQUATOR_SEG[1], lines, 0.0)
+    assert within_buffer_mask([p1.lat], [p1.lon], lines, 2.0)[0]
+    assert not within_buffer_mask([p3.lat], [p3.lon], lines, 2.0)[0]
+    assert not within_buffer_mask([p1.lat], [p1.lon], lines, 0.5)[0]
+    end = EQUATOR_SEG[1]
+    assert within_buffer_mask([end.lat], [end.lon], lines, 0.0)[0]
 
 
 def test_within_buffer_negative_radius_rejected():
     lines = FiberLineSet(lines=(EQUATOR_SEG,))
     with pytest.raises(ValueError):
-        within_buffer(0.0, 0.0, lines, -1.0)
+        within_buffer_mask([0.0], [0.0], lines, -1.0)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
@@ -693,8 +694,8 @@ def test_load_road_graph_shares_vertices(tmp_path):
     doc = _line_doc([[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.4]])
     rg = load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
     assert rg.n == 3
-    assert len(rg.edges) == 2
-    for u, v, w in rg.edges:
+    assert len(edge_list(rg)) == 2
+    for u, v, w in edge_list(rg):
         assert u < v
         assert w == pytest.approx(haversine_km(*rg.point(u), *rg.point(v)))
 
@@ -715,7 +716,7 @@ def test_load_road_graph_dedupes_parallel_edges(tmp_path):
 
     doc = _line_doc([[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]])
     rg = load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
-    assert len(rg.edges) == 1
+    assert len(edge_list(rg)) == 1
 
 
 def test_load_road_graph_skips_zero_length_segments(tmp_path):
@@ -723,8 +724,8 @@ def test_load_road_graph_skips_zero_length_segments(tmp_path):
 
     doc = _line_doc([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
     rg = load_road_graph(_write(tmp_path, "r.geojson", json.dumps(doc)))
-    assert len(rg.edges) == 1
-    assert all(w > 0 for _, _, w in rg.edges)
+    assert len(edge_list(rg)) == 1
+    assert all(w > 0 for _, _, w in edge_list(rg))
 
 
 def test_load_road_graph_rejects_a_segment_of_zero_km_between_distinct_positions(tmp_path):
@@ -768,7 +769,7 @@ def test_road_arrays_csr_keeps_lightest_parallel_edge():
     assert (u.dtype, v.dtype, w.dtype) == (np.int64, np.int64, np.float64)
     assert not any(a.flags.writeable for a in (u, v, w))
     assert all(a is b for a, b in zip(roads.edge_arrays(), (u, v, w)))  # stored, not rebuilt
-    assert roads.edges == ((0, 1, 3.0), (0, 2, 2.0))
+    assert edge_list(roads) == [(0, 1, 3.0), (0, 2, 2.0)]
     assert roads.edge_count == 2
 
 
@@ -780,7 +781,7 @@ def test_road_graph_point_returns_the_loaders_floats_bit_for_bit():
         assert (type(lat), type(lon)) == (float, float)
         assert (lat.hex(), lon.hex()) == (p.lat.hex(), p.lon.hex())  # -0.0 stays -0.0
     assert roads.n == 3
-    assert roads.vertices == given
+    assert tuple(map(roads.point, range(roads.n))) == given
 
 
 def test_road_graph_retains_only_its_flat_arrays():
@@ -815,7 +816,7 @@ def test_load_road_graph_merges_signed_zeros_at_the_first_segment_endpoint(tmp_p
     assert [tuple(x.hex() for x in roads.point(v)) for v in range(roads.n)] == [
         ("0x0.0p+0", "0x0.0p+0"), ("0x1.0000000000000p+0", "0x1.0000000000000p+0")
     ]
-    assert [(u, v) for u, v, _ in roads.edges] == [(0, 1)]
+    assert [(u, v) for u, v, _ in edge_list(roads)] == [(0, 1)]
 
 
 def test_load_road_graph_peaks_below_a_point_and_segment_list(tmp_path):
@@ -863,7 +864,7 @@ def test_nearest_vertex_equals_a_full_haversine_scan():
     points += vertices[:20]  # coincident: distance exactly 0
     for p in points:
         want = min((haversine_km(*p, *q), v) for v, q in enumerate(vertices))
-        assert roads.nearest_vertex(*p) == (want[1], want[0])
+        assert roads.nearest_vertices([p.lat], [p.lon])[0] == (want[1], want[0])
 
 
 def test_nearest_vertex_ties_go_to_the_lowest_id():
@@ -874,7 +875,7 @@ def test_nearest_vertex_ties_go_to_the_lowest_id():
     )
     p = GeoPoint(0.0, 0.25)
     assert haversine_km(*p, *roads.point(1)) == haversine_km(*p, *roads.point(2))
-    assert roads.nearest_vertex(*p) == (1, haversine_km(*p, *roads.point(1)))
+    assert roads.nearest_vertices([p.lat], [p.lon])[0] == (1, haversine_km(*p, *roads.point(1)))
 
 
 def _shuffled_grid(rng: random.Random, side: int, lat0: float, lon0: float, spacing: float,
@@ -929,7 +930,7 @@ def test_nearest_vertex_equals_the_full_scan_reference(side, lat0, jitter):
     # coincident: distance exactly 0
     points += [GeoPoint(*roads.point(v)) for v in rng.sample(range(roads.n), 30)]
     for p in points:
-        assert roads.nearest_vertex(*p) == nearest_vertex_reference(roads, p), p
+        assert roads.nearest_vertices([p.lat], [p.lon])[0] == nearest_vertex_reference(roads, p), p
 
 
 def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
@@ -945,17 +946,17 @@ def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
         assert haversine_km(*p, *vertices[north]) == haversine_km(*p, *vertices[south])
         want = (min(north, south), haversine_km(*p, *vertices[north]))
         assert nearest_vertex_reference(roads, p) == want
-        assert roads.nearest_vertex(*p) == want
+        assert roads.nearest_vertices([p.lat], [p.lon])[0] == want
 
 
 def _assert_nearest_vertices_match(roads: RoadGraph, points: list[GeoPoint]) -> None:
     """`nearest_vertices` over all points equals the full scan point by
-    point, and `nearest_vertex` is its one-point case."""
+    point, and each point alone gives the same."""
     lat, lon = [p.lat for p in points], [p.lon for p in points]
     found = roads.nearest_vertices(lat, lon)
     assert found == [nearest_vertex_reference(roads, p) for p in points]
     for p, one in zip(points, found):
-        assert roads.nearest_vertex(*p) == roads.nearest_vertices([p.lat], [p.lon])[0] == one
+        assert roads.nearest_vertices([p.lat], [p.lon])[0] == one
 
 
 def _widened(monkeypatch) -> list[int]:
@@ -1050,6 +1051,13 @@ def test_nearest_vertices_of_no_points_is_empty():
     roads = _shuffled_grid(random.Random(1), 10, 0.0, 0.0, 0.02, 0.1)
     assert roads.nearest_vertices([], []) == []
     assert roads.nearest_vertices(np.empty(0), np.empty(0)) == []
+    assert RoadGraph((), (), (), (), ()).nearest_vertices([], []) == []
+
+
+def test_nearest_vertices_on_a_graph_with_no_vertices_is_refused():
+    roads = RoadGraph((), (), (), (), ())
+    with pytest.raises(ValueError, match="^road graph has no vertices$"):
+        roads.nearest_vertices([0.0], [0.0])
 
 
 @pytest.mark.parametrize(

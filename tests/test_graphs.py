@@ -226,7 +226,7 @@ class TestRoadOverlay:
         g = att.graph
         assert g.roads is roads
         copy = WeightedGraph(roads.n)
-        for u, v, w in roads.edges:
+        for u, v, w in edge_list(roads):
             copy.add_edge(u, v, w)
         spur = copy.add_vertex()
         copy.add_edge(1, spur, haversine_km(*near.location, *roads.point(1)))
@@ -234,7 +234,7 @@ class TestRoadOverlay:
         assert g.edge_count == copy.edge_count == 3
         assert [a.tolist() for a in g.edge_arrays()] == [a.tolist() for a in copy.edge_arrays()]
         weights = _weights(g)
-        assert weights[(1, 2)] == roads.edges[1][2]
+        assert weights[(1, 2)] == edge_list(roads)[1][2]
         assert (0, 2) not in weights and (0, 3) not in weights
         assert att.terminal_vertex == {"near": 3, "on": 2}
         assert [g.point(v) for v in range(4)] == [*map(roads.point, range(3)), near.location]

@@ -15,10 +15,10 @@ from fiberplan import report
 from fiberplan.costmodel import CostBook, tco_quantities
 from fiberplan.errors import ConfigError, OutputError
 from fiberplan.config import load_scenario
-from fiberplan.geodata import haversine_km
+from fiberplan.geodata import SettlementSet, haversine_km
 from fiberplan.lca import EmissionFactorBook, emissions_quantities
 from fiberplan.netdesign.design import design_network
-from fiberplan.pipeline import run_pipeline
+from fiberplan.pipeline import load_inputs, run_pipeline
 from fiberplan.report import (
     _percentiles,
     MC_COLUMNS,
@@ -31,7 +31,6 @@ from fiberplan.report import (
     UnknownParameterKey,
     build_report,
     config_hash,
-    draw_parameters,
     draw_table,
     emit_csv,
     emit_design_geojson,
@@ -219,6 +218,12 @@ def _mc(draws=4, seed=123, **dists) -> McConfig:
     return McConfig(draws=draws, seed=seed, distributions=dists)
 
 
+def _draw_row(mc: McConfig, d: int) -> dict[str, float]:
+    """Draw d's parameter values, keyed like the distributions: the
+    one-row `draw_table`."""
+    return {key: float(column[0]) for key, column in draw_table(mc, d, d + 1, COST, LCA).items()}
+
+
 def test_draws_match_counter_based_generator_directly():
     # oracle: one generator keyed by (seed, draw) sampling in sorted key order
     mc = _mc(
@@ -230,7 +235,7 @@ def test_draws_match_counter_based_generator_directly():
         rng = np.random.Generator(np.random.Philox(key=[99, d]))
         expect_olt = rng.uniform(20_000.0, 36_000.0)
         expect_diesel = rng.triangular(2.0, 2.68, 3.2)
-        got = draw_parameters(mc, d, COST, LCA)
+        got = _draw_row(mc, d)
         assert got["c_olt"] == expect_olt
         assert got["cf_diesel_per_liter"] == expect_diesel
 
@@ -251,9 +256,7 @@ def test_draws_equal_a_fresh_generator_per_draw(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for d in (5, 3, 5, 0, 7):  # out of order, and one draw twice
-            assert draw_parameters(mc, d, COST, LCA) == draw_parameters_reference(
-                mc, d, COST, LCA
-            ), d
+            assert _draw_row(mc, d) == draw_parameters_reference(mc, d, COST, LCA), d
         table = draw_table(mc, 2, 8, COST, LCA)
     for d in range(2, 8):
         drawn = {key: float(column[d - 2]) for key, column in table.items()}
@@ -319,7 +322,7 @@ def test_two_threads_drawing_interleaved_keep_their_own_streams():
         barrier.wait()
         for seed, d in draws if me == 0 else reversed(draws):
             mc = McConfig(draws=8, seed=seed, distributions=distributions)
-            results[me].append(((seed, d), draw_parameters(mc, d, COST, LCA)))
+            results[me].append(((seed, d), _draw_row(mc, d)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -344,7 +347,7 @@ def test_seeds_at_or_above_2_63_name_their_own_streams():
     seeds, and a negative seed is its value mod 2**64, with no warning."""
     def c_olt(seed):
         mc = _mc(seed=seed, c_olt=Distribution(kind="uniform", lo=20_000.0, hi=36_000.0))
-        return draw_parameters(mc, 0, COST, LCA)["c_olt"]
+        return _draw_row(mc, 0)["c_olt"]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -360,22 +363,22 @@ def test_fixed_entries_consume_no_randomness():
         c_olt=Distribution(kind="uniform", lo=20_000.0, hi=36_000.0),
     )
     without = _mc(seed=5, c_olt=Distribution(kind="uniform", lo=20_000.0, hi=36_000.0))
-    a = draw_parameters(with_fixed, 3, COST, LCA)
-    b = draw_parameters(without, 3, COST, LCA)
+    a = _draw_row(with_fixed, 3)
+    b = _draw_row(without, 3)
     assert a["c_olt"] == b["c_olt"]
     assert a["c_civil"] == COST.c_civil  # book value when no explicit override
 
 
 def test_fixed_with_value_overrides_book():
     mc = _mc(seed=5, c_olt=Distribution(kind="fixed", value=30_000.0))
-    assert draw_parameters(mc, 0, COST, LCA)["c_olt"] == 30_000.0
+    assert _draw_row(mc, 0)["c_olt"] == 30_000.0
 
 
 def test_same_seed_same_draw_is_identical_and_draws_differ():
     mc = _mc(seed=77, c_olt=Distribution(kind="uniform", lo=1.0, hi=2.0))
-    a = draw_parameters(mc, 4, COST, LCA)
-    b = draw_parameters(mc, 4, COST, LCA)
-    c = draw_parameters(mc, 5, COST, LCA)
+    a = _draw_row(mc, 4)
+    b = _draw_row(mc, 4)
+    c = _draw_row(mc, 5)
     assert a == b
     assert a["c_olt"] != c["c_olt"]
 
@@ -606,24 +609,27 @@ def test_emit_design_geojson_byte_identical(tmp_path):
 GOLDEN_SCENARIO = os.path.join(os.path.dirname(__file__), "data", "golden", "scenario.json")
 
 
-def _emit_and_compare(tmp_path, results, name) -> str:
+def _emit_and_compare(tmp_path, results, name, settlements, roads) -> str:
     """Emit `results`, assert the bytes equal the dict-and-json.dumps
-    document's, and return the text."""
+    document's, placed from `settlements` and `roads`, and return the text."""
     path = tmp_path / name
     emit_design_geojson(results, str(path), parameters_hash="0123456789abcdef")
-    expected = design_geojson_reference(results, "0123456789abcdef")
+    expected = design_geojson_reference(results, "0123456789abcdef", settlements, roads)
     assert path.read_bytes() == expected.encode("utf-8")
     return expected
 
 
 def test_design_geojson_equals_the_json_document_on_the_golden_designs(tmp_path):
-    result = run_pipeline(load_scenario(GOLDEN_SCENARIO, out_dir=str(tmp_path / "out")))
+    cfg = load_scenario(GOLDEN_SCENARIO, out_dir=str(tmp_path / "out"))
+    inputs = load_inputs(cfg)
+    result = run_pipeline(cfg)
     assert sorted(result.designs) == [
         ("mst", "access"), ("mst", "regional"), ("pcst", "access"), ("pcst", "regional")
     ]
     for (selection, level), results in sorted(result.designs.items()):
         assert results
-        _emit_and_compare(tmp_path, results, f"design_{level}_{selection}.geojson")
+        name = f"design_{level}_{selection}.geojson"
+        _emit_and_compare(tmp_path, results, name, inputs.settlements, inputs.roads)
 
 
 def test_design_geojson_equals_the_json_document_on_hand_made_designs(tmp_path):
@@ -633,33 +639,26 @@ def test_design_geojson_equals_the_json_document_on_hand_made_designs(tmp_path):
         [(i, i + 1, haversine_km(*road_points[i], *road_points[i + 1])) for i in range(4)],
     )
     escaped_ids = ['q"uote', "back\\slash", "café", "tab\there"]
+    ids = [*escaped_ids, "east", "west", "near-east", "tiny-step", "alone"]
+    # ids[3], at (-1e-9, -4e-7), is written -0.0, -0.0
+    lat = [0.0, 0.0, 0.045, -1e-9, 0.5, -0.5, 10.0, 10.0 + 1e-10, -3.25]
+    lon = [0.0, 1.0, 0.5, -4e-7, 180.0, -180.0, 179.9999996, 179.9999996, 36.5]
+    settlements = SettlementSet(ids, lat, lon, [1] * 9, ["R1"] * 9, ["R1-01"] * 9)
     pcst = design_network(
-        "regional",
-        "pcst",
-        escaped_ids[:3],
-        [0.0, 0.0, 0.045],
-        [0.0, 1.0, 0.5],
-        escaped_ids[0],
+        "regional", "pcst", ids[:3], lat[:3], lon[:3], escaped_ids[0],
         roads=roads,
         node_users={escaped_ids[1]: 200.0, escaped_ids[2]: 1.0},
         snap_radius_km=10.0,
     )
     assert pcst.design.excluded_terminals
-    mst = design_network(
-        "access",
-        "mst",
-        [escaped_ids[3], "east", "west", "near-east", "tiny-step"],
-        [-1e-9, 0.5, -0.5, 10.0, 10.0 + 1e-10],  # the first point is written -0.0, -0.0
-        [-4e-7, 180.0, -180.0, 179.9999996, 179.9999996],
-        escaped_ids[3],
-    )
-    single = design_network("access", "mst", ["alone"], [-3.25], [36.5], "alone")
-    text = _emit_and_compare(tmp_path, [pcst], "pcst.geojson")
+    mst = design_network("access", "mst", ids[3:8], lat[3:8], lon[3:8], escaped_ids[3])
+    single = design_network("access", "mst", ids[8:], lat[8:], lon[8:], "alone")
+    text = _emit_and_compare(tmp_path, [pcst], "pcst.geojson", settlements, roads)
     assert '"connected":false' in text and '"role":"steiner"' in text
     assert all(json.dumps(sid) in text for sid in escaped_ids[:3])
-    text = _emit_and_compare(tmp_path, [mst], "mst.geojson")
+    text = _emit_and_compare(tmp_path, [mst], "mst.geojson", settlements, roads)
     assert "[-0.0,-0.0]" in text and "[180.0,0.5]" in text and "[-180.0,-0.5]" in text
     assert "e-0" in text  # the tiny step's weight is written in exponent form
-    _emit_and_compare(tmp_path, [single], "single.geojson")
-    _emit_and_compare(tmp_path, [pcst, mst, single, mst], "several.geojson")
-    _emit_and_compare(tmp_path, [], "empty.geojson")
+    _emit_and_compare(tmp_path, [single], "single.geojson", settlements, roads)
+    _emit_and_compare(tmp_path, [pcst, mst, single, mst], "several.geojson", settlements, roads)
+    _emit_and_compare(tmp_path, [], "empty.geojson", settlements, roads)

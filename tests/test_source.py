@@ -107,6 +107,36 @@ def test_perfbench_span_targets_resolve():
     assert not missing, "perfbench span targets not found: " + ", ".join(missing)
 
 
+# Names the package keeps only for `perfbench/spans.py`, which wraps or
+# counts them, and the one place besides their definitions that reads one:
+# the import that the traced benchmark wraps in the classify module.
+SPANS_ONLY = {"within_buffer", "draw_parameters"}
+SPANS_SHIM = ("fiberplan/netdesign/classify.py", "within_buffer")
+
+
+def test_only_the_benchmark_reads_the_spans_only_names():
+    """No package module or test reads `geodata.within_buffer` or
+    `report.draw_parameters`, other than `SPANS_SHIM`: the benchmark is
+    their one reader, and they can go with its span tables."""
+    found = []
+    for base in (PACKAGE, ROOT / "tests"):
+        for path in sorted(base.rglob("*.py")):
+            where = f"{base.name}/{path.relative_to(base).as_posix()}"
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                if name in SPANS_ONLY and (where, name) != SPANS_SHIM:
+                    found.append(f"{where}:{node.lineno} {name}")
+    assert not found, "spans-only names read outside perfbench: " + ", ".join(found)
+
+
 # The README's "Lower-level pieces" list: module -> the names it gives there.
 LOWER_LEVEL_PIECES = {
     "fiberplan.geodata": ("haversine_km",),
@@ -163,7 +193,9 @@ def _readers() -> set[str]:
     the `Name`, `Attribute` and imported names of the code under `src/` and
     `perfbench/`, the words of the string constants in `perfbench/` (the
     span targets), docstrings left out, and the words of the README's code
-    spans and blocks. Comments, docstrings and prose read nothing."""
+    blocks and of the code spans of its "Library use" section, the
+    documented API. Comments, docstrings and prose read nothing, nor does
+    a code span in the README's prose outside that section."""
     words = re.compile(r"\w+")
     read: set[str] = set()
     for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
@@ -186,7 +218,8 @@ def _readers() -> set[str]:
                 read.update(words.findall(node.value))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```.*?```", readme, flags=re.S)
-    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    library_use = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", library_use, flags=re.S))
     for code in blocks + spans:
         read.update(words.findall(code))
     return read
@@ -194,8 +227,9 @@ def _readers() -> set[str]:
 
 def test_every_public_name_in_src_has_a_reader():
     """A public function, class or method that no code in the package or
-    the benchmark, no benchmark span target and no README code span names
-    is API kept only for tests: it belongs in the tests, or nowhere."""
+    the benchmark, no benchmark span target, no README code block and no
+    code span of the README's "Library use" names is API kept only for
+    tests: it belongs in the tests, or nowhere."""
     read = _readers()
     unread = []
     for path in sorted(PACKAGE.rglob("*.py")):

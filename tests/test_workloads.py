@@ -236,7 +236,7 @@ def test_moat_heap_keys_shifted_inside_their_margin_keep_every_event(tmp_path, m
     )]
     grow_moats = solvers._grow_moats
 
-    def captured(prized, edges, stats=None):
+    def captured(prized, edges, stats):
         instances.append((prized, edges))
         return grow_moats(prized, edges, stats)
 
@@ -245,12 +245,12 @@ def test_moat_heap_keys_shifted_inside_their_margin_keep_every_event(tmp_path, m
         scenario = scale.generate(scale.WORKLOADS["pcst-roads"], 1, str(tmp_path / "inputs"))
         pipeline.run_pipeline(config.load_scenario(scenario, out_dir=str(tmp_path / "out")))
     assert len(instances) == 45 + 9
-    unperturbed = [grow_moats(pg, edges) for pg, edges in instances]
+    unperturbed = [grow_moats(pg, edges, {}) for pg, edges in instances]
 
     def changed(spread: float) -> int:
         with monkeypatch.context() as m:
             shifted = _shift_heap_keys(m, spread, seed=1)
-            results = [grow_moats(pg, edges) for pg, edges in instances]
+            results = [grow_moats(pg, edges, {}) for pg, edges in instances]
         assert shifted
         return sum(r != u for r, u in zip(results, unperturbed))
 
