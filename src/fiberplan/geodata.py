@@ -152,6 +152,8 @@ class RoadGraph:
             held.flags.writeable = False
 
     def point(self, v: int) -> tuple[float, float]:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for {self.n} vertices")
         return self.lat.item(v), self.lon.item(v)
 
     @property
@@ -201,6 +203,8 @@ class RoadGraph:
         that of a full scan. No points give []; points on a graph with no
         vertices raise ValueError, as none of them has a nearest vertex.
         """
+        if len(lat) != len(lon):
+            raise ValueError("lat and lon must have one entry per point")
         if not self.n and len(lat):
             raise ValueError("road graph has no vertices")
         lat = np.asarray(lat, dtype=np.float64)
@@ -378,6 +382,8 @@ def within_buffer_mask(
     """
     if not (math.isfinite(radius_km) and radius_km >= 0):
         raise ValueError(f"radius_km must be a finite number >= 0, got {radius_km}")
+    if len(lat) != len(lon):
+        raise ValueError("lat and lon must have one entry per point")
     reach = _band_reach_deg(radius_km)
     lat = np.asarray(lat, dtype=np.float64)
     lon = np.asarray(lon, dtype=np.float64)

@@ -5,8 +5,8 @@ route along the road network, weighing each terminal's user mass against the
 trench length needed to reach it, and may leave low-value terminals out. A
 design takes its nodes as settlement ids and their `lat`/`lon` columns, and
 reads them in ascending id order. Every design, a lone settlement too, is
-one `prim_mst` or `pcst_gw` run on its own graph, and `design_network`
-turns that solve into its `DesignResult`.
+one `prim_mst` or `pcst_gw` run on its own graph. `design_network` solves
+it and is the one place a `DesignResult` is built.
 """
 
 from __future__ import annotations
@@ -37,12 +37,8 @@ class PrizeOverflow(ConfigError):
 
 
 LEVELS = ("regional", "access")
-# (ids ascending, lat, lon) of a design's nodes: ids[i] is at (lat[i], lon[i])
-Nodes = tuple[list[str], np.ndarray, np.ndarray]
 # algorithm selection -> the solver tag its designs and report rows carry
 ALGORITHMS = {"mst": "MST", "pcst": "PCST_GW"}
-# what a solve gives `design_network`: (design, graph, terminal_vertex, warnings)
-_Solve = tuple[NetworkDesign, GreatCircleGraph | RoadOverlay, dict[str, int], tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -112,19 +108,46 @@ def design_network(
         raise ValueError(f"root {root_id!r} is not among the design nodes")
     ids = sorted(row)
     rows = [row[sid] for sid in ids]
-    nodes = (ids, np.asarray(lat, dtype=np.float64)[rows], np.asarray(lon, dtype=np.float64)[rows])
+    lat, lon = np.asarray(lat, dtype=np.float64)[rows], np.asarray(lon, dtype=np.float64)[rows]
 
     if algorithm == "mst":
-        design, graph, terminal_vertex, warnings = _design_mst(nodes, root_id)
+        graph = build_euclidean_graph(ids, lat, lon)
+        terminal_vertex = dict(zip(ids, range(len(ids))))
+        design = prim_mst(graph, root=terminal_vertex[root_id])
+        for u, v, w in design.edges:  # settlements 0 km apart always give a 0 km tree edge
+            if w == 0.0:
+                raise DuplicateCoordinate(f"settlements {ids[u]!r} and {ids[v]!r} are 0 km apart")
+        warnings: tuple[str, ...] = ()
     else:
-        design, graph, terminal_vertex, warnings = _design_pcst(
-            level,
-            nodes,
-            root_id,
-            roads=roads,
-            node_users=node_users or {},
-            snap_radius_km=snap_radius_km,
-            prize_scale=prize_scale,
+        if roads is None:
+            raise ValueError("pcst designs require a road network")
+        if not (math.isfinite(prize_scale) and prize_scale > 0):
+            raise ValueError(f"prize_scale must be a finite number > 0, got {prize_scale}")
+        attachment = attach_terminals_to_roads(ids, lat, lon, roads, snap_radius_km)
+        graph, terminal_vertex = attachment.graph, attachment.terminal_vertex
+        root_vertex = terminal_vertex[root_id]
+        node_users = node_users or {}
+        prizes: dict[int, float] = {}
+        for sid in ids:
+            if sid == root_id:
+                continue  # the root is always in the tree; a prize would be inert
+            users = float(node_users.get(sid, 0.0))
+            if not (math.isfinite(users) and users >= 0):
+                raise ValueError(
+                    f"users of settlement {sid!r} must be finite and >= 0, got {users}"
+                )
+            prizes[terminal_vertex[sid]] = users * prize_scale
+        terminals = frozenset(terminal_vertex.values())
+        try:
+            prized = PrizedGraph(graph=graph, prizes=prizes, root=root_vertex, terminals=terminals)
+        except ValueError as exc:  # the only one it can raise here: prizes past a float
+            raise PrizeOverflow(
+                f"prize_scale {prize_scale:.6g} makes the {level} prizes too large: {exc}"
+            ) from exc
+        design = pcst_gw(prized)
+        warnings = tuple(
+            f"settlement {sid} attached {dist:.2f} km beyond the {snap_radius_km:.2f} km snap radius"
+            for sid, dist in attachment.beyond_snap
         )
     if not count_root_as_terminal:
         # Every design keeps its root (PCST's strong pruning never drops it).
@@ -137,55 +160,3 @@ def design_network(
         root_id=root_id,
         warnings=warnings,
     )
-
-
-def _design_mst(nodes: Nodes, root_id: str) -> _Solve:
-    ids = nodes[0]
-    graph = build_euclidean_graph(*nodes)
-    terminal_vertex = dict(zip(ids, range(len(ids))))
-    design = prim_mst(graph, root=terminal_vertex[root_id])
-    for u, v, w in design.edges:  # settlements 0 km apart always give a 0 km tree edge
-        if w == 0.0:
-            raise DuplicateCoordinate(f"settlements {ids[u]!r} and {ids[v]!r} are 0 km apart")
-    return design, graph, terminal_vertex, ()
-
-
-def _design_pcst(
-    level: str,
-    nodes: Nodes,
-    root_id: str,
-    *,
-    roads: RoadGraph | None,
-    node_users: Mapping[str, float],
-    snap_radius_km: float,
-    prize_scale: float,
-) -> _Solve:
-    if roads is None:
-        raise ValueError("pcst designs require a road network")
-    if not (math.isfinite(prize_scale) and prize_scale > 0):
-        raise ValueError(f"prize_scale must be a finite number > 0, got {prize_scale}")
-    attachment = attach_terminals_to_roads(*nodes, roads, snap_radius_km)
-    graph = attachment.graph
-    terminal_vertex = attachment.terminal_vertex
-    root_vertex = terminal_vertex[root_id]
-    prizes: dict[int, float] = {}
-    for sid in nodes[0]:
-        if sid == root_id:
-            continue  # the root is always in the tree; a prize would be inert
-        users = float(node_users.get(sid, 0.0))
-        if not (math.isfinite(users) and users >= 0):
-            raise ValueError(f"users of settlement {sid!r} must be finite and >= 0, got {users}")
-        prizes[terminal_vertex[sid]] = users * prize_scale
-    terminals = frozenset(terminal_vertex.values())
-    try:
-        prized = PrizedGraph(graph=graph, prizes=prizes, root=root_vertex, terminals=terminals)
-    except ValueError as exc:  # the only one it can raise here: prizes past a float
-        raise PrizeOverflow(
-            f"prize_scale {prize_scale:.6g} makes the {level} prizes too large: {exc}"
-        ) from exc
-    design = pcst_gw(prized)
-    warnings = tuple(
-        f"settlement {sid} attached {dist:.2f} km beyond the {snap_radius_km:.2f} km snap radius"
-        for sid, dist in attachment.beyond_snap
-    )
-    return design, graph, terminal_vertex, warnings

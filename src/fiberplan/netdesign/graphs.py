@@ -68,6 +68,8 @@ class GreatCircleGraph:
             held.flags.writeable = False
 
     def point(self, v: int) -> tuple[float, float]:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for {self.n} vertices")
         return self.lat.item(v), self.lon.item(v)
 
     @property

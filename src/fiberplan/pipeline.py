@@ -28,7 +28,7 @@ from .geodata import (
     load_settlements,
 )
 from .netdesign.classify import ClassificationResult, classify_nodes
-from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, Nodes, design_network
+from .netdesign.design import ALGORITHMS, LEVELS, DesignResult, design_network
 from .report import (
     DecileReportRow,
     IoError,
@@ -162,8 +162,8 @@ def build_designs(
 ) -> dict[tuple[str, str], list[DesignResult]]:
     """Solve every selected algorithm at both network levels.
 
-    The designs are one list of jobs, each (level, root id, (node ids
-    ascending, their lat, their lon), users per prized node, root billable):
+    The designs are one list of jobs, each (level, root id, (node ids, their
+    lat, their lon), users per prized node, root billable):
     the backbone over the regional nodes first, from the classification's
     root (billed only when nothing is core-adjacent), when there are any,
     then one access network per region in region order. A job's coordinates
@@ -175,11 +175,11 @@ def build_designs(
     settlements = inputs.settlements
     row, region_of = settlements.row, settlements.region_id
     region_users = stage.users_by_region
-    jobs: list[tuple[str, str, Nodes, dict[str, float], bool]] = []
+    jobs: list[tuple[str, str, tuple, dict[str, float], bool]] = []
 
-    def columns(root_id: str, members: Iterable[str]) -> Nodes:
-        """The ids of the root and members, ascending, with their lat and lon."""
-        ids = sorted(set(members) | {root_id})
+    def columns(root_id: str, members: Iterable[str]) -> tuple:
+        """The ids of the root and members, each once, with their lat and lon."""
+        ids = list(set(members) | {root_id})
         rows = [row[sid] for sid in ids]
         return ids, settlements.lat[rows], settlements.lon[rows]
 

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -18,6 +19,7 @@ from fiberplan.cli import main
 from fiberplan.report import MAX_DRAWS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOLDEN = os.path.join(DATA, "golden", "scenario.json")
 TINY = os.path.join(DATA, "tiny", "scenario.json")
 
@@ -377,7 +379,6 @@ def test_stderr_names_no_file_that_stdout_reports_written(tmp_path):
     carlo:` line. Each input is stated once too, by its loader's `loaded`
     line, and on the golden `validate` and `mc` runs those are the only
     lines on stderr, so it repeats no line of stdout."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     with open(GOLDEN, encoding="utf-8") as fh:
         base = os.path.dirname(os.path.abspath(GOLDEN))
         inputs = [os.path.join(base, name) for name in json.load(fh)["inputs"].values()]
@@ -387,7 +388,7 @@ def test_stderr_names_no_file_that_stdout_reports_written(tmp_path):
              "--out", str(tmp_path / "out")],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": SRC},
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -448,6 +449,7 @@ def test_module_entry_point_matches(tmp_path):
         [sys.executable, "-m", "fiberplan.cli", "report", "--config", TINY, "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0
     assert "total users: 160" in proc.stdout
@@ -462,12 +464,11 @@ def test_a_fresh_mc_run_never_imports_numpy_ma(tmp_path):
         f"assert cli.main(['mc', '--config', {GOLDEN!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -661,6 +662,109 @@ def test_malformed_input_row_or_feature_exits_3(tmp_path, capsys, case):
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 3
     payload = _assert_error_after_run(capsys, out, 3, error)
     assert payload["message"] == f"{path}{message}"
+
+
+CSV_FUZZ_VALUES = ["", "nan", "inf", "-1", "1e308", "10" * 300, "x"]
+JSON_FUZZ_VALUES = [None, True, [], {}, "x", 1e308, -1, 10**40]
+
+
+def _leaves(node, path=()):
+    """The path of each scalar or empty container in a JSON document."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    else:
+        children = list(enumerate(node)) if isinstance(node, list) else []
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaves(child, (*path, key))
+
+
+def _file_fuzz_cases() -> list[tuple[str, tuple, object]]:
+    """A fixed, seeded sample of (input, cell or leaf, value): one value put
+    into one cell of a golden CSV or one leaf of a golden GeoJSON."""
+    rng = random.Random(31)
+    cases = []
+    for name, count in (("settlements", 100), ("areas", 60)):
+        with open(os.path.join(DATA, "golden", f"{name}.csv"), encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        cells = [(r, c) for r, row in enumerate(table) for c in range(len(row))]
+        every = [(name, cell, value) for cell in cells for value in CSV_FUZZ_VALUES]
+        cases += rng.sample(every, count)
+    for name, count in (("roads", 100), ("fiber", 64)):
+        with open(os.path.join(DATA, "golden", f"{name}.geojson"), encoding="utf-8") as fh:
+            leaves = list(_leaves(json.load(fh)))
+        every = [(name, leaf, value) for leaf in leaves for value in JSON_FUZZ_VALUES]
+        cases += rng.sample(every, min(count, len(every)))
+    return cases
+
+
+def _write_fuzzed(directory, name, where, value) -> str:
+    """The golden input `name` with `value` at `where`, written to `directory`."""
+    suffix = "csv" if name in ("settlements", "areas") else "geojson"
+    with open(os.path.join(DATA, "golden", f"{name}.{suffix}"), encoding="utf-8") as fh:
+        if suffix == "csv":
+            doc = list(csv.reader(fh))
+        else:
+            doc = json.load(fh)
+    section = doc
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    path = directory / f"{name}.{suffix}"
+    if suffix == "csv":
+        path.write_text("".join(",".join(row) + "\n" for row in doc), encoding="utf-8")
+    else:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _non_finite_fields(out) -> list[str]:
+    """Each CSV field that parses as nan or inf, outside the `*_id` columns
+    (which copy the input ids verbatim)."""
+    found = []
+    for path in sorted(out.glob("*.csv")):
+        with open(path, encoding="utf-8") as fh:
+            for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+                for column, field in row.items():
+                    try:
+                        x = float(field)
+                    except ValueError:
+                        continue
+                    if not column.endswith("_id") and not math.isfinite(x):
+                        found.append(f"{path.name}:{column}={field}")
+    return found
+
+
+def test_one_fuzzed_value_in_an_input_file_exits_with_a_documented_code(tmp_path, capsys):
+    """mc over the golden scenario with one cell or leaf of one input file
+    replaced either succeeds with finite CSV figures or fails with a
+    documented exit code, one JSON error line last on stderr and no output
+    directory."""
+    cases = _file_fuzz_cases()
+    assert len(cases) == 324
+    faults = []
+    for i, (name, where, value) in enumerate(cases):
+        case = tmp_path / str(i)
+        case.mkdir()
+        cfg = _golden_variant(case, inputs={name: _write_fuzzed(case, name, where, value)})
+        out = case / "out"
+        code = main(["mc", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        label = f"{name}{list(where)}={value!r:.40}"
+        if code not in (0, 2, 3, 4, 5):
+            faults.append(f"{label}: exit {code}: {err.strip().splitlines()[-1:]}")
+        elif code:
+            try:
+                last = json.loads(err.strip().splitlines()[-1])
+            except (IndexError, ValueError):
+                last = None
+            if (not isinstance(last, dict) or last.get("exit_code") != code
+                    or "Traceback" in err or out.exists()):
+                faults.append(f"{label}: exit {code} with {last}")
+        elif bad := _non_finite_fields(out):
+            faults.append(f"{label}: non-finite CSV fields {bad[:3]}")
+    assert not faults, "\n".join(faults)
 
 
 @pytest.mark.parametrize(

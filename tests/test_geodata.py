@@ -153,6 +153,13 @@ def test_within_buffer_mask_rejects_a_radius_that_is_not_finite(radius):
         within_buffer_mask([0.0], [0.0], lines, radius)
 
 
+@pytest.mark.parametrize("lat, lon", [([0.0], [0.5, 50.0]), ([0.0, 50.0], [0.5])])
+def test_within_buffer_mask_rejects_columns_of_unequal_length(lat, lon):
+    lines = FiberLineSet(lines=(EQUATOR_SEG,))
+    with pytest.raises(ValueError, match="^lat and lon must have one entry per point$"):
+        within_buffer_mask(lat, lon, lines, 2.0)
+
+
 def test_within_buffer_mask_of_no_points_is_empty():
     mask = within_buffer_mask([], [], FiberLineSet(lines=(EQUATOR_SEG,)), 1.0)
     assert mask.dtype == bool and mask.shape == (0,)
@@ -947,6 +954,13 @@ def test_nearest_vertex_breaks_ties_across_latitudes_by_id():
         want = (min(north, south), haversine_km(*p, *vertices[north]))
         assert nearest_vertex_reference(roads, p) == want
         assert roads.nearest_vertices([p.lat], [p.lon])[0] == want
+
+
+@pytest.mark.parametrize("lat, lon", [([0.0, 1.0], [0.5]), ([0.5], [0.0, 1.0])])
+def test_nearest_vertices_rejects_columns_of_unequal_length(lat, lon):
+    roads = road_graph([GeoPoint(0.0, 0.0), GeoPoint(1.0, 1.0)], [(0, 1, 157.0)])
+    with pytest.raises(ValueError, match="^lat and lon must have one entry per point$"):
+        roads.nearest_vertices(lat, lon)
 
 
 def _assert_nearest_vertices_match(roads: RoadGraph, points: list[GeoPoint]) -> None:

@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from fiberplan.geodata import haversine_km
+from fiberplan.geodata import RoadGraph, haversine_km
 from fiberplan.netdesign.graphs import (
     DuplicateCoordinate,
     EmptyNodeSet,
+    GreatCircleGraph,
     PrizedGraph,
     RootMissing,
     attach_terminals_to_roads,
@@ -252,3 +253,20 @@ class TestRoadOverlay:
             attach_terminals_to_roads(
                 *node_columns([_settlement("a", 0.0, 0.0)]), road_graph(vertices=(), edges=()), 5.0
             )
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_point_rejects_a_vertex_outside_the_graph(v):
+    """Each located graph of three vertices raises the same IndexError for
+    v outside 0..2, with no wrap-around of negative ids."""
+    roads = RoadGraph([0.0, 1.0], [0.0, 2.0], [0], [1], [250.0])
+    overlay = attach_terminals_to_roads(["a"], [0.5], [0.0], roads, 5.0).graph
+    graphs = [
+        GreatCircleGraph([0.0, 1.0, 0.5], [0.0, 2.0, 0.0]),
+        RoadGraph([0.0, 1.0, 0.5], [0.0, 2.0, 0.0], [0], [1], [250.0]),
+        overlay,
+    ]
+    for graph in graphs:
+        assert graph.n == 3
+        with pytest.raises(IndexError, match=rf"^vertex {v} out of range for 3 vertices$"):
+            graph.point(v)
