@@ -3,7 +3,8 @@
 Subregions are ranked by population density (densest first) and split into
 ten equal-count deciles; when the count is not divisible by ten, the denser
 deciles absorb the remainder. Potential users per km2 follow a flat adoption
-rate applied above a minimum-density cutoff.
+rate applied above a minimum-density cutoff. Both splits return one
+`DemandTable` of columns in rank order, computed in numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError, check_nonnegative
 from .geodata import _read_csv_rows
@@ -25,6 +28,7 @@ AREA_COLUMNS = ("subregion_id", "area_km2")
 # when a scenario has too few subregions for an equal-count split; anything
 # below the last floor is decile 10.
 DENSITY_BAND_FLOORS = (958.0, 456.0, 273.0, 172.0, 107.0, 64.0, 40.0, 22.0, 10.0)
+_FLOORS_ASCENDING = np.array(DENSITY_BAND_FLOORS[::-1])
 
 
 class ZeroArea(DataError):
@@ -52,59 +56,50 @@ class AdoptionScenario:
         check_nonnegative(min_density_per_km2=self.min_density_per_km2)
 
 
-@dataclass(frozen=True)
-class SubregionDemand:
-    subregion_id: str
-    area_km2: float
-    population: int
-    density_per_km2: float
-    decile: int
-    users_per_km2: float
+@dataclass(frozen=True, eq=False)
+class DemandTable:
+    """Subregion demand as columns, one entry per subregion in rank order:
+    density-descending, ties by subregion_id ascending.
 
-
-DEMAND_COLUMNS = tuple(f.name for f in fields(SubregionDemand))
-
-
-def population_density(population: int, area_km2: float) -> float:
-    """People per km2; rejects non-positive areas."""
-    if area_km2 <= 0.0:
-        raise ZeroArea(f"area must be positive, got {area_km2}")
-    check_nonnegative(population=population)
-    return population / area_km2
-
-
-def potential_users(density_per_km2: float, scenario: AdoptionScenario) -> float:
-    """Potential users per km2 at the scenario's adoption rate.
-
-    Densities at or below the minimum-density cutoff yield zero.
+    `subregion_id` and `population` (exact Python ints) are tuples;
+    `area_km2`, `density_per_km2` (population / area) and `users_per_km2`
+    are float64 arrays, and `decile` (1 = densest) is an int array. Tables
+    compare by identity, as numpy arrays have no single truth value.
     """
-    if density_per_km2 <= scenario.min_density_per_km2:
-        return 0.0
-    return density_per_km2 * scenario.adoption_rate
+
+    subregion_id: tuple[str, ...]
+    area_km2: np.ndarray
+    population: tuple[int, ...]
+    density_per_km2: np.ndarray
+    decile: np.ndarray
+    users_per_km2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.subregion_id)
+
+    def users(self) -> np.ndarray:
+        """Potential users per subregion: users/km2 times area."""
+        return self.users_per_km2 * self.area_km2
 
 
-def decile_for_density(density_per_km2: float) -> int:
-    """Decile from fixed density bands (fallback for small scenarios)."""
-    for i, floor in enumerate(DENSITY_BAND_FLOORS, start=1):
-        if density_per_km2 >= floor:
-            return i
-    return 10
+DEMAND_COLUMNS = tuple(f.name for f in fields(DemandTable))
 
 
-def _ranked(
-    subregions: Iterable[tuple[str, int, float]],
-) -> list[tuple[float, str, int, float]]:
-    """(density, subregion_id, population, area_km2), density-descending
-    with ties by subregion_id; rejects duplicate ids, bad areas, and
-    densities that are not finite floats."""
+def _check_rows(rows: Sequence[tuple[str, int, float]]) -> None:
+    """Raise for the first subregion, in input order, that breaks a rule:
+    a duplicate id (DataError), an area <= 0 (ZeroArea), a population that
+    is not a finite number >= 0 (`check_nonnegative`'s ValueError), or a
+    density that is not a finite float (DensityOverflow)."""
     seen: set[str] = set()
-    ranked: list[tuple[float, str, int, float]] = []
-    for sid, population, area in subregions:
+    for sid, population, area in rows:
         if sid in seen:
             raise DataError(f"duplicate subregion_id {sid!r}")
         seen.add(sid)
+        if area <= 0.0:
+            raise ZeroArea(f"area must be positive, got {area}")
+        check_nonnegative(population=population)
         try:
-            density = population_density(population, area)
+            density = population / area
         except OverflowError:  # a population too large for a float
             density = math.inf
         if not math.isfinite(density):
@@ -112,29 +107,63 @@ def _ranked(
                 f"subregion {sid!r} has a population density too large for a float "
                 f"(area {area} km2)"
             )
-        ranked.append((density, sid, population, area))
-    ranked.sort(key=lambda t: (-t[0], t[1]))
-    return ranked
 
 
-def _record(
-    ranked: tuple[float, str, int, float], decile: int, scenario: AdoptionScenario | None
-) -> SubregionDemand:
-    density, sid, population, area = ranked
-    return SubregionDemand(
-        subregion_id=sid,
-        area_km2=area,
-        population=population,
+def _table(
+    rows: Sequence[tuple[str, int, float]],
+    scenario: AdoptionScenario | None,
+    sizes: Sequence[int] | None,
+) -> DemandTable:
+    """The demand table of (subregion_id, population, area_km2) rows: the
+    ten deciles hold `sizes` subregions each in rank order, or, when sizes
+    is None, each density takes its `DENSITY_BAND_FLOORS` band.
+
+    numpy converts each population to the float64 that `float(population)`
+    gives and divides, compares and multiplies as the scalar formulas do,
+    so every column holds their floats. Any row the vector checks flag is
+    checked again one at a time, in input order, by `_check_rows`.
+    """
+    ids, pops, areas = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    area = np.array(areas, dtype=np.float64)
+    try:
+        pop = np.array(pops, dtype=np.float64)
+    except OverflowError:  # a population too large for a float
+        _check_rows(rows)
+        raise
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        density = pop / area
+    if len(set(ids)) < len(ids) or not (
+        (area > 0.0).all() and (pop >= 0.0).all() and np.isfinite(density).all()
+    ):
+        _check_rows(rows)
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    order = order[np.argsort(-density[order], kind="stable")]
+    density = density[order]
+    if scenario is None:
+        users = np.zeros_like(density)
+    else:
+        users = np.where(
+            density <= scenario.min_density_per_km2, 0.0, density * scenario.adoption_rate
+        )
+    if sizes is None:
+        decile = 10 - np.searchsorted(_FLOORS_ASCENDING, density, side="right")
+    else:
+        decile = np.repeat(np.arange(1, 11), sizes)
+    ranked = order.tolist()
+    return DemandTable(
+        subregion_id=tuple([ids[i] for i in ranked]),
+        area_km2=area[order],
+        population=tuple([pops[i] for i in ranked]),
         density_per_km2=density,
         decile=decile,
-        users_per_km2=potential_users(density, scenario) if scenario is not None else 0.0,
+        users_per_km2=users,
     )
 
 
 def assign_deciles(
     subregions: Iterable[tuple[str, int, float]],
     scenario: AdoptionScenario | None = None,
-) -> list[SubregionDemand]:
+) -> DemandTable:
     """Rank subregions by density and split into ten equal-count deciles.
 
     Args:
@@ -142,29 +171,25 @@ def assign_deciles(
         scenario: when given, fills users_per_km2; otherwise it is 0.
 
     Returns:
-        SubregionDemand records sorted density-descending (ties by
-        subregion_id ascending), decile 1 = densest. With n = 10q + r
-        subregions, the first r deciles hold q + 1 subregions each.
+        A `DemandTable` sorted density-descending (ties by subregion_id
+        ascending), decile 1 = densest. With n = 10q + r subregions, the
+        first r deciles hold q + 1 subregions each.
     """
     rows = list(subregions)
     if len(rows) < 10:
         raise TooFewSubregions(f"need at least 10 subregions for deciles, got {len(rows)}")
     q, r = divmod(len(rows), 10)
-    deciles = [d for d in range(1, 11) for _ in range(q + (1 if d <= r else 0))]
-    return [_record(t, d, scenario) for t, d in zip(_ranked(rows), deciles)]
+    return _table(rows, scenario, [q + 1] * r + [q] * (10 - r))
 
 
 def band_demand(
     subregions: Iterable[tuple[str, int, float]],
     scenario: AdoptionScenario | None = None,
-) -> list[SubregionDemand]:
-    """Demand records with band-based deciles (no minimum subregion count)."""
-    return [_record(t, decile_for_density(t[0]), scenario) for t in _ranked(subregions)]
-
-
-def users_for_node(demand: SubregionDemand) -> float:
-    """Total potential users in a subregion (users/km2 times area)."""
-    return demand.users_per_km2 * demand.area_km2
+) -> DemandTable:
+    """A `DemandTable` with band-based deciles (no minimum subregion count):
+    decile i for a density at or above the i-th of `DENSITY_BAND_FLOORS`
+    and below the ones before it, 10 below them all."""
+    return _table(list(subregions), scenario, None)
 
 
 def load_area_table(path: str) -> dict[str, float]:
@@ -189,6 +214,7 @@ def load_area_table(path: str) -> dict[str, float]:
     return out
 
 
-def write_demand_csv(demands: Sequence[SubregionDemand], path: str) -> None:
-    """Serialize demand records with 6-significant-digit floats."""
-    write_csv(path, DEMAND_COLUMNS, demands)
+def write_demand_csv(table: DemandTable, path: str) -> None:
+    """Write the demand table as CSV, one row per subregion in rank order,
+    floats at 6 significant digits."""
+    write_csv(path, DEMAND_COLUMNS, [getattr(table, name) for name in DEMAND_COLUMNS])

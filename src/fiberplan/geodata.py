@@ -101,8 +101,11 @@ class FiberLineSet:
 
 # Points that `RoadGraph.nearest_vertices` measures at once: a block of
 # points x a window of vertices is a few float64 arrays of 128 x 640 on a
-# 100k-vertex graph.
+# 100k-vertex graph. The points of a block whose windows must widen are
+# measured over their latitude bands in ragged passes of about
+# `_BAND_CELLS` distances.
 _NEAREST_BLOCK = 128
+_BAND_CELLS = 1 << 18
 
 
 class RoadGraph:
@@ -192,10 +195,11 @@ class RoadGraph:
         Every vertex with R * |dphi| <= d * (1 + 1e-6), plus 1e-12 degrees,
         must be looked at: the relative margin covers the rounding of the
         distances, and the absolute one the rounding of lat +- the reach and
-        the latitude differences whose sine underflows. A point whose window
-        misses some of them is measured again over all of them. The
-        vectorised pass short-lists the vertices within a 1e-9 relative
-        margin of its minimum (numpy's sin, cos and asin may differ from
+        the latitude differences whose sine underflows. The points whose
+        windows miss some of them are measured again over all of them, in
+        one ragged pass per block (`_band_shortlist`). Each vectorised pass
+        short-lists the vertices within a 1e-9 relative margin of a point's
+        minimum (numpy's sin, cos and asin may differ from
         math's in the last bits, far inside that margin); any further vertex
         a window holds is farther than that reach, so it is not short-listed
         either. `haversine_km` then scans each short-list in id order with
@@ -216,18 +220,15 @@ class RoadGraph:
         for start in range(0, len(lat), _NEAREST_BLOCK):
             plat = lat[start : start + _NEAREST_BLOCK]
             plon = lon[start : start + _NEAREST_BLOCK]
+            cos_p = np.cos(np.radians(plat))
             first = np.searchsorted(sorted_lat, plat) - width // 2
             np.clip(first, 0, n - width, out=first)
             window = by_lat[first[:, None] + steps]  # vertex ids, one row per point
-            d = haversine_h_array(
+            d = _h_to_km(haversine_h_array(
                 self.lat[window] - plat[:, None],
                 self.lon[window] - plon[:, None],
-                np.cos(np.radians(plat))[:, None] * self.cos_lat[window],
-            )
-            np.minimum(d, 1.0, out=d)
-            np.sqrt(d, out=d)
-            np.arcsin(d, out=d)
-            d *= 2.0 * EARTH_RADIUS_KM
+                cos_p[:, None] * self.cos_lat[window],
+            ))
             nearest = d.min(axis=1)
             reach = np.degrees(nearest * (1.0 + 1e-6) / EARTH_RADIUS_KM) + 1e-12
             wide_lo = np.searchsorted(sorted_lat, plat - reach, side="left")
@@ -237,17 +238,57 @@ class RoadGraph:
             short[widen] = False
             rows, cols = short.nonzero()
             shortlist = list(zip(rows.tolist(), window[rows, cols].tolist()))
-            for row in widen.nonzero()[0].tolist():
-                ids = by_lat[wide_lo[row] : wide_hi[row]]
-                p = plat.item(row), plon.item(row)
-                dw = haversine_km_array(*p, self.lat[ids], self.lon[ids], self.cos_lat[ids])
-                shortlist += [(row, vid) for vid in ids[dw <= dw.min() * (1.0 + 1e-9)].tolist()]
+            rows = widen.nonzero()[0]
+            if len(rows):
+                shortlist += self._band_shortlist(
+                    plat, plon, cos_p, rows, wide_lo[rows], wide_hi[rows]
+                )
             shortlist.sort()  # by point, then id
             plat, plon = plat.tolist(), plon.tolist()
             for row, vid in shortlist:
                 dist = haversine_km(plat[row], plon[row], *self.point(vid))
                 if dist < found[start + row][1]:
                     found[start + row] = vid, dist
+        return found
+
+    def _band_shortlist(
+        self,
+        plat: np.ndarray,
+        plon: np.ndarray,
+        cos_p: np.ndarray,
+        rows: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+    ) -> list[tuple[int, int]]:
+        """(row, vertex) pairs: for each point p = (plat[r], plon[r]) of r
+        in rows, the vertices at latitude-order positions lo..hi - 1 (at
+        least one) within a 1e-9 relative margin of the nearest of them, by
+        numpy. cos_p holds the points' latitude cosines. The bands are laid
+        end to end and measured by one `haversine_h_array` call per run of
+        about `_BAND_CELLS` distances (at least one band), each band's
+        minimum taken by `np.minimum.reduceat`."""
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        found: list[tuple[int, int]] = []
+        first = 0
+        while first < len(rows):
+            base = ends[first] - counts[first]
+            last = max(first + 1, int(np.searchsorted(ends, base + _BAND_CELLS, side="right")))
+            sizes = counts[first:last]
+            starts = ends[first:last] - sizes - base  # each band's offset in the run
+            ids = self._by_lat[
+                np.arange(ends[last - 1] - base) + np.repeat(lo[first:last] - starts, sizes)
+            ]
+            point = np.repeat(rows[first:last], sizes)
+            d = _h_to_km(haversine_h_array(
+                self.lat[ids] - plat[point],
+                self.lon[ids] - plon[point],
+                cos_p[point] * self.cos_lat[ids],
+            ))
+            best = np.minimum.reduceat(d, starts)
+            keep = d <= np.repeat(best * (1.0 + 1e-9), sizes)
+            found += zip(point[keep].tolist(), ids[keep].tolist())
+            first = last
         return found
 
 
@@ -274,20 +315,6 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def haversine_km_array(
-    plat: float, plon: float, lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray
-) -> np.ndarray:
-    """`haversine_km(plat, plon, lat[i], lon[i])` for every i at once;
-    cos_lat is the cosine of lat in radians.
-
-    numpy's sin and arcsin may differ from math's in the last bits, so a
-    caller that needs the exact float short-lists with a margin and
-    confirms with `haversine_km`.
-    """
-    h = haversine_h_array(lat - plat, lon - plon, math.cos(math.radians(plat)) * cos_lat)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
-
-
 def haversine_h_array(
     dlat: np.ndarray, dlon: np.ndarray, cos_product: np.ndarray
 ) -> np.ndarray:
@@ -305,6 +332,18 @@ def haversine_h_array(
     dlon *= cos_product
     dlat += dlon
     return dlat
+
+
+def _h_to_km(h: np.ndarray) -> np.ndarray:
+    """The distances 2 R asin(sqrt(min(1, h))) of haversines h, in km,
+    computed in place in h. numpy's sin and arcsin may differ from math's
+    in the last bits, so a caller that needs the exact float short-lists
+    with a margin and confirms with `haversine_km`."""
+    np.minimum(h, 1.0, out=h)
+    np.sqrt(h, out=h)
+    np.arcsin(h, out=h)
+    h *= 2.0 * EARTH_RADIUS_KM
+    return h
 
 
 def lat_cosines(lat: np.ndarray) -> np.ndarray:

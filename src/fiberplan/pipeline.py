@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import demand as demand_mod
 from .config import ScenarioConfig, parameters_payload
-from .demand import AdoptionScenario, SubregionDemand, users_for_node
+from .demand import AdoptionScenario, DemandTable
 from .errors import ConfigError, DataError
 from .geodata import (
     FiberLineSet,
@@ -58,7 +58,7 @@ class LoadedInputs:
 
 @dataclass(frozen=True)
 class DemandStage:
-    records: list[SubregionDemand]
+    records: DemandTable
     users_by_subregion: dict[str, float]
     users_by_region: dict[str, float]  # in region order
     total_users: float
@@ -105,10 +105,14 @@ def _check_subregion_regions(settlements: SettlementSet) -> None:
 def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
     """Population density, deciles, and potential users per subregion and
     per region."""
-    pops: dict[str, int] = {sid: 0 for sid in inputs.areas}
+    pops: dict[str, int] = dict.fromkeys(inputs.areas, 0)
+    region_of: dict[str, str] = {}  # settled subregions only
     settlements = inputs.settlements
-    for subregion, population in zip(settlements.subregion_id, settlements.population):
+    for subregion, region, population in zip(
+        settlements.subregion_id, settlements.region_id, settlements.population
+    ):
         pops[subregion] += population
+        region_of[subregion] = region
     triples = [(sid, pops[sid], inputs.areas[sid]) for sid in sorted(inputs.areas)]
     scenario = AdoptionScenario(
         adoption_rate=cfg.adoption_rate, min_density_per_km2=cfg.min_density_per_km2
@@ -122,24 +126,20 @@ def build_demand(cfg: ScenarioConfig, inputs: LoadedInputs) -> DemandStage:
             f"only {len(triples)} subregions: deciles assigned from density bands, "
             "not an equal-count split"
         )
-    users = {r.subregion_id: users_for_node(r) for r in records}
+    users = dict(zip(records.subregion_id, records.users().tolist()))
+    by_region: dict[str, list[float]] = {}
+    for subregion, region in region_of.items():
+        by_region.setdefault(region, []).append(users[subregion])
     return DemandStage(
         records=records,
         users_by_subregion=users,
-        users_by_region=_region_users(settlements, users),
+        users_by_region={
+            region: _users_sum(by_region[region], f"region {region!r}")
+            for region in sorted(by_region)
+        },
         total_users=_users_sum(users.values(), "the whole scenario"),
         warnings=tuple(warnings),
     )
-
-
-def _region_users(
-    settlements: SettlementSet, users_by_subregion: Mapping[str, float]
-) -> dict[str, float]:
-    """Potential users per region, in region order."""
-    users: dict[str, list[float]] = {}
-    for region, subregion in set(zip(settlements.region_id, settlements.subregion_id)):
-        users.setdefault(region, []).append(users_by_subregion[subregion])
-    return {region: _users_sum(users[region], f"region {region!r}") for region in sorted(users)}
 
 
 def _users_sum(users: Iterable[float], what: str) -> float:
@@ -247,7 +247,7 @@ def build_units(
     """
     settlements = inputs.settlements
     # load_inputs checks that every settled subregion has a demand record.
-    decile = {r.subregion_id: r.decile for r in stage.records}
+    decile = dict(zip(stage.records.subregion_id, stage.records.decile.tolist()))
     region_decile = {
         region: decile[settlements.subregion_id[settlements.row[anchor_id]]]
         for region, anchor_id in classification.region_anchor.items()

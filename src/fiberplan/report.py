@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
@@ -619,14 +620,6 @@ def config_hash(payload: Mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _fmt(value: float | int | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
 def _atomic_write_text(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     try:
@@ -641,34 +634,57 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _cells(column: Sequence | np.ndarray) -> list[str]:
+    """One column's CSV fields: floats at `.6g` (a float array's in one
+    pass), None as an empty field, any other value by `str`."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return [format(x, ".6g") for x in values]
+        return list(map(str, values))
+    return [
+        "" if v is None else format(v, ".6g") if isinstance(v, float) else str(v)
+        for v in column
+    ]
+
+
 def write_csv(
     path: str,
-    columns: Sequence[str],
-    rows: Sequence[object],
+    header: Sequence[str],
+    columns: Sequence[Sequence | np.ndarray],
     *,
     parameters_hash: str | None = None,
 ) -> None:
-    """Write each row's `columns` attributes as CSV, floats at `.6g`, after
-    a parameters-hash comment line when a hash is given."""
+    """Write columns, one per header name and of equal length, as CSV
+    rows, floats at `.6g`, after a parameters-hash comment line when a
+    hash is given."""
     buf = io.StringIO()
     if parameters_hash is not None:
         buf.write(f"# parameters_hash={parameters_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_fmt(getattr(row, col)) for col in columns] for row in rows)
+    writer.writerow(header)
+    writer.writerows(zip(*[_cells(column) for column in columns]))
     _atomic_write_text(path, buf.getvalue())
+
+
+def _write_rows(
+    path: str, header: Sequence[str], rows: Sequence[object], parameters_hash: str
+) -> None:
+    """Write each row's `header` attributes through `write_csv`."""
+    columns = [[getattr(row, name) for row in rows] for name in header]
+    write_csv(path, header, columns, parameters_hash=parameters_hash)
 
 
 def emit_csv(rows: Sequence[DecileReportRow], path: str, *, parameters_hash: str) -> None:
     """Write report rows as CSV with a parameters-hash comment header."""
     if not rows:
         raise ValueError("refusing to emit an empty report")
-    write_csv(path, REPORT_COLUMNS, rows, parameters_hash=parameters_hash)
+    _write_rows(path, REPORT_COLUMNS, rows, parameters_hash)
 
 
 def emit_mc_csv(rows: Sequence[McSummaryRow], path: str, *, parameters_hash: str) -> None:
     """Write Monte Carlo summaries as CSV with a parameters-hash header."""
-    write_csv(path, MC_COLUMNS, rows, parameters_hash=parameters_hash)
+    _write_rows(path, MC_COLUMNS, rows, parameters_hash)
 
 
 def emit_design_geojson(
@@ -688,14 +704,14 @@ def emit_design_geojson(
     keys are in sorted order in the templates below, a coordinate is
     `repr(round(x, 6))` and a weight `repr(float(format(w, ".6g")))` (json
     writes a finite float as its repr), and strings go through
-    `json.dumps`, with its ASCII escapes.
+    `encode_basestring_ascii`, the encoder `json.dumps` runs on a str.
     """
     features: list[str] = []
     for result in results:
         design = result.design
         graph = result.graph
-        algorithm = f'"algorithm":{json.dumps(design.algorithm)}'
-        level = f'"level":{json.dumps(result.level)}'
+        algorithm = f'"algorithm":{encode_basestring_ascii(design.algorithm)}'
+        level = f'"level":{encode_basestring_ascii(result.level)}'
         terminal_ids = {v: sid for sid, v in result.terminal_vertex.items()}
         used_vertices = {x for u, v, _ in design.edges for x in (u, v)}
         point_vertices = sorted(used_vertices | set(terminal_ids))
@@ -718,7 +734,9 @@ def emit_design_geojson(
             else:
                 role = "steiner"
             connected = "true" if vid in design.connected_vertices else "false"
-            settlement = "" if sid is None else f',"settlement_id":{json.dumps(sid)}'
+            settlement = (
+                "" if sid is None else f',"settlement_id":{encode_basestring_ascii(sid)}'
+            )
             features.append(
                 f'{{"geometry":{{"coordinates":{coords[vid]},"type":"Point"}},'
                 f'"properties":{{{algorithm},"connected":{connected},{level},"role":"{role}"'
@@ -726,6 +744,7 @@ def emit_design_geojson(
             )
     text = (
         f'{{"features":[{",".join(features)}],'
-        f'"parameters_hash":{json.dumps(parameters_hash)},"type":"FeatureCollection"}}\n'
+        f'"parameters_hash":{encode_basestring_ascii(parameters_hash)},'
+        '"type":"FeatureCollection"}\n'
     )
     _atomic_write_text(path, text)

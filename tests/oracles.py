@@ -61,6 +61,13 @@ own graph; the root pick and the written bytes must equal theirs.
 `single_node_design_reference` is the solver-free result that a
 one-settlement design took before every design ran its solver;
 `design_network` must give the same design and GeoJSON.
+`SubregionDemand` is the per-subregion record that the demand stage built
+before it became one `DemandTable` of columns, and `population_density`,
+`potential_users`, `decile_for_density` and `users_for_node` are the
+scalar formulas of its fields; `demand_records_reference` ranks, checks
+and splits subregions with them, one record at a time, and each column of
+`assign_deciles`' and `band_demand`'s table must equal its field exactly,
+as must the first error raised.
 """
 
 from __future__ import annotations
@@ -77,7 +84,14 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from fiberplan.costmodel import CostBook, tco_quantities
-from fiberplan.errors import SolverError
+from fiberplan.demand import (
+    DENSITY_BAND_FLOORS,
+    AdoptionScenario,
+    DensityOverflow,
+    TooFewSubregions,
+    ZeroArea,
+)
+from fiberplan.errors import DataError, SolverError, check_nonnegative
 from fiberplan.geodata import (
     EARTH_RADIUS_KM,
     SETTLEMENT_COLUMNS,
@@ -1258,3 +1272,89 @@ def single_node_design_reference(
         root_id=sid,
         warnings=(),
     )
+
+
+@dataclass(frozen=True)
+class SubregionDemand:
+    subregion_id: str
+    area_km2: float
+    population: int
+    density_per_km2: float
+    decile: int
+    users_per_km2: float
+
+
+def population_density(population: int, area_km2: float) -> float:
+    """People per km2; rejects non-positive areas."""
+    if area_km2 <= 0.0:
+        raise ZeroArea(f"area must be positive, got {area_km2}")
+    check_nonnegative(population=population)
+    return population / area_km2
+
+
+def potential_users(density_per_km2: float, scenario: AdoptionScenario) -> float:
+    """Potential users per km2 at the scenario's adoption rate; densities
+    at or below the minimum-density cutoff yield zero."""
+    if density_per_km2 <= scenario.min_density_per_km2:
+        return 0.0
+    return density_per_km2 * scenario.adoption_rate
+
+
+def decile_for_density(density_per_km2: float) -> int:
+    """Decile from fixed density bands (fallback for small scenarios)."""
+    for i, floor in enumerate(DENSITY_BAND_FLOORS, start=1):
+        if density_per_km2 >= floor:
+            return i
+    return 10
+
+
+def users_for_node(demand: SubregionDemand) -> float:
+    """Total potential users in a subregion (users/km2 times area)."""
+    return demand.users_per_km2 * demand.area_km2
+
+
+def demand_records_reference(
+    subregions: Iterable[tuple[str, int, float]],
+    scenario: AdoptionScenario | None = None,
+    *,
+    bands: bool = False,
+) -> list[SubregionDemand]:
+    """`assign_deciles` (or, with bands, `band_demand`) one record at a
+    time: each (subregion_id, population, area_km2) checked in input order,
+    ranked density-descending with ties by id, then split."""
+    rows = list(subregions)
+    if not bands and len(rows) < 10:
+        raise TooFewSubregions(f"need at least 10 subregions for deciles, got {len(rows)}")
+    seen: set[str] = set()
+    ranked = []
+    for sid, population, area in rows:
+        if sid in seen:
+            raise DataError(f"duplicate subregion_id {sid!r}")
+        seen.add(sid)
+        try:
+            density = population_density(population, area)
+        except OverflowError:  # a population too large for a float
+            density = math.inf
+        if not math.isfinite(density):
+            raise DensityOverflow(
+                f"subregion {sid!r} has a population density too large for a float "
+                f"(area {area} km2)"
+            )
+        ranked.append((density, sid, population, area))
+    ranked.sort(key=lambda t: (-t[0], t[1]))
+    if bands:
+        deciles = [decile_for_density(t[0]) for t in ranked]
+    else:
+        q, r = divmod(len(rows), 10)
+        deciles = [d for d in range(1, 11) for _ in range(q + (1 if d <= r else 0))]
+    return [
+        SubregionDemand(
+            subregion_id=sid,
+            area_km2=area,
+            population=population,
+            density_per_km2=density,
+            decile=decile,
+            users_per_km2=potential_users(density, scenario) if scenario is not None else 0.0,
+        )
+        for (density, sid, population, area), decile in zip(ranked, deciles)
+    ]

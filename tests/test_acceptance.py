@@ -16,7 +16,7 @@ import pytest
 from fiberplan.cli import main as cli_main
 from fiberplan.config import load_scenario
 from fiberplan.costmodel import CostBook, capex_quantities, opex_npv
-from fiberplan.demand import AdoptionScenario, assign_deciles, potential_users
+from fiberplan.demand import AdoptionScenario, assign_deciles, band_demand
 from fiberplan.lca import (
     EmissionFactorBook,
     _construction,
@@ -159,22 +159,19 @@ def test_criterion_6_adoption_example_exact_and_population_conserved():
     random subregions into deciles preserves ids and total population
     exactly."""
     scenario = AdoptionScenario(adoption_rate=0.005, min_density_per_km2=0.0)
-    users_per_km2 = potential_users(10_000.0, scenario)  # density on 1 km2
-    assert users_per_km2 * 1.0 == 50.0
+    one = band_demand([("s", 10_000, 1.0)], scenario)  # density on 1 km2
+    assert one.users().tolist() == [50.0]
 
     rng = random.Random(66_0606)
     triples = [
         (f"s{i:05d}", rng.randrange(0, 1_000_000), rng.uniform(0.1, 10_000.0))
         for i in range(10_000)
     ]
-    records = assign_deciles(triples, scenario)
-    assert len(records) == 10_000
-    assert sum(r.population for r in records) == sum(t[1] for t in triples)
-    assert sorted(r.subregion_id for r in records) == sorted(t[0] for t in triples)
-    sizes = {}
-    for r in records:
-        sizes[r.decile] = sizes.get(r.decile, 0) + 1
-    assert sizes == {d: 1000 for d in range(1, 11)}
+    table = assign_deciles(triples, scenario)
+    assert len(table) == 10_000
+    assert sum(table.population) == sum(t[1] for t in triples)
+    assert sorted(table.subregion_id) == sorted(t[0] for t in triples)
+    assert np.bincount(table.decile).tolist() == [0] + [1000] * 10
 
 
 def _write_density_contrast_scenario(tmp_path) -> str:
@@ -252,9 +249,10 @@ def test_criterion_7_sparse_decile_costs_more_per_user_under_both_algorithms(tmp
     cfg = load_scenario(_write_density_contrast_scenario(tmp_path))
     result = run_pipeline(cfg)
 
-    records = {r.subregion_id: r for r in result.demand.records}
-    assert all(records[s].users_per_km2 == 1000.0 for s in ("D1", "D2", "D3", "D4"))
-    assert all(records[s].users_per_km2 == 5.0 for s in ("S1", "S2", "S3", "S4"))
+    table = result.demand.records
+    users_per_km2 = dict(zip(table.subregion_id, table.users_per_km2.tolist()))
+    assert all(users_per_km2[s] == 1000.0 for s in ("D1", "D2", "D3", "D4"))
+    assert all(users_per_km2[s] == 5.0 for s in ("S1", "S2", "S3", "S4"))
 
     rows = {(r.decile, r.level, r.algorithm): r for r in result.rows}
     deciles = sorted({r.decile for r in result.rows})

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiberplan.geodata import EARTH_RADIUS_KM, haversine_km, haversine_km_array, lat_cosines
+from fiberplan.geodata import haversine_h_array, haversine_km, lat_cosines
 from fiberplan.netdesign import solvers
 from fiberplan.netdesign.design import ALGORITHMS, LEVELS, design_network
 from fiberplan.netdesign.graphs import (
@@ -335,9 +335,10 @@ def test_great_circle_rows_equal_haversine_of_the_lower_id_first():
 
 
 def test_numpy_haversines_keep_the_operation_order_of_haversine_km():
-    # haversine_km_array and pair_keys share one in-place kernel; both give
-    # the floats of numpy's expression in haversine_km's order: second point
-    # minus first, and the cosine product times the squared sine.
+    # haversine_h_array is the in-place kernel of pair_keys and of the
+    # nearest-vertex passes; it gives the floats of numpy's expression in
+    # haversine_km's order: second point minus first, and the cosine product
+    # times the squared sine.
     rng = np.random.default_rng(2026)
     lat, lon = rng.uniform(-89.0, 89.0, 300), rng.uniform(-180.0, 180.0, 300)
     cos_lat = lat_cosines(lat)
@@ -349,9 +350,10 @@ def test_numpy_haversines_keep_the_operation_order_of_haversine_km():
 
     for i in range(0, 300, 37):
         p = lat.item(i), lon.item(i)
-        want = h(*p, math.cos(math.radians(p[0])), lat, lon, cos_lat)
-        want = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, want)))
-        assert haversine_km_array(*p, lat, lon, cos_lat).tobytes() == want.tobytes()
+        cos_p = math.cos(math.radians(p[0]))
+        want = h(*p, cos_p, lat, lon, cos_lat)
+        got = haversine_h_array(lat - p[0], lon - p[1], cos_p * cos_lat)
+        assert got.tobytes() == want.tobytes()
     graph = build_euclidean_graph([f"s{i}" for i in range(300)], lat, lon)
     u, v = graph.pairs(0, graph.edge_count)
     want = h(lat[u], lon[u], cos_lat[u], lat[v], lon[v], cos_lat[v])

@@ -975,15 +975,15 @@ def _assert_nearest_vertices_match(roads: RoadGraph, points: list[GeoPoint]) -> 
 
 def _widened(monkeypatch) -> list[int]:
     """Count the points that `nearest_vertices` measures again beyond their
-    window (each such point makes one `haversine_km_array` call)."""
+    window (the rows its blocks pass to `_band_shortlist`)."""
     calls = [0]
-    kernel = geodata.haversine_km_array
+    shortlist = RoadGraph._band_shortlist
 
-    def counted(*args):
-        calls[0] += 1
-        return kernel(*args)
+    def counted(self, plat, plon, cos_p, rows, lo, hi):
+        calls[0] += len(rows)
+        return shortlist(self, plat, plon, cos_p, rows, lo, hi)
 
-    monkeypatch.setattr(geodata, "haversine_km_array", counted)
+    monkeypatch.setattr(RoadGraph, "_band_shortlist", counted)
     return calls
 
 
@@ -1038,6 +1038,21 @@ def test_nearest_vertices_widens_only_the_windows_that_miss_the_nearest(monkeypa
     assert found == [nearest_vertex_reference(roads, p) for p in points]
     assert {v for v, _ in found} == {200}
     _assert_nearest_vertices_match(roads, points)
+
+
+@pytest.mark.parametrize("cells", [1, 150, 1 << 18], ids=["one-band-a-run", "runs", "one-run"])
+def test_nearest_vertices_measures_widened_bands_in_runs_of_any_size(monkeypatch, cells):
+    # Points south of a shuffled grid and west of it, so their windows miss
+    # vertices on the far side of the grid: every band holds many vertices,
+    # and a small run size splits a block's bands over several numpy passes.
+    rng = random.Random(cells)
+    roads = _shuffled_grid(rng, 12, 10.0, 30.0, 0.05, 0.01)
+    points = [GeoPoint(rng.uniform(9.0, 10.7), rng.uniform(25.0, 29.9)) for _ in range(300)]
+    monkeypatch.setattr(geodata, "_BAND_CELLS", cells)
+    widened = _widened(monkeypatch)
+    found = roads.nearest_vertices([p.lat for p in points], [p.lon for p in points])
+    assert widened[0] > 100
+    assert found == [nearest_vertex_reference(roads, p) for p in points]
 
 
 def test_nearest_vertices_breaks_ties_across_latitudes_by_id():

@@ -153,7 +153,7 @@ def test_golden_regions_report_at_their_anchor_subregion_decile(golden_run):
 
 def test_golden_equal_count_deciles_cover_one_to_ten(golden_run):
     _, result, _ = golden_run
-    deciles = sorted(r.decile for r in result.demand.records)
+    deciles = sorted(result.demand.records.decile.tolist())
     assert deciles == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7, 8, 9, 10]
 
 
@@ -286,9 +286,9 @@ def test_area_only_subregions_carry_zero_users(tmp_path):
     cfg = load_scenario(str(cfg_path))
     inputs = load_inputs(cfg)
     stage = build_demand(cfg, inputs)
-    empty = [r for r in stage.records if r.subregion_id == "EMPTY"]
-    assert len(empty) == 1
-    assert empty[0].population == 0
+    table = stage.records
+    assert table.subregion_id.count("EMPTY") == 1
+    assert table.population[table.subregion_id.index("EMPTY")] == 0
     assert stage.users_by_subregion["EMPTY"] == 0.0
     assert stage.total_users == pytest.approx(160.0, rel=1e-12)
 
@@ -321,9 +321,9 @@ def test_demand_sums_populations_past_2_63_exactly(tmp_path):
     want: dict[str, int] = {}
     for s in load_settlements_reference(str(settlements)):
         want[s.subregion_id] = want.get(s.subregion_id, 0) + s.population
-    assert {r.subregion_id: r.population for r in stage.records} == want
+    assert dict(zip(stage.records.subregion_id, stage.records.population)) == want
     assert max(want.values()) > 2**64
-    assert all(type(r.population) is int for r in stage.records)
+    assert all(type(p) is int for p in stage.records.population)
 
 
 def _root_pick_case(rng, kind):

@@ -662,3 +662,21 @@ def test_design_geojson_equals_the_json_document_on_hand_made_designs(tmp_path):
     _emit_and_compare(tmp_path, [single], "single.geojson", settlements, roads)
     _emit_and_compare(tmp_path, [pcst, mst, single, mst], "several.geojson", settlements, roads)
     _emit_and_compare(tmp_path, [], "empty.geojson", settlements, roads)
+
+
+def test_design_geojson_escapes_every_string_as_json_dumps_does(tmp_path):
+    # Quotes, backslashes, each control character, DEL, non-ASCII, non-BMP
+    # (written as a surrogate pair) and a lone surrogate, in settlement ids.
+    ids = ['"', "\\", 'a"b\\c', "\x00\x01\x1f", "\n\r\t\b\f", "\x7f", "é€",
+           "\U0001d518", "😀x", "\ud800", "plain"]
+    ids += [chr(c) for c in range(32) if chr(c) not in "".join(ids)]
+    lat = [0.01 * i for i in range(len(ids))]
+    lon = [0.02 * (i % 5) for i in range(len(ids))]
+    n = len(ids)
+    settlements = SettlementSet(ids, lat, lon, [1] * n, ["R1"] * n, ["R1-01"] * n)
+    result = design_network("access", "mst", ids, lat, lon, ids[0])
+    text = _emit_and_compare(tmp_path, [result], "escaped.geojson", settlements, None)
+    assert text.isascii()
+    for sid in ids:
+        assert f'"settlement_id":{json.dumps(sid)}' in text, sid
+    assert '"\\ud835\\udd18"' in text and '"\\u0000\\u0001\\u001f"' in text

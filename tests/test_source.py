@@ -438,6 +438,17 @@ def test_design_graphs_never_change_after_construction():
     assert not found, "graph state changed after construction: " + ", ".join(found)
 
 
+def test_report_write_csv_is_the_one_csv_writer():
+    """Every CSV the package writes goes through `report.write_csv`: no
+    other module's source makes a `csv.writer(`."""
+    found = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "csv.writer(" in path.read_text(encoding="utf-8")
+    ]
+    assert found == ["report.py"], found
+
+
 NONNEGATIVE_MESSAGE = " must be >= 0, got "
 
 
